@@ -78,8 +78,7 @@ impl PeriodicityReport {
     }
 }
 
-/// Protocols the paper treats as discovery traffic (App. D.1). Public so
-/// the streaming periodicity accumulator flags groups identically.
+/// Protocols the paper treats as discovery traffic (App. D.1).
 pub const DISCOVERY_PROTOCOLS: &[Label] = &[
     "mDNS", "SSDP", "ARP", "DHCP", "ICMPv6", "TuyaLP", "TPLINK_SHP", "LIFX", "COAP", "IGMP",
 ];
@@ -220,23 +219,9 @@ pub fn dft_periodic(events: &[f64]) -> Option<f64> {
 
 /// Analyze a flow table, grouping by (source, destination, protocol).
 pub fn analyze_periodicity(table: &FlowTable) -> PeriodicityReport {
-    let rules = paper_rules();
-    let mut groups: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
-    for flow in &table.flows {
-        let protocol = classify_with_rules(flow, &rules);
-        let destination = destination_bucket(flow);
-        let key = GroupKey {
-            src_mac: flow.key.src_mac,
-            destination,
-            protocol: protocol.to_string(),
-        };
-        let entry = groups.entry(key).or_default();
-        entry.extend(flow.timestamps.iter().map(|t| t.as_secs_f64()));
-    }
-    let analyzed = groups
+    let analyzed = group_events(table)
         .into_iter()
-        .map(|(key, mut events)| {
-            events.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        .map(|(key, events)| {
             // The paper combines DFT and autocorrelation; we accept any of
             // the three detectors (regularity converges fastest).
             let period = interval_regularity_periodic(&events)
@@ -256,26 +241,39 @@ pub fn analyze_periodicity(table: &FlowTable) -> PeriodicityReport {
     PeriodicityReport { groups: analyzed }
 }
 
-fn destination_bucket(flow: &Flow) -> String {
-    destination_bucket_of(flow.dst_mac, flow.key.dst_ip)
+/// The detectors' input: each (source, destination, protocol) group's
+/// packet times in seconds, sorted.
+pub fn group_events(table: &FlowTable) -> BTreeMap<GroupKey, Vec<f64>> {
+    let rules = paper_rules();
+    let mut groups: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
+    for flow in &table.flows {
+        let key = GroupKey {
+            src_mac: flow.key.src_mac,
+            destination: destination_bucket(flow),
+            protocol: classify_with_rules(flow, &rules).to_string(),
+        };
+        let entry = groups.entry(key).or_default();
+        entry.extend(flow.timestamps.iter().map(|t| t.as_secs_f64()));
+    }
+    for events in groups.values_mut() {
+        events.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+    groups
 }
 
 /// The (destination) half of the grouping key, from the flow's first-frame
-/// destination MAC and IP. Public so the streaming engine buckets
-/// identically to the batch pass.
-pub fn destination_bucket_of(
-    dst_mac: EthernetAddress,
-    dst_ip: Option<std::net::Ipv4Addr>,
-) -> String {
+/// destination MAC and IP.
+fn destination_bucket(flow: &Flow) -> String {
+    let dst_mac = flow.dst_mac;
     if dst_mac.is_broadcast() {
         "broadcast".into()
     } else if dst_mac.is_multicast() {
-        match dst_ip {
+        match flow.key.dst_ip {
             Some(ip) => format!("multicast:{ip}"),
             None => "multicast".into(),
         }
     } else {
-        match dst_ip {
+        match flow.key.dst_ip {
             Some(ip) => ip.to_string(),
             None => dst_mac.to_string(),
         }

@@ -81,16 +81,6 @@ pub fn passive_prevalence(table: &FlowTable, catalog: &Catalog) -> Prevalence {
                 .insert("IPv4".into());
         }
     }
-    prevalence_from_observations(&per_device, catalog)
-}
-
-/// Turn per-device observed-protocol sets into the Figure 2 rates. Shared
-/// by [`passive_prevalence`] and the streaming engine, so the two paths
-/// compute rates (and the catalog-derived scan column) identically.
-pub fn prevalence_from_observations(
-    per_device: &BTreeMap<iotlan_wire::ethernet::EthernetAddress, BTreeSet<String>>,
-    catalog: &Catalog,
-) -> Prevalence {
     let n = catalog.devices.len().max(1) as f64;
     let mut passive: BTreeMap<String, usize> = BTreeMap::new();
     for protocols in per_device.values() {

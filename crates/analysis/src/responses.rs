@@ -114,16 +114,11 @@ pub fn rows_from_records(
         .collect()
 }
 
-/// Run the correlation. `vendor_group` optionally overrides Table 4's
-/// grouping (it groups Echo / Google&Nest / Apple by vendor, the rest by
-/// category).
+/// Run the correlation over a flow table and build the Table 4 rows
+/// (grouped as in [`rows_from_records`]).
 pub fn discovery_responses(table: &FlowTable, catalog: &Catalog) -> Vec<CategoryResponseRow> {
     let rules = paper_rules();
-    let mac_to_device: BTreeMap<_, _> = catalog
-        .devices
-        .iter()
-        .map(|d| (d.mac, d))
-        .collect();
+    let device_macs: BTreeSet<_> = catalog.devices.iter().map(|d| d.mac).collect();
 
     // Pass 1: collect discovery events (multicast/broadcast, non-excluded
     // protocols) per device: (time, protocol, src_port).
@@ -141,10 +136,9 @@ pub fn discovery_responses(table: &FlowTable, catalog: &Catalog) -> Vec<Category
         if !matches!(flow.key.transport, Transport::Udp | Transport::UdpV6) {
             continue;
         }
-        let Some(device) = mac_to_device.get(&flow.key.src_mac) else {
+        if !device_macs.contains(&flow.key.src_mac) {
             continue;
-        };
-        let _ = device;
+        }
         let protocol = classify_with_rules(flow, &rules);
         if EXCLUDED_PROTOCOLS.contains(&protocol) {
             continue;

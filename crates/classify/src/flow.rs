@@ -74,9 +74,8 @@ impl Flow {
 }
 
 /// One dissected frame: the flow key it belongs to plus the per-frame
-/// evidence flow assembly records. Shared by [`FlowTable::add_frame`] and
-/// the streaming engine so the two paths key frames identically by
-/// construction.
+/// evidence flow assembly records. The streaming engine dissects each
+/// frame once, reads this, and hands it to [`FlowTable::add_evidence`].
 #[derive(Debug, Clone, Copy)]
 pub struct FrameEvidence<'a> {
     pub key: FlowKey,
@@ -211,13 +210,32 @@ pub fn dissect_frame(data: &[u8]) -> Option<FrameEvidence<'_>> {
 }
 
 /// The assembled flow table for one capture.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     pub flows: Vec<Flow>,
     index: HashMap<FlowKey, usize>,
+    /// Arrival times kept per flow; later packets are still counted.
+    timestamp_cap: usize,
+}
+
+impl Default for FlowTable {
+    /// An empty table that keeps every timestamp.
+    fn default() -> FlowTable {
+        FlowTable::with_timestamp_cap(usize::MAX)
+    }
 }
 
 impl FlowTable {
+    /// An empty table that keeps at most `cap` arrival times per flow, so
+    /// its size follows the flow count rather than the packet count.
+    pub fn with_timestamp_cap(cap: usize) -> FlowTable {
+        FlowTable {
+            flows: Vec::new(),
+            index: HashMap::new(),
+            timestamp_cap: cap,
+        }
+    }
+
     /// Assemble flows from a capture, respecting the paper's local-traffic
     /// filter (Appendix C.1): keep local↔local IP traffic, all Ethernet
     /// multicast/broadcast, and non-IP unicast.
@@ -231,50 +249,82 @@ impl FlowTable {
 
     /// Add one raw frame.
     pub fn add_frame(&mut self, time: SimTime, data: &[u8]) {
-        let Some(FrameEvidence {
+        if let Some(evidence) = dissect_frame(data) {
+            self.add_evidence(time, data.len(), evidence);
+        }
+    }
+
+    /// Add one frame already dissected by [`dissect_frame`]; `frame_len` is
+    /// its length on the wire. Returns the index of its flow in `flows`.
+    pub fn add_evidence(
+        &mut self,
+        time: SimTime,
+        frame_len: usize,
+        evidence: FrameEvidence<'_>,
+    ) -> usize {
+        let FrameEvidence {
             key,
             dst_mac,
             payload,
-        }) = dissect_frame(data)
-        else {
-            return;
-        };
-        let total_len = data.len() as u64;
-        match self.index.get(&key) {
-            Some(&i) => {
-                let flow = &mut self.flows[i];
-                flow.packets += 1;
-                flow.bytes += total_len;
-                flow.last_seen = time;
-                flow.timestamps.push(time);
-                if flow.payload_samples.len() < MAX_SAMPLES {
-                    if let Some(p) = payload {
-                        if !p.is_empty() {
-                            flow.payload_samples.push(p.to_vec());
-                        }
-                    }
-                }
-            }
-            None => {
-                let mut payload_samples = Vec::new();
-                if let Some(p) = payload {
-                    if !p.is_empty() {
-                        payload_samples.push(p.to_vec());
-                    }
-                }
-                self.index.insert(key, self.flows.len());
-                self.flows.push(Flow {
-                    key,
-                    packets: 1,
-                    bytes: total_len,
-                    first_seen: time,
-                    last_seen: time,
-                    dst_mac,
-                    payload_samples,
-                    timestamps: vec![time],
-                });
+        } = evidence;
+        let payload = payload.filter(|p| !p.is_empty());
+        let index = *self.index.entry(key).or_insert_with(|| {
+            self.flows.push(Flow {
+                key,
+                packets: 0,
+                bytes: 0,
+                first_seen: time,
+                last_seen: time,
+                dst_mac,
+                payload_samples: Vec::new(),
+                timestamps: Vec::new(),
+            });
+            self.flows.len() - 1
+        });
+        let flow = &mut self.flows[index];
+        flow.packets += 1;
+        flow.bytes += frame_len as u64;
+        flow.last_seen = time;
+        if flow.timestamps.len() < self.timestamp_cap {
+            flow.timestamps.push(time);
+        }
+        if let Some(p) = payload {
+            if flow.payload_samples.len() < MAX_SAMPLES {
+                flow.payload_samples.push(p.to_vec());
             }
         }
+        index
+    }
+
+    /// Append `other`'s flows as if its frames had followed this table's:
+    /// the result equals one pass over the concatenated frames, with this
+    /// table's timestamp cap.
+    pub fn merge(&mut self, other: &FlowTable) {
+        for theirs in &other.flows {
+            let Some(&index) = self.index.get(&theirs.key) else {
+                self.index.insert(theirs.key, self.flows.len());
+                let mut flow = theirs.clone();
+                flow.timestamps.truncate(self.timestamp_cap);
+                self.flows.push(flow);
+                continue;
+            };
+            let mine = &mut self.flows[index];
+            mine.packets += theirs.packets;
+            mine.bytes += theirs.bytes;
+            mine.last_seen = theirs.last_seen;
+            let room = self.timestamp_cap - mine.timestamps.len();
+            mine.timestamps.extend(theirs.timestamps.iter().take(room));
+            let room = MAX_SAMPLES - mine.payload_samples.len();
+            mine.payload_samples
+                .extend(theirs.payload_samples.iter().take(room).cloned());
+        }
+    }
+
+    /// True when every flow kept all of its arrival times.
+    pub fn timestamps_complete(&self) -> bool {
+        self.flows
+            .iter()
+            .all(|flow| flow.timestamps.len() as u64 == flow.packets)
     }
 
     pub fn len(&self) -> usize {
@@ -362,5 +412,67 @@ mod tests {
         }
         assert_eq!(table.flows[0].payload_samples.len(), MAX_SAMPLES);
         assert_eq!(table.flows[0].timestamps.len(), 10);
+    }
+
+    /// Frames from three flows, with payloads, interleaved over time.
+    fn mixed_frames() -> Vec<(SimTime, Vec<u8>)> {
+        (0..24u8)
+            .map(|i| {
+                let frame = match i % 3 {
+                    0 => stack::udp_unicast(ep(1), ep(2), 7, 8, &[i; 4]),
+                    1 => {
+                        stack::udp_multicast(ep(2), Ipv4Addr::new(224, 0, 0, 251), 5353, 5353, &[i])
+                    }
+                    _ => stack::udp_unicast(ep(3), ep(1), 9, 10, &[]),
+                };
+                (SimTime::from_secs(u64::from(i)), frame)
+            })
+            .collect()
+    }
+
+    fn table_of(frames: &[(SimTime, Vec<u8>)], cap: usize) -> FlowTable {
+        let mut table = FlowTable::with_timestamp_cap(cap);
+        for (time, data) in frames {
+            table.add_frame(*time, data);
+        }
+        table
+    }
+
+    #[test]
+    fn timestamp_cap_keeps_counts() {
+        let table = table_of(&mixed_frames(), 5);
+        assert_eq!(table.total_packets(), 24);
+        assert!(table.flows.iter().all(|f| f.timestamps.len() == 5));
+        assert!(!table.timestamps_complete());
+        assert!(table_of(&mixed_frames(), 8).timestamps_complete());
+    }
+
+    #[test]
+    fn merge_equals_one_pass() {
+        let frames = mixed_frames();
+        for cap in [3, 5, usize::MAX] {
+            let whole = table_of(&frames, cap);
+            for split in [0, 1, 4, 13, frames.len()] {
+                let mut merged = table_of(&frames[..split], cap);
+                merged.merge(&table_of(&frames[split..], cap));
+                assert_eq!(
+                    format!("{:?}", merged.flows),
+                    format!("{:?}", whole.flows),
+                    "cap {cap}, split at {split}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn add_evidence_returns_the_flow_index() {
+        let mut table = FlowTable::default();
+        for (time, data) in mixed_frames() {
+            let evidence = dissect_frame(&data).unwrap();
+            let key = evidence.key;
+            let index = table.add_evidence(time, data.len(), evidence);
+            assert_eq!(table.flows[index].key, key);
+        }
+        assert_eq!(table.len(), 3);
     }
 }

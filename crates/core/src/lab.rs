@@ -229,19 +229,29 @@ impl Lab {
     pub fn run_interactions(&mut self, span: SimDuration) {
         let _span = iotlan_telemetry::span!("lab.interactions");
         let timer = self.manifest.phase_timer("interactions");
+        self.interaction_script(span, |lab, step| lab.network.run_for(step));
+        self.finish_sim_phase(timer);
+    }
+
+    /// The interaction script: each interaction is injected and then
+    /// `advance` simulates one equal step of `span`. With no interactions
+    /// configured, `advance` simulates all of `span` at once.
+    fn interaction_script(
+        &mut self,
+        span: SimDuration,
+        mut advance: impl FnMut(&mut Lab, SimDuration),
+    ) {
         let count = self.config.interactions;
         if count == 0 {
-            self.network.run_for(span);
-            self.finish_sim_phase(timer);
+            advance(self, span);
             return;
         }
-        let step = SimDuration::from_micros(span.as_micros() / u64::from(count).max(1));
+        let step = SimDuration::from_micros(span.as_micros() / u64::from(count));
         let actions = self.controllable_actions();
         for index in 0..count {
             self.inject_interaction(index, &actions);
-            self.network.run_for(step);
+            advance(self, step);
         }
-        self.finish_sim_phase(timer);
     }
 
     /// Run `span` of simulation in `window`-sized slices, draining the AP
@@ -249,22 +259,26 @@ impl Lab {
     /// events in `(time, seq)` order with an inclusive deadline and carries
     /// pending events across calls, so `run_for(a); run_for(b)` dispatches
     /// the exact event sequence of `run_for(a + b)` — the drained frame
-    /// stream is byte-identical to a batch capture of the same span.
+    /// stream is byte-identical to a batch capture of the same span. Like
+    /// one `run_for(span)`, a zero span still dispatches the events due now.
     fn run_windowed(&mut self, span: SimDuration, window: SimDuration, sink: &mut impl FrameSink) {
         let mut remaining = span.as_micros();
         let window_micros = window.as_micros().max(1);
-        while remaining > 0 {
+        loop {
             let slice = remaining.min(window_micros);
             self.network.run_for(SimDuration::from_micros(slice));
             self.network.capture.drain_into(sink);
             remaining -= slice;
+            if remaining == 0 {
+                break;
+            }
         }
     }
 
     /// Run the full collection — the idle capture plus the configured
     /// interaction script over `interaction_span` — feeding every captured
-    /// frame into `sink` and keeping at most one `window` (or one
-    /// interaction step) of frames buffered at the AP.
+    /// frame into `sink` and keeping at most one `window` of frames
+    /// buffered at the AP.
     ///
     /// This produces the *identical* frame sequence as
     /// `run_idle()` + `run_interactions(interaction_span)` on a fresh lab
@@ -284,19 +298,9 @@ impl Lab {
         self.run_windowed(idle, window, sink);
         self.finish_sim_phase(timer);
         let timer = self.manifest.phase_timer("streaming.interactions");
-        let count = self.config.interactions;
-        if count == 0 {
-            self.run_windowed(interaction_span, window, sink);
-            self.finish_sim_phase(timer);
-            return;
-        }
-        let step = SimDuration::from_micros(interaction_span.as_micros() / u64::from(count).max(1));
-        let actions = self.controllable_actions();
-        for index in 0..count {
-            self.inject_interaction(index, &actions);
-            self.network.run_for(step);
-            self.network.capture.drain_into(sink);
-        }
+        self.interaction_script(interaction_span, |lab, step| {
+            lab.run_windowed(step, window, sink)
+        });
         self.finish_sim_phase(timer);
     }
 

@@ -7,57 +7,50 @@
 //! whose figure/table outputs are byte-identical to the batch pipeline's
 //! on the same input.
 //!
-//! ## Why byte-identity is achievable in one bounded pass
+//! ## One flow table, bounded by structure
 //!
-//! Every batch analysis over a `FlowTable` turns out to depend on a
-//! *per-key digest*, not on the full packet list (the one exception,
-//! periodicity, is exact below a cap — see below):
+//! The engine assembles the same [`FlowTable`] the batch pipeline builds,
+//! with one difference: each flow keeps at most [`EVENT_CAP`] arrival
+//! times. Every other per-flow field (key, counts, first-frame destination
+//! MAC, the first few payloads) is O(1), so the table is O(flow-key
+//! cardinality) — traffic structure, not traffic length. Fig. 1/4, Fig. 2
+//! and App. D.1 are then the batch analyses run on that table:
 //!
-//! * A flow's classification label depends only on its key (transport,
-//!   ports, source MAC) and its **first non-empty payload** — both
-//!   available the moment they stream past, and immutable afterwards.
-//! * The Fig. 1/4 graph qualifies flows by key + the **first frame's
-//!   destination MAC** and then sums packets/bytes — additive, so it can
-//!   be updated per packet.
-//! * Fig. 2 prevalence is a per-device *set* of labels — determined by
-//!   which keys exist, not how many packets each carried.
+//! * The graph and prevalence read only keys, counts and payloads, so
+//!   they are exact at any capture length.
+//! * App. D.1 periodicity reads the arrival times. Below the cap the
+//!   table holds every time and the report is exact
+//!   ([`StreamReport::periodicity_exact`] says so); above it each flow
+//!   contributes a prefix sample.
 //! * Table 4 matches discovery and response *timestamps* within a 3 s
-//!   window. Capture record order can run behind stamps by a bounded skew
-//!   (delayed sends are stamped ahead, at most ~30 s in the simulator),
-//!   so a pair of horizon-pruned buffers ([`TABLE4_HORIZON_SECS`]) sees
-//!   every pair that the batch cross-join sees.
-//! * App. D.1 periodicity sorts each group's event times before testing,
-//!   so only the per-group time *multiset* matters. The engine caps
-//!   per-key event lists at [`EVENT_CAP`]; below the cap the multiset is
-//!   complete and the report is exact ([`StreamReport::periodicity_exact`]
-//!   says so), above it the report degrades gracefully to a prefix sample.
-//!
-//! The residual per-key state (`KeyState`) is O(flow-key cardinality) —
-//! traffic structure, not traffic length.
+//!   window, which a capped time list cannot answer. The engine matches
+//!   online instead: capture record order can run behind stamps by a
+//!   bounded skew (delayed sends are stamped ahead, at most ~30 s in the
+//!   simulator), so a pair of horizon-pruned buffers
+//!   ([`TABLE4_HORIZON_SECS`]) sees every pair the batch cross-join sees.
+//!   Labels, and with them the excluded-protocol filter, are resolved at
+//!   [`StreamEngine::finish`].
 
-use crate::flowtab::{FlowRecord, FlowRecordSink, StreamFlowTable};
-use crate::sketch::{CountMin, Distinct};
-use iotlan_analysis::graph::{DeviceGraph, Edge, EdgeKind};
+use iotlan_analysis::graph::{build_graph, DeviceGraph};
 use iotlan_analysis::periodicity::{
-    autocorrelation_periodic, destination_bucket_of, dft_periodic, interval_regularity_periodic,
-    Group, GroupKey, PeriodicityReport, DISCOVERY_PROTOCOLS,
+    analyze_periodicity, group_events, GroupKey, PeriodicityReport,
 };
-use iotlan_analysis::prevalence::{prevalence_from_observations, Prevalence};
+use iotlan_analysis::prevalence::{passive_prevalence, Prevalence};
 use iotlan_analysis::responses::{
     rows_from_records, CategoryResponseRow, DeviceRecord, EXCLUDED_PROTOCOLS,
     RESPONSE_WINDOW_SECS,
 };
-use iotlan_classify::flow::{dissect_frame, Flow, FlowKey, FrameEvidence, Transport};
-use iotlan_classify::rules::{classify_with_rules, paper_rules, Rule};
+use iotlan_classify::flow::{dissect_frame, Flow, FlowKey, FlowTable, Transport};
+use iotlan_classify::rules::{classify_with_rules, paper_rules};
 use iotlan_devices::Catalog;
-use iotlan_netsim::{Capture, FrameSink, SimDuration, SimTime, FRAME_OVERHEAD};
+use iotlan_netsim::{Capture, FrameSink, SimTime, FRAME_OVERHEAD};
 use iotlan_util::pool;
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::pcap::PcapStreamReader;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
-/// Per-key packet-time cap: below this the periodicity report is exact.
+/// Per-flow packet-time cap: below this the periodicity report is exact.
 pub const EVENT_CAP: usize = 2048;
 
 /// How long a Table 4 candidate event stays buffered behind the
@@ -69,31 +62,7 @@ pub const TABLE4_HORIZON_SECS: f64 = 64.0;
 /// Buffers are pruned (and peak state re-measured) every this many packets.
 const PRUNE_EVERY: u64 = 1024;
 
-/// Completed flow records queue at most this many entries before the
-/// oldest are dropped (callers that want the record stream must drain).
-const RECORD_QUEUE_CAP: usize = 4096;
-
-/// Sticky per-flow-key state. Never evicted: analyses' byte-identity
-/// depends on key digests surviving to `finish`, and key cardinality —
-/// unlike packet count — is bounded by the traffic's structure.
-struct KeyState {
-    /// Insertion-order id, the compact handle Table 4 match sets use.
-    id: u32,
-    /// Destination MAC of the key's first frame (multicast detection).
-    dst_mac: EthernetAddress,
-    /// First non-empty payload — the classifier's only payload evidence.
-    first_payload: Option<Vec<u8>>,
-    packets: u64,
-    bytes: u64,
-    /// Packet times (seconds), capped at [`EVENT_CAP`].
-    events: Vec<f64>,
-    events_truncated: bool,
-    /// Pre-resolved graph contribution: (sorted name pair, is_tcp).
-    graph_pair: Option<((String, String), bool)>,
-    /// Pre-resolved Table 4 role.
-    table4: Table4Role,
-}
-
+/// A flow's part in the Table 4 correlation, fixed by its first frame.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Table4Role {
     None,
@@ -103,19 +72,9 @@ enum Table4Role {
     Response(EthernetAddress),
 }
 
-/// Cumulative transport mix + volume for one device pair; resolves to a
-/// batch [`Edge`] at report time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeAccum {
-    pub has_tcp: bool,
-    pub has_udp: bool,
-    pub packets: u64,
-    pub bytes: u64,
-}
-
 struct DiscEvent {
     time: f64,
-    key_id: u32,
+    flow: usize,
     device: EthernetAddress,
     src_port: u16,
 }
@@ -127,46 +86,21 @@ struct RespEvent {
     responder: EthernetAddress,
 }
 
-/// Bounded queue of completed flow records (the flow-table sink).
-struct RecordQueue {
-    records: VecDeque<FlowRecord>,
-    dropped: u64,
-}
-
-impl FlowRecordSink for RecordQueue {
-    fn on_flow(&mut self, record: FlowRecord) {
-        if self.records.len() >= RECORD_QUEUE_CAP {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-}
-
 /// The single-pass engine. See the module docs for the design.
 pub struct StreamEngine {
-    rules: Vec<Rule>,
     device_macs: BTreeSet<EthernetAddress>,
-    ip_names: HashMap<Ipv4Addr, String>,
     ip_to_mac: HashMap<Ipv4Addr, EthernetAddress>,
 
-    keys: HashMap<FlowKey, KeyState>,
-    key_order: Vec<FlowKey>,
-
-    edges: BTreeMap<(String, String), EdgeAccum>,
+    table: FlowTable,
+    /// Table 4 role of each flow in `table`, by flow index.
+    roles: Vec<Table4Role>,
 
     disc_buffer: Vec<DiscEvent>,
     resp_buffer: Vec<RespEvent>,
-    /// (discovery key id, responder MAC) — label-independent, resolved
+    /// (discovery flow index, responder MAC) — label-independent, resolved
     /// (and excluded-protocol-filtered) at finish.
-    matches: BTreeSet<(u32, EthernetAddress)>,
+    matches: BTreeSet<(usize, EthernetAddress)>,
     max_stamp_secs: f64,
-
-    flowtab: StreamFlowTable,
-    record_queue: RecordQueue,
-
-    port_packets: CountMin,
-    peer_pairs: Distinct,
 
     reader: PcapStreamReader,
     pcap_bytes_pushed: u64,
@@ -186,24 +120,14 @@ impl StreamEngine {
             ip_to_mac.entry(device.ip).or_insert(device.mac);
         }
         StreamEngine {
-            rules: paper_rules(),
             device_macs: catalog.devices.iter().map(|d| d.mac).collect(),
-            ip_names: catalog.ip_map(),
             ip_to_mac,
-            keys: HashMap::new(),
-            key_order: Vec::new(),
-            edges: BTreeMap::new(),
+            table: FlowTable::with_timestamp_cap(EVENT_CAP),
+            roles: Vec::new(),
             disc_buffer: Vec::new(),
             resp_buffer: Vec::new(),
             matches: BTreeSet::new(),
             max_stamp_secs: 0.0,
-            flowtab: StreamFlowTable::new(4096, SimDuration::from_secs(300)),
-            record_queue: RecordQueue {
-                records: VecDeque::new(),
-                dropped: 0,
-            },
-            port_packets: CountMin::new(1024, 4, 0x10_7a11),
-            peer_pairs: Distinct::new(512, 0x10_7a12),
             reader: PcapStreamReader::new(),
             pcap_bytes_pushed: 0,
             packets: 0,
@@ -211,13 +135,6 @@ impl StreamEngine {
             streamed_bytes: 0,
             peak_state_bytes: 0,
         }
-    }
-
-    /// Replace the bounded flow table (capacity / idle timeout / record
-    /// timestamp cap) used for the completed-flow record stream.
-    pub fn with_flow_table(mut self, flowtab: StreamFlowTable) -> StreamEngine {
-        self.flowtab = flowtab;
-        self
     }
 
     /// Feed raw pcap file bytes; any chunking (down to one byte) yields
@@ -237,11 +154,6 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Completed flow records retired so far (drains the internal queue).
-    pub fn drain_completed_flows(&mut self) -> Vec<FlowRecord> {
-        self.record_queue.records.drain(..).collect()
-    }
-
     /// Packets consumed so far.
     pub fn packets(&self) -> u64 {
         self.packets
@@ -249,31 +161,17 @@ impl StreamEngine {
 
     /// Current (not peak) resident state estimate in bytes.
     pub fn state_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for (key, state) in &self.keys {
-            let _ = key;
-            total += std::mem::size_of::<FlowKey>() + std::mem::size_of::<KeyState>();
-            total += state.first_payload.as_ref().map_or(0, |p| p.len());
-            total += state.events.len() * 8;
-            if let Some(((a, b), _)) = &state.graph_pair {
-                total += a.len() + b.len();
-            }
+        let per_flow = std::mem::size_of::<Flow>()
+            + std::mem::size_of::<(FlowKey, usize)>()
+            + std::mem::size_of::<Table4Role>();
+        let mut total = self.table.len() * per_flow;
+        for flow in &self.table.flows {
+            total += flow.timestamps.len() * std::mem::size_of::<SimTime>();
+            total += flow.payload_samples.iter().map(Vec::len).sum::<usize>();
         }
-        total += self.key_order.len() * std::mem::size_of::<FlowKey>();
         total += self.disc_buffer.len() * std::mem::size_of::<DiscEvent>();
         total += self.resp_buffer.len() * std::mem::size_of::<RespEvent>();
         total += self.matches.len() * 32;
-        for ((a, b), _) in &self.edges {
-            total += a.len() + b.len() + std::mem::size_of::<EdgeAccum>() + 48;
-        }
-        total += self.port_packets.state_bytes() + self.peer_pairs.state_bytes();
-        total += self.flowtab.state_bytes();
-        total += self
-            .record_queue
-            .records
-            .iter()
-            .map(|r| std::mem::size_of::<FlowRecord>() + r.timestamps.len() * 8)
-            .sum::<usize>();
         total += self.reader.buffered_bytes();
         total
     }
@@ -288,6 +186,24 @@ impl StreamEngine {
         }
     }
 
+    /// The Table 4 role of a new flow.
+    fn role_of(&self, flow: &Flow) -> Table4Role {
+        if !matches!(flow.key.transport, Transport::Udp | Transport::UdpV6) {
+            Table4Role::None
+        } else if flow.is_multicast_or_broadcast() {
+            if self.device_macs.contains(&flow.key.src_mac) {
+                Table4Role::Discovery
+            } else {
+                Table4Role::None
+            }
+        } else {
+            match flow.key.dst_ip.and_then(|ip| self.ip_to_mac.get(&ip)) {
+                Some(&mac) => Table4Role::Response(mac),
+                None => Table4Role::None,
+            }
+        }
+    }
+
     /// Finish the pass and build the report. Fails only when pcap bytes
     /// were pushed and the image was malformed or truncated mid-record.
     pub fn finish(mut self) -> Result<StreamReport, iotlan_wire::Error> {
@@ -297,109 +213,48 @@ impl StreamEngine {
         }
         self.prune_and_measure();
 
-        // Resolve every key's label once, with exactly the evidence the
-        // batch classifier would see on the assembled flow.
-        let mut labels: Vec<&'static str> = Vec::with_capacity(self.key_order.len());
-        let mut protocol_packets = CountMin::new(1024, 4, 0x10_7a13);
-        for key in &self.key_order {
-            let state = &self.keys[key];
-            let synthetic = Flow {
-                key: *key,
-                packets: state.packets,
-                bytes: state.bytes,
-                first_seen: SimTime::ZERO,
-                last_seen: SimTime::ZERO,
-                dst_mac: state.dst_mac,
-                payload_samples: state.first_payload.iter().cloned().collect(),
-                timestamps: Vec::new(),
-            };
-            let label = classify_with_rules(&synthetic, &self.rules);
-            protocol_packets.insert_weighted(label.as_bytes(), state.packets);
-            labels.push(label);
-        }
-
-        // Fig. 2: per-device observed-protocol sets.
-        let mut observations: BTreeMap<EthernetAddress, BTreeSet<String>> = BTreeMap::new();
-        for (key, label) in self.key_order.iter().zip(&labels) {
-            if !self.device_macs.contains(&key.src_mac) {
+        // Table 4: label the discovery flows, now that the whole flow (and
+        // so the batch classifier's evidence) is known, then resolve the
+        // matches through the excluded-protocol filter.
+        let rules = paper_rules();
+        let mut labels: HashMap<usize, &'static str> = HashMap::new();
+        let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
+        for (index, flow) in self.table.flows.iter().enumerate() {
+            if self.roles[index] != Table4Role::Discovery {
                 continue;
             }
-            let set = observations.entry(key.src_mac).or_default();
-            set.insert((*label).to_string());
-            if key.src_ip.is_some() {
-                set.insert("IPv4".into());
-            }
-        }
-
-        // Table 4: discovery sets + match resolution, now that labels and
-        // therefore the excluded-protocol filter are known.
-        let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
-        for (key, label) in self.key_order.iter().zip(&labels) {
-            let state = &self.keys[key];
-            if state.table4 == Table4Role::Discovery && !EXCLUDED_PROTOCOLS.contains(label) {
+            let label = classify_with_rules(flow, &rules);
+            labels.insert(index, label);
+            if !EXCLUDED_PROTOCOLS.contains(&label) {
                 records
-                    .entry(key.src_mac)
+                    .entry(flow.key.src_mac)
                     .or_default()
                     .discovery_protocols
-                    .insert((*label).to_string());
+                    .insert(label.to_string());
             }
         }
-        for &(key_id, responder) in &self.matches {
-            let key = &self.key_order[key_id as usize];
-            let label = labels[key_id as usize];
+        for &(index, responder) in &self.matches {
+            let label = labels[&index];
             if EXCLUDED_PROTOCOLS.contains(&label) {
                 continue;
             }
-            let record = records.entry(key.src_mac).or_default();
+            let record = records
+                .entry(self.table.flows[index].key.src_mac)
+                .or_default();
             record.protocols_with_response.insert(label.to_string());
             record.responders.insert(responder);
         }
-
-        // App. D.1: assemble (source, destination, protocol) groups from
-        // the per-key event lists; sorting makes arrival order irrelevant.
-        let mut periodicity_groups: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
-        let mut periodicity_exact = true;
-        for (key, label) in self.key_order.iter().zip(&labels) {
-            let state = &self.keys[key];
-            periodicity_exact &= !state.events_truncated;
-            let group_key = GroupKey {
-                src_mac: key.src_mac,
-                destination: destination_bucket_of(state.dst_mac, key.dst_ip),
-                protocol: (*label).to_string(),
-            };
-            periodicity_groups
-                .entry(group_key)
-                .or_default()
-                .extend_from_slice(&state.events);
-        }
-        for events in periodicity_groups.values_mut() {
-            events.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        }
-
-        let flows_retired = self.flowtab.retired();
-        let mut queue = RecordQueue {
-            records: std::mem::take(&mut self.record_queue.records),
-            dropped: self.record_queue.dropped,
-        };
-        self.flowtab.finish(&mut queue);
 
         Ok(StreamReport {
             packets: self.packets,
             bytes: self.bytes,
             streamed_bytes: self.streamed_bytes,
             peak_state_bytes: self.peak_state_bytes,
-            flow_keys: self.key_order.len(),
-            edges: self.edges,
-            observations,
+            flow_keys: self.table.len(),
+            periodicity_groups: group_events(&self.table),
+            periodicity_exact: self.table.timestamps_complete(),
             records,
-            periodicity_groups,
-            periodicity_exact,
-            port_packets: self.port_packets,
-            protocol_packets,
-            peer_pairs: self.peer_pairs,
-            flows_retired,
-            records_dropped: queue.dropped,
-            final_records: queue.records.into_iter().collect(),
+            table: self.table,
         })
     }
 }
@@ -416,131 +271,34 @@ impl FrameSink for StreamEngine {
             self.max_stamp_secs = secs;
         }
 
-        // Flow-record stream (bounded table, independent of the sticky
-        // analysis state).
-        self.flowtab.add_frame(time, data, &mut self.record_queue);
-
-        let Some(FrameEvidence {
-            key,
-            dst_mac,
-            payload,
-        }) = dissect_frame(data)
-        else {
+        let Some(evidence) = dissect_frame(data) else {
             return;
         };
-
-        // Sketches: per-packet, key-independent.
-        self.port_packets.insert(&key.dst_port.to_le_bytes());
-        let mut pair = [0u8; 12];
-        pair[..6].copy_from_slice(&key.src_mac.0);
-        pair[6..].copy_from_slice(&dst_mac.0);
-        self.peer_pairs.insert(&pair);
-        iotlan_telemetry::counter!("stream.sketch_updates").add(2);
-
-        // Sticky per-key state.
-        let is_new = !self.keys.contains_key(&key);
-        if is_new {
+        let key = evidence.key;
+        let index = self.table.add_evidence(time, data.len(), evidence);
+        if index == self.roles.len() {
             iotlan_telemetry::counter!("stream.flow_keys_created").incr();
-            let multicast = dst_mac.is_multicast();
-            let is_udp = matches!(key.transport, Transport::Udp | Transport::UdpV6);
-            let graph_pair = if matches!(key.transport, Transport::Tcp | Transport::Udp)
-                && !multicast
-            {
-                match (key.src_ip, key.dst_ip) {
-                    (Some(src_ip), Some(dst_ip)) => {
-                        match (self.ip_names.get(&src_ip), self.ip_names.get(&dst_ip)) {
-                            (Some(src), Some(dst)) if src != dst => {
-                                let pair = if src < dst {
-                                    (src.clone(), dst.clone())
-                                } else {
-                                    (dst.clone(), src.clone())
-                                };
-                                Some((pair, key.transport == Transport::Tcp))
-                            }
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let table4 = if is_udp && multicast && self.device_macs.contains(&key.src_mac) {
-                Table4Role::Discovery
-            } else if is_udp && !multicast {
-                match key.dst_ip.and_then(|ip| self.ip_to_mac.get(&ip)) {
-                    Some(&mac) => Table4Role::Response(mac),
-                    None => Table4Role::None,
-                }
-            } else {
-                Table4Role::None
-            };
-            let id = self.key_order.len() as u32;
-            self.key_order.push(key);
-            self.keys.insert(
-                key,
-                KeyState {
-                    id,
-                    dst_mac,
-                    first_payload: None,
-                    packets: 0,
-                    bytes: 0,
-                    events: Vec::new(),
-                    events_truncated: false,
-                    graph_pair,
-                    table4,
-                },
-            );
-        }
-        let state = self.keys.get_mut(&key).expect("key just ensured");
-        state.packets += 1;
-        state.bytes += data.len() as u64;
-        if state.events.len() < EVENT_CAP {
-            state.events.push(secs);
-        } else {
-            state.events_truncated = true;
-        }
-        if state.first_payload.is_none() {
-            if let Some(p) = payload {
-                if !p.is_empty() {
-                    state.first_payload = Some(p.to_vec());
-                }
-            }
-        }
-
-        // Fig. 1/4 graph: additive per-packet update.
-        if let Some(((a, b), is_tcp)) = &state.graph_pair {
-            let accum = self
-                .edges
-                .entry((a.clone(), b.clone()))
-                .or_default();
-            accum.packets += 1;
-            accum.bytes += data.len() as u64;
-            if *is_tcp {
-                accum.has_tcp = true;
-            } else {
-                accum.has_udp = true;
-            }
+            let role = self.role_of(&self.table.flows[index]);
+            self.roles.push(role);
         }
 
         // Table 4: event buffers + bidirectional window matching. The
         // window test reproduces the batch f64 arithmetic bit-for-bit:
         // delta = response_secs - discovery_secs ∈ [0, 3].
-        match state.table4 {
+        match self.roles[index] {
             Table4Role::Discovery => {
-                let key_id = state.id;
                 for resp in &self.resp_buffer {
                     if resp.device != key.src_mac || resp.dst_port != key.src_port {
                         continue;
                     }
                     let delta = resp.time - secs;
                     if (0.0..=RESPONSE_WINDOW_SECS).contains(&delta) {
-                        self.matches.insert((key_id, resp.responder));
+                        self.matches.insert((index, resp.responder));
                     }
                 }
                 self.disc_buffer.push(DiscEvent {
                     time: secs,
-                    key_id,
+                    flow: index,
                     device: key.src_mac,
                     src_port: key.src_port,
                 });
@@ -552,7 +310,7 @@ impl FrameSink for StreamEngine {
                     }
                     let delta = secs - disc.time;
                     if (0.0..=RESPONSE_WINDOW_SECS).contains(&delta) {
-                        self.matches.insert((disc.key_id, key.src_mac));
+                        self.matches.insert((disc.flow, key.src_mac));
                     }
                 }
                 self.resp_buffer.push(RespEvent {
@@ -571,8 +329,8 @@ impl FrameSink for StreamEngine {
     }
 }
 
-/// The engine's output: mergeable raw accumulators plus accessors that
-/// render them through the *batch* analysis code paths.
+/// The engine's output: the pass's flow table and Table 4 records, read
+/// through the *batch* analysis code paths.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     pub packets: u64,
@@ -584,53 +342,27 @@ pub struct StreamReport {
     pub peak_state_bytes: usize,
     /// Distinct flow keys observed.
     pub flow_keys: usize,
-    pub edges: BTreeMap<(String, String), EdgeAccum>,
-    pub observations: BTreeMap<EthernetAddress, BTreeSet<String>>,
+    /// The pass's flows, each with at most [`EVENT_CAP`] timestamps.
+    pub table: FlowTable,
+    /// Table 4 per-device discovery/response records.
     pub records: BTreeMap<EthernetAddress, DeviceRecord>,
+    /// App. D.1 event series of `table`, as `analyze_periodicity` groups
+    /// them.
     pub periodicity_groups: BTreeMap<GroupKey, Vec<f64>>,
-    /// True when no per-key event list hit [`EVENT_CAP`].
+    /// True when every flow kept all its timestamps (none hit
+    /// [`EVENT_CAP`]).
     pub periodicity_exact: bool,
-    pub port_packets: CountMin,
-    pub protocol_packets: CountMin,
-    pub peer_pairs: Distinct,
-    /// Flow records retired by eviction during the pass.
-    pub flows_retired: u64,
-    /// Records dropped because nobody drained the queue.
-    pub records_dropped: u64,
-    /// Records still live at finish (undrained tail of the record stream).
-    pub final_records: Vec<FlowRecord>,
 }
 
 impl StreamReport {
-    /// The Fig. 1/4 device graph, identical to
-    /// `iotlan_analysis::graph::build_graph` on the batch flow table.
+    /// The Fig. 1/4 device graph.
     pub fn graph(&self, catalog: &Catalog) -> DeviceGraph {
-        let mut graph = DeviceGraph {
-            nodes: catalog.devices.iter().map(|d| d.name.clone()).collect(),
-            ..Default::default()
-        };
-        for (pair, accum) in &self.edges {
-            let kind = match (accum.has_tcp, accum.has_udp) {
-                (true, true) => EdgeKind::Both,
-                (true, false) => EdgeKind::Tcp,
-                _ => EdgeKind::Udp,
-            };
-            graph.edges.insert(
-                pair.clone(),
-                Edge {
-                    kind,
-                    packets: accum.packets,
-                    bytes: accum.bytes,
-                },
-            );
-        }
-        graph
+        build_graph(&self.table, catalog)
     }
 
-    /// Fig. 2 passive prevalence, identical to
-    /// `iotlan_analysis::prevalence::passive_prevalence`.
+    /// Fig. 2 passive prevalence.
     pub fn prevalence(&self, catalog: &Catalog) -> Prevalence {
-        prevalence_from_observations(&self.observations, catalog)
+        passive_prevalence(&self.table, catalog)
     }
 
     /// Table 4 rows, identical to
@@ -639,37 +371,17 @@ impl StreamReport {
         rows_from_records(&self.records, catalog)
     }
 
-    /// App. D.1 periodicity, identical to
-    /// `iotlan_analysis::periodicity::analyze_periodicity` whenever
+    /// App. D.1 periodicity, identical to the batch report whenever
     /// [`periodicity_exact`](StreamReport::periodicity_exact) is true.
     pub fn periodicity(&self) -> PeriodicityReport {
-        let groups = self
-            .periodicity_groups
-            .iter()
-            .map(|(key, events)| {
-                let events = events.clone();
-                let period = interval_regularity_periodic(&events)
-                    .or_else(|| autocorrelation_periodic(&events))
-                    .or_else(|| dft_periodic(&events));
-                let discovery = DISCOVERY_PROTOCOLS.contains(&key.protocol.as_str());
-                Group {
-                    decidable: events.len() >= 4,
-                    periodic: period.is_some(),
-                    period_secs: period,
-                    discovery,
-                    key: key.clone(),
-                    events,
-                }
-            })
-            .collect();
-        PeriodicityReport { groups }
+        analyze_periodicity(&self.table)
     }
 
     /// Run manifest for a completed streaming pass: the bounded-memory
-    /// claims (peak state vs. streamed bytes), flow-table pressure, and
-    /// content digests of the rendered Fig. 1/2 artifacts. Everything in
-    /// the deterministic section is a pure function of the input capture,
-    /// so the manifest is byte-identical across thread counts.
+    /// claims (peak state vs. streamed bytes) and content digests of the
+    /// rendered Fig. 1/2 artifacts. Everything in the deterministic
+    /// section is a pure function of the input capture, so the manifest is
+    /// byte-identical across thread counts.
     pub fn manifest(&self, catalog: &Catalog) -> iotlan_telemetry::Manifest {
         let mut manifest = iotlan_telemetry::Manifest::new("stream_pass");
         manifest.set("packets", self.packets);
@@ -677,14 +389,9 @@ impl StreamReport {
         manifest.set("streamed_bytes", self.streamed_bytes);
         manifest.set("peak_state_bytes", self.peak_state_bytes);
         manifest.set("flow_keys", self.flow_keys);
-        manifest.set("edges", self.edges.len());
-        manifest.set("observed_devices", self.observations.len());
         manifest.set("discovery_records", self.records.len());
         manifest.set("periodicity_groups", self.periodicity_groups.len());
         manifest.set("periodicity_exact", self.periodicity_exact);
-        manifest.set("flows_retired", self.flows_retired);
-        manifest.set("records_dropped", self.records_dropped);
-        manifest.set("final_records", self.final_records.len());
         manifest.digest("graph.txt", self.graph(catalog).render().as_bytes());
         manifest.digest("prevalence.txt", self.prevalence(catalog).render().as_bytes());
         manifest.attach_metrics();
@@ -692,45 +399,25 @@ impl StreamReport {
         manifest
     }
 
-    /// Merge another shard's report into this one (call in input order so
-    /// merged reports are deterministic regardless of thread count).
-    /// Additive accumulators sum, sets union, sketches merge; peak state
-    /// takes the max, since shards stream concurrently, each within its
-    /// own bound.
+    /// Merge the report of the traffic that followed this report's (call
+    /// in input order). The flow table — and with it Fig. 1/4, Fig. 2 and
+    /// App. D.1 — then equals one pass over the concatenated traffic.
+    /// Table 4 records take the set union, which is exact when the shards
+    /// are disjoint households; a discovery in one shard and its response
+    /// in the next do not match. Peak state takes the max, since shards
+    /// stream concurrently, each within its own bound.
     pub fn merge(&mut self, other: &StreamReport) {
         self.packets += other.packets;
         self.bytes += other.bytes;
         self.streamed_bytes += other.streamed_bytes;
         self.peak_state_bytes = self.peak_state_bytes.max(other.peak_state_bytes);
-        self.flow_keys += other.flow_keys;
-        for (pair, accum) in &other.edges {
-            let mine = self.edges.entry(pair.clone()).or_default();
-            mine.has_tcp |= accum.has_tcp;
-            mine.has_udp |= accum.has_udp;
-            mine.packets += accum.packets;
-            mine.bytes += accum.bytes;
-        }
-        for (mac, protocols) in &other.observations {
-            self.observations
-                .entry(*mac)
-                .or_default()
-                .extend(protocols.iter().cloned());
-        }
+        self.table.merge(&other.table);
+        self.flow_keys = self.table.len();
         for (mac, record) in &other.records {
             self.records.entry(*mac).or_default().merge(record);
         }
-        for (key, events) in &other.periodicity_groups {
-            let mine = self.periodicity_groups.entry(key.clone()).or_default();
-            mine.extend_from_slice(events);
-            mine.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        }
-        self.periodicity_exact &= other.periodicity_exact;
-        self.port_packets.merge(&other.port_packets);
-        self.protocol_packets.merge(&other.protocol_packets);
-        self.peer_pairs.merge(&other.peer_pairs);
-        self.flows_retired += other.flows_retired;
-        self.records_dropped += other.records_dropped;
-        self.final_records.extend(other.final_records.iter().cloned());
+        self.periodicity_groups = group_events(&self.table);
+        self.periodicity_exact = self.table.timestamps_complete();
     }
 }
 
@@ -936,7 +623,7 @@ mod tests {
                 r.packets,
                 r.graph(&catalog).render(),
                 r.prevalence(&catalog).render(),
-                r.peer_pairs.estimate().to_bits(),
+                r.flow_keys,
             )
         };
         let base = summarize(&stream_captures_sharded(&shards, &catalog));

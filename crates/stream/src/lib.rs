@@ -9,18 +9,18 @@
 //!
 //! This crate computes the same answers in one pass over the packets with
 //! state bounded by the *structure* of the traffic (flow-key cardinality,
-//! device count, correlation-window depth), not by its length:
+//! correlation-window depth), not by its length:
 //!
 //! * [`engine::StreamEngine`] — the single-pass engine. Feed it frames
 //!   (it implements [`iotlan_netsim::FrameSink`]) or raw pcap bytes in
 //!   arbitrary chunks (via `iotlan_wire::pcap::PcapStreamReader`); call
-//!   [`engine::StreamEngine::finish`] for a [`engine::StreamReport`].
-//! * [`flowtab::StreamFlowTable`] — a bounded flow table with
-//!   deterministic LRU + idle-timeout eviction that emits completed
-//!   [`flowtab::FlowRecord`]s to a sink as they retire.
-//! * [`sketch`] — std-only probabilistic sketches (Count-Min, KMV
-//!   distinct counter) with documented error bounds, for crowd-scale
-//!   supplementary counters.
+//!   [`engine::StreamEngine::finish`] for a [`engine::StreamReport`]. It
+//!   keeps the batch `iotlan_classify::FlowTable` with each flow's
+//!   timestamps capped at [`engine::EVENT_CAP`], and renders Fig. 1/4,
+//!   Fig. 2 and App. D.1 through the batch analyses on that table; only
+//!   Table 4 is matched online.
+//! * [`sketch`] — a std-only KMV distinct counter with a documented error
+//!   bound, for crowd-scale identifier spaces.
 //! * [`crowd`] — bounded-memory identifier-space estimation over the
 //!   IoT-Inspector crowdsourced dataset, replacing the batch Table 2
 //!   global identifier sets with KMV sketches.
@@ -29,16 +29,14 @@
 //!
 //! For any capture, the engine's figure/table outputs (Fig. 1/4 graph,
 //! Fig. 2 passive prevalence, Table 4 discovery→response rows, and —
-//! below the per-key event cap — the App. D.1 periodicity report) are
+//! below the per-flow event cap — the App. D.1 periodicity report) are
 //! byte-identical to the batch pipeline's, regardless of how the input
 //! was chunked and at any thread count. See `DESIGN.md` §7 for the
 //! argument; `tests/stream_equivalence.rs` enforces it.
 
 pub mod crowd;
 pub mod engine;
-pub mod flowtab;
 pub mod sketch;
 
 pub use crowd::{estimate_identifier_space, IdentifierSpaceEstimate};
 pub use engine::{StreamEngine, StreamReport};
-pub use flowtab::{FlowRecord, FlowRecordSink, StreamFlowTable};

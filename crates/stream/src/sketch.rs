@@ -1,24 +1,16 @@
-//! Std-only probabilistic sketches for crowd-scale counters.
+//! A std-only KMV distinct counter for crowd-scale identifier spaces,
+//! whose exact form (a global set of every identifier) is O(cardinality).
 //!
-//! Two summaries the streaming engine keeps beside its exact figure
-//! accumulators, for quantities whose exact form is O(cardinality) at crowd
-//! scale:
+//! [`Distinct`] is a k-minimum-values (KMV) distinct counter. It keeps the
+//! `k` smallest 64-bit hashes seen and estimates `|S| ≈ (k-1) / R(k-th
+//! min)`, where `R` normalizes the hash to (0,1]. Relative standard error
+//! is about `1/sqrt(k-2)` (~4.5% at k=512). It is exact below `k` distinct
+//! keys.
 //!
-//! * [`CountMin`] — frequency estimation (protocol / port packet counts).
-//!   **Overestimate-only**: for any key, `estimate(key) >= true_count`,
-//!   always; and `estimate(key) <= true_count + (e / width) * N` with
-//!   probability at least `1 - exp(-depth)`, where `N` is the total count
-//!   inserted (Cormode & Muthukrishnan's bound with `w = ceil(e/eps)`,
-//!   `d = ceil(ln(1/delta))`).
-//! * [`Distinct`] — a k-minimum-values (KMV) distinct counter. Keeps the
-//!   `k` smallest 64-bit hashes seen; estimates `|S| ≈ (k-1) / R(k-th min)`
-//!   where `R` normalizes the hash to (0,1]. Relative standard error is
-//!   about `1/sqrt(k-2)` (~4.5% at k=512). Exact below `k` distinct keys.
-//!
-//! Both merge associatively and commutatively (same shape/seed required),
-//! so household shards can be combined in any grouping — the engine merges
-//! them in input order for determinism of the *reported* structures, but
-//! the estimates themselves are order-free.
+//! Merges are associative and commutative (same `k`/seed required), so
+//! household shards can be combined in any grouping — `stream::crowd`
+//! merges them in input order, but the estimates themselves are
+//! order-free.
 //!
 //! Hashing is seeded splitmix64 over the key bytes — deterministic across
 //! runs and platforms, independent of Rust's `Hash`.
@@ -41,78 +33,6 @@ pub fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
     }
     // Fold in the length so "a" + "" and "" + "a" style extensions differ.
     splitmix64(state ^ (bytes.len() as u64))
-}
-
-/// Count-Min sketch: `depth` rows of `width` counters; every insert bumps
-/// one counter per row, estimates take the row-wise minimum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountMin {
-    width: usize,
-    seeds: Vec<u64>,
-    rows: Vec<Vec<u64>>,
-    /// Total weight inserted (the `N` of the error bound).
-    total: u64,
-}
-
-impl CountMin {
-    /// `width` counters per row (use ~`ceil(e/eps)` for additive error
-    /// `eps * N`), `depth` independent rows (failure probability
-    /// `exp(-depth)`), derived deterministically from `seed`.
-    pub fn new(width: usize, depth: usize, seed: u64) -> CountMin {
-        assert!(width > 0 && depth > 0);
-        CountMin {
-            width,
-            seeds: (0..depth as u64).map(|i| splitmix64(seed ^ i)).collect(),
-            rows: vec![vec![0; width]; depth],
-            total: 0,
-        }
-    }
-
-    pub fn insert(&mut self, key: &[u8]) {
-        self.insert_weighted(key, 1);
-    }
-
-    pub fn insert_weighted(&mut self, key: &[u8], weight: u64) {
-        for (row, &seed) in self.rows.iter_mut().zip(&self.seeds) {
-            let slot = (hash_bytes(seed, key) % self.width as u64) as usize;
-            row[slot] += weight;
-        }
-        self.total += weight;
-    }
-
-    /// Never under the true count; over by at most `(e/width) * total()`
-    /// with probability `1 - exp(-depth)`.
-    pub fn estimate(&self, key: &[u8]) -> u64 {
-        self.rows
-            .iter()
-            .zip(&self.seeds)
-            .map(|(row, &seed)| row[(hash_bytes(seed, key) % self.width as u64) as usize])
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Total weight inserted across all keys.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Counter-wise addition. Panics if shapes or seeds differ — merging
-    /// sketches built with different parameters is meaningless.
-    pub fn merge(&mut self, other: &CountMin) {
-        assert_eq!(self.width, other.width, "CountMin width mismatch");
-        assert_eq!(self.seeds, other.seeds, "CountMin seed mismatch");
-        for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += *b;
-            }
-        }
-        self.total += other.total;
-    }
-
-    /// Resident bytes, for peak-state accounting.
-    pub fn state_bytes(&self) -> usize {
-        self.rows.len() * self.width * 8 + self.seeds.len() * 8
-    }
 }
 
 /// k-minimum-values distinct counter over 64-bit hashes.
@@ -184,32 +104,6 @@ impl Distinct {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn count_min_never_underestimates() {
-        let mut sketch = CountMin::new(64, 4, 7);
-        for i in 0..500u32 {
-            // Heavily skewed: key 0 gets many inserts.
-            let key = (i % 10).to_le_bytes();
-            sketch.insert(&key);
-        }
-        for key in 0..10u32 {
-            assert!(sketch.estimate(&key.to_le_bytes()) >= 50);
-        }
-        assert_eq!(sketch.total(), 500);
-    }
-
-    #[test]
-    fn count_min_merge_is_sum() {
-        let mut a = CountMin::new(128, 3, 1);
-        let mut b = CountMin::new(128, 3, 1);
-        a.insert_weighted(b"x", 10);
-        b.insert_weighted(b"x", 32);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert!(merged.estimate(b"x") >= 42);
-        assert_eq!(merged.total(), 42);
-    }
 
     #[test]
     fn distinct_exact_below_k() {

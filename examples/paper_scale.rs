@@ -14,6 +14,7 @@
 //! cargo run --release --example paper_scale -- --quick
 //! ```
 
+use iotlan::classify::rules::{classify_with_rules, paper_rules};
 use iotlan::netsim::stack::{self, Content};
 use iotlan::netsim::{FrameSink, SimDuration, SimTime};
 use iotlan::stream::StreamEngine;
@@ -114,7 +115,7 @@ fn main() {
         );
     }
 
-    // Figure 1 at full scale, from the engine's edge accumulators.
+    // Figure 1 at full scale, from the engine's flow table.
     let graph = report.graph(&lab.catalog);
     let mut connected: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
     for (src, dst) in graph.edges.keys() {
@@ -152,10 +153,15 @@ fn main() {
         periodicity.periodic_groups_per_device()
     );
 
-    // TP-Link control interactions show up in the protocol sketch: an
-    // overestimate-only packet count for the TPLINK_SHP label.
-    println!(
-        "TPLINK-SHP packets (Count-Min estimate): {}",
-        report.protocol_packets.estimate(b"TPLINK_SHP")
-    );
+    // TP-Link control interactions, counted exactly from the report's flow
+    // table.
+    let rules = paper_rules();
+    let tplink_packets: u64 = report
+        .table
+        .flows
+        .iter()
+        .filter(|flow| classify_with_rules(flow, &rules) == "TPLINK_SHP")
+        .map(|flow| flow.packets)
+        .sum();
+    println!("TPLINK-SHP packets: {tplink_packets}");
 }

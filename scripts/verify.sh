@@ -28,6 +28,10 @@
 #     per-phase timing summary from them
 # 11. mojibake guard: no U+FFFD replacement characters anywhere in the
 #     tracked tree (a mangled-encoding canary)
+# 12. golden artifacts: one ttpbench regeneration per workload (fast,
+#     perf_stream) must report "correct":true on its last line — every
+#     artifact digest matches ttpbench/ledger.txt and the streaming report
+#     matches the batch analyses
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -103,5 +107,16 @@ if grep -rIl "$(printf '\357\277\275')" --exclude-dir=target --exclude-dir=.git 
     echo "verify: FAIL — U+FFFD replacement characters found in the tree" >&2
     exit 1
 fi
+
+for workload in fast perf_stream; do
+    echo "==> golden artifacts: ttpbench --workload $workload"
+    ttp_out=$(cargo run -q --release --offline --manifest-path ttpbench/Cargo.toml -- \
+        --workload "$workload" --seconds 0)
+    printf '%s\n' "$ttp_out"
+    if ! printf '%s\n' "$ttp_out" | tail -n 1 | grep -q '"correct":true'; then
+        echo "verify: FAIL — ttpbench $workload artifacts differ from ttpbench/ledger.txt or batch" >&2
+        exit 1
+    fi
+done
 
 echo "verify: OK"
