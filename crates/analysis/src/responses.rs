@@ -8,22 +8,50 @@
 //! protocols used (excluding ARP/DHCP/ICMP, which almost everything uses),
 //! the mean number of those protocols that drew at least one response, and
 //! the mean number of distinct devices that responded.
+//!
+//! ## One matcher, two feeds
+//!
+//! [`ResponseMatcher`] is the only correlation. It sees one packet at a
+//! time and keeps the discovery and response stamps of the last
+//! [`HORIZON_SECS`] in buffers keyed by (discovering device, port), so its
+//! state is bounded by traffic structure, not capture length:
+//!
+//! * [`discovery_responses`] feeds it a flow table's UDP discovery and
+//!   response packets sorted by time;
+//! * the stream engine feeds it every frame in capture record order. Record
+//!   order can run behind the stamps (delayed sends are stamped ahead, at
+//!   most ~30 s in the simulator), and the horizon covers that skew plus
+//!   the window, so both feeds find the same pairs.
+//!
+//! Matches are kept as (discovery flow, responder). Labels, and with them
+//! the excluded-protocol filter, are applied by
+//! [`ResponseMatcher::records`] once each flow's evidence is complete.
 
-use iotlan_classify::flow::{FlowTable, Transport};
+use iotlan_classify::flow::{Flow, FlowTable, Transport};
 use iotlan_classify::rules::{classify_with_rules, paper_rules};
 use iotlan_devices::{Catalog, Category};
 use iotlan_netsim::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use iotlan_wire::ethernet::EthernetAddress;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::net::Ipv4Addr;
 
 /// The correlation window (seconds).
 pub const RESPONSE_WINDOW_SECS: f64 = 3.0;
 
-/// Protocols excluded from Table 4 (used by nearly all devices). Public so
-/// the streaming accumulator applies the identical exclusion list.
+/// How long a packet stays buffered behind the highest stamp seen. Must
+/// cover [`RESPONSE_WINDOW_SECS`] plus the largest amount by which a
+/// feed's stamps run behind their running maximum (~30 s for the
+/// simulator's delayed sends); 64 s leaves a 2× margin.
+pub const HORIZON_SECS: f64 = 64.0;
+
+/// Protocols excluded from Table 4 (used by nearly all devices).
 pub const EXCLUDED_PROTOCOLS: &[&str] = &["ARP", "DHCP", "ICMP", "ICMPv6", "IPv4"];
 
+/// Batch pruning cadence, in fed packets.
+const PRUNE_EVERY: usize = 1024;
+
 /// One Table 4 row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryResponseRow {
     pub category: String,
     pub devices: usize,
@@ -32,14 +60,13 @@ pub struct CategoryResponseRow {
     pub mean_devices_responded: f64,
 }
 
-/// Per-device intermediate record. Public (with [`rows_from_records`]) so
-/// the batch pass and the streaming accumulator share one row-building
-/// path and cannot diverge on grouping or means.
+/// Per-device intermediate record, as [`ResponseMatcher::records`] builds
+/// it and [`rows_from_records`] averages it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceRecord {
     pub discovery_protocols: BTreeSet<String>,
     pub protocols_with_response: BTreeSet<String>,
-    pub responders: BTreeSet<iotlan_wire::ethernet::EthernetAddress>,
+    pub responders: BTreeSet<EthernetAddress>,
 }
 
 impl DeviceRecord {
@@ -58,7 +85,7 @@ impl DeviceRecord {
 /// / Apple / Tuya by vendor and the rest by category, then average per
 /// group. Devices with no discovery activity contribute no row.
 pub fn rows_from_records(
-    records: &BTreeMap<iotlan_wire::ethernet::EthernetAddress, DeviceRecord>,
+    records: &BTreeMap<EthernetAddress, DeviceRecord>,
     catalog: &Catalog,
 ) -> Vec<CategoryResponseRow> {
     let group_of = |device: &iotlan_devices::DeviceConfig| -> String {
@@ -114,87 +141,180 @@ pub fn rows_from_records(
         .collect()
 }
 
-/// Run the correlation over a flow table and build the Table 4 rows
-/// (grouped as in [`rows_from_records`]).
-pub fn discovery_responses(table: &FlowTable, catalog: &Catalog) -> Vec<CategoryResponseRow> {
-    let rules = paper_rules();
-    let device_macs: BTreeSet<_> = catalog.devices.iter().map(|d| d.mac).collect();
+/// A flow's part in the correlation, fixed by its key and first frame.
+enum Role {
+    /// Multicast/broadcast UDP from a catalog device.
+    Discovery,
+    /// Unicast UDP towards a catalog device's IP (the device's MAC).
+    Response(EthernetAddress),
+}
 
-    // Pass 1: collect discovery events (multicast/broadcast, non-excluded
-    // protocols) per device: (time, protocol, src_port).
-    struct DiscoveryEvent {
-        src_mac: iotlan_wire::ethernet::EthernetAddress,
-        protocol: String,
-        src_port: u16,
-        times: Vec<SimTime>,
+/// The online discovery→response matcher (see the module docs). Feed it
+/// packets with [`observe`](ResponseMatcher::observe), bound it with
+/// [`prune`](ResponseMatcher::prune), and read the per-device records off
+/// the same flow table with [`records`](ResponseMatcher::records).
+pub struct ResponseMatcher {
+    device_macs: HashSet<EthernetAddress>,
+    ip_to_mac: HashMap<Ipv4Addr, EthernetAddress>,
+    /// Discovery stamps by (device, source port): (seconds, flow index).
+    discoveries: HashMap<(EthernetAddress, u16), Vec<(f64, usize)>>,
+    /// Response stamps by (addressed device, destination port):
+    /// (seconds, responder MAC).
+    responses: HashMap<(EthernetAddress, u16), Vec<(f64, EthernetAddress)>>,
+    /// (discovery flow index, responder MAC), label-independent.
+    matches: BTreeSet<(usize, EthernetAddress)>,
+    max_stamp_secs: f64,
+}
+
+impl ResponseMatcher {
+    pub fn new(catalog: &Catalog) -> ResponseMatcher {
+        let mut ip_to_mac = HashMap::new();
+        for device in &catalog.devices {
+            // First device wins on (hypothetical) duplicate IPs.
+            ip_to_mac.entry(device.ip).or_insert(device.mac);
+        }
+        ResponseMatcher {
+            device_macs: catalog.devices.iter().map(|d| d.mac).collect(),
+            ip_to_mac,
+            discoveries: HashMap::new(),
+            responses: HashMap::new(),
+            matches: BTreeSet::new(),
+            max_stamp_secs: 0.0,
+        }
     }
-    let mut discoveries: Vec<DiscoveryEvent> = Vec::new();
-    for flow in &table.flows {
-        if !flow.is_multicast_or_broadcast() {
-            continue;
-        }
+
+    fn role(&self, flow: &Flow) -> Option<Role> {
         if !matches!(flow.key.transport, Transport::Udp | Transport::UdpV6) {
-            continue;
+            None
+        } else if flow.is_multicast_or_broadcast() {
+            self.device_macs
+                .contains(&flow.key.src_mac)
+                .then_some(Role::Discovery)
+        } else {
+            let ip = flow.key.dst_ip?;
+            self.ip_to_mac.get(&ip).map(|&mac| Role::Response(mac))
         }
-        if !device_macs.contains(&flow.key.src_mac) {
-            continue;
+    }
+
+    /// Observe one packet of `flow` (index `flow_index` in its table)
+    /// stamped `time`, matching it against the buffered packets of the
+    /// opposite role. A response matches a discovery when
+    /// `response − discovery ∈ [0, RESPONSE_WINDOW_SECS]`.
+    pub fn observe(&mut self, flow_index: usize, flow: &Flow, time: SimTime) {
+        let secs = time.as_secs_f64();
+        self.max_stamp_secs = self.max_stamp_secs.max(secs);
+        let in_window = |delta: f64| (0.0..=RESPONSE_WINDOW_SECS).contains(&delta);
+        let key = &flow.key;
+        match self.role(flow) {
+            Some(Role::Discovery) => {
+                let slot = (key.src_mac, key.src_port);
+                for &(response, responder) in self.responses.get(&slot).into_iter().flatten() {
+                    if in_window(response - secs) {
+                        self.matches.insert((flow_index, responder));
+                    }
+                }
+                self.discoveries
+                    .entry(slot)
+                    .or_default()
+                    .push((secs, flow_index));
+            }
+            Some(Role::Response(device)) => {
+                let slot = (device, key.dst_port);
+                for &(discovery, index) in self.discoveries.get(&slot).into_iter().flatten() {
+                    if in_window(secs - discovery) {
+                        self.matches.insert((index, key.src_mac));
+                    }
+                }
+                self.responses
+                    .entry(slot)
+                    .or_default()
+                    .push((secs, key.src_mac));
+            }
+            None => {}
         }
-        let protocol = classify_with_rules(flow, &rules);
-        if EXCLUDED_PROTOCOLS.contains(&protocol) {
-            continue;
-        }
-        discoveries.push(DiscoveryEvent {
-            src_mac: flow.key.src_mac,
-            protocol: protocol.to_string(),
-            src_port: flow.key.src_port,
-            times: flow.timestamps.clone(),
+    }
+
+    /// Drop buffered packets more than [`HORIZON_SECS`] behind the highest
+    /// stamp seen.
+    pub fn prune(&mut self) {
+        let horizon = self.max_stamp_secs - HORIZON_SECS;
+        self.discoveries.retain(|_, events| {
+            events.retain(|&(secs, _)| secs >= horizon);
+            !events.is_empty()
+        });
+        self.responses.retain(|_, events| {
+            events.retain(|&(secs, _)| secs >= horizon);
+            !events.is_empty()
         });
     }
 
-    // Pass 2: for each discovery, find unicast inbound flows to the
-    // discoverer on the same transport/port within the window.
-    let mut records: BTreeMap<iotlan_wire::ethernet::EthernetAddress, DeviceRecord> =
-        BTreeMap::new();
-    for event in &discoveries {
-        let record = records.entry(event.src_mac).or_default();
-        record.discovery_protocols.insert(event.protocol.clone());
-    }
-    for flow in &table.flows {
-        // Candidate response: unicast UDP to a device that discovered.
-        if flow.is_multicast_or_broadcast() {
-            continue;
-        }
-        if !matches!(flow.key.transport, Transport::Udp | Transport::UdpV6) {
-            continue;
-        }
-        let Some(dst_device) = catalog.devices.iter().find(|d| Some(d.ip) == flow.key.dst_ip)
-        else {
-            continue;
-        };
-        for event in &discoveries {
-            if event.src_mac != dst_device.mac {
-                continue;
-            }
-            // Same port pairing: the response's dst port equals the
-            // discovery's source port.
-            if flow.key.dst_port != event.src_port {
-                continue;
-            }
-            let in_window = flow.timestamps.iter().any(|rt| {
-                event.times.iter().any(|dt| {
-                    let delta = rt.as_secs_f64() - dt.as_secs_f64();
-                    (0.0..=RESPONSE_WINDOW_SECS).contains(&delta)
-                })
-            });
-            if in_window {
-                let record = records.entry(event.src_mac).or_default();
-                record.protocols_with_response.insert(event.protocol.clone());
-                record.responders.insert(flow.key.src_mac);
-            }
-        }
+    /// Resident state estimate in bytes: buffer slots, buffered packets
+    /// and the match set.
+    pub fn state_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let slot = size_of::<(EthernetAddress, u16)>() + size_of::<Vec<(f64, usize)>>();
+        let discoveries: usize = self.discoveries.values().map(Vec::len).sum();
+        let responses: usize = self.responses.values().map(Vec::len).sum();
+        (self.discoveries.len() + self.responses.len()) * slot
+            + discoveries * size_of::<(f64, usize)>()
+            + responses * size_of::<(f64, EthernetAddress)>()
+            + self.matches.len() * 32
     }
 
-    rows_from_records(&records, catalog)
+    /// Per-device records: each discovery flow of `table` (the table the
+    /// observed flow indices refer to) is labelled with the paper's rules,
+    /// excluded protocols are dropped, and the matches are attributed to
+    /// the labels that remain.
+    pub fn records(&self, table: &FlowTable) -> BTreeMap<EthernetAddress, DeviceRecord> {
+        let rules = paper_rules();
+        let mut labels: HashMap<usize, &'static str> = HashMap::new();
+        let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
+        for (index, flow) in table.flows.iter().enumerate() {
+            if !matches!(self.role(flow), Some(Role::Discovery)) {
+                continue;
+            }
+            let label = classify_with_rules(flow, &rules);
+            if EXCLUDED_PROTOCOLS.contains(&label) {
+                continue;
+            }
+            labels.insert(index, label);
+            records
+                .entry(flow.key.src_mac)
+                .or_default()
+                .discovery_protocols
+                .insert(label.to_string());
+        }
+        for &(index, responder) in &self.matches {
+            let Some(label) = labels.get(&index) else {
+                continue;
+            };
+            let record = records.entry(table.flows[index].key.src_mac).or_default();
+            record.protocols_with_response.insert(label.to_string());
+            record.responders.insert(responder);
+        }
+        records
+    }
+}
+
+/// Table 4 over a flow table: feed the matcher the table's UDP discovery
+/// and response packets in time order, then build the rows (grouped as in
+/// [`rows_from_records`]).
+pub fn discovery_responses(table: &FlowTable, catalog: &Catalog) -> Vec<CategoryResponseRow> {
+    let mut matcher = ResponseMatcher::new(catalog);
+    let mut packets: Vec<(SimTime, usize)> = Vec::new();
+    for (index, flow) in table.flows.iter().enumerate() {
+        if matcher.role(flow).is_some() {
+            packets.extend(flow.timestamps.iter().map(|&time| (time, index)));
+        }
+    }
+    packets.sort_unstable();
+    for (n, &(time, index)) in packets.iter().enumerate() {
+        matcher.observe(index, &table.flows[index], time);
+        if (n + 1) % PRUNE_EVERY == 0 {
+            matcher.prune();
+        }
+    }
+    rows_from_records(&matcher.records(table), catalog)
 }
 
 /// Render Table 4.

@@ -10,6 +10,7 @@
 //! by `iotlan-wire`'s compose tests, and the allocation budget (one per
 //! frame) by `iotlan-netsim`'s alloc_regression test.
 
+use iotlan_bench::{emit_line, per_sec};
 use iotlan_core::netsim::stack::{self, Endpoint};
 use iotlan_core::netsim::{Capture, SimTime};
 use iotlan_core::wire::ethernet::{self, EthernetAddress};
@@ -17,7 +18,6 @@ use iotlan_core::wire::{compose, ipv4, udp};
 use iotlan_util::bench::Criterion;
 use iotlan_util::json;
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 fn endpoint(last: u8) -> Endpoint {
     Endpoint {
@@ -62,44 +62,6 @@ fn legacy_udp_unicast(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Vec<u8> {
     )
 }
 
-/// Median wall-clock nanoseconds over `reps` runs of `f`.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn emit_throughput(id: &str, frames: usize, elapsed_ns: f64) {
-    let mut line = json::Map::new();
-    line.insert("type".into(), json::Value::from("throughput"));
-    line.insert("id".into(), json::Value::from(id));
-    line.insert("frames".into(), json::Value::from(frames as u64));
-    line.insert(
-        "frames_per_sec".into(),
-        json::Value::from(frames as f64 / (elapsed_ns / 1e9).max(1e-9)),
-    );
-    println!("{}", json::Value::Object(line));
-}
-
-fn emit_speedup(id: &str, baseline_ns: f64, optimized_ns: f64) {
-    let mut line = json::Map::new();
-    line.insert("type".into(), json::Value::from("speedup"));
-    line.insert("id".into(), json::Value::from(id));
-    line.insert("baseline_ns".into(), json::Value::from(baseline_ns));
-    line.insert("optimized_ns".into(), json::Value::from(optimized_ns));
-    line.insert(
-        "speedup".into(),
-        json::Value::from(baseline_ns / optimized_ns.max(1.0)),
-    );
-    println!("{}", json::Value::Object(line));
-}
-
 fn bench(criterion: &mut Criterion) {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let frames = if quick { 2_000 } else { 20_000 };
@@ -134,10 +96,10 @@ fn bench(criterion: &mut Criterion) {
         std::hint::black_box(capture.len())
     };
 
-    // Harness-timed medians for trajectory tracking.
+    // Harness-timed medians, one run per iteration.
     let mut group = criterion.benchmark_group("perf_frames");
-    group.bench_function("legacy_build_capture", |b| b.iter(legacy_run));
-    group.bench_function("zero_copy_build_capture", |b| b.iter(zero_copy_run));
+    let legacy_ns = group.bench_function("legacy_build_capture", |b| b.iter(legacy_run));
+    let zero_copy_ns = group.bench_function("zero_copy_build_capture", |b| b.iter(zero_copy_run));
     group.bench_function("pcap_export", |b| {
         b.iter_with_setup(
             || {
@@ -153,17 +115,39 @@ fn bench(criterion: &mut Criterion) {
     });
     group.finish();
 
-    // Machine-readable speedup/throughput lines.
-    let reps = if quick { 3 } else { 7 };
-    let legacy_ns = median_ns(reps, || {
-        legacy_run();
-    });
-    let zero_copy_ns = median_ns(reps, || {
-        zero_copy_run();
-    });
-    emit_speedup("frames_build_capture", legacy_ns, zero_copy_ns);
-    emit_throughput("legacy_build_capture", frames, legacy_ns);
-    emit_throughput("zero_copy_build_capture", frames, zero_copy_ns);
+    // Machine-readable speedup/throughput lines from those medians.
+    if let (Some(legacy_ns), Some(zero_copy_ns)) = (legacy_ns, zero_copy_ns) {
+        emit_line(
+            "speedup",
+            "frames_build_capture",
+            [
+                ("baseline_ns", json::Value::from(legacy_ns)),
+                ("optimized_ns", json::Value::from(zero_copy_ns)),
+                (
+                    "speedup",
+                    json::Value::from(legacy_ns / zero_copy_ns.max(1.0)),
+                ),
+            ],
+        );
+    }
+    for (id, ns) in [
+        ("legacy_build_capture", legacy_ns),
+        ("zero_copy_build_capture", zero_copy_ns),
+    ] {
+        if let Some(ns) = ns {
+            emit_line(
+                "throughput",
+                id,
+                [
+                    ("frames", json::Value::from(frames)),
+                    (
+                        "frames_per_sec",
+                        json::Value::from(per_sec(frames as f64, ns)),
+                    ),
+                ],
+            );
+        }
+    }
 }
 
 iotlan_util::bench_main!(bench);

@@ -6,6 +6,7 @@
 //! verdict, capture and delivery — for the trajectory recorded by
 //! `scripts/bench_perf.sh`.
 
+use iotlan_bench::{emit_line, per_sec};
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::{Lab, LabConfig};
 use iotlan_util::bench::Criterion;
@@ -41,19 +42,21 @@ fn bench(c: &mut Criterion) {
     lab.network.run_for(span);
     let elapsed = start.elapsed().as_nanos() as f64;
     let frames = lab.network.capture.len() - before;
-    let mut line = json::Map::new();
-    line.insert("type".into(), json::Value::from("throughput"));
-    line.insert("id".into(), json::Value::from("testbed_idle_frames"));
-    line.insert("frames".into(), json::Value::from(frames as u64));
-    line.insert(
-        "frames_per_sec".into(),
-        json::Value::from(frames as f64 / (elapsed / 1e9).max(1e-9)),
+    emit_line(
+        "throughput",
+        "testbed_idle_frames",
+        [
+            ("frames", json::Value::from(frames)),
+            (
+                "frames_per_sec",
+                json::Value::from(per_sec(frames as f64, elapsed)),
+            ),
+            (
+                "sim_secs_per_wall_sec",
+                json::Value::from(per_sec(span.as_secs_f64(), elapsed)),
+            ),
+        ],
     );
-    line.insert(
-        "sim_secs_per_wall_sec".into(),
-        json::Value::from(span.as_secs_f64() / (elapsed / 1e9).max(1e-9)),
-    );
-    println!("{}", json::Value::Object(line));
 }
 
 iotlan_util::bench_main!(bench);

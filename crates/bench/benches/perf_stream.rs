@@ -8,6 +8,8 @@
 //! grows with capture length while `peak_state_bytes` stays put (the
 //! paper-scale demonstration lives in `examples/paper_scale.rs`).
 
+use iotlan_bench::{emit_line, per_sec};
+use iotlan_core::devices::Catalog;
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::stream::engine::stream_capture;
 use iotlan_core::stream::{StreamEngine, StreamReport};
@@ -25,41 +27,36 @@ fn capture_config(quick: bool) -> LabConfig {
     }
 }
 
-/// Median wall-clock nanoseconds over `reps` runs of `f`.
-fn median_ns(reps: usize, f: impl Fn()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+/// The fields of a `{"type":"throughput",…}` line for a pass that took
+/// `elapsed_ns`.
+fn throughput(report: &StreamReport, elapsed_ns: f64) -> [(&'static str, json::Value); 5] {
+    [
+        ("packets", json::Value::from(report.packets)),
+        (
+            "packets_per_sec",
+            json::Value::from(per_sec(report.packets as f64, elapsed_ns)),
+        ),
+        (
+            "peak_state_bytes",
+            json::Value::from(report.peak_state_bytes),
+        ),
+        ("streamed_bytes", json::Value::from(report.streamed_bytes)),
+        (
+            "state_ratio",
+            json::Value::from(
+                report.streamed_bytes as f64 / (report.peak_state_bytes as f64).max(1.0),
+            ),
+        ),
+    ]
 }
 
-fn emit_throughput(id: &str, report: &StreamReport, elapsed_ns: f64) {
-    let mut line = json::Map::new();
-    line.insert("type".into(), json::Value::from("throughput"));
-    line.insert("id".into(), json::Value::from(id));
-    line.insert("packets".into(), json::Value::from(report.packets));
-    line.insert(
-        "packets_per_sec".into(),
-        json::Value::from(report.packets as f64 / (elapsed_ns / 1e9).max(1e-9)),
-    );
-    line.insert(
-        "peak_state_bytes".into(),
-        json::Value::from(report.peak_state_bytes as u64),
-    );
-    line.insert(
-        "streamed_bytes".into(),
-        json::Value::from(report.streamed_bytes),
-    );
-    line.insert(
-        "state_ratio".into(),
-        json::Value::from(report.streamed_bytes as f64 / (report.peak_state_bytes as f64).max(1.0)),
-    );
-    println!("{}", json::Value::Object(line));
+/// One engine fed `image` in 4 KiB chunks.
+fn stream_pcap(image: &[u8], catalog: &Catalog) -> StreamReport {
+    let mut engine = StreamEngine::new(catalog);
+    for chunk in image.chunks(4096) {
+        engine.push_pcap_chunk(chunk).unwrap();
+    }
+    engine.finish().unwrap()
 }
 
 fn bench(criterion: &mut Criterion) {
@@ -73,45 +70,29 @@ fn bench(criterion: &mut Criterion) {
     let catalog = &lab.catalog;
     let image = capture.to_pcap();
 
-    // Harness-timed medians for trajectory tracking.
+    // Harness-timed medians, one pass per iteration.
     let mut group = criterion.benchmark_group("perf_stream");
-    group.bench_function("engine_frames", |b| {
-        b.iter(|| std::hint::black_box(stream_capture(&capture, catalog)))
+    let frames_ns = group.bench_function("engine_frames", |b| {
+        b.iter(|| stream_capture(&capture, catalog))
     });
-    group.bench_function("engine_pcap_4k_chunks", |b| {
-        b.iter(|| {
-            let mut engine = StreamEngine::new(catalog);
-            for chunk in image.chunks(4096) {
-                engine.push_pcap_chunk(chunk).unwrap();
-            }
-            std::hint::black_box(engine.finish().unwrap())
-        })
+    let pcap_ns = group.bench_function("engine_pcap_4k_chunks", |b| {
+        b.iter(|| stream_pcap(&image, catalog))
     });
     group.finish();
 
-    // Machine-readable throughput lines.
-    let reps = if quick { 3 } else { 5 };
-    let frames_ns = median_ns(reps, || {
-        std::hint::black_box(stream_capture(&capture, catalog));
-    });
-    let report = stream_capture(&capture, catalog);
-    emit_throughput("engine_frames", &report, frames_ns);
-
-    let pcap_ns = median_ns(reps, || {
-        let mut engine = StreamEngine::new(catalog);
-        for chunk in image.chunks(4096) {
-            engine.push_pcap_chunk(chunk).unwrap();
-        }
-        std::hint::black_box(engine.finish().unwrap());
-    });
-    let pcap_report = {
-        let mut engine = StreamEngine::new(catalog);
-        for chunk in image.chunks(4096) {
-            engine.push_pcap_chunk(chunk).unwrap();
-        }
-        engine.finish().unwrap()
-    };
-    emit_throughput("engine_pcap_4k_chunks", &pcap_report, pcap_ns);
+    // Machine-readable throughput lines from those medians.
+    if let Some(ns) = frames_ns {
+        let report = stream_capture(&capture, catalog);
+        emit_line("throughput", "engine_frames", throughput(&report, ns));
+    }
+    if let Some(ns) = pcap_ns {
+        let report = stream_pcap(&image, catalog);
+        emit_line(
+            "throughput",
+            "engine_pcap_4k_chunks",
+            throughput(&report, ns),
+        );
+    }
 
     // End-to-end bounded-memory run: windowed simulation draining into the
     // engine, never materializing the capture.
@@ -119,10 +100,11 @@ fn bench(criterion: &mut Criterion) {
     let mut streaming_lab = Lab::new(config);
     let streaming_report =
         streaming_lab.run_streaming_report(SimDuration::from_mins(1), SimDuration::from_secs(30));
-    emit_throughput(
+    let elapsed_ns = start.elapsed().as_nanos() as f64;
+    emit_line(
+        "throughput",
         "lab_run_streaming",
-        &streaming_report,
-        start.elapsed().as_nanos() as f64,
+        throughput(&streaming_report, elapsed_ns),
     );
 }
 

@@ -8,12 +8,12 @@
 //! honest: both sides produce byte-identical artifacts, so the speedup is
 //! pure scheduling.
 
+use iotlan_bench::emit_line;
 use iotlan_core::inspector::dataset;
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::{Lab, LabConfig};
 use iotlan_util::bench::Criterion;
 use iotlan_util::{json, pool};
-use std::time::Instant;
 
 fn sweep_config() -> LabConfig {
     LabConfig {
@@ -31,78 +31,51 @@ fn dataset_config(quick: bool) -> dataset::GeneratorConfig {
     }
 }
 
-/// Median wall-clock nanoseconds of `reps` runs of `f` under `threads`.
-fn timed_ns(threads: usize, reps: usize, f: impl Fn()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            pool::with_threads(threads, || {
-                let start = Instant::now();
-                f();
-                start.elapsed().as_nanos() as f64
-            })
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn emit_speedup(id: &str, serial_ns: f64, parallel_ns: f64, threads: usize) {
-    let mut line = json::Map::new();
-    line.insert("type".into(), json::Value::from("speedup"));
-    line.insert("id".into(), json::Value::from(id));
-    line.insert("serial_ns".into(), json::Value::from(serial_ns));
-    line.insert("parallel_ns".into(), json::Value::from(parallel_ns));
-    line.insert("threads".into(), json::Value::from(threads));
-    // Wall-clock speedup is bounded by the physical core count; record it
-    // so a ~1x result on a single-core host reads as expected, not broken.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    line.insert("cores".into(), json::Value::from(cores));
-    line.insert(
-        "speedup".into(),
-        json::Value::from(serial_ns / parallel_ns.max(1.0)),
-    );
-    println!("{}", json::Value::Object(line));
-}
-
 fn bench(criterion: &mut Criterion) {
     let quick = std::env::args().any(|arg| arg == "--quick");
 
-    // Harness-timed medians for trajectory tracking.
+    // Harness-timed medians at 1 and 4 worker threads.
     let mut group = criterion.benchmark_group("perf_sweep");
     let generator = dataset_config(quick);
-    group.bench_function("dataset_generate/threads1", |b| {
+    let dataset_serial = group.bench_function("dataset_generate/threads1", |b| {
         b.iter(|| pool::with_threads(1, || dataset::generate(&generator)))
     });
-    group.bench_function("dataset_generate/threads4", |b| {
+    let dataset_parallel = group.bench_function("dataset_generate/threads4", |b| {
         b.iter(|| pool::with_threads(4, || dataset::generate(&generator)))
     });
     let base = sweep_config();
     let seeds: Vec<u64> = (0..if quick { 4 } else { 8 }).collect();
-    group.bench_function("lab_sweep/threads1", |b| {
+    let sweep_serial = group.bench_function("lab_sweep/threads1", |b| {
         b.iter(|| pool::with_threads(1, || Lab::run_sweep(&base, &seeds)))
     });
-    group.bench_function("lab_sweep/threads4", |b| {
+    let sweep_parallel = group.bench_function("lab_sweep/threads4", |b| {
         b.iter(|| pool::with_threads(4, || Lab::run_sweep(&base, &seeds)))
     });
     group.finish();
 
-    // Direct serial-vs-4-thread comparison lines.
-    let reps = if quick { 3 } else { 5 };
-    let serial = timed_ns(1, reps, || {
-        std::hint::black_box(dataset::generate(&generator));
-    });
-    let parallel = timed_ns(4, reps, || {
-        std::hint::black_box(dataset::generate(&generator));
-    });
-    emit_speedup("dataset_generate", serial, parallel, 4);
-
-    let serial = timed_ns(1, reps, || {
-        std::hint::black_box(Lab::run_sweep(&base, &seeds));
-    });
-    let parallel = timed_ns(4, reps, || {
-        std::hint::black_box(Lab::run_sweep(&base, &seeds));
-    });
-    emit_speedup("lab_sweep", serial, parallel, 4);
+    // Serial-vs-4-thread comparison lines from those medians. Wall-clock
+    // speedup is bounded by the physical core count, which every line
+    // records, so a ~1x result on a single-core host reads as expected.
+    for (id, serial, parallel) in [
+        ("dataset_generate", dataset_serial, dataset_parallel),
+        ("lab_sweep", sweep_serial, sweep_parallel),
+    ] {
+        if let (Some(serial_ns), Some(parallel_ns)) = (serial, parallel) {
+            emit_line(
+                "speedup",
+                id,
+                [
+                    ("serial_ns", json::Value::from(serial_ns)),
+                    ("parallel_ns", json::Value::from(parallel_ns)),
+                    ("threads", json::Value::from(4u64)),
+                    (
+                        "speedup",
+                        json::Value::from(serial_ns / parallel_ns.max(1.0)),
+                    ),
+                ],
+            );
+        }
+    }
 }
 
 iotlan_util::bench_main!(bench);

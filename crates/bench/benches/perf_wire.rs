@@ -2,45 +2,15 @@
 //!
 //! Besides the `{"type":"bench",…}` medians, emits `{"type":"throughput",…}`
 //! JSON lines with absolute parse rates (messages and bytes per second) for
-//! the trajectory recorded by `scripts/bench_perf.sh`.
+//! the trajectory recorded by `scripts/bench_perf.sh`. The rates come from
+//! the harness's per-message medians, so each line's `messages` is 1.
 
+use iotlan_bench::{emit_line, per_sec};
 use iotlan_core::wire::{dns, ssdp, tplink};
 use iotlan_util::bench::{Criterion, Throughput};
 use iotlan_util::json;
-use std::time::Instant;
-
-/// Median wall-clock nanoseconds over `reps` runs of `f`.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn emit_throughput(id: &str, messages: usize, bytes: usize, elapsed_ns: f64) {
-    let secs = (elapsed_ns / 1e9).max(1e-9);
-    let mut line = json::Map::new();
-    line.insert("type".into(), json::Value::from("throughput"));
-    line.insert("id".into(), json::Value::from(id));
-    line.insert("messages".into(), json::Value::from(messages as u64));
-    line.insert(
-        "messages_per_sec".into(),
-        json::Value::from(messages as f64 / secs),
-    );
-    line.insert(
-        "bytes_per_sec".into(),
-        json::Value::from(bytes as f64 / secs),
-    );
-    println!("{}", json::Value::Object(line));
-}
 
 fn bench(c: &mut Criterion) {
-    let quick = std::env::args().any(|arg| arg == "--quick");
     let mdns_response = dns::Message::mdns_response(vec![
         dns::Record {
             name: "_hue._tcp.local".into(),
@@ -58,7 +28,7 @@ fn bench(c: &mut Criterion) {
     let mdns_bytes = mdns_response.to_bytes();
     let mut group = c.benchmark_group("perf_wire");
     group.throughput(Throughput::Bytes(mdns_bytes.len() as u64));
-    group.bench_function("mdns_parse", |b| {
+    let mdns_ns = group.bench_function("mdns_parse", |b| {
         b.iter(|| dns::Message::parse(&mdns_bytes).unwrap())
     });
     group.bench_function("mdns_emit", |b| b.iter(|| mdns_response.to_bytes()));
@@ -75,31 +45,31 @@ fn bench(c: &mut Criterion) {
     );
     let shp_bytes = sysinfo.to_udp_bytes();
     group.throughput(Throughput::Bytes(shp_bytes.len() as u64));
-    group.bench_function("tplink_decrypt_parse", |b| {
+    let shp_ns = group.bench_function("tplink_decrypt_parse", |b| {
         b.iter(|| tplink::Message::from_udp_bytes(&shp_bytes).unwrap())
     });
     group.finish();
 
-    // Machine-readable throughput lines for the bench trajectory.
-    let messages = if quick { 2_000 } else { 20_000 };
-    let reps = if quick { 3 } else { 5 };
-    let mdns_ns = median_ns(reps, || {
-        for _ in 0..messages {
-            std::hint::black_box(dns::Message::parse(&mdns_bytes).unwrap());
+    // Machine-readable throughput lines from the per-message medians.
+    for (id, bytes, ns) in [
+        ("mdns_parse", mdns_bytes.len(), mdns_ns),
+        ("tplink_decrypt_parse", shp_bytes.len(), shp_ns),
+    ] {
+        if let Some(ns) = ns {
+            emit_line(
+                "throughput",
+                id,
+                [
+                    ("messages", json::Value::from(1u64)),
+                    ("messages_per_sec", json::Value::from(per_sec(1.0, ns))),
+                    (
+                        "bytes_per_sec",
+                        json::Value::from(per_sec(bytes as f64, ns)),
+                    ),
+                ],
+            );
         }
-    });
-    emit_throughput("mdns_parse", messages, messages * mdns_bytes.len(), mdns_ns);
-    let shp_ns = median_ns(reps, || {
-        for _ in 0..messages {
-            std::hint::black_box(tplink::Message::from_udp_bytes(&shp_bytes).unwrap());
-        }
-    });
-    emit_throughput(
-        "tplink_decrypt_parse",
-        messages,
-        messages * shp_bytes.len(),
-        shp_ns,
-    );
+    }
 }
 
 iotlan_util::bench_main!(bench);

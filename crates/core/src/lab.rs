@@ -673,6 +673,10 @@ mod tests {
             report.prevalence(&batch.catalog).render(),
             iotlan_analysis::prevalence::passive_prevalence(&table, &batch.catalog).render()
         );
+        assert_eq!(
+            report.discovery_response_rows(&batch.catalog),
+            iotlan_analysis::responses::discovery_responses(&table, &batch.catalog)
+        );
     }
 
     #[test]

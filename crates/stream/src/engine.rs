@@ -23,12 +23,10 @@
 //!   ([`StreamReport::periodicity_exact`] says so); above it each flow
 //!   contributes a prefix sample.
 //! * Table 4 matches discovery and response *timestamps* within a 3 s
-//!   window, which a capped time list cannot answer. The engine matches
-//!   online instead: capture record order can run behind stamps by a
-//!   bounded skew (delayed sends are stamped ahead, at most ~30 s in the
-//!   simulator), so a pair of horizon-pruned buffers
-//!   ([`TABLE4_HORIZON_SECS`]) sees every pair the batch cross-join sees.
-//!   Labels, and with them the excluded-protocol filter, are resolved at
+//!   window, which a capped time list cannot answer. The engine feeds
+//!   every frame, in record order, to the one Table 4 matcher,
+//!   [`ResponseMatcher`], prunes it with the flow table's state
+//!   measurement, and reads its per-device records at
 //!   [`StreamEngine::finish`].
 
 use iotlan_analysis::graph::{build_graph, DeviceGraph};
@@ -37,70 +35,27 @@ use iotlan_analysis::periodicity::{
 };
 use iotlan_analysis::prevalence::{passive_prevalence, Prevalence};
 use iotlan_analysis::responses::{
-    rows_from_records, CategoryResponseRow, DeviceRecord, EXCLUDED_PROTOCOLS,
-    RESPONSE_WINDOW_SECS,
+    rows_from_records, CategoryResponseRow, DeviceRecord, ResponseMatcher,
 };
-use iotlan_classify::flow::{dissect_frame, Flow, FlowKey, FlowTable, Transport};
-use iotlan_classify::rules::{classify_with_rules, paper_rules};
+use iotlan_classify::flow::{dissect_frame, Flow, FlowKey, FlowTable};
 use iotlan_devices::Catalog;
 use iotlan_netsim::{Capture, FrameSink, SimTime, FRAME_OVERHEAD};
 use iotlan_util::pool;
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::pcap::PcapStreamReader;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::net::Ipv4Addr;
+use std::collections::BTreeMap;
 
 /// Per-flow packet-time cap: below this the periodicity report is exact.
 pub const EVENT_CAP: usize = 2048;
 
-/// How long a Table 4 candidate event stays buffered behind the
-/// high-water stamp. Must cover the 3 s response window plus the
-/// simulator's maximum record-order/stamp skew (~30 s for delayed
-/// sends); 64 s leaves a 2× margin.
-pub const TABLE4_HORIZON_SECS: f64 = 64.0;
-
-/// Buffers are pruned (and peak state re-measured) every this many packets.
+/// The Table 4 matcher is pruned (and peak state re-measured) every this
+/// many packets.
 const PRUNE_EVERY: u64 = 1024;
-
-/// A flow's part in the Table 4 correlation, fixed by its first frame.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Table4Role {
-    None,
-    /// Multicast/broadcast UDP from a catalog device.
-    Discovery,
-    /// Unicast UDP towards a catalog device's IP (the device's MAC).
-    Response(EthernetAddress),
-}
-
-struct DiscEvent {
-    time: f64,
-    flow: usize,
-    device: EthernetAddress,
-    src_port: u16,
-}
-
-struct RespEvent {
-    time: f64,
-    device: EthernetAddress,
-    dst_port: u16,
-    responder: EthernetAddress,
-}
 
 /// The single-pass engine. See the module docs for the design.
 pub struct StreamEngine {
-    device_macs: BTreeSet<EthernetAddress>,
-    ip_to_mac: HashMap<Ipv4Addr, EthernetAddress>,
-
     table: FlowTable,
-    /// Table 4 role of each flow in `table`, by flow index.
-    roles: Vec<Table4Role>,
-
-    disc_buffer: Vec<DiscEvent>,
-    resp_buffer: Vec<RespEvent>,
-    /// (discovery flow index, responder MAC) — label-independent, resolved
-    /// (and excluded-protocol-filtered) at finish.
-    matches: BTreeSet<(usize, EthernetAddress)>,
-    max_stamp_secs: f64,
+    responses: ResponseMatcher,
 
     reader: PcapStreamReader,
     pcap_bytes_pushed: u64,
@@ -113,21 +68,9 @@ pub struct StreamEngine {
 
 impl StreamEngine {
     pub fn new(catalog: &Catalog) -> StreamEngine {
-        let mut ip_to_mac = HashMap::new();
-        for device in &catalog.devices {
-            // First device wins on (hypothetical) duplicate IPs, matching
-            // the batch pass's `.find()`.
-            ip_to_mac.entry(device.ip).or_insert(device.mac);
-        }
         StreamEngine {
-            device_macs: catalog.devices.iter().map(|d| d.mac).collect(),
-            ip_to_mac,
             table: FlowTable::with_timestamp_cap(EVENT_CAP),
-            roles: Vec::new(),
-            disc_buffer: Vec::new(),
-            resp_buffer: Vec::new(),
-            matches: BTreeSet::new(),
-            max_stamp_secs: 0.0,
+            responses: ResponseMatcher::new(catalog),
             reader: PcapStreamReader::new(),
             pcap_bytes_pushed: 0,
             packets: 0,
@@ -161,46 +104,22 @@ impl StreamEngine {
 
     /// Current (not peak) resident state estimate in bytes.
     pub fn state_bytes(&self) -> usize {
-        let per_flow = std::mem::size_of::<Flow>()
-            + std::mem::size_of::<(FlowKey, usize)>()
-            + std::mem::size_of::<Table4Role>();
+        let per_flow = std::mem::size_of::<Flow>() + std::mem::size_of::<(FlowKey, usize)>();
         let mut total = self.table.len() * per_flow;
         for flow in &self.table.flows {
             total += flow.timestamps.len() * std::mem::size_of::<SimTime>();
             total += flow.payload_samples.iter().map(Vec::len).sum::<usize>();
         }
-        total += self.disc_buffer.len() * std::mem::size_of::<DiscEvent>();
-        total += self.resp_buffer.len() * std::mem::size_of::<RespEvent>();
-        total += self.matches.len() * 32;
+        total += self.responses.state_bytes();
         total += self.reader.buffered_bytes();
         total
     }
 
     fn prune_and_measure(&mut self) {
-        let horizon = self.max_stamp_secs - TABLE4_HORIZON_SECS;
-        self.disc_buffer.retain(|e| e.time >= horizon);
-        self.resp_buffer.retain(|e| e.time >= horizon);
+        self.responses.prune();
         let state = self.state_bytes();
         if state > self.peak_state_bytes {
             self.peak_state_bytes = state;
-        }
-    }
-
-    /// The Table 4 role of a new flow.
-    fn role_of(&self, flow: &Flow) -> Table4Role {
-        if !matches!(flow.key.transport, Transport::Udp | Transport::UdpV6) {
-            Table4Role::None
-        } else if flow.is_multicast_or_broadcast() {
-            if self.device_macs.contains(&flow.key.src_mac) {
-                Table4Role::Discovery
-            } else {
-                Table4Role::None
-            }
-        } else {
-            match flow.key.dst_ip.and_then(|ip| self.ip_to_mac.get(&ip)) {
-                Some(&mac) => Table4Role::Response(mac),
-                None => Table4Role::None,
-            }
         }
     }
 
@@ -212,39 +131,6 @@ impl StreamEngine {
             self.reader.finish()?;
         }
         self.prune_and_measure();
-
-        // Table 4: label the discovery flows, now that the whole flow (and
-        // so the batch classifier's evidence) is known, then resolve the
-        // matches through the excluded-protocol filter.
-        let rules = paper_rules();
-        let mut labels: HashMap<usize, &'static str> = HashMap::new();
-        let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
-        for (index, flow) in self.table.flows.iter().enumerate() {
-            if self.roles[index] != Table4Role::Discovery {
-                continue;
-            }
-            let label = classify_with_rules(flow, &rules);
-            labels.insert(index, label);
-            if !EXCLUDED_PROTOCOLS.contains(&label) {
-                records
-                    .entry(flow.key.src_mac)
-                    .or_default()
-                    .discovery_protocols
-                    .insert(label.to_string());
-            }
-        }
-        for &(index, responder) in &self.matches {
-            let label = labels[&index];
-            if EXCLUDED_PROTOCOLS.contains(&label) {
-                continue;
-            }
-            let record = records
-                .entry(self.table.flows[index].key.src_mac)
-                .or_default();
-            record.protocols_with_response.insert(label.to_string());
-            record.responders.insert(responder);
-        }
-
         Ok(StreamReport {
             packets: self.packets,
             bytes: self.bytes,
@@ -253,7 +139,7 @@ impl StreamEngine {
             flow_keys: self.table.len(),
             periodicity_groups: group_events(&self.table),
             periodicity_exact: self.table.timestamps_complete(),
-            records,
+            records: self.responses.records(&self.table),
             table: self.table,
         })
     }
@@ -266,62 +152,16 @@ impl FrameSink for StreamEngine {
         self.bytes += data.len() as u64;
         self.streamed_bytes += (FRAME_OVERHEAD + data.len()) as u64;
 
-        let secs = time.as_secs_f64();
-        if secs > self.max_stamp_secs {
-            self.max_stamp_secs = secs;
-        }
-
         let Some(evidence) = dissect_frame(data) else {
             return;
         };
-        let key = evidence.key;
+        let flows = self.table.len();
         let index = self.table.add_evidence(time, data.len(), evidence);
-        if index == self.roles.len() {
+        if self.table.len() > flows {
             iotlan_telemetry::counter!("stream.flow_keys_created").incr();
-            let role = self.role_of(&self.table.flows[index]);
-            self.roles.push(role);
         }
-
-        // Table 4: event buffers + bidirectional window matching. The
-        // window test reproduces the batch f64 arithmetic bit-for-bit:
-        // delta = response_secs - discovery_secs ∈ [0, 3].
-        match self.roles[index] {
-            Table4Role::Discovery => {
-                for resp in &self.resp_buffer {
-                    if resp.device != key.src_mac || resp.dst_port != key.src_port {
-                        continue;
-                    }
-                    let delta = resp.time - secs;
-                    if (0.0..=RESPONSE_WINDOW_SECS).contains(&delta) {
-                        self.matches.insert((index, resp.responder));
-                    }
-                }
-                self.disc_buffer.push(DiscEvent {
-                    time: secs,
-                    flow: index,
-                    device: key.src_mac,
-                    src_port: key.src_port,
-                });
-            }
-            Table4Role::Response(device_mac) => {
-                for disc in &self.disc_buffer {
-                    if disc.device != device_mac || disc.src_port != key.dst_port {
-                        continue;
-                    }
-                    let delta = secs - disc.time;
-                    if (0.0..=RESPONSE_WINDOW_SECS).contains(&delta) {
-                        self.matches.insert((disc.flow, key.src_mac));
-                    }
-                }
-                self.resp_buffer.push(RespEvent {
-                    time: secs,
-                    device: device_mac,
-                    dst_port: key.dst_port,
-                    responder: key.src_mac,
-                });
-            }
-            Table4Role::None => {}
-        }
+        self.responses
+            .observe(index, &self.table.flows[index], time);
 
         if self.packets % PRUNE_EVERY == 0 {
             self.prune_and_measure();
@@ -437,19 +277,10 @@ pub fn stream_capture(capture: &Capture, catalog: &Catalog) -> StreamReport {
 /// at any `IOTLAN_THREADS` setting because per-shard work is independent
 /// and the merge order is the input order.
 pub fn stream_captures_sharded(captures: &[Capture], catalog: &Catalog) -> StreamReport {
-    let reports = pool::par_map(captures, |_, capture| stream_capture(capture, catalog));
-    let mut merged: Option<StreamReport> = None;
-    for report in reports {
-        match &mut merged {
-            Some(m) => m.merge(&report),
-            None => merged = Some(report),
-        }
-    }
-    merged.unwrap_or_else(|| {
-        StreamEngine::new(catalog)
-            .finish()
-            .expect("empty engine cannot fail")
+    stream_sharded(captures, catalog, |capture| {
+        Ok(stream_capture(capture, catalog))
     })
+    .expect("frame-fed engines cannot fail at finish")
 }
 
 /// Pcap-shard variant of [`stream_captures_sharded`]: each shard is a pcap
@@ -460,15 +291,24 @@ pub fn stream_pcaps_sharded(
     catalog: &Catalog,
 ) -> Result<StreamReport, iotlan_wire::Error> {
     let chunk_size = chunk_size.max(1);
-    let reports = pool::par_map(shards, |_, image| -> Result<StreamReport, iotlan_wire::Error> {
+    stream_sharded(shards, catalog, |image| {
         let mut engine = StreamEngine::new(catalog);
         for chunk in image.chunks(chunk_size) {
             engine.push_pcap_chunk(chunk)?;
         }
         engine.finish()
-    });
+    })
+}
+
+/// Stream every shard on the pool and merge the reports in input order;
+/// no shards give an empty engine's report.
+fn stream_sharded<T: Sync>(
+    shards: &[T],
+    catalog: &Catalog,
+    stream: impl Fn(&T) -> Result<StreamReport, iotlan_wire::Error> + Sync,
+) -> Result<StreamReport, iotlan_wire::Error> {
     let mut merged: Option<StreamReport> = None;
-    for report in reports {
+    for report in pool::par_map(shards, |_, shard| stream(shard)) {
         let report = report?;
         match &mut merged {
             Some(m) => m.merge(&report),
@@ -477,9 +317,7 @@ pub fn stream_pcaps_sharded(
     }
     match merged {
         Some(m) => Ok(m),
-        None => Ok(StreamEngine::new(catalog)
-            .finish()
-            .expect("empty engine cannot fail")),
+        None => StreamEngine::new(catalog).finish(),
     }
 }
 
@@ -489,6 +327,7 @@ mod tests {
     use iotlan_classify::flow::FlowTable;
     use iotlan_devices::build_testbed;
     use iotlan_netsim::stack::{self, Endpoint};
+    use std::net::Ipv4Addr;
 
     fn endpoint_of(catalog: &Catalog, name: &str) -> Endpoint {
         let d = catalog.find(name).unwrap();

@@ -17,8 +17,9 @@
 //!   [`engine::StreamEngine::finish`] for a [`engine::StreamReport`]. It
 //!   keeps the batch `iotlan_classify::FlowTable` with each flow's
 //!   timestamps capped at [`engine::EVENT_CAP`], and renders Fig. 1/4,
-//!   Fig. 2 and App. D.1 through the batch analyses on that table; only
-//!   Table 4 is matched online.
+//!   Fig. 2 and App. D.1 through the batch analyses on that table, and
+//!   feeds every frame to the batch Table 4 matcher
+//!   (`iotlan_analysis::responses::ResponseMatcher`) in record order.
 //! * [`sketch`] — a std-only KMV distinct counter with a documented error
 //!   bound, for crowd-scale identifier spaces.
 //! * [`crowd`] — bounded-memory identifier-space estimation over the

@@ -1,9 +1,11 @@
 //! A tiny measurement harness with a Criterion-compatible call surface.
 //!
 //! Each `bench_function` runs a warmup, calibrates an iteration count so a
-//! sample takes ≥ ~1 ms, takes `sample_size` timed samples, and reports
-//! median/p95/min per-iteration nanoseconds. Two output lines per benchmark
-//! go to stdout:
+//! sample takes ≥ ~1 ms, takes `sample_size` timed samples, reports
+//! median/p95/min per-iteration nanoseconds, and returns the median (so a
+//! target derives its rate or comparison lines from the same samples
+//! instead of timing the closure again). Two output lines per benchmark go
+//! to stdout:
 //!
 //! * a human-readable summary, and
 //! * a machine-readable JSON line (`{"type":"bench",…}`) that CI appends to
@@ -84,9 +86,10 @@ impl Criterion {
         self
     }
 
-    /// Run one benchmark.
-    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) {
-        self.run(id, None, f);
+    /// Run one benchmark; returns its median nanoseconds per iteration,
+    /// or `None` when the id is filtered out.
+    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) -> Option<f64> {
+        self.run(id, None, f)
     }
 
     /// Open a named group; ids become `group/function`.
@@ -98,10 +101,15 @@ impl Criterion {
         }
     }
 
-    fn run(&mut self, id: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Bencher)) {
+    fn run(
+        &mut self,
+        id: &str,
+        throughput: Option<Throughput>,
+        mut f: impl FnMut(&mut Bencher),
+    ) -> Option<f64> {
         if let Some(filter) = &self.filter {
             if !id.contains(filter.as_str()) {
-                return;
+                return None;
             }
         }
         let (samples, warmup_target) = if self.quick {
@@ -169,6 +177,7 @@ impl Criterion {
             human_ns(p95),
         );
         println!("{}", json::Value::Object(line));
+        Some(median)
     }
 }
 
@@ -186,10 +195,11 @@ impl BenchmarkGroup<'_> {
         self.throughput = Some(throughput);
     }
 
-    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) {
+    /// As [`Criterion::bench_function`], with the id `group/id`.
+    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) -> Option<f64> {
         let full = format!("{}/{id}", self.name);
         let throughput = self.throughput;
-        self.criterion.run(&full, throughput, f);
+        self.criterion.run(&full, throughput, f)
     }
 
     pub fn finish(self) {}
@@ -313,16 +323,17 @@ mod tests {
             .sample_size(3)
             .configure_from(["--quick"].map(String::from).into_iter());
         let mut runs = 0u64;
-        c.bench_function("selftest/noop", |b| {
+        let median = c.bench_function("selftest/noop", |b| {
             b.iter(|| std::hint::black_box(1 + 1));
             runs += 1;
         });
         assert!(runs > 0);
-        // Filtered-out ids never execute their closure.
+        assert!(median.is_some_and(f64::is_finite));
+        // Filtered-out ids never execute their closure and have no median.
         let mut c = Criterion::default()
             .configure_from(["nomatch"].map(String::from).into_iter());
         let mut ran = false;
-        c.bench_function("selftest/other", |_| ran = true);
+        assert_eq!(c.bench_function("selftest/other", |_| ran = true), None);
         assert!(!ran);
     }
 }
