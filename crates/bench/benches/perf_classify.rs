@@ -1,12 +1,13 @@
 //! Performance: flow assembly and classification throughput.
 
 use iotlan_util::bench::{Criterion, Throughput};
-use iotlan_bench::small_lab;
 use iotlan_core::classify::rules::{classify_with_rules, paper_rules};
 use iotlan_core::classify::{truth, FlowTable};
+use iotlan_core::{Lab, LabConfig};
 
 fn bench(c: &mut Criterion) {
-    let lab = small_lab();
+    let mut lab = Lab::new(LabConfig::fast());
+    lab.run_idle();
     let capture = &lab.network.capture;
     let mut group = c.benchmark_group("perf_classify");
     group.throughput(Throughput::Elements(capture.len() as u64));

@@ -1,12 +1,13 @@
-//! Shared setup for the experiment benches.
+//! Shared setup for the bench targets.
 //!
-//! Every bench target regenerates its table/figure (printing the
-//! paper-vs-measured block once) and then measures the underlying
-//! computation on the same data with the in-tree `iotlan_util::bench`
-//! harness. One bench process = one lab build. Targets declare their entry
-//! point with `iotlan_util::bench_main!(bench);`, which wires up
-//! command-line configuration (`--quick`, `--sample-size N`, substring
-//! filters).
+//! The `paper` target regenerates every table and figure from one
+//! [`bench_lab`]: it prints each paper-vs-measured block once and then
+//! measures the computation behind it, under one harness id per artifact,
+//! with the in-tree `iotlan_util::bench` harness. A substring filter
+//! (`-- fig1`) selects which ids are measured; every block is still
+//! regenerated. Targets declare their entry point with
+//! `iotlan_util::bench_main!(bench);`, which wires up command-line
+//! configuration (`--quick`, `--sample-size N`, substring filters).
 //!
 //! The `perf_*` targets also print trajectory lines for
 //! `scripts/bench_perf.sh` through [`emit_line`], deriving them from the
@@ -16,9 +17,9 @@ use iotlan_core::netsim::SimDuration;
 use iotlan_core::{Lab, LabConfig};
 use iotlan_util::json;
 
-/// The idle-capture scale used by the figure/table benches: long enough
-/// for every periodic behaviour except the daily ARP sweep to fire many
-/// times, short enough to keep bench turnaround reasonable.
+/// The idle-capture scale used by the `paper` and ablation benches: long
+/// enough for every periodic behaviour except the daily ARP sweep to fire
+/// many times, short enough to keep bench turnaround reasonable.
 pub fn bench_lab() -> Lab {
     let mut lab = Lab::new(LabConfig {
         seed: 42,
@@ -28,13 +29,6 @@ pub fn bench_lab() -> Lab {
     });
     lab.run_idle();
     lab.run_interactions(SimDuration::from_mins(10));
-    lab
-}
-
-/// A smaller lab for the heavier per-iteration measurements.
-pub fn small_lab() -> Lab {
-    let mut lab = Lab::new(LabConfig::fast());
-    lab.run_idle();
     lab
 }
 

@@ -522,35 +522,24 @@ mod tests {
     use crate::lab::LabConfig;
     use iotlan_devices::build_testbed;
 
-    fn fast_lab() -> Lab {
+    /// Fig. 1–4, Table 1 and §5.1 over one `LabConfig::fast()` idle
+    /// capture: simulating the lab dominates, so the module builds it once.
+    #[test]
+    fn lab_artifacts_on_one_fast_lab() {
         let mut lab = Lab::new(LabConfig::fast());
         lab.run_idle();
-        lab
-    }
 
-    #[test]
-    fn fig1_has_connected_devices() {
-        let lab = fast_lab();
         let fig1 = fig1_device_graph(&lab);
         // Even a 6-minute idle capture wires up TLS/RTP/HTTP peers.
         assert!(fig1.connected_devices > 10, "{}", fig1.connected_devices);
         assert!(fig1.render().contains("local unicast peer"));
-    }
 
-    #[test]
-    fn fig2_key_rates_nonzero() {
-        let lab = fast_lab();
         let fig2 = fig2_prevalence(&lab, None);
         assert!(fig2.prevalence.passive_rate("mDNS") > 0.2);
         assert!(fig2.prevalence.passive_rate("ARP") > 0.5);
         assert!(fig2.prevalence.passive_rate("DHCP") > 0.9);
-        let rendered = fig2.render();
-        assert!(rendered.contains("TPLINK_SHP"));
-    }
+        assert!(fig2.render().contains("TPLINK_SHP"));
 
-    #[test]
-    fn fig3_crossval_shape() {
-        let lab = fast_lab();
         let fig3 = fig3_crossval(&lab);
         let a = &fig3.crossval.agreement;
         assert!(a.total_flows > 50);
@@ -560,25 +549,23 @@ mod tests {
         assert!(a.ndpi_label_count >= 5);
         // Paper: ~95% of disagreements are tshark's SSDP failures.
         assert!(fig3.ssdp_share > 0.8, "{}", fig3.ssdp_share);
-    }
 
-    #[test]
-    fn fig4_clusters_nonempty() {
-        let lab = fast_lab();
         let fig4 = fig4_vendor_clusters(&lab);
         assert!(!fig4.google.edges.is_empty(), "google cluster");
         assert!(!fig4.amazon.edges.is_empty(), "amazon cluster");
         assert!(fig4.render().contains("Google"));
-    }
 
-    #[test]
-    fn table1_matrix_populated() {
-        let lab = fast_lab();
         let matrix = table1_exposure(&lab);
         use iotlan_analysis::exposure::ExposureType;
         assert!(matrix.exposes("TuyaLP", ExposureType::GwId));
         assert!(matrix.exposes("DHCP", ExposureType::Mac));
         assert!(matrix.exposes("mDNS", ExposureType::Mac));
+
+        let sec51 = sec51_discovery_stats(&lab);
+        assert!(sec51.mdns_users > 20, "mdns users {}", sec51.mdns_users);
+        assert!(sec51.dhcp_hostname_devices > 50);
+        assert!(sec51.dhcp_vendor_class_versions >= 5);
+        assert!(sec51.render().contains("mDNS"));
     }
 
     #[test]
@@ -598,16 +585,6 @@ mod tests {
         assert!((150..=178).contains(&sec42.scan.unique_tcp_ports().len()));
         assert!((90..=115).contains(&sec42.scan.unique_udp_ports().len()));
         assert!((55..=70).contains(&sec42.scan.devices_with_open_ports()));
-    }
-
-    #[test]
-    fn sec51_stats() {
-        let lab = fast_lab();
-        let sec51 = sec51_discovery_stats(&lab);
-        assert!(sec51.mdns_users > 20, "mdns users {}", sec51.mdns_users);
-        assert!(sec51.dhcp_hostname_devices > 50);
-        assert!(sec51.dhcp_vendor_class_versions >= 5);
-        assert!(sec51.render().contains("mDNS"));
     }
 
     #[test]

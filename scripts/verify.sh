@@ -13,8 +13,12 @@
 #    for the default tier-1 wall clock) run here explicitly
 # 4. streaming equivalence: tests/stream_equivalence.rs pinned to 1 and 4
 #    worker threads — the stream engine must match batch at both
-# 5. bench smoke: perf_wire in --quick mode must emit machine-readable
-#    {"type":"bench",...} JSON lines via the in-tree harness
+# 5. bench build: every iotlan-bench target compiles (the paper target,
+#    the ablations and every perf_* bench), and the paper target in
+#    --quick mode must emit one {"type":"bench","id":...} line for each of
+#    its fourteen artifact ids; perf_wire in --quick mode must emit
+#    machine-readable {"type":"bench",...} JSON lines via the in-tree
+#    harness
 # 6. sweep smoke: perf_sweep in --quick mode must emit its
 #    {"type":"speedup",...} serial-vs-parallel comparison lines
 # 7. stream smoke: perf_stream in --quick mode must emit its
@@ -53,6 +57,24 @@ IOTLAN_THREADS=1 cargo test -q --offline --test stream_equivalence
 
 echo "==> streaming equivalence (IOTLAN_THREADS=4)"
 IOTLAN_THREADS=4 cargo test -q --offline --test stream_equivalence
+
+echo "==> bench build: cargo bench -p iotlan-bench --no-run"
+cargo bench -p iotlan-bench --offline --no-run
+
+echo "==> paper smoke: paper --quick"
+paper_out=$(cargo bench -p iotlan-bench --bench paper --offline -- --quick)
+printf '%s\n' "$paper_out"
+for id in fig1/build_graph fig2/passive_prevalence fig3/cross_validate \
+    fig4/vendor_cluster_extraction table1/exposure_matrix \
+    table2/entropy_analysis table3/build_testbed table4/discovery_responses \
+    table5/payload_extraction sec42/full_catalog_scan sec51/discovery_stats \
+    sec52/vuln_scan sec6/report_aggregation_2335_apps \
+    appd1/periodicity_analysis; do
+    if ! printf '%s\n' "$paper_out" | grep -qF "{\"type\":\"bench\",\"id\":\"$id\""; then
+        echo "verify: FAIL — paper emitted no bench JSON line for $id" >&2
+        exit 1
+    fi
+done
 
 echo "==> bench smoke: perf_wire --quick"
 bench_out=$(cargo bench -p iotlan-bench --bench perf_wire --offline -- --quick)

@@ -5,7 +5,13 @@ use iotlan::classify::FlowTable;
 use iotlan::netsim::SimDuration;
 use iotlan::{experiments, Lab, LabConfig};
 
-fn run_lab() -> Lab {
+// Paper-scale: minutes of simulated traffic through every analysis stage
+// and a pcap round trip, over one lab. Run explicitly via
+// `scripts/verify.sh` (`cargo test -- --ignored`); too slow for the default
+// tier-1 wall-clock budget.
+#[test]
+#[ignore = "paper-scale; run via scripts/verify.sh"]
+fn full_pipeline_produces_all_artifacts() {
     let mut lab = Lab::new(LabConfig {
         seed: 1234,
         idle_duration: SimDuration::from_mins(8),
@@ -14,16 +20,6 @@ fn run_lab() -> Lab {
     });
     lab.run_idle();
     lab.run_interactions(SimDuration::from_mins(1));
-    lab
-}
-
-// Paper-scale: minutes of simulated traffic through every analysis stage.
-// Run explicitly via `scripts/verify.sh` (`cargo test -- --ignored`); too
-// slow for the default tier-1 wall-clock budget.
-#[test]
-#[ignore = "paper-scale; run via scripts/verify.sh"]
-fn full_pipeline_produces_all_artifacts() {
-    let lab = run_lab();
 
     // Figure 1.
     let fig1 = experiments::fig1_device_graph(&lab);
@@ -90,12 +86,7 @@ fn full_pipeline_produces_all_artifacts() {
         appd1.report.discovery_periodic_fraction()
     );
     assert!(appd1.report.periodic_group_count() > 50);
-}
 
-#[test]
-#[ignore = "paper-scale; run via scripts/verify.sh"]
-fn capture_pcap_roundtrip_and_flow_stability() {
-    let lab = run_lab();
     // pcap export/import must be byte-faithful.
     let image = lab.network.capture.to_pcap();
     let packets = iotlan::wire::pcap::read_pcap(&image).unwrap();
