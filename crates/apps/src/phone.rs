@@ -10,7 +10,7 @@ use crate::appcensus::{
     Harvested, TestRun,
 };
 use crate::sdk::{innosdk_generate_probe, SdkKind};
-use iotlan_netsim::stack::{self, Content, Endpoint};
+use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
 use iotlan_netsim::{Context, Node, SimDuration};
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::tls::{Handshake, Version as TlsVersion};
@@ -461,15 +461,12 @@ impl Node for Phone {
         }
     }
 
-    fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
+    fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
         let _ = ctx;
         if self.current.is_none() {
             return;
         }
-        let Some(dissected) = stack::dissect(frame) else {
-            return;
-        };
-        let src_mac = dissected.eth.src_addr;
+        let src_mac = frame.eth.src_addr;
         if src_mac == self.endpoint.mac {
             return;
         }
@@ -480,7 +477,7 @@ impl Node for Phone {
             app.uses_netbios(),
             app.behaviors.contains(&AppBehavior::TplinkDiscovery),
         );
-        match dissected.content {
+        match frame.content {
             Content::UdpV4 { sport, dport, payload, .. } => {
                 // mDNS responses — only a registered NsdManager listener
                 // receives them.

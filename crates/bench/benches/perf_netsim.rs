@@ -4,7 +4,9 @@
 //! `{"type":"throughput",…}` JSON line with the end-to-end frame rate at
 //! the AP tap — frames recorded per wall second across build, fault
 //! verdict, capture and delivery — for the trajectory recorded by
-//! `scripts/bench_perf.sh`.
+//! `scripts/bench_perf.sh`. The idle stretch is timed on `reps` fresh warm
+//! labs: `frames_per_sec` and `sim_secs_per_wall_sec` are the medians, and
+//! `min`/`max` bound `frames_per_sec`.
 
 use iotlan_bench::{emit_line, per_sec};
 use iotlan_core::netsim::SimDuration;
@@ -34,27 +36,37 @@ fn bench(c: &mut Criterion) {
     });
 
     // Machine-readable throughput line: frames through the AP tap per wall
-    // second over a longer idle stretch.
+    // second over a longer idle stretch, once per fresh warm lab.
     let span = SimDuration::from_mins(if quick { 2 } else { 10 });
-    let mut lab = warm_lab();
-    let before = lab.network.capture.len();
-    let start = Instant::now();
-    lab.network.run_for(span);
-    let elapsed = start.elapsed().as_nanos() as f64;
-    let frames = lab.network.capture.len() - before;
+    let reps = if quick { 3 } else { 9 };
+    let mut frames = 0;
+    let mut elapsed: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut lab = warm_lab();
+            let before = lab.network.capture.len();
+            let start = Instant::now();
+            lab.network.run_for(span);
+            let elapsed = start.elapsed().as_nanos() as f64;
+            frames = lab.network.capture.len() - before;
+            elapsed
+        })
+        .collect();
+    elapsed.sort_by(f64::total_cmp);
+    let median = elapsed[reps / 2];
+    let frame_rate = |elapsed: f64| json::Value::from(per_sec(frames as f64, elapsed));
     emit_line(
         "throughput",
         "testbed_idle_frames",
         [
             ("frames", json::Value::from(frames)),
-            (
-                "frames_per_sec",
-                json::Value::from(per_sec(frames as f64, elapsed)),
-            ),
+            ("frames_per_sec", frame_rate(median)),
             (
                 "sim_secs_per_wall_sec",
-                json::Value::from(per_sec(span.as_secs_f64(), elapsed)),
+                json::Value::from(per_sec(span.as_secs_f64(), median)),
             ),
+            ("reps", json::Value::from(reps)),
+            ("min", frame_rate(elapsed[reps - 1])),
+            ("max", frame_rate(elapsed[0])),
         ],
     );
 }

@@ -4,7 +4,7 @@
 
 use crate::config::{DeviceConfig, TplinkRole};
 use crate::services::ServicePort;
-use iotlan_netsim::stack::{self, Content, Endpoint};
+use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
 use iotlan_netsim::{Context, Node, SimDuration};
 use iotlan_wire::ethernet::{build_frame, EtherType, EthernetAddress};
 use iotlan_wire::tls::{Handshake, Version as TlsVersion};
@@ -705,23 +705,20 @@ impl Device {
     }
 
     fn handle_mdns(&mut self, ctx: &mut Context, src: Endpoint, payload: &[u8]) {
+        // Only a device advertising services answers, and only queries: the
+        // QR bit (byte 2, top bit) rejects responses before the parse does.
+        let Some(mdns) = &self.config.mdns else { return };
+        if mdns.advertise.is_empty() || payload.len() < 12 || payload[2] & 0x80 != 0 {
+            return;
+        }
         let Ok(message) = dns::Message::parse(payload) else {
             return;
         };
-        if message.is_response {
-            return;
-        }
-        let Some(mdns) = &self.config.mdns else { return };
-        let our_types: Vec<&str> = mdns
-            .advertise
-            .iter()
-            .map(|s| s.service_type.as_str())
-            .collect();
         let matches = message.questions.iter().any(|q| {
-            our_types.contains(&q.name.as_str())
-                || q.name == "_services._dns-sd._udp.local"
+            q.name == "_services._dns-sd._udp.local"
+                || mdns.advertise.iter().any(|s| s.service_type == q.name)
         });
-        if !matches || our_types.is_empty() {
+        if !matches {
             return;
         }
         let wants_unicast = mdns.unicast_response
@@ -749,15 +746,15 @@ impl Device {
     }
 
     fn handle_ssdp(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, payload: &[u8]) {
-        let Ok(message) = ssdp::Message::parse(payload) else {
-            return;
-        };
-        let Some(ssdp_config) = self.config.ssdp.clone() else {
+        let Some(ssdp_config) = &self.config.ssdp else {
             return;
         };
         if !ssdp_config.responds {
             return;
         }
+        let Ok(message) = ssdp::Message::parse(payload) else {
+            return;
+        };
         if let ssdp::Message::MSearch {
             search_target,
             max_wait,
@@ -775,7 +772,7 @@ impl Device {
             if !ours {
                 return;
             }
-            let banner = self.ssdp_banner(&ssdp_config);
+            let banner = self.ssdp_banner(ssdp_config);
             let response = ssdp::Message::response(
                 if search_target == ssdp::targets::ALL {
                     ssdp::targets::ROOT_DEVICE
@@ -823,32 +820,31 @@ impl Device {
                 self.handle_ssdp(ctx, src, sport, payload)
             }
             tplink::SHP_PORT => {
+                let Some(role) = &self.config.tplink else { return };
+                let Ok(message) = tplink::Message::from_udp_bytes(payload) else {
+                    return;
+                };
                 // A platform client that hears a sysinfo response follows up
                 // with an unauthenticated TCP control session (§5.1).
-                if matches!(self.config.tplink, Some(TplinkRole::Client { .. }))
+                if matches!(role, TplinkRole::Client { .. })
                     && sport == tplink::SHP_PORT
-                    && tplink::Message::from_udp_bytes(payload)
-                        .ok()
-                        .and_then(|m| m.sysinfo().map(|_| ()))
-                        .is_some()
+                    && message.sysinfo().is_some()
                 {
                     self.arp_table.entry(src_ip).or_insert(eth_src);
                     self.open_client_connection(ctx, src_ip, tplink::SHP_PORT, ClientIntent::tplink());
                 }
-                if let Some(sysinfo) = self.tplink_sysinfo() {
-                    if let Ok(message) = tplink::Message::from_udp_bytes(payload) {
-                        if message.body.get("system").and_then(|s| s.get("get_sysinfo")).is_some() {
-                            ctx.send_frame_delayed(
-                                SimDuration::from_millis(30),
-                                stack::udp_unicast(
-                                    self.endpoint,
-                                    src,
-                                    tplink::SHP_PORT,
-                                    sport,
-                                    &sysinfo.to_udp_bytes(),
-                                ),
-                            );
-                        }
+                if message.body.get("system").and_then(|s| s.get("get_sysinfo")).is_some() {
+                    if let Some(sysinfo) = self.tplink_sysinfo() {
+                        ctx.send_frame_delayed(
+                            SimDuration::from_millis(30),
+                            stack::udp_unicast(
+                                self.endpoint,
+                                src,
+                                tplink::SHP_PORT,
+                                sport,
+                                &sysinfo.to_udp_bytes(),
+                            ),
+                        );
                     }
                 }
             }
@@ -1138,13 +1134,10 @@ impl Node for Device {
         }
     }
 
-    fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let Some(dissected) = stack::dissect(frame) else {
-            return;
-        };
-        let eth_src = dissected.eth.src_addr;
-        let eth_dst = dissected.eth.dst_addr;
-        match dissected.content {
+    fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
+        let eth_src = frame.eth.src_addr;
+        let eth_dst = frame.eth.dst_addr;
+        match frame.content {
             Content::Arp(repr) => self.handle_arp(ctx, eth_dst, repr),
             Content::UdpV4 {
                 src,
@@ -1152,21 +1145,13 @@ impl Node for Device {
                 sport,
                 dport,
                 payload,
-            } => {
-                let payload = payload.to_vec();
-                self.handle_udp(ctx, eth_src, src, dst, sport, dport, &payload);
-            }
+            } => self.handle_udp(ctx, eth_src, src, dst, sport, dport, payload),
             Content::TcpV4 {
                 src,
                 dst,
                 repr,
                 payload,
-            } => {
-                if dst == self.config.ip {
-                    let payload = payload.to_vec();
-                    self.handle_tcp(ctx, eth_src, src, repr, &payload);
-                }
-            }
+            } if dst == self.config.ip => self.handle_tcp(ctx, eth_src, src, repr, payload),
             Content::IcmpV4 {
                 src,
                 dst,

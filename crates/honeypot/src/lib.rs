@@ -13,7 +13,7 @@
 //! logs — positive proof that a device or app harvested the honeypot's
 //! discovery data and passed it on.
 
-use iotlan_netsim::stack::{self, Content, Endpoint};
+use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
 use iotlan_netsim::{Context, Node, SimDuration, SimTime};
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::http::{Headers, Request, Response};
@@ -387,12 +387,9 @@ impl Node for Honeypot {
         self.endpoint.mac
     }
 
-    fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let Some(dissected) = stack::dissect(frame) else {
-            return;
-        };
-        let src_mac = dissected.eth.src_addr;
-        match dissected.content {
+    fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
+        let src_mac = frame.eth.src_addr;
+        match frame.content {
             Content::Arp(repr)
                 if repr.operation == arp::Operation::Request
                     && repr.target_protocol_addr == self.endpoint.ip =>
@@ -445,16 +442,10 @@ impl Node for Honeypot {
                 sport,
                 dport,
                 payload,
-            } => {
-                let payload = payload.to_vec();
-                self.handle_udp(ctx, src_mac, src, dst, sport, dport, &payload);
-            }
+            } => self.handle_udp(ctx, src_mac, src, dst, sport, dport, payload),
             Content::TcpV4 {
                 src, dst, repr, payload,
-            } if dst == self.endpoint.ip => {
-                let payload = payload.to_vec();
-                self.handle_tcp(ctx, src_mac, src, repr, &payload);
-            }
+            } if dst == self.endpoint.ip => self.handle_tcp(ctx, src_mac, src, repr, payload),
             _ => {}
         }
     }

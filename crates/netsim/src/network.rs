@@ -3,6 +3,7 @@
 
 use crate::capture::Capture;
 use crate::fault::{FaultInjector, Verdict};
+use crate::stack::{self, Dissected};
 use crate::time::{SimDuration, SimTime};
 use iotlan_wire::ethernet::{EthernetAddress, Frame};
 use iotlan_util::rng::Rng;
@@ -27,8 +28,10 @@ pub trait Node {
     fn on_start(&mut self, _ctx: &mut Context) {}
 
     /// Called for every frame delivered to this node: unicast frames
-    /// addressed to its MAC plus all multicast/broadcast frames.
-    fn on_frame(&mut self, _ctx: &mut Context, _frame: &[u8]) {}
+    /// addressed to its MAC plus all multicast/broadcast frames. The frame
+    /// is dissected once per delivery and shared by every receiver; frames
+    /// that fail dissection are never delivered.
+    fn on_frame(&mut self, _ctx: &mut Context, _frame: &Dissected<'_>) {}
 
     /// Called when a timer set via [`Context::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Context, _token: u64) {}
@@ -307,12 +310,13 @@ impl Network {
     }
 
     fn deliver(&mut self, frame: Vec<u8>) {
-        let view = match Frame::new_checked(&frame[..]) {
-            Ok(v) => v,
-            Err(_) => return, // corrupted below the header: undeliverable
+        // Dissect once for every receiver. A frame that fails validation at
+        // any layer is undeliverable: every node's stack would drop it.
+        let Some(frame) = stack::dissect(&frame) else {
+            return;
         };
-        let dst = view.dst_addr();
-        let src = view.src_addr();
+        let dst = frame.eth.dst_addr;
+        let src = frame.eth.src_addr;
         if dst.is_multicast() {
             // Broadcast medium: everyone but the sender hears it. The node
             // list is snapshotted by length so delivery allocates nothing.
@@ -379,8 +383,8 @@ mod tests {
             }
         }
 
-        fn on_frame(&mut self, _ctx: &mut Context, frame: &[u8]) {
-            self.heard.push(frame.to_vec());
+        fn on_frame(&mut self, _ctx: &mut Context, frame: &Dissected<'_>) {
+            self.heard.push(frame.frame.to_vec());
         }
 
         fn as_any(&self) -> &dyn Any {
@@ -401,8 +405,8 @@ mod tests {
             self.mac
         }
 
-        fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-            let view = Frame::new_unchecked(frame);
+        fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
+            let view = Frame::new_unchecked(frame.frame);
             if view.dst_addr() == self.mac {
                 let reply = build_frame(
                     &Repr {

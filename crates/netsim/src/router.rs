@@ -7,7 +7,7 @@
 //! hostname/vendor-class leaks — that §5.1 analyzes.
 
 use crate::network::{Context, Node};
-use crate::stack::{self, Endpoint};
+use crate::stack::{self, Dissected, Endpoint};
 use iotlan_wire::dhcpv4;
 use iotlan_wire::dns::{self, Message as DnsMessage, RData, Record};
 use iotlan_wire::ethernet::EthernetAddress;
@@ -206,12 +206,8 @@ impl Node for Router {
         self.endpoint.mac
     }
 
-    fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let dissected = match stack::dissect(frame) {
-            Some(d) => d,
-            None => return,
-        };
-        match dissected.content {
+    fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
+        match frame.content {
             stack::Content::Arp(request)
                 if request.operation == arp::Operation::Request
                     && request.target_protocol_addr == self.endpoint.ip =>
@@ -245,7 +241,7 @@ impl Node for Router {
                 self.handle_dns(
                     ctx,
                     Endpoint {
-                        mac: dissected.eth.src_addr,
+                        mac: frame.eth.src_addr,
                         ip: src,
                     },
                     sport,
@@ -268,7 +264,7 @@ impl Node for Router {
                 let frame = stack::icmpv4_frame(
                     self.endpoint,
                     Endpoint {
-                        mac: dissected.eth.src_addr,
+                        mac: frame.eth.src_addr,
                         ip: src,
                     },
                     &reply,
@@ -327,10 +323,8 @@ mod tests {
             ctx.send_frame(frame);
         }
 
-        fn on_frame(&mut self, _ctx: &mut Context, frame: &[u8]) {
-            if let Some(stack::Content::UdpV4 { dport: 68, payload, .. }) =
-                stack::dissect(frame).map(|d| d.content)
-            {
+        fn on_frame(&mut self, _ctx: &mut Context, frame: &Dissected<'_>) {
+            if let stack::Content::UdpV4 { dport: 68, payload, .. } = frame.content {
                 if let Ok(packet) = dhcpv4::Packet::new_checked(payload) {
                     if let Ok(reply) = dhcpv4::Repr::parse(&packet) {
                         if reply.message_type == dhcpv4::MessageType::Offer {

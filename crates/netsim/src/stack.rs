@@ -251,9 +251,11 @@ pub fn udp_multicast_v6(
     )
 }
 
-/// A fully dissected received frame, one layer per field.
+/// A fully dissected received frame, one layer per field, plus the raw
+/// bytes it was dissected from.
 #[derive(Debug, Clone)]
 pub struct Dissected<'a> {
+    pub frame: &'a [u8],
     pub eth: ethernet::Repr,
     pub content: Content<'a>,
 }
@@ -414,7 +416,11 @@ pub fn dissect(frame: &[u8]) -> Option<Dissected<'_>> {
         }
         _ => Content::OtherEther,
     };
-    Some(Dissected { eth, content })
+    Some(Dissected {
+        frame,
+        eth,
+        content,
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property tests for the simulator: determinism, capture/delivery
 //! invariants, and fault-injection accounting.
 
-use iotlan_netsim::stack::{self, Endpoint};
+use iotlan_netsim::stack::{self, Dissected, Endpoint};
 use iotlan_netsim::{Context, FaultInjector, Network, Node, SimDuration};
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_util::props;
@@ -36,7 +36,7 @@ impl Node for Beacon {
         }
     }
 
-    fn on_frame(&mut self, _ctx: &mut Context, _frame: &[u8]) {
+    fn on_frame(&mut self, _ctx: &mut Context, _frame: &Dissected<'_>) {
         self.heard += 1;
     }
 

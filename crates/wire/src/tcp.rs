@@ -183,7 +183,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
 }
 
 /// High-level representation of a TCP segment (options-free).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Repr {
     pub src_port: u16,
     pub dst_port: u16,

@@ -22,7 +22,9 @@
 # 6. sweep smoke: perf_sweep in --quick mode must emit its
 #    {"type":"speedup",...} serial-vs-parallel comparison lines
 # 7. stream smoke: perf_stream in --quick mode must emit its
-#    {"type":"throughput",...} packet-rate / peak-state lines
+#    {"type":"throughput",...} packet-rate / peak-state lines; perf_netsim
+#    in --quick mode must emit its testbed_idle_frames throughput line with
+#    its reps and min/max spread
 # 8. frame-pipeline smoke: perf_frames in --quick mode must emit its
 #    {"type":"speedup",...} legacy-vs-zero-copy comparison line
 # 9. telemetry smoke: perf_telemetry in --quick mode must emit its
@@ -99,6 +101,18 @@ if ! printf '%s\n' "$stream_out" | grep -q '^{"type":"throughput"'; then
     echo "verify: FAIL — perf_stream emitted no throughput JSON lines" >&2
     exit 1
 fi
+
+echo "==> simulator smoke: perf_netsim --quick"
+netsim_out=$(cargo bench -p iotlan-bench --bench perf_netsim --offline -- --quick)
+printf '%s\n' "$netsim_out"
+netsim_line=$(printf '%s\n' "$netsim_out" |
+    grep -F '{"type":"throughput","id":"testbed_idle_frames"' || true)
+for key in reps min max; do
+    if ! printf '%s\n' "$netsim_line" | grep -qF "\"$key\":"; then
+        echo "verify: FAIL — perf_netsim emitted no testbed_idle_frames line with \"$key\"" >&2
+        exit 1
+    fi
+done
 
 echo "==> frame-pipeline smoke: perf_frames --quick"
 frames_out=$(cargo bench -p iotlan-bench --bench perf_frames --offline -- --quick)

@@ -5,32 +5,9 @@
 //! (map iteration order, time-of-day, an unseeded RNG draw) shows up here
 //! before it can corrupt a paper-vs-measured comparison.
 
-use iotlan::experiments;
-use iotlan::netsim::SimDuration;
-use iotlan::{Lab, LabConfig};
+mod common;
 
-fn run(seed: u64) -> (Vec<u8>, String) {
-    let mut lab = Lab::new(LabConfig {
-        seed,
-        idle_duration: SimDuration::from_mins(2),
-        interactions: 10,
-        with_honeypot: true,
-    });
-    lab.run_idle();
-    lab.run_interactions(SimDuration::from_mins(1));
-    let pcap = lab.network.capture.to_pcap();
-
-    // Reports concatenated: figures, discovery stats, payload examples.
-    let mut report = String::new();
-    report.push_str(&experiments::fig1_device_graph(&lab).render());
-    report.push_str(&experiments::fig2_prevalence(&lab, None).render());
-    report.push_str(&experiments::fig3_crossval(&lab).render());
-    report.push_str(&experiments::sec51_discovery_stats(&lab).render());
-    for example in experiments::table5_payloads(&lab) {
-        report.push_str(&example.rendered);
-    }
-    (pcap, report)
-}
+use common::run;
 
 #[test]
 fn same_seed_same_pcap_and_report() {
