@@ -27,11 +27,6 @@ impl Prevalence {
         self.apps.get(protocol).copied().unwrap_or(0.0)
     }
 
-    /// Distinct protocols observed passively (paper: 21).
-    pub fn passive_protocol_count(&self) -> usize {
-        self.passive.len()
-    }
-
     /// Render the Figure 2 series as text rows.
     pub fn render(&self) -> String {
         let mut protocols: BTreeSet<&String> = self.passive.keys().collect();

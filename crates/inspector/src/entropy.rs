@@ -110,20 +110,18 @@ impl EntropyTable {
 }
 
 /// The identifier values one device exposes in its discovery payloads —
-/// the extraction step shared by the batch Table 2 analysis below and the
-/// bounded-memory crowd estimator in `iotlan-stream`.
-#[derive(Debug, Clone)]
-pub struct DeviceIdentifiers {
-    pub class: IdentifierClass,
-    pub names: Vec<String>,
-    pub uuids: Vec<String>,
-    pub macs: Vec<String>,
+/// the extraction step of the Table 2 analysis below.
+struct DeviceIdentifiers {
+    class: IdentifierClass,
+    names: Vec<String>,
+    uuids: Vec<String>,
+    macs: Vec<String>,
 }
 
 /// Extract a device's exposed identifiers. `None` when the device carries
 /// no discovery payloads (such devices were never collected and are
 /// excluded from every Table 2 aggregate).
-pub fn extract_device_identifiers(device: &crate::dataset::Device) -> Option<DeviceIdentifiers> {
+fn extract_device_identifiers(device: &crate::dataset::Device) -> Option<DeviceIdentifiers> {
     if device.mdns_responses.is_empty() && device.ssdp_responses.is_empty() {
         return None;
     }

@@ -71,11 +71,6 @@ impl Router {
         self.endpoint
     }
 
-    /// The lease granted to `mac`, if any.
-    pub fn lease_for(&self, mac: EthernetAddress) -> Option<Ipv4Addr> {
-        self.leases.get(&mac).copied()
-    }
-
     fn allocate(&mut self, mac: EthernetAddress, requested: Option<Ipv4Addr>) -> Ipv4Addr {
         if let Some(existing) = self.leases.get(&mac) {
             return *existing;

@@ -86,20 +86,6 @@ pub fn udp_broadcast(src: Endpoint, sport: u16, dport: u16, payload: &[u8]) -> V
     )
 }
 
-/// Build a subnet-directed broadcast (e.g. 192.168.10.255).
-pub fn udp_subnet_broadcast(src: Endpoint, bcast_ip: Ipv4Addr, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
-    udp_unicast(
-        src,
-        Endpoint {
-            mac: EthernetAddress::BROADCAST,
-            ip: bcast_ip,
-        },
-        sport,
-        dport,
-        payload,
-    )
-}
-
 /// Build `eth(ipv4(tcp(payload)))` between unicast endpoints.
 pub fn tcp_segment(src: Endpoint, dst: Endpoint, repr: &tcp::Repr, payload: &[u8]) -> Vec<u8> {
     compose::eth_ipv4_tcp(

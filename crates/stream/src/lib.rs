@@ -20,11 +20,6 @@
 //!   Fig. 2 and App. D.1 through the batch analyses on that table, and
 //!   feeds every frame to the batch Table 4 matcher
 //!   (`iotlan_analysis::responses::ResponseMatcher`) in record order.
-//! * [`sketch`] — a std-only KMV distinct counter with a documented error
-//!   bound, for crowd-scale identifier spaces.
-//! * [`crowd`] — bounded-memory identifier-space estimation over the
-//!   IoT-Inspector crowdsourced dataset, replacing the batch Table 2
-//!   global identifier sets with KMV sketches.
 //!
 //! ## Determinism and batch equivalence
 //!
@@ -35,9 +30,6 @@
 //! was chunked and at any thread count. See `DESIGN.md` §7 for the
 //! argument; `tests/stream_equivalence.rs` enforces it.
 
-pub mod crowd;
 pub mod engine;
-pub mod sketch;
 
-pub use crowd::{estimate_identifier_space, IdentifierSpaceEstimate};
 pub use engine::{StreamEngine, StreamReport};

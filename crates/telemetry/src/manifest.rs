@@ -1,7 +1,7 @@
 //! Run manifests: one JSON document per pipeline run.
 //!
 //! Every entry point that does substantial work — a `Lab::run*`, a
-//! `StreamEngine` pass, a crowd-pipeline sweep, a scanner or honeypot
+//! `StreamEngine` pass, a multi-seed lab sweep, a scanner or honeypot
 //! campaign — builds a [`Manifest`] describing what it did: the seed and
 //! configuration, per-phase timings, output counts, content digests of
 //! its outputs, and host facts (thread count, allocator stats, pool

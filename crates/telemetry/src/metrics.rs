@@ -12,7 +12,7 @@
 //!   predictable branch; with the `telemetry` cargo feature off, record
 //!   methods compile to empty inline functions.
 //!
-//! Like the stream sketches, every metric is **associatively mergeable**
+//! Like sharded stream reports, every metric is **associatively mergeable**
 //! (counters and histogram buckets add; gauges take the last write), and a
 //! [`snapshot`] is rendered in sorted name order — a pure function of the
 //! recorded values, so deterministic workloads produce byte-identical

@@ -80,13 +80,6 @@ impl Map {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
     pub fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
@@ -128,10 +121,6 @@ pub enum Value {
 static NULL: Value = Value::Null;
 
 impl Value {
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),

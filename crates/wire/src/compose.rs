@@ -150,20 +150,6 @@ pub fn eth_ipv6_icmpv6(eth: &ethernet::Repr, ip: &ipv6::Repr, icmp: &icmpv6::Rep
     buffer
 }
 
-/// Build the same UDP frame via the nested per-layer builders — the
-/// reference the compose path is checked against (and benchmarked over in
-/// `perf_frames`).
-pub fn nested_eth_ipv4_udp(
-    eth: &ethernet::Repr,
-    ip: &ipv4::Repr,
-    udp_repr: &udp::Repr,
-    payload: &[u8],
-) -> Vec<u8> {
-    let datagram = udp::build_datagram_v4(udp_repr, ip.src_addr, ip.dst_addr, payload);
-    let packet = ipv4::build_packet(ip, &datagram);
-    ethernet::build_frame(eth, &packet)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,10 +185,12 @@ mod tests {
             };
             let ip = v4(Protocol::Udp, 64, udp_repr.buffer_len());
             let eth = eth(EtherType::Ipv4);
-            assert_eq!(
-                eth_ipv4_udp(&eth, &ip, &udp_repr, payload),
-                nested_eth_ipv4_udp(&eth, &ip, &udp_repr, payload),
-            );
+            let nested = {
+                let datagram = udp::build_datagram_v4(&udp_repr, ip.src_addr, ip.dst_addr, payload);
+                let packet = ipv4::build_packet(&ip, &datagram);
+                ethernet::build_frame(&eth, &packet)
+            };
+            assert_eq!(eth_ipv4_udp(&eth, &ip, &udp_repr, payload), nested);
         }
     }
 

@@ -13,7 +13,7 @@
 //! cargo run --release --example mitigations
 //! ```
 
-use iotlan::apps::android::{evaluate_access, poc_permissions, AccessOutcome};
+use iotlan::apps::android::{evaluate_access, poc_permissions};
 use iotlan::apps::{AndroidApi, Permission};
 use iotlan::devices::config::HostnameScheme;
 use iotlan::inspector::{dataset, entropy, ident};

@@ -11,11 +11,9 @@
 //! two runs at any `IOTLAN_THREADS` produce byte-identical files — the
 //! contract `tests/telemetry_determinism.rs` pins.
 
-use iotlan::inspector::dataset::{generate, GeneratorConfig};
 use iotlan::netsim::SimDuration;
 use iotlan::scan::scan_catalog;
 use iotlan::stream::engine::stream_capture;
-use iotlan::stream::estimate_identifier_space;
 use iotlan::telemetry::{self, FlameMetric};
 use iotlan::{lab, Lab, LabConfig};
 use std::fs;
@@ -52,24 +50,13 @@ fn main() {
         .write_to(out_dir.join("stream_pass.json"))
         .expect("write stream manifest");
 
-    // 5. Crowd-scale identifier-space estimation on a synthetic dataset.
-    let dataset = generate(&GeneratorConfig {
-        seed: 0xc0ffee,
-        households: 200,
-    });
-    let estimate = estimate_identifier_space(&dataset, 256, 7);
-    estimate
-        .manifest(&dataset, 256)
-        .write_to(out_dir.join("crowd_estimate.json"))
-        .expect("write crowd manifest");
-
-    // 6. The lab's own manifest (phases, frame counts, pcap digest).
+    // 5. The lab's own manifest (phases, frame counts, pcap digest).
     let lab_manifest = lab.finish_manifest();
     lab_manifest
         .write_to(out_dir.join("lab.json"))
         .expect("write lab manifest");
 
-    // 7. A small multi-seed sweep, fanned over the pool — its spans land
+    // 6. A small multi-seed sweep, fanned over the pool — its spans land
     //    in worker lanes and still merge deterministically.
     let base = LabConfig::fast();
     let runs = Lab::run_sweep(&base, &[1, 2, 3]);
@@ -77,7 +64,7 @@ fn main() {
         .write_to(out_dir.join("sweep.json"))
         .expect("write sweep manifest");
 
-    // 8. Trace, flamegraph, collapsed stacks — all from the same records.
+    // 7. Trace, flamegraph, collapsed stacks — all from the same records.
     let records = telemetry::take_records();
     let flame = telemetry::build_flame(&records);
     fs::write(

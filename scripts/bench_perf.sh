@@ -3,13 +3,12 @@
 #
 #   ./scripts/bench_perf.sh [--quick]
 #
-# Runs the five perf benches — perf_netsim, perf_stream, perf_wire,
-# perf_frames, perf_telemetry — and appends every machine-readable
-# {"type":"throughput",...}, {"type":"speedup",...} and
-# {"type":"overhead",...} JSON line they emit to BENCH_perf.json (one JSON
-# object per line, append-only), so the repo carries its own performance
-# trajectory across commits — including the telemetry layer's
-# enabled-vs-disabled overhead claim. The
+# Runs the four perf benches — perf_netsim, perf_stream, perf_wire,
+# perf_telemetry — and appends every machine-readable
+# {"type":"throughput",...} and {"type":"overhead",...} JSON line they
+# emit to BENCH_perf.json (one JSON object per line, append-only), so the
+# repo carries its own performance trajectory across commits — including
+# the telemetry layer's enabled-vs-disabled overhead claim. The
 # per-benchmark {"type":"bench",...} medians are printed but not recorded:
 # the trajectory tracks end-to-end rates, not harness samples.
 #
@@ -40,14 +39,13 @@ run_bench() {
     # shellcheck disable=SC2086  # $quick is intentionally word-split ('' or --quick)
     bench_out=$(cargo bench -p iotlan-bench --bench "$name" --offline -- $quick)
     printf '%s\n' "$bench_out"
-    printf '%s\n' "$bench_out" | grep -E '^\{"type":"(throughput|speedup|overhead)"' |
+    printf '%s\n' "$bench_out" | grep -E '^\{"type":"(throughput|overhead)"' |
         sed "s/}\$/$stamp/" >>"$out" || true
 }
 
 run_bench perf_netsim
 run_bench perf_stream
 run_bench perf_wire
-run_bench perf_frames
 run_bench perf_telemetry
 
 lines=$(grep -cE '^\{"type":"(throughput|speedup|overhead)"' "$out")

@@ -5,7 +5,8 @@
 #
 #   ./scripts/verify.sh
 #
-# 1. release build of the whole workspace
+# 1. release build of every workspace target (libraries, binaries, tests,
+#    examples and benches); any `warning` line in its output fails the gate
 # 2. full test suite (unit + property + integration), serial
 #    (IOTLAN_THREADS=1) and parallel (IOTLAN_THREADS=4) — the pool promises
 #    bit-identical artifacts at any worker count, so both must pass
@@ -25,16 +26,14 @@
 #    {"type":"throughput",...} packet-rate / peak-state lines; perf_netsim
 #    in --quick mode must emit its testbed_idle_frames throughput line with
 #    its reps and min/max spread
-# 8. frame-pipeline smoke: perf_frames in --quick mode must emit its
-#    {"type":"speedup",...} legacy-vs-zero-copy comparison line
-# 9. telemetry smoke: perf_telemetry in --quick mode must emit its
+# 8. telemetry smoke: perf_telemetry in --quick mode must emit its
 #    {"type":"overhead",...} enabled-vs-disabled comparison lines
-# 10. observability: the observability example must write run manifests
-#     under target/manifests/, and scripts/trace_report.sh must render the
-#     per-phase timing summary from them
-# 11. mojibake guard: no U+FFFD replacement characters anywhere in the
+# 9. observability: the observability example must write run manifests
+#    under target/manifests/, and scripts/trace_report.sh must render the
+#    per-phase timing summary from them
+# 10. mojibake guard: no U+FFFD replacement characters anywhere in the
 #     tracked tree (a mangled-encoding canary)
-# 12. golden artifacts: one ttpbench regeneration per workload (fast,
+# 11. golden artifacts: one ttpbench regeneration per workload (fast,
 #     perf_stream) must report "correct":true on its last line — every
 #     artifact digest matches ttpbench/ledger.txt and the streaming report
 #     matches the batch analyses
@@ -42,8 +41,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+echo "==> cargo build --release --offline --workspace --all-targets (no warnings)"
+if ! build_out=$(cargo build --release --offline --workspace --all-targets 2>&1); then
+    printf '%s\n' "$build_out"
+    echo "verify: FAIL — the release build failed" >&2
+    exit 1
+fi
+printf '%s\n' "$build_out"
+if printf '%s\n' "$build_out" | grep -q '^warning'; then
+    echo "verify: FAIL — the release build emitted warnings" >&2
+    exit 1
+fi
 
 echo "==> cargo test -q --offline (IOTLAN_THREADS=1)"
 IOTLAN_THREADS=1 cargo test -q --offline
@@ -113,14 +121,6 @@ for key in reps min max; do
         exit 1
     fi
 done
-
-echo "==> frame-pipeline smoke: perf_frames --quick"
-frames_out=$(cargo bench -p iotlan-bench --bench perf_frames --offline -- --quick)
-printf '%s\n' "$frames_out"
-if ! printf '%s\n' "$frames_out" | grep -q '^{"type":"speedup"'; then
-    echo "verify: FAIL — perf_frames emitted no speedup JSON lines" >&2
-    exit 1
-fi
 
 echo "==> telemetry smoke: perf_telemetry --quick"
 telemetry_out=$(cargo bench -p iotlan-bench --bench perf_telemetry --offline -- --quick)

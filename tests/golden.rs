@@ -9,6 +9,8 @@
 
 mod common;
 
+use iotlan::inspector::dataset::{generate, GeneratorConfig};
+use iotlan::inspector::entropy;
 use iotlan::netsim::SimDuration;
 use iotlan::telemetry::fnv1a64;
 use iotlan::{Lab, LabConfig};
@@ -27,14 +29,24 @@ fn fast_capture(seed: u64) -> Vec<u8> {
     lab.network.capture.to_pcap()
 }
 
+/// Table 2 rendered over a 400-household synthetic Inspector dataset.
+fn table2_render() -> String {
+    let dataset = generate(&GeneratorConfig {
+        seed: 0xc0ffee,
+        households: 400,
+    });
+    entropy::analyze(&dataset).render()
+}
+
 #[test]
 fn artifacts_match_the_golden_digests() {
     let (small_pcap, small_report) = common::run(1312);
-    let artifacts: [(&str, Vec<u8>); 4] = [
+    let artifacts: [(&str, Vec<u8>); 5] = [
         ("fast_seed1.pcap", fast_capture(1)),
         ("fast_seed42.pcap", fast_capture(42)),
         ("small_seed1312.pcap", small_pcap),
         ("small_seed1312.report", small_report.into_bytes()),
+        ("table2_households400.render", table2_render().into_bytes()),
     ];
     let pinned: Vec<(&str, &str)> = GOLDEN
         .lines()

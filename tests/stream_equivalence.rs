@@ -1,11 +1,10 @@
 //! Streaming/batch equivalence: the single-pass `iotlan-stream` engine
 //! must reproduce the batch pipeline's figure and table outputs exactly —
 //! on a real `Lab` capture, at any pcap chunk size (down to one byte), and
-//! at any `IOTLAN_THREADS` setting for the sharded paths — plus property
-//! suites for the KMV sketch's documented guarantees. Table 4's two feeds
-//! (batch in time order, stream in record order) are also checked against
-//! a per-pair cross-join reference, including records that run behind
-//! their stamps.
+//! at any `IOTLAN_THREADS` setting for the sharded paths. Table 4's two
+//! feeds (batch in time order, stream in record order) are also checked
+//! against a per-pair cross-join reference, including records that run
+//! behind their stamps.
 
 use iotlan::analysis::responses::{
     discovery_responses, rows_from_records, DeviceRecord, EXCLUDED_PROTOCOLS, HORIZON_SECS,
@@ -17,7 +16,6 @@ use iotlan::devices::Catalog;
 use iotlan::netsim::stack::{self, Endpoint};
 use iotlan::netsim::{Capture, SimDuration, SimTime};
 use iotlan::stream::engine::{stream_capture, stream_captures_sharded, stream_pcaps_sharded};
-use iotlan::stream::sketch::Distinct;
 use iotlan::stream::{StreamEngine, StreamReport};
 use iotlan::wire::ethernet::EthernetAddress;
 use iotlan::{Lab, LabConfig};
@@ -353,58 +351,4 @@ fn merged_contiguous_shards_equal_one_pass() {
         merged.periodicity_groups, whole.periodicity_groups,
         "App. D.1 event series"
     );
-}
-
-iotlan_util::props! {
-    /// KMV is exact below k distinct keys and within its documented
-    /// relative standard error (1/sqrt(k-2)) above it.
-    fn distinct_counter_within_documented_error(g) {
-        let k = 256usize;
-        let mut sketch = Distinct::new(k, g.u64());
-        let base = g.u64();
-        let n = g.int_in(1u64..=20_000);
-        for i in 0..n {
-            let key = (base.wrapping_add(i)).to_le_bytes();
-            sketch.insert(&key);
-            sketch.insert(&key); // duplicates never count
-        }
-        let estimate = sketch.estimate();
-        if (n as usize) < k {
-            assert_eq!(estimate, n as f64, "must be exact below k");
-        } else {
-            let rse = 1.0 / ((k as f64) - 2.0).sqrt();
-            let relative = (estimate - n as f64).abs() / n as f64;
-            assert!(
-                relative < 6.0 * rse,
-                "relative error {relative} exceeds 6x documented RSE {rse}"
-            );
-        }
-    }
-
-    /// KMV merges are associative and commutative: shard grouping can
-    /// never change a merged estimate.
-    fn sketch_merges_are_associative(g) {
-        let seed = g.u64();
-        let mut kmvs: Vec<Distinct> = (0..3).map(|_| Distinct::new(8, seed)).collect();
-        for kmv in &mut kmvs {
-            let items = g.vec_of(0, 60, |g| g.int_in(0u64..=40));
-            for item in items {
-                kmv.insert(&item.to_le_bytes());
-            }
-        }
-        // ((a + b) + c) == (a + (b + c)), as full-state equality.
-        let mut kmv_left = kmvs[0].clone();
-        kmv_left.merge(&kmvs[1]);
-        kmv_left.merge(&kmvs[2]);
-        let mut kmv_bc = kmvs[1].clone();
-        kmv_bc.merge(&kmvs[2]);
-        let mut kmv_right = kmvs[0].clone();
-        kmv_right.merge(&kmv_bc);
-        assert_eq!(kmv_left, kmv_right);
-        let mut kmv_swapped = kmvs[1].clone();
-        kmv_swapped.merge(&kmvs[0]);
-        let mut kmv_ordered = kmvs[0].clone();
-        kmv_ordered.merge(&kmvs[1]);
-        assert_eq!(kmv_ordered, kmv_swapped, "KMV union must commute");
-    }
 }

@@ -15,10 +15,10 @@
 //! `telemetry::test_guard()`.
 
 use iotlan::inspector::dataset::{generate, GeneratorConfig};
+use iotlan::inspector::entropy;
 use iotlan::netsim::SimDuration;
 use iotlan::scan::scan_catalog;
 use iotlan::stream::engine::stream_capture;
-use iotlan::stream::estimate_identifier_space;
 use iotlan::util::pool;
 use iotlan::{lab, telemetry, Lab, LabConfig};
 
@@ -33,8 +33,8 @@ fn lab_config() -> LabConfig {
 
 /// Every deterministic artifact the instrumented pipeline emits, rendered
 /// to comparable strings. One call runs the whole stack: lab phases,
-/// active scan, honeypot campaign, streaming pass, crowd estimation and a
-/// pool-fanned sweep (whose spans land in worker lanes).
+/// active scan, honeypot campaign, streaming pass, the Table 2 entropy
+/// analysis and a pool-fanned sweep (whose spans land in worker lanes).
 #[derive(Debug, PartialEq, Eq)]
 struct Artifacts {
     trace: String,
@@ -45,7 +45,7 @@ struct Artifacts {
     stream_manifest: String,
     scan_manifest: String,
     honeypot_manifest: String,
-    crowd_manifest: String,
+    table2: String,
 }
 
 fn pipeline_artifacts() -> Artifacts {
@@ -71,8 +71,7 @@ fn pipeline_artifacts() -> Artifacts {
         seed: 0xc0ffee,
         households: 100,
     });
-    let estimate = estimate_identifier_space(&dataset, 128, 7);
-    let crowd_manifest = estimate.manifest(&dataset, 128).deterministic_json().pretty();
+    let table2 = entropy::analyze(&dataset).render();
 
     // Sweep with interactions disabled: two extra idle labs fanned over
     // the pool give worker-lane trace coverage without doubling runtime.
@@ -101,7 +100,7 @@ fn pipeline_artifacts() -> Artifacts {
         stream_manifest,
         scan_manifest,
         honeypot_manifest,
-        crowd_manifest,
+        table2,
     }
 }
 
@@ -155,7 +154,6 @@ fn artifacts_carry_the_instrumentation() {
         "stream.flow_keys_created",
         "scan.devices_scanned",
         "honeypot.interactions",
-        "crowd.households",
     ] {
         assert!(
             artifacts.metrics.contains(metric),
@@ -172,7 +170,6 @@ fn artifacts_carry_the_instrumentation() {
     assert!(artifacts.stream_manifest.contains("\"kind\": \"stream_pass\""));
     assert!(artifacts.scan_manifest.contains("\"kind\": \"scan_campaign\""));
     assert!(artifacts.honeypot_manifest.contains("\"kind\": \"honeypot_campaign\""));
-    assert!(artifacts.crowd_manifest.contains("\"kind\": \"crowd_estimate\""));
 
     // And none of the deterministic views leak host-volatile facts.
     for rendered in [
@@ -181,7 +178,6 @@ fn artifacts_carry_the_instrumentation() {
         &artifacts.stream_manifest,
         &artifacts.scan_manifest,
         &artifacts.honeypot_manifest,
-        &artifacts.crowd_manifest,
         &artifacts.trace,
         &artifacts.flame,
     ] {
