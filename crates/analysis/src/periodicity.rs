@@ -6,12 +6,18 @@
 //!
 //! Findings to reproduce: ~88% of discovery-protocol flows are periodic,
 //! ~580 periodic (destination, protocol) groups, ~6.2 per device.
+//!
+//! Both spectral detectors run on one in-place radix-2 FFT: the
+//! autocorrelation through Wiener–Khinchin (|X|², inverted) and the DFT
+//! test by reading the power spectrum, so each costs O(n log n) in the
+//! number of bins rather than the O(n²) of a direct sum.
 
 use iotlan_classify::flow::{Flow, FlowTable};
 use iotlan_classify::rules::{classify_with_rules, paper_rules};
 use iotlan_classify::Label;
 use iotlan_wire::ethernet::EthernetAddress;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Key for the paper's periodicity grouping: (source device, destination,
 /// protocol) — ports deliberately ignored.
@@ -83,11 +89,121 @@ pub const DISCOVERY_PROTOCOLS: &[Label] = &[
     "mDNS", "SSDP", "ARP", "DHCP", "ICMPv6", "TuyaLP", "TPLINK_SHP", "LIFX", "COAP", "IGMP",
 ];
 
+/// Most bins the autocorrelation detector uses, however long the span.
+const MAX_BINS: usize = 4096;
+
+/// Longest transform: the autocorrelation zero-pads `MAX_BINS` to twice
+/// its length, so no lag wraps around.
+const MAX_FFT_LEN: usize = 2 * MAX_BINS;
+
+/// `exp(-2πik / MAX_FFT_LEN)` as `(cos, sin)` for `k < MAX_FFT_LEN / 2`,
+/// built once; a transform of length `n` strides by `MAX_FFT_LEN / n`.
+fn twiddles() -> &'static [(f64, f64)] {
+    static TABLE: OnceLock<Vec<(f64, f64)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..MAX_FFT_LEN / 2)
+            .map(|k| {
+                let angle = -2.0 * std::f64::consts::PI * k as f64 / MAX_FFT_LEN as f64;
+                (angle.cos(), angle.sin())
+            })
+            .collect()
+    })
+}
+
+/// In-place iterative radix-2 FFT of the complex series `re + i·im`, whose
+/// length is a power of two no larger than `MAX_FFT_LEN`. The forward
+/// transform is `X[k] = Σ x[m]·exp(-2πikm/n)`; `inverse` flips the
+/// exponent's sign and leaves the `1/n` scaling to the caller.
+fn fft(re: &mut [f64], im: &mut [f64], inverse: bool) {
+    let n = re.len();
+    assert!(n.is_power_of_two() && n <= MAX_FFT_LEN && im.len() == n);
+    // Bit-reversal permutation.
+    let mut j = 0;
+    for i in 1..n {
+        let mut bit = n >> 1;
+        while j & bit != 0 {
+            j ^= bit;
+            bit >>= 1;
+        }
+        j |= bit;
+        if i < j {
+            re.swap(i, j);
+            im.swap(i, j);
+        }
+    }
+    // Butterflies, doubling the sub-transform length each pass.
+    let table = twiddles();
+    let mut len = 2;
+    while len <= n {
+        let half = len / 2;
+        let stride = MAX_FFT_LEN / len;
+        for start in (0..n).step_by(len) {
+            for k in 0..half {
+                let (wr, wi) = table[k * stride];
+                let wi = if inverse { -wi } else { wi };
+                let (a, b) = (start + k, start + k + half);
+                let tr = re[b] * wr - im[b] * wi;
+                let ti = re[b] * wi + im[b] * wr;
+                re[b] = re[a] - tr;
+                im[b] = im[a] - ti;
+                re[a] += tr;
+                im[a] += ti;
+            }
+        }
+        len <<= 1;
+    }
+}
+
+/// Normalized autocorrelation of `series` at lags `0..series.len() / 2`:
+/// `r[lag] = Σ_i (x_i − x̄)(x_{i+lag} − x̄) / Σ_i (x_i − x̄)²`, or `None` for
+/// a constant series. Wiener–Khinchin: the inverse transform of the
+/// zero-padded series' |X|² is its linear autocovariance.
+fn autocorrelation(series: &[f64]) -> Option<Vec<f64>> {
+    let bins = series.len();
+    let mean = series.iter().sum::<f64>() / bins as f64;
+    let var: f64 = series.iter().map(|v| (v - mean) * (v - mean)).sum();
+    if var == 0.0 {
+        return None;
+    }
+    let n = (2 * bins).next_power_of_two();
+    let mut re = vec![0.0f64; n];
+    for (slot, v) in re.iter_mut().zip(series) {
+        *slot = v - mean;
+    }
+    let mut im = vec![0.0f64; n];
+    fft(&mut re, &mut im, false);
+    for (x_re, x_im) in re.iter_mut().zip(&mut im) {
+        *x_re = *x_re * *x_re + *x_im * *x_im;
+        *x_im = 0.0;
+    }
+    fft(&mut re, &mut im, true);
+    Some(
+        re[..bins / 2]
+            .iter()
+            .map(|acc| acc / n as f64 / var)
+            .collect(),
+    )
+}
+
+/// Power `|X_k|²` of `series` (a power-of-two length) at frequencies
+/// `k = 0..series.len() / 2`.
+fn power_spectrum(mut series: Vec<f64>) -> Vec<f64> {
+    let mut im = vec![0.0f64; series.len()];
+    fft(&mut series, &mut im, false);
+    series
+        .iter()
+        .zip(&im)
+        .take(series.len() / 2)
+        .map(|(re, im)| re * re + im * im)
+        .collect()
+}
+
 /// Autocorrelation-based periodicity test on event times (seconds).
 ///
-/// Computes the normalized autocorrelation of the binned event series and
-/// accepts when some non-zero lag exceeds `0.5`. Robust to jitter because
-/// the bin width adapts to the median inter-arrival.
+/// Computes the normalized autocorrelation of the binned event series by
+/// FFT (Wiener–Khinchin, O(n log n) in the bin count) and accepts when
+/// some non-zero lag exceeds `0.5`. Robust to jitter because the bin width
+/// adapts to the median inter-arrival.
 pub fn autocorrelation_periodic(events: &[f64]) -> Option<f64> {
     if events.len() < 4 {
         return None;
@@ -97,35 +213,24 @@ pub fn autocorrelation_periodic(events: &[f64]) -> Option<f64> {
     if intervals.is_empty() {
         return None;
     }
-    let mut sorted = intervals.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = sorted[sorted.len() / 2];
+    intervals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let median = intervals[intervals.len() / 2];
     if median <= 0.0 {
         return None;
     }
     // Bin the series at half the median interval.
     let bin = (median / 2.0).max(1e-3);
     let span = events.last().unwrap() - events[0];
-    let bins = ((span / bin).ceil() as usize + 1).min(4096);
+    let bins = ((span / bin).ceil() as usize + 1).min(MAX_BINS);
     let mut series = vec![0.0f64; bins];
     for &t in events {
         let index = (((t - events[0]) / bin) as usize).min(bins - 1);
         series[index] += 1.0;
     }
-    let mean = series.iter().sum::<f64>() / bins as f64;
-    let var: f64 = series.iter().map(|v| (v - mean) * (v - mean)).sum();
-    if var == 0.0 {
-        return None;
-    }
-    let max_lag = bins / 2;
+    let correlation = autocorrelation(&series)?;
     let mut best_lag = 0usize;
     let mut best = 0.0f64;
-    for lag in 1..max_lag {
-        let mut acc = 0.0;
-        for i in 0..bins - lag {
-            acc += (series[i] - mean) * (series[i + lag] - mean);
-        }
-        let r = acc / var;
+    for (lag, &r) in correlation.iter().enumerate().skip(1) {
         if r > best {
             best = r;
             best_lag = lag;
@@ -165,9 +270,10 @@ pub fn interval_regularity_periodic(events: &[f64]) -> Option<f64> {
     }
 }
 
-/// DFT-based dominant-period detection over the binned series (Goertzel
-/// over candidate frequencies). Returns the dominant period when its
-/// spectral power dominates the mean power.
+/// DFT-based dominant-period detection over the binned series: the power
+/// at every candidate frequency comes from one FFT of the 1,024 bins.
+/// Returns the dominant period when its spectral power dominates the mean
+/// power.
 pub fn dft_periodic(events: &[f64]) -> Option<f64> {
     if events.len() < 4 {
         return None;
@@ -191,15 +297,7 @@ pub fn dft_periodic(events: &[f64]) -> Option<f64> {
     let mut best_k = 0usize;
     let mut best_power = 0.0f64;
     let mut total_power = 0.0f64;
-    for k in 1..BINS / 2 {
-        let omega = 2.0 * std::f64::consts::PI * k as f64 / BINS as f64;
-        let (mut re, mut im) = (0.0f64, 0.0f64);
-        for (n, &v) in series.iter().enumerate() {
-            let phase = omega * n as f64;
-            re += v * phase.cos();
-            im += v * phase.sin();
-        }
-        let power = re * re + im * im;
+    for (k, &power) in power_spectrum(series).iter().enumerate().skip(1) {
         total_power += power;
         if power > best_power {
             best_power = power;
@@ -378,5 +476,107 @@ mod tests {
         let period = ssdp_groups[0].period_secs.unwrap();
         assert!((period - 20.0).abs() < 3.0, "period {period}");
         assert!(report.discovery_periodic_fraction() > 0.99);
+    }
+
+    /// Reference: the direct O(n²) autocorrelation sum over the same lags.
+    fn direct_autocorrelation(series: &[f64]) -> Option<Vec<f64>> {
+        let bins = series.len();
+        let mean = series.iter().sum::<f64>() / bins as f64;
+        let var: f64 = series.iter().map(|v| (v - mean) * (v - mean)).sum();
+        if var == 0.0 {
+            return None;
+        }
+        let r = (0..bins / 2)
+            .map(|lag| {
+                let mut acc = 0.0;
+                for i in 0..bins - lag {
+                    acc += (series[i] - mean) * (series[i + lag] - mean);
+                }
+                acc / var
+            })
+            .collect();
+        Some(r)
+    }
+
+    /// Reference: the direct O(n²) DFT power over the same frequencies.
+    fn direct_power(series: &[f64]) -> Vec<f64> {
+        let n = series.len();
+        (0..n / 2)
+            .map(|k| {
+                let omega = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                let (mut re, mut im) = (0.0f64, 0.0f64);
+                for (m, &v) in series.iter().enumerate() {
+                    let phase = omega * m as f64;
+                    re += v * phase.cos();
+                    im += v * phase.sin();
+                }
+                re * re + im * im
+            })
+            .collect()
+    }
+
+    /// A binned event series: mostly empty bins with a few small counts,
+    /// occasionally constant.
+    fn count_series(g: &mut iotlan_util::check::Gen) -> Vec<f64> {
+        let bins = match g.int_in(0..8u8) {
+            0 => MAX_BINS,
+            1 => g.int_in(2..=4usize),
+            _ => g.len(MAX_BINS).max(2),
+        };
+        if g.int_in(0..8u8) == 0 {
+            return vec![f64::from(g.int_in(0..=3u8)); bins];
+        }
+        let density = g.int_in(1..=4u32);
+        (0..bins)
+            .map(|_| {
+                if g.int_in(0..8u32) < density {
+                    f64::from(g.int_in(1..=5u8))
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    iotlan_util::props! {
+        /// The FFT detectors compute the direct sums they replaced: every
+        /// autocorrelation lag within 1e-9, every DFT power within 1e-9 of
+        /// the total power, and an inverse transform undoes a forward one.
+        fn fft_matches_direct_sums(g) {
+            let series = count_series(g);
+            let fast = autocorrelation(&series);
+            let direct = direct_autocorrelation(&series);
+            assert_eq!(fast.is_some(), direct.is_some(), "bins {}", series.len());
+            if let (Some(fast), Some(direct)) = (fast, direct) {
+                assert_eq!(fast.len(), direct.len());
+                for (lag, (a, b)) in fast.iter().zip(&direct).enumerate() {
+                    assert!((a - b).abs() <= 1e-9, "bins {} lag {lag}: {a} vs {b}", series.len());
+                }
+            }
+
+            // The DFT detector's transform: a power-of-two prefix, centred.
+            let n = 1usize << series.len().ilog2();
+            let mean = series[..n].iter().sum::<f64>() / n as f64;
+            let centred: Vec<f64> = series[..n].iter().map(|v| v - mean).collect();
+            let direct = direct_power(&centred);
+            let total: f64 = direct.iter().sum();
+            let fast = power_spectrum(centred);
+            assert_eq!(fast.len(), direct.len());
+            for (k, (a, b)) in fast.iter().zip(&direct).enumerate() {
+                assert!((a - b).abs() <= 1e-9 * total.max(1.0), "n {n} k {k}: {a} vs {b}");
+            }
+
+            // r and |X|² are even in k, so they cannot see a wrong sign in
+            // the inverse transform; a complex round trip can.
+            let mut re: Vec<f64> = (0..n).map(|_| f64::from(g.int_in(0..=9u8))).collect();
+            let mut im: Vec<f64> = (0..n).map(|_| f64::from(g.int_in(0..=9u8))).collect();
+            let (re0, im0) = (re.clone(), im.clone());
+            fft(&mut re, &mut im, false);
+            fft(&mut re, &mut im, true);
+            for m in 0..n {
+                let (a, b) = (re[m] / n as f64, im[m] / n as f64);
+                assert!((a - re0[m]).abs() <= 1e-9 && (b - im0[m]).abs() <= 1e-9, "n {n} m {m}");
+            }
+        }
     }
 }

@@ -7,8 +7,14 @@
 //! `state_ratio` field is the bounded-memory claim made measurable: it
 //! grows with capture length while `peak_state_bytes` stays put (the
 //! paper-scale demonstration lives in `examples/paper_scale.rs`).
+//!
+//! An `appd1_periodicity` line times App. D.1's `analyze_periodicity` on
+//! the same capture's flow table `reps` times: `groups_per_sec` is the
+//! median rate and `min`/`max` bound it (3 reps with `--quick`, 9 in full
+//! mode).
 
 use iotlan_bench::{emit_line, per_sec};
+use iotlan_core::analysis::periodicity::analyze_periodicity;
 use iotlan_core::devices::Catalog;
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::stream::engine::stream_capture;
@@ -93,6 +99,33 @@ fn bench(criterion: &mut Criterion) {
             throughput(&report, ns),
         );
     }
+
+    // App. D.1 over the same capture, once per rep on one flow table.
+    let table = lab.flow_table();
+    let reps = if quick { 3 } else { 9 };
+    let mut groups = 0;
+    let mut elapsed: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let report = analyze_periodicity(&table);
+            let elapsed = start.elapsed().as_nanos() as f64;
+            groups = report.groups.len();
+            elapsed
+        })
+        .collect();
+    elapsed.sort_by(f64::total_cmp);
+    let group_rate = |elapsed: f64| json::Value::from(per_sec(groups as f64, elapsed));
+    emit_line(
+        "throughput",
+        "appd1_periodicity",
+        [
+            ("groups", json::Value::from(groups)),
+            ("groups_per_sec", group_rate(elapsed[reps / 2])),
+            ("reps", json::Value::from(reps)),
+            ("min", group_rate(elapsed[reps - 1])),
+            ("max", group_rate(elapsed[0])),
+        ],
+    );
 
     // End-to-end bounded-memory run: windowed simulation draining into the
     // engine, never materializing the capture.

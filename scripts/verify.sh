@@ -23,7 +23,8 @@
 # 6. sweep smoke: perf_sweep in --quick mode must emit its
 #    {"type":"speedup",...} serial-vs-parallel comparison lines
 # 7. stream smoke: perf_stream in --quick mode must emit its
-#    {"type":"throughput",...} packet-rate / peak-state lines; perf_netsim
+#    {"type":"throughput",...} packet-rate / peak-state lines and its
+#    appd1_periodicity line with its reps and min/max spread; perf_netsim
 #    in --quick mode must emit its testbed_idle_frames throughput line with
 #    its reps and min/max spread
 # 8. telemetry smoke: perf_telemetry in --quick mode must emit its
@@ -109,6 +110,14 @@ if ! printf '%s\n' "$stream_out" | grep -q '^{"type":"throughput"'; then
     echo "verify: FAIL — perf_stream emitted no throughput JSON lines" >&2
     exit 1
 fi
+appd1_line=$(printf '%s\n' "$stream_out" |
+    grep -F '{"type":"throughput","id":"appd1_periodicity"' || true)
+for key in reps min max; do
+    if ! printf '%s\n' "$appd1_line" | grep -qF "\"$key\":"; then
+        echo "verify: FAIL — perf_stream emitted no appd1_periodicity line with \"$key\"" >&2
+        exit 1
+    fi
+done
 
 echo "==> simulator smoke: perf_netsim --quick"
 netsim_out=$(cargo bench -p iotlan-bench --bench perf_netsim --offline -- --quick)
