@@ -461,6 +461,8 @@ impl Node for Phone {
         }
     }
 
+    // No `interest`: the gates below change with the app under test, so
+    // the phone keeps the default and hears every frame.
     fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
         let _ = ctx;
         if self.current.is_none() {
@@ -482,7 +484,7 @@ impl Node for Phone {
                 // mDNS responses — only a registered NsdManager listener
                 // receives them.
                 if (sport == dns::MDNS_PORT || dport == dns::MDNS_PORT) && gate_mdns {
-                    if let Ok(message) = dns::Message::parse(payload) {
+                    if let Some(message) = frame.dns() {
                         if message.is_response {
                             let text = message.text_content().join(" ");
                             self.harvest_text("mDNS", &text);
@@ -496,7 +498,7 @@ impl Node for Phone {
                     }
                 } else if sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT && gate_ssdp {
                     // Unicast SSDP response to our M-SEARCH.
-                    if let Ok(message) = ssdp::Message::parse(payload) {
+                    if let Some(message) = frame.ssdp() {
                         let text = message.text_content().join(" ");
                         self.harvest_text("SSDP", &text);
                         self.current_harvest.push(Harvested {

@@ -5,11 +5,12 @@
 use crate::config::{DeviceConfig, TplinkRole};
 use crate::services::ServicePort;
 use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
-use iotlan_netsim::{Context, Node, SimDuration};
+use iotlan_netsim::{Context, Interest, Node, SimDuration};
 use iotlan_wire::ethernet::{build_frame, EtherType, EthernetAddress};
 use iotlan_wire::tls::{Handshake, Version as TlsVersion};
 use iotlan_wire::{arp, coap, dhcpv4, dns, eapol, icmpv4, icmpv6, igmp, ipv6, lifx, rtp, ssdp, tcp, tplink, tuya};
 use std::any::Any;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
@@ -61,6 +62,9 @@ pub struct Device {
     /// MACs learned from ARP replies (used for Echo's unicast probes).
     /// BTreeMap: iteration order must be deterministic for reproducible runs.
     arp_table: BTreeMap<Ipv4Addr, EthernetAddress>,
+    /// The mDNS answer message, built on the first answer or announcement
+    /// and reused by both: its bytes depend only on the config.
+    mdns_answer: OnceCell<Vec<u8>>,
     /// Number of mDNS queries answered (exposure accounting).
     pub mdns_responses_sent: u64,
     /// Number of SSDP M-SEARCH queries answered.
@@ -83,6 +87,7 @@ impl Device {
             stable_port,
             hostname_nonce: 1,
             arp_table: BTreeMap::new(),
+            mdns_answer: OnceCell::new(),
             mdns_responses_sent: 0,
             ssdp_responses_sent: 0,
         }
@@ -345,18 +350,21 @@ impl Device {
         records
     }
 
+    fn mdns_answer(&self) -> &[u8] {
+        self.mdns_answer
+            .get_or_init(|| dns::Message::mdns_response(self.mdns_answer_records()).to_bytes())
+    }
+
     fn send_mdns_announce(&mut self, ctx: &mut Context) {
         iotlan_telemetry::counter!("devices.mdns_announces").incr();
-        let records = self.mdns_answer_records();
         let Some(mdns) = &self.config.mdns else { return };
         if !mdns.advertise.is_empty() {
-            let message = dns::Message::mdns_response(records);
             ctx.send_frame(stack::udp_multicast(
                 self.endpoint,
                 dns::MDNS_GROUP_V4,
                 dns::MDNS_PORT,
                 dns::MDNS_PORT,
-                &message.to_bytes(),
+                self.mdns_answer(),
             ));
         }
         let interval = Self::jittered(ctx, mdns.query_interval_secs.max(30) * 2);
@@ -704,14 +712,20 @@ impl Device {
         }
     }
 
-    fn handle_mdns(&mut self, ctx: &mut Context, src: Endpoint, payload: &[u8]) {
-        // Only a device advertising services answers, and only queries: the
-        // QR bit (byte 2, top bit) rejects responses before the parse does.
+    fn handle_mdns(
+        &mut self,
+        ctx: &mut Context,
+        src: Endpoint,
+        frame: &Dissected<'_>,
+        payload: &[u8],
+    ) {
+        // Only a device advertising services answers, and only queries,
+        // which the header rejects before the shared parse is made.
         let Some(mdns) = &self.config.mdns else { return };
-        if mdns.advertise.is_empty() || payload.len() < 12 || payload[2] & 0x80 != 0 {
+        if mdns.advertise.is_empty() || !dns::is_query(payload) {
             return;
         }
-        let Ok(message) = dns::Message::parse(payload) else {
+        let Some(message) = frame.dns() else {
             return;
         };
         let matches = message.questions.iter().any(|q| {
@@ -723,8 +737,7 @@ impl Device {
         }
         let wants_unicast = mdns.unicast_response
             && message.questions.iter().any(|q| q.unicast_response);
-        let response = dns::Message::mdns_response(self.mdns_answer_records());
-        let bytes = response.to_bytes();
+        let bytes = self.mdns_answer();
         // Multicast response (the ~98% norm).
         ctx.send_frame_delayed(
             SimDuration::from_millis(20),
@@ -733,40 +746,37 @@ impl Device {
                 dns::MDNS_GROUP_V4,
                 dns::MDNS_PORT,
                 dns::MDNS_PORT,
-                &bytes,
+                bytes,
             ),
         );
         if wants_unicast {
             ctx.send_frame_delayed(
                 SimDuration::from_millis(20),
-                stack::udp_unicast(self.endpoint, src, dns::MDNS_PORT, dns::MDNS_PORT, &bytes),
+                stack::udp_unicast(self.endpoint, src, dns::MDNS_PORT, dns::MDNS_PORT, bytes),
             );
         }
         self.mdns_responses_sent += 1;
     }
 
-    fn handle_ssdp(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, payload: &[u8]) {
+    fn handle_ssdp(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, frame: &Dissected<'_>) {
         let Some(ssdp_config) = &self.config.ssdp else {
             return;
         };
         if !ssdp_config.responds {
             return;
         }
-        let Ok(message) = ssdp::Message::parse(payload) else {
-            return;
-        };
-        if let ssdp::Message::MSearch {
+        if let Some(ssdp::Message::MSearch {
             search_target,
             max_wait,
             ..
-        } = message
+        }) = frame.ssdp()
         {
             let ours = search_target == ssdp::targets::ALL
                 || search_target == ssdp::targets::ROOT_DEVICE
                 || ssdp_config
                     .search_targets
                     .iter()
-                    .any(|t| *t == search_target)
+                    .any(|t| t == search_target)
                 || search_target.contains("MediaRenderer")
                 || search_target.contains("dial");
             if !ours {
@@ -777,7 +787,7 @@ impl Device {
                 if search_target == ssdp::targets::ALL {
                     ssdp::targets::ROOT_DEVICE
                 } else {
-                    &search_target
+                    search_target
                 },
                 &ssdp_config.uuid,
                 ssdp_config.location.as_deref(),
@@ -786,7 +796,7 @@ impl Device {
             // Scatter within the MX window, per spec.
             let scatter = ctx
                 .rng()
-                .gen_range(0..=u64::from(max_wait).max(1) * 1000);
+                .gen_range(0..=u64::from(*max_wait).max(1) * 1000);
             ctx.send_frame_delayed(
                 SimDuration::from_millis(scatter),
                 stack::udp_unicast(self.endpoint, src, ssdp::SSDP_PORT, sport, &response.to_bytes()),
@@ -798,13 +808,14 @@ impl Device {
     fn handle_udp(
         &mut self,
         ctx: &mut Context,
-        eth_src: EthernetAddress,
+        frame: &Dissected<'_>,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
         sport: u16,
         dport: u16,
         payload: &[u8],
     ) {
+        let eth_src = frame.eth.src_addr;
         let src = Endpoint {
             mac: eth_src,
             ip: src_ip,
@@ -814,10 +825,10 @@ impl Device {
             iotlan_wire::ipv4::is_multicast(dst_ip) || dst_ip.octets()[3] == 255;
         match dport {
             dns::MDNS_PORT if is_multicast_or_bcast || to_us => {
-                self.handle_mdns(ctx, src, payload)
+                self.handle_mdns(ctx, src, frame, payload)
             }
             ssdp::SSDP_PORT if is_multicast_or_bcast || to_us => {
-                self.handle_ssdp(ctx, src, sport, payload)
+                self.handle_ssdp(ctx, src, sport, frame)
             }
             tplink::SHP_PORT => {
                 let Some(role) = &self.config.tplink else { return };
@@ -1016,6 +1027,28 @@ impl Node for Device {
         self.config.mac
     }
 
+    /// What `on_frame` can act on: frames to the device's address, ARP
+    /// replies (learned into the ARP table), mDNS queries when it
+    /// advertises, SSDP when it answers M-SEARCH, TP-Link SHP when it
+    /// speaks it, and ICMPv6 when it runs IPv6.
+    fn interest(&self) -> Interest {
+        let config = &self.config;
+        let mut udp_ports = Vec::new();
+        if config.ssdp.as_ref().is_some_and(|s| s.responds) {
+            udp_ports.push(ssdp::SSDP_PORT);
+        }
+        if config.tplink.is_some() {
+            udp_ports.push(tplink::SHP_PORT);
+        }
+        Interest {
+            arp_replies: true,
+            udp_ports,
+            mdns_queries: config.mdns.as_ref().is_some_and(|m| !m.advertise.is_empty()),
+            icmpv6: config.ipv6,
+            ..Interest::addressed_to(config.ip)
+        }
+    }
+
     fn on_start(&mut self, ctx: &mut Context) {
         iotlan_telemetry::counter!("devices.started").incr();
         if self.config.eapol {
@@ -1145,7 +1178,7 @@ impl Node for Device {
                 sport,
                 dport,
                 payload,
-            } => self.handle_udp(ctx, eth_src, src, dst, sport, dport, payload),
+            } => self.handle_udp(ctx, frame, src, dst, sport, dport, payload),
             Content::TcpV4 {
                 src,
                 dst,

@@ -14,7 +14,7 @@
 //! discovery data and passed it on.
 
 use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
-use iotlan_netsim::{Context, Node, SimDuration, SimTime};
+use iotlan_netsim::{Context, Interest, Node, SimDuration, SimTime};
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::http::{Headers, Request, Response};
 use iotlan_wire::{arp, dns, icmpv4, ssdp, tcp};
@@ -176,22 +176,21 @@ impl Honeypot {
     fn handle_udp(
         &mut self,
         ctx: &mut Context,
-        src_mac: EthernetAddress,
+        frame: &Dissected<'_>,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
         sport: u16,
         dport: u16,
         payload: &[u8],
     ) {
+        let src_mac = frame.eth.src_addr;
         let src = Endpoint {
             mac: src_mac,
             ip: src_ip,
         };
         match dport {
             ssdp::SSDP_PORT => {
-                if let Ok(ssdp::Message::MSearch { search_target, .. }) =
-                    ssdp::Message::parse(payload)
-                {
+                if let Some(ssdp::Message::MSearch { search_target, .. }) = frame.ssdp() {
                     self.log(
                         ctx,
                         src_mac,
@@ -204,7 +203,7 @@ impl Honeypot {
                         if search_target == ssdp::targets::ALL {
                             ssdp::targets::ROOT_DEVICE
                         } else {
-                            &search_target
+                            search_target
                         },
                         &self.canary_uuid,
                         Some(&location),
@@ -224,8 +223,11 @@ impl Honeypot {
                 }
             }
             dns::MDNS_PORT => {
-                if let Ok(message) = dns::Message::parse(payload) {
-                    if message.is_response || message.questions.is_empty() {
+                if !dns::is_query(payload) {
+                    return;
+                }
+                if let Some(message) = frame.dns() {
+                    if message.questions.is_empty() {
                         return;
                     }
                     let names: Vec<String> =
@@ -387,6 +389,15 @@ impl Node for Honeypot {
         self.endpoint.mac
     }
 
+    /// SSDP, mDNS queries, and what is addressed to the honeypot.
+    fn interest(&self) -> Interest {
+        Interest {
+            udp_ports: vec![ssdp::SSDP_PORT],
+            mdns_queries: true,
+            ..Interest::addressed_to(self.endpoint.ip)
+        }
+    }
+
     fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {
         let src_mac = frame.eth.src_addr;
         match frame.content {
@@ -442,7 +453,7 @@ impl Node for Honeypot {
                 sport,
                 dport,
                 payload,
-            } => self.handle_udp(ctx, src_mac, src, dst, sport, dport, payload),
+            } => self.handle_udp(ctx, frame, src, dst, sport, dport, payload),
             Content::TcpV4 {
                 src, dst, repr, payload,
             } if dst == self.endpoint.ip => self.handle_tcp(ctx, src_mac, src, repr, payload),

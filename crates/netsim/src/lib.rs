@@ -9,8 +9,8 @@
 //!   two runs with the same seed produce byte-identical captures;
 //! * the access point is a broadcast medium with promiscuous capture —
 //!   unicast frames are delivered to the owning NIC, multicast/broadcast
-//!   frames to every node, and the capture tap sees all of them (that is
-//!   the paper's vantage point);
+//!   frames to every node whose declared [`Interest`] matches them, and
+//!   the capture tap sees all of them (that is the paper's vantage point);
 //! * nodes implement [`Node`] (`on_start` / `on_frame` / `on_timer`) and
 //!   interact with the world through a [`Context`] that queues frame
 //!   transmissions and timers;
@@ -28,5 +28,5 @@ pub mod time;
 
 pub use capture::{Capture, FrameRef, FrameSink, FRAME_OVERHEAD};
 pub use fault::FaultInjector;
-pub use network::{Context, Network, Node, NodeId};
+pub use network::{Context, Interest, Network, Node, NodeId};
 pub use time::{SimDuration, SimTime};

@@ -3,12 +3,14 @@
 
 use crate::capture::Capture;
 use crate::fault::{FaultInjector, Verdict};
-use crate::stack::{self, Dissected};
+use crate::stack::{self, Content, Dissected};
 use crate::time::{SimDuration, SimTime};
 use iotlan_wire::ethernet::{EthernetAddress, Frame};
+use iotlan_wire::{arp, dns};
 use iotlan_util::rng::Rng;
 use std::any::Any;
 use std::collections::{BinaryHeap, HashMap};
+use std::net::Ipv4Addr;
 
 /// Index of a node within a [`Network`].
 pub type NodeId = usize;
@@ -27,10 +29,17 @@ pub trait Node {
     /// a running network).
     fn on_start(&mut self, _ctx: &mut Context) {}
 
+    /// What this node acts on among multicast/broadcast frames. Read once,
+    /// when the node is added; the default is everything.
+    fn interest(&self) -> Interest {
+        Interest::everything()
+    }
+
     /// Called for every frame delivered to this node: unicast frames
-    /// addressed to its MAC plus all multicast/broadcast frames. The frame
-    /// is dissected once per delivery and shared by every receiver; frames
-    /// that fail dissection are never delivered.
+    /// addressed to its MAC plus the multicast/broadcast frames its
+    /// [`Interest`] matches. The frame is dissected once per delivery and
+    /// shared by every receiver; frames that fail dissection are never
+    /// delivered.
     fn on_frame(&mut self, _ctx: &mut Context, _frame: &Dissected<'_>) {}
 
     /// Called when a timer set via [`Context::set_timer`] fires.
@@ -40,6 +49,81 @@ pub trait Node {
     /// a run (e.g. read a honeypot's canary log).
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// The multicast/broadcast frames a node acts on. The network skips a node
+/// for every such frame its interest does not match, so a node must declare
+/// every frame on which it could draw from the RNG, act, or change state
+/// that later shows in its output. Unicast frames to the node's MAC are
+/// always delivered.
+#[derive(Debug, Clone)]
+pub struct Interest {
+    /// Every frame, for nodes whose handling changes at run time.
+    pub everything: bool,
+    /// Frames addressed to this IPv4 address: the target of an ARP request,
+    /// or the IPv4 destination.
+    pub ipv4: Option<Ipv4Addr>,
+    /// Every ARP reply, for nodes that learn MACs from them.
+    pub arp_replies: bool,
+    /// UDP/IPv4 datagrams to these destination ports.
+    pub udp_ports: Vec<u16>,
+    /// mDNS queries: UDP/IPv4 to port 5353 that passes [`dns::is_query`].
+    pub mdns_queries: bool,
+    /// ICMPv6 (neighbour discovery).
+    pub icmpv6: bool,
+}
+
+impl Interest {
+    /// Every frame.
+    pub fn everything() -> Interest {
+        Interest {
+            everything: true,
+            ipv4: None,
+            arp_replies: false,
+            udp_ports: Vec::new(),
+            mdns_queries: false,
+            icmpv6: false,
+        }
+    }
+
+    /// Frames addressed to `ip`, and nothing else until more is declared.
+    pub fn addressed_to(ip: Ipv4Addr) -> Interest {
+        Interest {
+            everything: false,
+            ipv4: Some(ip),
+            ..Interest::everything()
+        }
+    }
+
+    /// Whether a node with this interest acts on `frame`.
+    pub fn matches(&self, frame: &Dissected<'_>) -> bool {
+        if self.everything {
+            return true;
+        }
+        let to_us = |dst: Ipv4Addr| self.ipv4 == Some(dst);
+        match frame.content {
+            Content::Arp(repr) => {
+                to_us(repr.target_protocol_addr)
+                    || (self.arp_replies && repr.operation == arp::Operation::Reply)
+            }
+            Content::UdpV4 {
+                dst,
+                dport,
+                payload,
+                ..
+            } => {
+                to_us(dst)
+                    || self.udp_ports.contains(&dport)
+                    || (self.mdns_queries && dport == dns::MDNS_PORT && dns::is_query(payload))
+            }
+            Content::TcpV4 { dst, .. }
+            | Content::IcmpV4 { dst, .. }
+            | Content::Igmp { dst, .. }
+            | Content::OtherIpv4 { dst, .. } => to_us(dst),
+            Content::IcmpV6 { .. } => self.icmpv6,
+            Content::UdpV6 { .. } | Content::OtherEther => false,
+        }
+    }
 }
 
 /// Deferred effects a node requests during a callback.
@@ -120,6 +204,10 @@ impl Ord for Event {
 /// The simulated LAN.
 pub struct Network {
     nodes: Vec<Box<dyn Node>>,
+    /// Each node's MAC and interest, parallel to `nodes`, read once at
+    /// `add_node` so the multicast loop makes no virtual call to skip.
+    macs: Vec<EthernetAddress>,
+    interests: Vec<Interest>,
     by_mac: HashMap<EthernetAddress, NodeId>,
     queue: BinaryHeap<Event>,
     now: SimTime,
@@ -137,6 +225,8 @@ impl Network {
     pub fn new(seed: u64) -> Network {
         Network {
             nodes: Vec::new(),
+            macs: Vec::new(),
+            interests: Vec::new(),
             by_mac: HashMap::new(),
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
@@ -158,6 +248,8 @@ impl Network {
             self.by_mac.insert(mac, id).is_none(),
             "duplicate MAC {mac} in network"
         );
+        self.macs.push(mac);
+        self.interests.push(node.interest());
         self.nodes.push(node);
         self.push_event(self.now, EventKind::Start(id));
         id
@@ -318,12 +410,12 @@ impl Network {
         let dst = frame.eth.dst_addr;
         let src = frame.eth.src_addr;
         if dst.is_multicast() {
-            // Broadcast medium: everyone but the sender hears it. The node
-            // list is snapshotted by length so delivery allocates nothing.
-            let count = self.nodes.len();
+            // Broadcast medium: everyone but the sender hears it, and each
+            // node whose interest matches handles it, in ascending id order
+            // so RNG draws interleave as if every node had been called.
             let mut fanout = 0u64;
-            for id in 0..count {
-                if self.nodes[id].mac() == src {
+            for id in 0..self.nodes.len() {
+                if self.macs[id] == src || !self.interests[id].matches(&frame) {
                     continue;
                 }
                 fanout += 1;
@@ -345,6 +437,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::Endpoint;
     use iotlan_wire::ethernet::{build_frame, EtherType, Repr};
 
     /// A node that broadcasts one frame at start and counts receptions.
@@ -352,6 +445,7 @@ mod tests {
         mac: EthernetAddress,
         heard: Vec<Vec<u8>>,
         announce: bool,
+        interest: Interest,
     }
 
     impl Chatter {
@@ -360,13 +454,40 @@ mod tests {
                 mac: EthernetAddress([2, 0, 0, 0, 0, last]),
                 heard: Vec::new(),
                 announce,
+                interest: Interest::everything(),
             }
         }
+
+        /// A silent node at 192.168.10.`last` that acts only on DHCP
+        /// requests (UDP port 67) and on what is addressed to it.
+        fn dhcp_server(last: u8) -> Chatter {
+            Chatter {
+                interest: Interest {
+                    udp_ports: vec![67],
+                    ..Interest::addressed_to(Ipv4Addr::new(192, 168, 10, last))
+                },
+                ..Chatter::new(last, false)
+            }
+        }
+    }
+
+    fn heard(network: &Network, id: NodeId) -> usize {
+        network
+            .node(id)
+            .as_any()
+            .downcast_ref::<Chatter>()
+            .unwrap()
+            .heard
+            .len()
     }
 
     impl Node for Chatter {
         fn mac(&self) -> EthernetAddress {
             self.mac
+        }
+
+        fn interest(&self) -> Interest {
+            self.interest.clone()
         }
 
         fn on_start(&mut self, ctx: &mut Context) {
@@ -435,19 +556,85 @@ mod tests {
         let b = network.add_node(Box::new(Chatter::new(2, false)));
         let c = network.add_node(Box::new(Chatter::new(3, false)));
         network.run_for(SimDuration::from_secs(1));
-        let get = |network: &Network, id: NodeId| {
-            network
-                .node(id)
-                .as_any()
-                .downcast_ref::<Chatter>()
-                .unwrap()
-                .heard
-                .len()
-        };
-        assert_eq!(get(&network, a), 0);
-        assert_eq!(get(&network, b), 1);
-        assert_eq!(get(&network, c), 1);
+        assert_eq!(heard(&network, a), 0);
+        assert_eq!(heard(&network, b), 1);
+        assert_eq!(heard(&network, c), 1);
         assert_eq!(network.capture.len(), 1);
+    }
+
+    #[test]
+    fn broadcast_skips_a_node_whose_interest_does_not_match() {
+        let mut network = Network::new(1);
+        network.add_node(Box::new(Chatter::new(1, true)));
+        let narrow = network.add_node(Box::new(Chatter::dhcp_server(2)));
+        let wide = network.add_node(Box::new(Chatter::new(3, false)));
+        network.run_for(SimDuration::from_secs(1));
+        assert_eq!(heard(&network, narrow), 0);
+        assert_eq!(heard(&network, wide), 1);
+        assert_eq!(network.capture.len(), 1);
+    }
+
+    #[test]
+    fn broadcast_reaches_a_matching_interest_but_not_its_sender() {
+        let mut network = Network::new(1);
+        let sender = network.add_node(Box::new(Chatter::dhcp_server(1)));
+        let narrow = network.add_node(Box::new(Chatter::dhcp_server(2)));
+        let src = Endpoint {
+            mac: EthernetAddress([2, 0, 0, 0, 0, 1]),
+            ip: Ipv4Addr::UNSPECIFIED,
+        };
+        network.inject_frame(stack::udp_broadcast(src, 68, 67, b"discover"));
+        network.run_for(SimDuration::from_secs(1));
+        assert_eq!(heard(&network, sender), 0);
+        assert_eq!(heard(&network, narrow), 1);
+    }
+
+    #[test]
+    fn interest_matches_what_it_declares() {
+        let me = Ipv4Addr::new(192, 168, 10, 2);
+        let peer = Endpoint {
+            mac: EthernetAddress([2, 0, 0, 0, 0, 1]),
+            ip: Ipv4Addr::new(192, 168, 10, 1),
+        };
+        let query = dns::Message::mdns_query(&[("_hue._tcp.local", dns::RecordType::Ptr)]);
+        let response = dns::Message::mdns_response(Vec::new());
+        let mdns = |message: &dns::Message| {
+            stack::udp_multicast(peer, dns::MDNS_GROUP_V4, 5353, 5353, &message.to_bytes())
+        };
+        let other = Ipv4Addr::new(192, 168, 10, 9);
+        let request_for_me = stack::arp_frame(&arp::Repr::request(peer.mac, peer.ip, me));
+        let request_for_other = stack::arp_frame(&arp::Repr::request(peer.mac, peer.ip, other));
+        // A reply to another host, broadcast (a gratuitous ARP).
+        let reply = arp::Repr::reply(peer.mac, peer.ip, EthernetAddress::BROADCAST, other);
+        let reply = stack::arp_frame(&reply);
+        let frames = [
+            (mdns(&query), "mdns query"),
+            (mdns(&response), "mdns response"),
+            (request_for_me, "arp request for me"),
+            (request_for_other, "arp request for another"),
+            (reply, "arp reply"),
+        ];
+        let heard_by = |interest: &Interest| -> Vec<&str> {
+            frames
+                .iter()
+                .filter(|(frame, _)| interest.matches(&stack::dissect(frame).unwrap()))
+                .map(|&(_, name)| name)
+                .collect()
+        };
+        assert_eq!(heard_by(&Interest::everything()).len(), frames.len());
+        assert_eq!(
+            heard_by(&Interest::addressed_to(me)),
+            ["arp request for me"]
+        );
+        let advertiser = Interest {
+            arp_replies: true,
+            mdns_queries: true,
+            ..Interest::addressed_to(me)
+        };
+        assert_eq!(
+            heard_by(&advertiser),
+            ["mdns query", "arp request for me", "arp reply"]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the capture contains the DISCOVER/OFFER/REQUEST/ACK traffic — and the
 //! hostname/vendor-class leaks — that §5.1 analyzes.
 
-use crate::network::{Context, Node};
+use crate::network::{Context, Interest, Node};
 use crate::stack::{self, Dissected, Endpoint};
 use iotlan_wire::dhcpv4;
 use iotlan_wire::dns::{self, Message as DnsMessage, RData, Record};
@@ -199,6 +199,14 @@ impl Router {
 impl Node for Router {
     fn mac(&self) -> EthernetAddress {
         self.endpoint.mac
+    }
+
+    /// DHCP requests, and what is addressed to the gateway.
+    fn interest(&self) -> Interest {
+        Interest {
+            udp_ports: vec![67],
+            ..Interest::addressed_to(self.endpoint.ip)
+        }
     }
 
     fn on_frame(&mut self, ctx: &mut Context, frame: &Dissected<'_>) {

@@ -11,7 +11,8 @@
 use iotlan_wire::compose;
 use iotlan_wire::ethernet::{self, EtherType, EthernetAddress};
 use iotlan_wire::ipv4::{self, Protocol};
-use iotlan_wire::{arp, icmpv4, icmpv6, igmp, ipv6, tcp, udp};
+use iotlan_wire::{arp, dns, icmpv4, icmpv6, igmp, ipv6, ssdp, tcp, udp};
+use std::cell::OnceCell;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Map an IPv4 multicast group to its Ethernet multicast MAC (RFC 1112).
@@ -238,12 +239,41 @@ pub fn udp_multicast_v6(
 }
 
 /// A fully dissected received frame, one layer per field, plus the raw
-/// bytes it was dissected from.
+/// bytes it was dissected from. The UDP payload's mDNS and SSDP parses are
+/// made on first use and shared by every receiver of the delivery.
 #[derive(Debug, Clone)]
 pub struct Dissected<'a> {
     pub frame: &'a [u8],
     pub eth: ethernet::Repr,
     pub content: Content<'a>,
+    dns: OnceCell<Option<dns::Message>>,
+    ssdp: OnceCell<Option<ssdp::Message>>,
+}
+
+impl<'a> Dissected<'a> {
+    /// The UDP payload (over IPv4 or IPv6), if the frame carries one.
+    fn udp_payload(&self) -> Option<&'a [u8]> {
+        match self.content {
+            Content::UdpV4 { payload, .. } | Content::UdpV6 { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
+    /// The UDP payload parsed as a DNS/mDNS message; `None` if the frame
+    /// is not UDP or the payload does not parse. Callers check the port.
+    pub fn dns(&self) -> Option<&dns::Message> {
+        self.dns
+            .get_or_init(|| dns::Message::parse(self.udp_payload()?).ok())
+            .as_ref()
+    }
+
+    /// The UDP payload parsed as an SSDP message; `None` if the frame is
+    /// not UDP or the payload does not parse. Callers check the port.
+    pub fn ssdp(&self) -> Option<&ssdp::Message> {
+        self.ssdp
+            .get_or_init(|| ssdp::Message::parse(self.udp_payload()?).ok())
+            .as_ref()
+    }
 }
 
 /// The transport-level content of a dissected frame.
@@ -406,6 +436,8 @@ pub fn dissect(frame: &[u8]) -> Option<Dissected<'_>> {
         frame,
         eth,
         content,
+        dns: OnceCell::new(),
+        ssdp: OnceCell::new(),
     })
 }
 

@@ -45,6 +45,12 @@ impl Gen {
         }
     }
 
+    /// A full-size generator outside [`run_props`], for a fixed-seed test
+    /// whose scenario costs too much to repeat per case.
+    pub fn seeded(seed: u64) -> Gen {
+        Gen::new(seed, MAX_SIZE)
+    }
+
     /// The underlying generator, for draws the helpers don't cover.
     pub fn rng(&mut self) -> &mut Rng {
         &mut self.rng

@@ -19,6 +19,13 @@ pub const MDNS_GROUP_V4: Ipv4Addr = Ipv4Addr::new(224, 0, 0, 251);
 /// The mDNS IPv6 multicast group (ff02::fb).
 pub const MDNS_GROUP_V6: Ipv6Addr = Ipv6Addr::new(0xff02, 0, 0, 0, 0, 0, 0, 0xfb);
 
+/// Whether `data` can be a query: a full 12-byte header with the QR bit
+/// (byte 2, top bit) clear. Receivers check it before parsing, because a
+/// response is never answered.
+pub fn is_query(data: &[u8]) -> bool {
+    data.len() >= 12 && data[2] & 0x80 == 0
+}
+
 /// Record types supported with typed rdata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
@@ -475,6 +482,9 @@ mod tests {
         assert_eq!(parsed, message);
         assert!(parsed.questions[0].unicast_response);
         assert!(!parsed.questions[1].unicast_response);
+        assert!(is_query(&bytes));
+        assert!(!is_query(&bytes[..11]));
+        assert!(!is_query(&Message::mdns_response(Vec::new()).to_bytes()));
     }
 
     #[test]

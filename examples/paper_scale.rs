@@ -5,7 +5,7 @@
 //! the stream, and the §4/§5/App. D statistics come straight from the
 //! engine's report.
 //!
-//! Five simulated days (13.5 M frames) take 90–106 s of wall time in
+//! Five simulated days (13.5 M frames) take 33–43 s of wall time in
 //! release mode on a 2-core Xeon VM, single-threaded; pass `--quick` for a
 //! one-hour smoke run (daily-event assertions are skipped, since a day
 //! never elapses).
