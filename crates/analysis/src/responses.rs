@@ -69,18 +69,6 @@ pub struct DeviceRecord {
     pub responders: BTreeSet<EthernetAddress>,
 }
 
-impl DeviceRecord {
-    /// Set-union merge; idempotent, so re-observing the same evidence
-    /// (e.g. a flow split across stream windows) cannot change a record.
-    pub fn merge(&mut self, other: &DeviceRecord) {
-        self.discovery_protocols
-            .extend(other.discovery_protocols.iter().cloned());
-        self.protocols_with_response
-            .extend(other.protocols_with_response.iter().cloned());
-        self.responders.extend(other.responders.iter().copied());
-    }
-}
-
 /// Build the Table 4 rows from per-device records: group Echo / Google&Nest
 /// / Apple / Tuya by vendor and the rest by category, then average per
 /// group. Devices with no discovery activity contribute no row.

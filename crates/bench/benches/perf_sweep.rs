@@ -1,28 +1,18 @@
-//! Serial-vs-parallel performance of the crowd-scale pipeline: dataset
-//! generation over households and the multi-seed lab sweep.
+//! Serial-vs-parallel performance of the crowd-scale pipeline (Table 2):
+//! dataset generation over households, then the entropy analysis of that
+//! dataset.
 //!
 //! Besides the usual per-benchmark `{"type":"bench",…}` lines, this target
-//! emits one `{"type":"speedup",…}` JSON line per workload comparing
-//! `IOTLAN_THREADS=1` against `IOTLAN_THREADS=4` on identical inputs — the
-//! CI hook for the ≥2× scaling target. Determinism makes the comparison
-//! honest: both sides produce byte-identical artifacts, so the speedup is
-//! pure scheduling.
+//! emits one `{"type":"speedup",…}` JSON line per stage comparing
+//! `IOTLAN_THREADS=1` against `IOTLAN_THREADS=4` on identical inputs: does
+//! the pool pay for this stage on this host? Determinism makes the
+//! comparison honest: both sides produce byte-identical artifacts, so the
+//! speedup is pure scheduling.
 
 use iotlan_bench::emit_line;
-use iotlan_core::inspector::dataset;
-use iotlan_core::netsim::SimDuration;
-use iotlan_core::{Lab, LabConfig};
+use iotlan_core::inspector::{dataset, entropy};
 use iotlan_util::bench::Criterion;
 use iotlan_util::{json, pool};
-
-fn sweep_config() -> LabConfig {
-    LabConfig {
-        seed: 0,
-        idle_duration: SimDuration::from_mins(2),
-        interactions: 0,
-        with_honeypot: false,
-    }
-}
 
 fn dataset_config(quick: bool) -> dataset::GeneratorConfig {
     dataset::GeneratorConfig {
@@ -43,13 +33,12 @@ fn bench(criterion: &mut Criterion) {
     let dataset_parallel = group.bench_function("dataset_generate/threads4", |b| {
         b.iter(|| pool::with_threads(4, || dataset::generate(&generator)))
     });
-    let base = sweep_config();
-    let seeds: Vec<u64> = (0..if quick { 4 } else { 8 }).collect();
-    let sweep_serial = group.bench_function("lab_sweep/threads1", |b| {
-        b.iter(|| pool::with_threads(1, || Lab::run_sweep(&base, &seeds)))
+    let data = dataset::generate(&generator);
+    let analyze_serial = group.bench_function("entropy_analyze/threads1", |b| {
+        b.iter(|| pool::with_threads(1, || entropy::analyze(&data)))
     });
-    let sweep_parallel = group.bench_function("lab_sweep/threads4", |b| {
-        b.iter(|| pool::with_threads(4, || Lab::run_sweep(&base, &seeds)))
+    let analyze_parallel = group.bench_function("entropy_analyze/threads4", |b| {
+        b.iter(|| pool::with_threads(4, || entropy::analyze(&data)))
     });
     group.finish();
 
@@ -58,7 +47,7 @@ fn bench(criterion: &mut Criterion) {
     // records, so a ~1x result on a single-core host reads as expected.
     for (id, serial, parallel) in [
         ("dataset_generate", dataset_serial, dataset_parallel),
-        ("lab_sweep", sweep_serial, sweep_parallel),
+        ("entropy_analyze", analyze_serial, analyze_parallel),
     ] {
         if let (Some(serial_ns), Some(parallel_ns)) = (serial, parallel) {
             emit_line(

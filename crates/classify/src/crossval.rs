@@ -90,6 +90,10 @@ pub struct Agreement {
 pub struct CrossValidation {
     pub matrix: Matrix,
     pub agreement: Agreement,
+    /// Share of the flows nDPI labelled and tshark labelled differently or
+    /// not at all that nDPI calls SSDP: tshark's SSDP-to-generic errors,
+    /// the paper's "95%" observation.
+    pub ssdp_share: f64,
 }
 
 /// Running tallies for one slice of flows; merged in input order.
@@ -100,6 +104,10 @@ struct Tallies {
     ndpi_labeled: u64,
     disagree: u64,
     neither: u64,
+    /// nDPI labelled, tshark labelled differently or not at all.
+    ndpi_only: u64,
+    /// Of those, the flows nDPI labelled SSDP.
+    ndpi_only_ssdp: u64,
 }
 
 impl Tallies {
@@ -121,6 +129,12 @@ impl Tallies {
         if !n_ok && !t_ok {
             self.neither += 1;
         }
+        if n_ok && (!t_ok || n != t) {
+            self.ndpi_only += 1;
+            if n == labels::SSDP {
+                self.ndpi_only_ssdp += 1;
+            }
+        }
     }
 
     fn merge(&mut self, other: Tallies) {
@@ -129,6 +143,8 @@ impl Tallies {
         self.ndpi_labeled += other.ndpi_labeled;
         self.disagree += other.disagree;
         self.neither += other.neither;
+        self.ndpi_only += other.ndpi_only;
+        self.ndpi_only_ssdp += other.ndpi_only_ssdp;
     }
 
     fn into_crossval(self, flow_count: usize) -> CrossValidation {
@@ -144,6 +160,11 @@ impl Tallies {
                 ndpi_label_count: self.matrix.ndpi_labels().len(),
             },
             matrix: self.matrix,
+            ssdp_share: if self.ndpi_only == 0 {
+                0.0
+            } else {
+                self.ndpi_only_ssdp as f64 / self.ndpi_only as f64
+            },
         }
     }
 }
@@ -158,62 +179,6 @@ pub fn cross_validate(table: &FlowTable) -> CrossValidation {
         Tallies::merge,
     );
     tallies.into_crossval(table.flows.len())
-}
-
-/// Cross-validate a table in `k` contiguous folds, each fold classified
-/// independently across the pool (the Appendix C.2 per-capture-file view:
-/// one fold per pcap shard). Fold boundaries depend only on the flow count,
-/// and results come back in fold order.
-pub fn cross_validate_folds(table: &FlowTable, k: usize) -> Vec<CrossValidation> {
-    let k = k.max(1).min(table.flows.len().max(1));
-    let fold_size = table.flows.len().div_ceil(k);
-    let folds: Vec<&[Flow]> = table.flows.chunks(fold_size.max(1)).collect();
-    pool::par_map(&folds, |_, fold| {
-        let _span = iotlan_telemetry::span!("classify.fold");
-        iotlan_telemetry::counter!("classify.folds").incr();
-        iotlan_telemetry::counter!("classify.fold_flows").add(fold.len() as u64);
-        let mut tallies = Tallies::default();
-        for flow in *fold {
-            tallies.add(flow);
-        }
-        tallies.into_crossval(fold.len())
-    })
-}
-
-/// Count how many of the disagreements are tshark's SSDP-to-generic errors
-/// — the "95%" observation.
-pub fn ssdp_share_of_disagreements(table: &FlowTable) -> f64 {
-    let (disagreements, ssdp_generic) = pool::par_map_reduce(
-        &table.flows,
-        || (0u64, 0u64),
-        |(disagreements, ssdp_generic), _, flow| {
-            let n = ndpi::classify(flow);
-            let t = tshark::classify(flow);
-            if ndpi::is_labeled(n) && tshark::is_labeled(t) && n != t {
-                *disagreements += 1;
-                if n == labels::SSDP {
-                    *ssdp_generic += 1;
-                }
-            }
-            // Also count nDPI-labeled / tshark-generic cases as disagreements
-            // in the paper's sense (tools gave different answers).
-            if ndpi::is_labeled(n) && !tshark::is_labeled(t) {
-                *disagreements += 1;
-                if n == labels::SSDP {
-                    *ssdp_generic += 1;
-                }
-            }
-        },
-        |acc, part| {
-            acc.0 += part.0;
-            acc.1 += part.1;
-        },
-    );
-    if disagreements == 0 {
-        0.0
-    } else {
-        ssdp_generic as f64 / disagreements as f64
-    }
 }
 
 /// A convenience check used by tests and benches: does a flow make both
@@ -296,36 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn folds_partition_the_table() {
-        let mut table = FlowTable::default();
-        let t = SimTime::ZERO;
-        let response =
-            iotlan_wire::ssdp::Message::response("upnp:rootdevice", "u", None, None).to_bytes();
-        for i in 0..11u16 {
-            table.add_frame(
-                t,
-                &stack::udp_unicast(ep(2), ep(1), 1900, 50200 + i * 7, &response),
-            );
-        }
-        let whole = cross_validate(&table);
-        let folds = cross_validate_folds(&table, 3);
-        assert_eq!(folds.len(), 3);
-        assert_eq!(
-            folds.iter().map(|f| f.agreement.total_flows).sum::<u64>(),
-            whole.agreement.total_flows
-        );
-        let mut merged = Matrix::default();
-        for fold in &folds {
-            merged.merge(fold.matrix.clone());
-        }
-        assert_eq!(merged.cells, whole.matrix.cells);
-        assert_eq!(merged.total, whole.matrix.total);
-        // Degenerate fold counts clamp instead of panicking.
-        assert_eq!(cross_validate_folds(&table, 0).len(), 1);
-        assert!(cross_validate_folds(&table, 500).len() <= table.flows.len());
-    }
-
-    #[test]
     fn ssdp_dominates_disagreements() {
         let mut table = FlowTable::default();
         let t = SimTime::ZERO;
@@ -338,7 +273,7 @@ mod tests {
                 &stack::udp_unicast(ep(2), ep(1), 1900, 50100 + i * 3, &response),
             );
         }
-        let share = ssdp_share_of_disagreements(&table);
+        let share = cross_validate(&table).ssdp_share;
         assert!(share > 0.9, "share {share}");
     }
 

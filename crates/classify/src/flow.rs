@@ -296,30 +296,6 @@ impl FlowTable {
         index
     }
 
-    /// Append `other`'s flows as if its frames had followed this table's:
-    /// the result equals one pass over the concatenated frames, with this
-    /// table's timestamp cap.
-    pub fn merge(&mut self, other: &FlowTable) {
-        for theirs in &other.flows {
-            let Some(&index) = self.index.get(&theirs.key) else {
-                self.index.insert(theirs.key, self.flows.len());
-                let mut flow = theirs.clone();
-                flow.timestamps.truncate(self.timestamp_cap);
-                self.flows.push(flow);
-                continue;
-            };
-            let mine = &mut self.flows[index];
-            mine.packets += theirs.packets;
-            mine.bytes += theirs.bytes;
-            mine.last_seen = theirs.last_seen;
-            let room = self.timestamp_cap - mine.timestamps.len();
-            mine.timestamps.extend(theirs.timestamps.iter().take(room));
-            let room = MAX_SAMPLES - mine.payload_samples.len();
-            mine.payload_samples
-                .extend(theirs.payload_samples.iter().take(room).cloned());
-        }
-    }
-
     /// True when every flow kept all of its arrival times.
     pub fn timestamps_complete(&self) -> bool {
         self.flows
@@ -445,23 +421,6 @@ mod tests {
         assert!(table.flows.iter().all(|f| f.timestamps.len() == 5));
         assert!(!table.timestamps_complete());
         assert!(table_of(&mixed_frames(), 8).timestamps_complete());
-    }
-
-    #[test]
-    fn merge_equals_one_pass() {
-        let frames = mixed_frames();
-        for cap in [3, 5, usize::MAX] {
-            let whole = table_of(&frames, cap);
-            for split in [0, 1, 4, 13, frames.len()] {
-                let mut merged = table_of(&frames[..split], cap);
-                merged.merge(&table_of(&frames[split..], cap));
-                assert_eq!(
-                    format!("{:?}", merged.flows),
-                    format!("{:?}", whole.flows),
-                    "cap {cap}, split at {split}"
-                );
-            }
-        }
     }
 
     #[test]

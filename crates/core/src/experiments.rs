@@ -111,14 +111,11 @@ impl Fig2 {
 /// Figure 3: tshark-vs-nDPI cross-validation.
 pub struct Fig3 {
     pub crossval: crossval::CrossValidation,
-    pub ssdp_share: f64,
 }
 
 pub fn fig3_crossval(lab: &Lab) -> Fig3 {
-    let table = lab.flow_table();
     Fig3 {
-        crossval: crossval::cross_validate(&table),
-        ssdp_share: crossval::ssdp_share_of_disagreements(&table),
+        crossval: crossval::cross_validate(&lab.flow_table()),
     }
 }
 
@@ -135,7 +132,7 @@ impl Fig3 {
                 (
                     "SSDP share of disagreements",
                     "95%".into(),
-                    pct(self.ssdp_share),
+                    pct(self.crossval.ssdp_share),
                 ),
             ],
         );
@@ -548,7 +545,7 @@ mod tests {
         assert!((0.6..=0.95).contains(&a.tshark_labeled), "{}", a.tshark_labeled);
         assert!(a.ndpi_label_count >= 5);
         // Paper: ~95% of disagreements are tshark's SSDP failures.
-        assert!(fig3.ssdp_share > 0.8, "{}", fig3.ssdp_share);
+        assert!(fig3.crossval.ssdp_share > 0.8, "{}", fig3.crossval.ssdp_share);
 
         let fig4 = fig4_vendor_clusters(&lab);
         assert!(!fig4.google.edges.is_empty(), "google cluster");

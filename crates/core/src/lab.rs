@@ -49,11 +49,12 @@ impl LabConfig {
         }
     }
 
-    /// The bench config: long enough for daily events to matter.
+    /// The paper's collection (§3.1): five days idle and 7,191
+    /// interactions.
     pub fn paper_scale() -> LabConfig {
         LabConfig {
             seed: 42,
-            idle_duration: SimDuration::from_hours(30),
+            idle_duration: SimDuration::from_days(5),
             interactions: 7_191,
             with_honeypot: true,
         }
@@ -409,100 +410,6 @@ impl Lab {
         manifest.attach_host_info();
         manifest
     }
-
-    /// Run one independent lab per seed — idle capture plus the configured
-    /// interaction script — fanned out across the
-    /// [`pool`](iotlan_util::pool).
-    ///
-    /// Each seed's lab is self-contained (built, run and torn down on one
-    /// worker), and results come back in `seeds` order, so the sweep is a
-    /// pure function of `(base, seeds)` at any `IOTLAN_THREADS`. This is
-    /// the multi-seed experiment runner: confidence intervals over lab
-    /// statistics, seed-sensitivity audits, and the `perf_sweep` bench all
-    /// drive it.
-    pub fn run_sweep(base: &LabConfig, seeds: &[u64]) -> Vec<SweepRun> {
-        iotlan_util::pool::par_map(seeds, |_, &seed| {
-            let _span = iotlan_telemetry::span!("lab.sweep_run");
-            iotlan_telemetry::counter!("lab.sweep_runs").incr();
-            let mut lab = Lab::new(LabConfig { seed, ..base.clone() });
-            lab.run_idle();
-            if lab.config.interactions > 0 {
-                // Fixed span, so a sweep's output depends only on the
-                // config and seed list.
-                lab.run_interactions(SimDuration::from_mins(1));
-            }
-            let flow_count = lab.flow_table().len();
-            SweepRun {
-                seed,
-                flow_count,
-                frame_count: lab.network.capture.len(),
-                capture: lab.network.capture.clone(),
-            }
-        })
-    }
-}
-
-/// One completed run of a multi-seed sweep.
-#[derive(Debug, Clone)]
-pub struct SweepRun {
-    pub seed: u64,
-    pub flow_count: usize,
-    pub frame_count: usize,
-    /// The run's full AP capture; merge across runs with
-    /// [`merge_sweep_captures`].
-    pub capture: iotlan_netsim::Capture,
-}
-
-/// Merge sweep captures in run (== seed) order via the order-stable
-/// [`iotlan_netsim::Capture::merge`], yielding one combined pcap-able
-/// capture that is identical however many threads produced the runs.
-pub fn merge_sweep_captures(runs: &[SweepRun]) -> iotlan_netsim::Capture {
-    let parts: Vec<iotlan_netsim::Capture> =
-        runs.iter().map(|run| run.capture.clone()).collect();
-    iotlan_netsim::Capture::merge(&parts)
-}
-
-/// Manifest for a completed multi-seed sweep: the base configuration, the
-/// per-seed frame/flow counts in seed order, totals, and a digest over
-/// every run's pcap. Deterministic across thread counts because the sweep
-/// itself is (results come back in seed order).
-pub fn sweep_manifest(base: &LabConfig, runs: &[SweepRun]) -> Manifest {
-    let mut manifest = Manifest::new("sweep");
-    manifest.set("base_seed", base.seed);
-    manifest.set("idle_micros", base.idle_duration.as_micros());
-    manifest.set("interactions", u64::from(base.interactions));
-    manifest.set("runs", runs.len() as u64);
-    manifest.set(
-        "total_frames",
-        runs.iter().map(|run| run.frame_count as u64).sum::<u64>(),
-    );
-    manifest.set(
-        "total_flows",
-        runs.iter().map(|run| run.flow_count as u64).sum::<u64>(),
-    );
-    let per_seed = runs
-        .iter()
-        .map(|run| {
-            let mut row = json::Map::new();
-            row.insert("seed".to_string(), json::Value::from(run.seed));
-            row.insert(
-                "frames".to_string(),
-                json::Value::from(run.frame_count as u64),
-            );
-            row.insert(
-                "flows".to_string(),
-                json::Value::from(run.flow_count as u64),
-            );
-            json::Value::Object(row)
-        })
-        .collect();
-    manifest.set("per_seed", json::Value::Array(per_seed));
-    for run in runs {
-        manifest.digest(&format!("seed_{}.pcap", run.seed), &run.capture.to_pcap());
-    }
-    manifest.attach_metrics();
-    manifest.attach_host_info();
-    manifest
 }
 
 #[cfg(test)]
@@ -593,32 +500,6 @@ mod tests {
             "honeypot saw {} interactions",
             honeypot.interactions.len()
         );
-    }
-
-    #[test]
-    fn sweep_runs_in_seed_order_and_merges() {
-        let base = LabConfig {
-            seed: 0,
-            idle_duration: SimDuration::from_mins(1),
-            interactions: 0,
-            with_honeypot: false,
-        };
-        let seeds = [5u64, 6, 7];
-        let runs = Lab::run_sweep(&base, &seeds);
-        assert_eq!(runs.len(), 3);
-        for (run, seed) in runs.iter().zip(seeds) {
-            assert_eq!(run.seed, seed);
-            assert!(run.frame_count > 0);
-            assert!(run.flow_count > 0);
-        }
-        let merged = merge_sweep_captures(&runs);
-        assert_eq!(
-            merged.len(),
-            runs.iter().map(|r| r.frame_count).sum::<usize>()
-        );
-        // Time-sorted.
-        let times: Vec<_> = merged.frames().map(|f| f.time).collect();
-        assert!(times.windows(2).all(|pair| pair[0] <= pair[1]));
     }
 
     #[test]

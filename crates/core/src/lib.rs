@@ -22,7 +22,7 @@
 pub mod experiments;
 pub mod lab;
 
-pub use lab::{merge_sweep_captures, Lab, LabConfig, SweepRun};
+pub use lab::{Lab, LabConfig};
 
 // Re-export the whole toolkit for downstream users.
 pub use iotlan_analysis as analysis;

@@ -225,37 +225,6 @@ impl Capture {
         macs
     }
 
-    /// Merge captures from independent runs into one, ordered by
-    /// timestamp with ties broken by input order (`parts[0]` before
-    /// `parts[1]`, and within a part, original capture order). The sort is
-    /// stable, so the merge is a pure function of the inputs — parallel
-    /// sweeps that collect parts in seed order get byte-identical merged
-    /// pcaps at any thread count.
-    ///
-    /// Both the merged arena and its index are sized up front: the merge
-    /// costs two allocations and copies each frame's bytes exactly once.
-    pub fn merge(parts: &[Capture]) -> Capture {
-        // Sort (part, frame) indices by time; the sort is stable so input
-        // order breaks ties exactly as the old owned-frame merge did.
-        let mut order: Vec<(usize, usize)> = parts
-            .iter()
-            .enumerate()
-            .flat_map(|(p, part)| (0..part.metas.len()).map(move |i| (p, i)))
-            .collect();
-        order.sort_by_key(|&(p, i)| parts[p].metas[i].time);
-
-        let mut merged = Capture::new();
-        merged.reserve(
-            order.len(),
-            parts.iter().map(|part| part.arena.len()).sum(),
-        );
-        for &(p, i) in &order {
-            let frame = parts[p].frame(i);
-            merged.record(frame.time, frame.data());
-        }
-        merged
-    }
-
     /// Replay every recorded frame into `sink`, in record order, without
     /// consuming the capture.
     pub fn stream_into(&self, sink: &mut impl FrameSink) {
@@ -347,28 +316,6 @@ mod tests {
         assert_eq!(packets[0].ts_sec, 1);
         assert_eq!(packets[1].ts_usec, 500_000);
         assert_eq!(packets[0].data, capture.frame(0).data());
-    }
-
-    #[test]
-    fn merge_is_time_ordered_and_stable() {
-        let mut a = Capture::new();
-        a.record(SimTime::from_secs(1), &frame(1, 2));
-        a.record(SimTime::from_secs(3), &frame(1, 3));
-        let mut b = Capture::new();
-        b.record(SimTime::from_secs(1), &frame(2, 1));
-        b.record(SimTime::from_secs(2), &frame(2, 3));
-        let merged = Capture::merge(&[a.clone(), b.clone()]);
-        assert_eq!(merged.len(), 4);
-        // Time order, with the t=1 tie keeping part 0's frame first.
-        assert_eq!(merged.frame(0).data(), a.frame(0).data());
-        assert_eq!(merged.frame(1).data(), b.frame(0).data());
-        assert_eq!(merged.frame(2).data(), b.frame(1).data());
-        assert_eq!(merged.frame(3).data(), a.frame(1).data());
-        // Pure function of the inputs.
-        assert_eq!(
-            Capture::merge(&[a.clone(), b.clone()]).to_pcap(),
-            Capture::merge(&[a, b]).to_pcap()
-        );
     }
 
     #[test]

@@ -40,7 +40,6 @@ use iotlan_analysis::responses::{
 use iotlan_classify::flow::{dissect_frame, Flow, FlowKey, FlowTable};
 use iotlan_devices::Catalog;
 use iotlan_netsim::{Capture, FrameSink, SimTime, FRAME_OVERHEAD};
-use iotlan_util::pool;
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::pcap::PcapStreamReader;
 use std::collections::BTreeMap;
@@ -178,7 +177,7 @@ pub struct StreamReport {
     /// What an in-memory `Capture` of the same packets would occupy —
     /// the baseline for the bounded-memory claim.
     pub streamed_bytes: u64,
-    /// Peak resident streaming state (max across merged shards).
+    /// Peak resident streaming state.
     pub peak_state_bytes: usize,
     /// Distinct flow keys observed.
     pub flow_keys: usize,
@@ -238,27 +237,6 @@ impl StreamReport {
         manifest.attach_host_info();
         manifest
     }
-
-    /// Merge the report of the traffic that followed this report's (call
-    /// in input order). The flow table — and with it Fig. 1/4, Fig. 2 and
-    /// App. D.1 — then equals one pass over the concatenated traffic.
-    /// Table 4 records take the set union, which is exact when the shards
-    /// are disjoint households; a discovery in one shard and its response
-    /// in the next do not match. Peak state takes the max, since shards
-    /// stream concurrently, each within its own bound.
-    pub fn merge(&mut self, other: &StreamReport) {
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-        self.streamed_bytes += other.streamed_bytes;
-        self.peak_state_bytes = self.peak_state_bytes.max(other.peak_state_bytes);
-        self.table.merge(&other.table);
-        self.flow_keys = self.table.len();
-        for (mac, record) in &other.records {
-            self.records.entry(*mac).or_default().merge(record);
-        }
-        self.periodicity_groups = group_events(&self.table);
-        self.periodicity_exact = self.table.timestamps_complete();
-    }
 }
 
 /// Stream one capture through a fresh engine.
@@ -268,57 +246,6 @@ pub fn stream_capture(capture: &Capture, catalog: &Catalog) -> StreamReport {
     engine
         .finish()
         .expect("frame-fed engines cannot fail at finish")
-}
-
-/// Household sharding: stream each capture on the deterministic pool and
-/// merge the reports in input order. With disjoint households (separate
-/// networks, as in the paper's crowd-scale analysis) the merged report
-/// equals streaming the concatenated traffic; the result is bit-identical
-/// at any `IOTLAN_THREADS` setting because per-shard work is independent
-/// and the merge order is the input order.
-pub fn stream_captures_sharded(captures: &[Capture], catalog: &Catalog) -> StreamReport {
-    stream_sharded(captures, catalog, |capture| {
-        Ok(stream_capture(capture, catalog))
-    })
-    .expect("frame-fed engines cannot fail at finish")
-}
-
-/// Pcap-shard variant of [`stream_captures_sharded`]: each shard is a pcap
-/// file image, fed to its engine in `chunk_size`-byte chunks.
-pub fn stream_pcaps_sharded(
-    shards: &[Vec<u8>],
-    chunk_size: usize,
-    catalog: &Catalog,
-) -> Result<StreamReport, iotlan_wire::Error> {
-    let chunk_size = chunk_size.max(1);
-    stream_sharded(shards, catalog, |image| {
-        let mut engine = StreamEngine::new(catalog);
-        for chunk in image.chunks(chunk_size) {
-            engine.push_pcap_chunk(chunk)?;
-        }
-        engine.finish()
-    })
-}
-
-/// Stream every shard on the pool and merge the reports in input order;
-/// no shards give an empty engine's report.
-fn stream_sharded<T: Sync>(
-    shards: &[T],
-    catalog: &Catalog,
-    stream: impl Fn(&T) -> Result<StreamReport, iotlan_wire::Error> + Sync,
-) -> Result<StreamReport, iotlan_wire::Error> {
-    let mut merged: Option<StreamReport> = None;
-    for report in pool::par_map(shards, |_, shard| stream(shard)) {
-        let report = report?;
-        match &mut merged {
-            Some(m) => m.merge(&report),
-            None => merged = Some(report),
-        }
-    }
-    match merged {
-        Some(m) => Ok(m),
-        None => StreamEngine::new(catalog).finish(),
-    }
 }
 
 #[cfg(test)]
@@ -449,26 +376,6 @@ mod tests {
             let report = engine.finish().unwrap();
             assert_eq!(report.packets, whole.packets);
             assert_equivalent(&capture, &catalog, &report);
-        }
-    }
-
-    #[test]
-    fn sharded_merge_is_input_ordered_and_thread_invariant() {
-        let catalog = build_testbed();
-        let capture = synthetic_capture(&catalog);
-        let shards: Vec<Capture> = vec![capture.clone(), capture.clone(), capture];
-        let summarize = |r: &StreamReport| {
-            (
-                r.packets,
-                r.graph(&catalog).render(),
-                r.prevalence(&catalog).render(),
-                r.flow_keys,
-            )
-        };
-        let base = summarize(&stream_captures_sharded(&shards, &catalog));
-        for threads in [1usize, 4] {
-            let report = pool::with_threads(threads, || stream_captures_sharded(&shards, &catalog));
-            assert_eq!(summarize(&report), base);
         }
     }
 

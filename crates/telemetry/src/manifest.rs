@@ -1,11 +1,10 @@
 //! Run manifests: one JSON document per pipeline run.
 //!
 //! Every entry point that does substantial work — a `Lab::run*`, a
-//! `StreamEngine` pass, a multi-seed lab sweep, a scanner or honeypot
-//! campaign — builds a [`Manifest`] describing what it did: the seed and
-//! configuration, per-phase timings, output counts, content digests of
-//! its outputs, and host facts (thread count, allocator stats, pool
-//! accounting).
+//! `StreamEngine` pass, a scanner or honeypot campaign — builds a
+//! [`Manifest`] describing what it did: the seed and configuration,
+//! per-phase timings, output counts, content digests of its outputs, and
+//! host facts (thread count, allocator stats, pool accounting).
 //!
 //! A manifest keeps **deterministic** and **host-volatile** facts apart:
 //!

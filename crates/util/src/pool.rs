@@ -1,23 +1,22 @@
 //! A std-only scoped thread pool with a *deterministic* data-parallel
-//! surface: [`par_map`], [`par_map_range`], [`par_map_reduce`] and the
-//! RNG-carrying [`par_map_rng`].
+//! surface: [`par_map`], [`par_map_range`] and [`par_map_reduce`].
 //!
 //! The whole workspace promises that every artifact is a pure function of
 //! the seed (`tests/determinism.rs`), so parallelism must never leak
-//! scheduling order into results. Three rules make the output bit-identical
+//! scheduling order into results. Two rules make the output bit-identical
 //! regardless of thread count:
 //!
 //! 1. **Static chunking** — work items are grouped into fixed-size chunks
 //!    whose boundaries depend only on the input length (never on
 //!    `IOTLAN_THREADS` or core count). Threads *claim* chunks dynamically,
 //!    but a chunk's contents and identity are scheduling-independent.
-//! 2. **Per-chunk RNG streams** — when the mapped closure needs
-//!    randomness, every chunk receives an independent generator derived by
-//!    [`Rng::split`] from the caller's generator *in chunk order, before
-//!    any thread runs*. Which thread executes the chunk cannot matter.
-//! 3. **Ordered reduction** — mapped results land in pre-assigned slots
+//! 2. **Ordered reduction** — mapped results land in pre-assigned slots
 //!    and are reduced strictly in input order, so even non-commutative
-//!    reductions (string concatenation, capture merging) are stable.
+//!    reductions (string concatenation, confusion-matrix tallies) are
+//!    stable.
+//!
+//! A closure that needs randomness seeds a generator from its item's
+//! index (`Rng::stream(seed, index)`), never from one shared across items.
 //!
 //! Thread count resolves, in priority order: the [`with_threads`] override
 //! (scoped, test/bench-friendly), the `IOTLAN_THREADS` environment
@@ -37,7 +36,6 @@
 //!   thread count; the per-slot *split* is scheduling-dependent and
 //!   reported as host-volatile data only.
 
-use crate::rng::Rng;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -263,10 +261,10 @@ fn merge_worker_stats(slot: usize, worker: &WorkerStats) {
 /// Chunk size for an input of `len` items: a pure function of `len` —
 /// never of the thread count, or chunk boundaries would move with it.
 ///
-/// Small inputs get single-item chunks: a "small" work list here is a few
-/// multi-second lab runs or cross-validation folds, where serializing even
-/// two items wastes a core. Large inputs (households, flows) grow chunks
-/// just enough to bound per-chunk claim overhead at [`MAX_CHUNKS`].
+/// Inputs of up to [`MAX_CHUNKS`] items get single-item chunks, so every
+/// item can be claimed by an idle worker on its own. Larger inputs
+/// (households, flows) grow chunks just enough to bound per-chunk claim
+/// overhead at [`MAX_CHUNKS`].
 fn chunk_size(len: usize) -> usize {
     len.div_ceil(MAX_CHUNKS).max(1)
 }
@@ -381,37 +379,6 @@ where
     par_map_range(items.len(), |index| f(index, &items[index]))
 }
 
-/// Map with randomness: every *chunk* owns an independent RNG stream split
-/// off `rng` in chunk order before the pool starts, so results cannot
-/// depend on which thread ran which chunk. `f` receives the chunk's
-/// generator and must draw from it (and nothing else) for randomness.
-///
-/// Items within one chunk share the chunk's stream sequentially — exactly
-/// like a serial loop over that chunk.
-pub fn par_map_rng<T, R, F>(rng: &mut Rng, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&mut Rng, usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = chunk_size(n);
-    let chunk_count = n.div_ceil(chunk);
-    // Split serially, in chunk order: the derivation is part of the
-    // deterministic contract, never done on workers.
-    let streams: Vec<Mutex<Rng>> = (0..chunk_count).map(|_| Mutex::new(rng.split())).collect();
-    par_map_range(n, |index| {
-        let mut stream = match streams[index / chunk].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut stream, index, &items[index])
-    })
-}
-
 /// Map-reduce with ordered reduction: each chunk folds its mapped items
 /// into a fresh accumulator from `init`, then the per-chunk accumulators
 /// merge strictly in chunk (== input) order. Safe for non-commutative
@@ -472,32 +439,6 @@ mod tests {
         assert_eq!(par_map_range(1, |i| i + 7), vec![7]);
         let none: Vec<u8> = Vec::new();
         assert!(par_map(&none, |_, v: &u8| *v).is_empty());
-        let mut rng = Rng::seed_from_u64(1);
-        assert!(par_map_rng(&mut rng, &none, |_, _, v| *v).is_empty());
-    }
-
-    #[test]
-    fn par_map_rng_is_thread_count_invariant() {
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let mut rng = Rng::seed_from_u64(99);
-                let items: Vec<usize> = (0..1000).collect();
-                par_map_rng(&mut rng, &items, |rng, _, _| rng.next_u64())
-            })
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-        // And the parent generator advances identically.
-        let parent_after = |threads: usize| {
-            with_threads(threads, || {
-                let mut rng = Rng::seed_from_u64(99);
-                let items: Vec<usize> = (0..1000).collect();
-                let _ = par_map_rng(&mut rng, &items, |rng, _, _| rng.next_u64());
-                rng.next_u64()
-            })
-        };
-        assert_eq!(parent_after(1), parent_after(8));
     }
 
     #[test]
@@ -537,6 +478,11 @@ mod tests {
     #[test]
     fn with_threads_restores_on_panic() {
         let _ = std::panic::catch_unwind(|| with_threads(3, || panic!("x")));
+        // Read under the scope lock: another test's open scope would show
+        // its own override.
+        let _scope = OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         assert_eq!(THREAD_OVERRIDE.load(Ordering::Acquire), 0);
     }
 

@@ -10,7 +10,7 @@
 
 /// Advance a SplitMix64 state and return the next output.
 ///
-/// Used for seeding [`Rng`] and for deriving independent streams; also
+/// Used for seeding [`Rng`] and its independent streams; also
 /// usable standalone when a test needs a one-line scrambler.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -47,20 +47,6 @@ impl Rng {
     pub fn stream(seed: u64, stream: u64) -> Rng {
         let mut sm = seed ^ stream.wrapping_mul(0xa076_1d64_78bd_642f);
         let _ = splitmix64(&mut sm); // decorrelate from seed_from_u64(seed)
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        Rng { s }
-    }
-
-    /// Split off an independent child generator, advancing `self`. The
-    /// child's sequence shares no visible structure with the parent's
-    /// continuation — the per-device determinism primitive.
-    pub fn split(&mut self) -> Rng {
-        let mut sm = self.next_u64();
         let s = [
             splitmix64(&mut sm),
             splitmix64(&mut sm),
@@ -287,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn streams_and_splits_are_independent() {
+    fn streams_are_independent() {
         let base: Vec<u64> = {
             let mut r = Rng::seed_from_u64(5);
             (0..8).map(|_| r.next_u64()).collect()
@@ -302,30 +288,18 @@ mod tests {
         };
         assert_ne!(base, s0);
         assert_ne!(s0, s1);
-
-        let mut parent = Rng::seed_from_u64(5);
-        let mut child = parent.split();
-        let child_seq: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        let parent_seq: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        assert_ne!(child_seq, parent_seq);
-        // Replays identically.
-        let mut parent2 = Rng::seed_from_u64(5);
-        let mut child2 = parent2.split();
-        assert_eq!(child_seq, (0..8).map(|_| child2.next_u64()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn split_and_stream_rngs_pairwise_disjoint_over_10k_draws() {
-        // The pool derives one RNG per chunk via split()/stream(); if any
+    fn stream_rngs_pairwise_disjoint_over_10k_draws() {
+        // Parallel generation draws one RNG per item via stream(); if any
         // two streams overlapped within a realistic draw budget, "parallel
         // == serial" would hold while both silently reused randomness.
         // 16 streams × 10k draws = 160k values from a 2^64 space: a single
         // collision has probability ~7e-10, so any overlap means the
         // derivation scheme is broken, not bad luck.
         const DRAWS: usize = 10_000;
-        let mut parent = Rng::seed_from_u64(0x5eed);
-        let mut streams: Vec<Rng> = (0..8).map(|_| parent.split()).collect();
-        streams.extend((0..8).map(|i| Rng::stream(0x5eed, i)));
+        let mut streams: Vec<Rng> = (0..16).map(|i| Rng::stream(0x5eed, i)).collect();
         let mut seen: std::collections::HashSet<u64> =
             std::collections::HashSet::with_capacity(streams.len() * DRAWS);
         for (index, stream) in streams.iter_mut().enumerate() {

@@ -5,7 +5,6 @@
 //! gets exercised.
 
 use iotlan_util::pool;
-use iotlan_util::rng::Rng;
 
 iotlan_util::props! {
     /// Output order equals input order for any (length, thread count).
@@ -34,22 +33,6 @@ iotlan_util::props! {
                     let mut s = salt ^ i as u64;
                     iotlan_util::rng::splitmix64(&mut s)
                 })
-            })
-        };
-        assert_eq!(run(1), run(threads));
-    }
-
-    /// Per-chunk RNG streams make par_map_rng a pure function of
-    /// (seed, input) — never of the thread count.
-    fn par_map_rng_thread_count_invariant(g) {
-        let n = g.len(300);
-        let threads = g.int_in(2..=8usize);
-        let seed = g.u64();
-        let items: Vec<usize> = (0..n).collect();
-        let run = |t: usize| {
-            pool::with_threads(t, || {
-                let mut rng = Rng::seed_from_u64(seed);
-                pool::par_map_rng(&mut rng, &items, |rng, _, _| rng.next_u64())
             })
         };
         assert_eq!(run(1), run(threads));
@@ -99,8 +82,6 @@ iotlan_util::props! {
             let empty: Vec<u8> = Vec::new();
             assert!(pool::par_map(&empty, |_, v| *v).is_empty());
             assert!(pool::par_map_range(0, |i| i).is_empty());
-            let mut rng = Rng::seed_from_u64(7);
-            assert!(pool::par_map_rng(&mut rng, &empty, |_, _, v| *v).is_empty());
             assert_eq!(pool::par_map(&[41u8], |i, v| *v as usize + i), vec![41]);
             assert_eq!(
                 pool::par_map_reduce(&empty, || 0u64, |acc, _, v| *acc += u64::from(*v), |a, b| *a += b),

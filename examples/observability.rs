@@ -15,7 +15,7 @@ use iotlan::netsim::SimDuration;
 use iotlan::scan::scan_catalog;
 use iotlan::stream::engine::stream_capture;
 use iotlan::telemetry::{self, FlameMetric};
-use iotlan::{lab, Lab, LabConfig};
+use iotlan::{Lab, LabConfig};
 use std::fs;
 use std::path::Path;
 
@@ -56,15 +56,7 @@ fn main() {
         .write_to(out_dir.join("lab.json"))
         .expect("write lab manifest");
 
-    // 6. A small multi-seed sweep, fanned over the pool — its spans land
-    //    in worker lanes and still merge deterministically.
-    let base = LabConfig::fast();
-    let runs = Lab::run_sweep(&base, &[1, 2, 3]);
-    lab::sweep_manifest(&base, &runs)
-        .write_to(out_dir.join("sweep.json"))
-        .expect("write sweep manifest");
-
-    // 7. Trace, flamegraph, collapsed stacks — all from the same records.
+    // 6. Trace, flamegraph, collapsed stacks — all from the same records.
     let records = telemetry::take_records();
     let flame = telemetry::build_flame(&records);
     fs::write(

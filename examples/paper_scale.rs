@@ -55,14 +55,14 @@ impl FrameSink for PaperScaleSink {
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let started = std::time::Instant::now();
-    let config = LabConfig {
-        idle_duration: if quick {
-            SimDuration::from_hours(1)
-        } else {
-            SimDuration::from_days(5)
-        },
-        interactions: if quick { 100 } else { 7_191 },
-        ..LabConfig::paper_scale()
+    let config = if quick {
+        LabConfig {
+            idle_duration: SimDuration::from_hours(1),
+            interactions: 100,
+            ..LabConfig::paper_scale()
+        }
+    } else {
+        LabConfig::paper_scale()
     };
     let mut lab = Lab::new(config);
     let echo_mac = lab.catalog.find("Amazon Echo Spot").unwrap().mac;

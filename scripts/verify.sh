@@ -20,8 +20,9 @@
 #    its fourteen artifact ids; perf_wire in --quick mode must emit
 #    machine-readable {"type":"bench",...} JSON lines via the in-tree
 #    harness
-# 6. sweep smoke: perf_sweep in --quick mode must emit its
-#    {"type":"speedup",...} serial-vs-parallel comparison lines
+# 6. sweep smoke: perf_sweep in --quick mode must emit one
+#    {"type":"speedup",...} serial-vs-parallel comparison line for each of
+#    Table 2's stages, dataset_generate and entropy_analyze
 # 7. stream smoke: perf_stream in --quick mode must emit its
 #    {"type":"throughput",...} packet-rate / peak-state lines and its
 #    appd1_periodicity line with its reps and min/max spread; perf_netsim
@@ -98,10 +99,12 @@ fi
 echo "==> sweep smoke: perf_sweep --quick"
 sweep_out=$(cargo bench -p iotlan-bench --bench perf_sweep --offline -- --quick)
 printf '%s\n' "$sweep_out"
-if ! printf '%s\n' "$sweep_out" | grep -q '^{"type":"speedup"'; then
-    echo "verify: FAIL — perf_sweep emitted no speedup JSON lines" >&2
-    exit 1
-fi
+for id in dataset_generate entropy_analyze; do
+    if ! printf '%s\n' "$sweep_out" | grep -qF "{\"type\":\"speedup\",\"id\":\"$id\""; then
+        echo "verify: FAIL — perf_sweep emitted no $id speedup line" >&2
+        exit 1
+    fi
+done
 
 echo "==> stream smoke: perf_stream --quick"
 stream_out=$(cargo bench -p iotlan-bench --bench perf_stream --offline -- --quick)

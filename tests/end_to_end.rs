@@ -38,7 +38,7 @@ fn full_pipeline_produces_all_artifacts() {
 
     // Figure 3: the tools disagree mostly on SSDP.
     let fig3 = experiments::fig3_crossval(&lab);
-    assert!(fig3.ssdp_share > 0.8);
+    assert!(fig3.crossval.ssdp_share > 0.8);
     assert!(fig3.crossval.agreement.ndpi_labeled > fig3.crossval.agreement.tshark_labeled);
 
     // Figure 4: vendor clusters exist and are vendor-pure.

@@ -1,10 +1,9 @@
 //! Streaming/batch equivalence: the single-pass `iotlan-stream` engine
 //! must reproduce the batch pipeline's figure and table outputs exactly —
-//! on a real `Lab` capture, at any pcap chunk size (down to one byte), and
-//! at any `IOTLAN_THREADS` setting for the sharded paths. Table 4's two
-//! feeds (batch in time order, stream in record order) are also checked
-//! against a per-pair cross-join reference, including records that run
-//! behind their stamps.
+//! on a real `Lab` capture and at any pcap chunk size (down to one byte).
+//! Table 4's two feeds (batch in time order, stream in record order) are
+//! also checked against a per-pair cross-join reference, including records
+//! that run behind their stamps.
 
 use iotlan::analysis::responses::{
     discovery_responses, rows_from_records, DeviceRecord, EXCLUDED_PROTOCOLS, HORIZON_SECS,
@@ -15,11 +14,10 @@ use iotlan::classify::{Flow, FlowTable, Transport};
 use iotlan::devices::Catalog;
 use iotlan::netsim::stack::{self, Endpoint};
 use iotlan::netsim::{Capture, SimDuration, SimTime};
-use iotlan::stream::engine::{stream_capture, stream_captures_sharded, stream_pcaps_sharded};
+use iotlan::stream::engine::stream_capture;
 use iotlan::stream::{StreamEngine, StreamReport};
 use iotlan::wire::ethernet::EthernetAddress;
 use iotlan::{Lab, LabConfig};
-use iotlan_util::pool;
 use std::collections::BTreeMap;
 
 /// A small but real lab run: 93 devices idling plus scripted interactions.
@@ -37,24 +35,6 @@ fn lab_capture() -> &'static (Capture, Catalog) {
         lab.run_interactions(SimDuration::from_secs(30));
         (lab.network.capture.clone(), lab.catalog)
     })
-}
-
-/// `capture` cut into three contiguous slices of its record stream.
-fn contiguous_shards(capture: &Capture) -> Vec<Capture> {
-    let third = capture.len() / 3;
-    let ranges = [(0, third), (third, 2 * third), (2 * third, capture.len())];
-    ranges
-        .iter()
-        .map(|&(start, end)| {
-            Capture::from_frames(
-                capture
-                    .frames_from(start)
-                    .take(end - start)
-                    .map(|f| (f.time, f.data().to_vec()))
-                    .collect(),
-            )
-        })
-        .collect()
 }
 
 /// The batch pipeline's rendered artifacts for `capture`.
@@ -282,73 +262,4 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
         assert_eq!(report.packets, capture.len() as u64, "chunk {chunk_size}");
         assert_eq!(report_renders(&report, &catalog), batch, "chunk {chunk_size}");
     }
-}
-
-#[test]
-fn sharded_streaming_is_thread_count_invariant() {
-    let (capture, catalog) = lab_capture();
-    let batch = batch_renders(&capture, &catalog);
-
-    // A single shard is the whole capture: the pooled path must reproduce
-    // the batch artifacts exactly at every worker count.
-    let whole = vec![capture.clone()];
-    for threads in [1usize, 4] {
-        let report = pool::with_threads(threads, || stream_captures_sharded(&whole, &catalog));
-        assert_eq!(
-            report_renders(&report, &catalog),
-            batch,
-            "IOTLAN_THREADS={threads}"
-        );
-    }
-
-    // Multi-shard merges (three contiguous slices of the record stream)
-    // must be a pure function of the shard list, never the worker count.
-    let shards = contiguous_shards(capture);
-    let images: Vec<Vec<u8>> = shards.iter().map(|s| s.to_pcap()).collect();
-    let summarize = |report: &StreamReport| {
-        (
-            report.packets,
-            report.flow_keys,
-            report_renders(report, &catalog),
-        )
-    };
-    let reference = summarize(&pool::with_threads(1, || {
-        stream_captures_sharded(&shards, &catalog)
-    }));
-    for threads in [1usize, 4] {
-        let frame_fed =
-            pool::with_threads(threads, || stream_captures_sharded(&shards, &catalog));
-        assert_eq!(summarize(&frame_fed), reference, "IOTLAN_THREADS={threads}");
-        let pcap_fed = pool::with_threads(threads, || {
-            stream_pcaps_sharded(&images, 4096, &catalog).unwrap()
-        });
-        assert_eq!(summarize(&pcap_fed), reference, "pcap IOTLAN_THREADS={threads}");
-    }
-}
-
-#[test]
-fn merged_contiguous_shards_equal_one_pass() {
-    // Merging flow tables in input order is one pass over the concatenated
-    // frames, so every flow-table artifact survives the split exactly —
-    // including flows whose packets straddle a shard boundary.
-    let (capture, catalog) = lab_capture();
-    let whole = stream_capture(capture, catalog);
-    let merged = stream_captures_sharded(&contiguous_shards(capture), catalog);
-    assert_eq!(merged.packets, whole.packets);
-    assert_eq!(merged.flow_keys, whole.flow_keys);
-    assert_eq!(
-        merged.graph(catalog).render(),
-        whole.graph(catalog).render(),
-        "Fig. 1 graph"
-    );
-    assert_eq!(
-        merged.prevalence(catalog).render(),
-        whole.prevalence(catalog).render(),
-        "Fig. 2 prevalence"
-    );
-    assert!(merged.periodicity_exact && whole.periodicity_exact);
-    assert_eq!(
-        merged.periodicity_groups, whole.periodicity_groups,
-        "App. D.1 event series"
-    );
 }

@@ -20,7 +20,7 @@ use iotlan::netsim::SimDuration;
 use iotlan::scan::scan_catalog;
 use iotlan::stream::engine::stream_capture;
 use iotlan::util::pool;
-use iotlan::{lab, telemetry, Lab, LabConfig};
+use iotlan::{telemetry, Lab, LabConfig};
 
 fn lab_config() -> LabConfig {
     LabConfig {
@@ -33,15 +33,14 @@ fn lab_config() -> LabConfig {
 
 /// Every deterministic artifact the instrumented pipeline emits, rendered
 /// to comparable strings. One call runs the whole stack: lab phases,
-/// active scan, honeypot campaign, streaming pass, the Table 2 entropy
-/// analysis and a pool-fanned sweep (whose spans land in worker lanes).
+/// active scan, honeypot campaign, streaming pass and the pool-fanned
+/// Table 2 entropy analysis.
 #[derive(Debug, PartialEq, Eq)]
 struct Artifacts {
     trace: String,
     flame: String,
     metrics: String,
     lab_manifest: String,
-    sweep_manifest: String,
     stream_manifest: String,
     scan_manifest: String,
     honeypot_manifest: String,
@@ -73,17 +72,6 @@ fn pipeline_artifacts() -> Artifacts {
     });
     let table2 = entropy::analyze(&dataset).render();
 
-    // Sweep with interactions disabled: two extra idle labs fanned over
-    // the pool give worker-lane trace coverage without doubling runtime.
-    let sweep_base = LabConfig {
-        interactions: 0,
-        ..lab_config()
-    };
-    let runs = Lab::run_sweep(&sweep_base, &[7, 8]);
-    let sweep_manifest = lab::sweep_manifest(&sweep_base, &runs)
-        .deterministic_json()
-        .pretty();
-
     let lab_manifest = lab.finish_manifest().deterministic_json().pretty();
 
     let records = telemetry::take_records();
@@ -96,7 +84,6 @@ fn pipeline_artifacts() -> Artifacts {
         flame,
         metrics,
         lab_manifest,
-        sweep_manifest,
         stream_manifest,
         scan_manifest,
         honeypot_manifest,
@@ -139,9 +126,8 @@ fn artifacts_carry_the_instrumentation() {
     let _guard = telemetry::test_guard();
     let artifacts = pool::with_threads(2, pipeline_artifacts);
 
-    // The trace saw real spans, including worker-lane sweep spans.
+    // The trace saw real spans.
     assert!(artifacts.trace.contains("lab.idle"));
-    assert!(artifacts.trace.contains("lab.sweep_run"));
     assert!(artifacts.flame.contains("lab.build"));
 
     // The metric snapshot covers every instrumented layer.
@@ -149,7 +135,6 @@ fn artifacts_carry_the_instrumentation() {
         "netsim.frames_sent",
         "netsim.frames_delivered",
         "devices.mdns_queries",
-        "lab.sweep_runs",
         "stream.packets",
         "stream.flow_keys_created",
         "scan.devices_scanned",
@@ -166,7 +151,6 @@ fn artifacts_carry_the_instrumentation() {
     assert!(artifacts.lab_manifest.contains("\"kind\": \"lab\""));
     assert!(artifacts.lab_manifest.contains("\"idle\""));
     assert!(artifacts.lab_manifest.contains("capture.pcap"));
-    assert!(artifacts.sweep_manifest.contains("\"kind\": \"sweep\""));
     assert!(artifacts.stream_manifest.contains("\"kind\": \"stream_pass\""));
     assert!(artifacts.scan_manifest.contains("\"kind\": \"scan_campaign\""));
     assert!(artifacts.honeypot_manifest.contains("\"kind\": \"honeypot_campaign\""));
@@ -174,7 +158,6 @@ fn artifacts_carry_the_instrumentation() {
     // And none of the deterministic views leak host-volatile facts.
     for rendered in [
         &artifacts.lab_manifest,
-        &artifacts.sweep_manifest,
         &artifacts.stream_manifest,
         &artifacts.scan_manifest,
         &artifacts.honeypot_manifest,
