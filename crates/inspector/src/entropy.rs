@@ -8,10 +8,10 @@
 //! the types in the combination, matching the paper's additive combination
 //! rows: 12.3 ≈ 3.4 + 8.9, 16.7 ≈ 8.9 + 7.8, 20.1 ≈ all three).
 
-use crate::dataset::Dataset;
-use crate::ident;
+use crate::dataset::{Dataset, Device};
+use crate::ident::Exposed;
 use iotlan_util::pool;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which identifier types a device exposed (Table 2's "#" classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,50 +109,61 @@ impl EntropyTable {
     }
 }
 
-/// The identifier values one device exposes in its discovery payloads —
-/// the extraction step of the Table 2 analysis below.
-struct DeviceIdentifiers {
-    class: IdentifierClass,
-    names: Vec<String>,
-    uuids: Vec<String>,
-    macs: Vec<String>,
-}
-
-/// Extract a device's exposed identifiers. `None` when the device carries
-/// no discovery payloads (such devices were never collected and are
-/// excluded from every Table 2 aggregate).
-fn extract_device_identifiers(device: &crate::dataset::Device) -> Option<DeviceIdentifiers> {
-    if device.mdns_responses.is_empty() && device.ssdp_responses.is_empty() {
-        return None;
-    }
-    let text = format!(
-        "{}\n{}",
-        device.mdns_responses.join("\n"),
-        device.ssdp_responses.join("\n")
-    );
-    let names = ident::extract_names(&text);
-    let uuids = ident::extract_uuids(&text);
-    let macs = ident::extract_macs_with_oui(&text, &device.oui);
-    Some(DeviceIdentifiers {
-        class: IdentifierClass {
-            name: !names.is_empty(),
-            uuid: !uuids.is_empty(),
-            mac: !macs.is_empty(),
-        },
-        names,
-        uuids,
-        macs,
-    })
-}
-
+/// One device's share of the analysis: what it is, where it lives, and
+/// the identifiers its discovery responses expose.
 struct DeviceExtraction<'a> {
     household: usize,
-    vendor: &'a str,
-    product: (String, String),
+    /// (vendor, category)
+    product: (&'a str, &'a str),
     class: IdentifierClass,
-    names: Vec<String>,
-    uuids: Vec<String>,
-    macs: Vec<String>,
+    exposed: Exposed<'a>,
+}
+
+/// Identifier types, so that equal text under two types stays two values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Name,
+    Uuid,
+    Mac,
+}
+
+impl<'a> DeviceExtraction<'a> {
+    /// Extract a device's exposed identifiers. `None` when the device
+    /// carries no discovery payloads (such devices were never collected
+    /// and are excluded from every Table 2 aggregate).
+    fn new(household: usize, device: &'a Device) -> Option<DeviceExtraction<'a>> {
+        if device.mdns_responses.is_empty() && device.ssdp_responses.is_empty() {
+            return None;
+        }
+        let responses = device.mdns_responses.iter().chain(&device.ssdp_responses);
+        let exposed = Exposed::scan(responses.map(String::as_str), &device.oui);
+        Some(DeviceExtraction {
+            household,
+            product: (&device.truth_vendor, &device.truth_category),
+            class: IdentifierClass {
+                name: !exposed.names.is_empty(),
+                uuid: !exposed.uuids.is_empty(),
+                mac: !exposed.macs.is_empty(),
+            },
+            exposed,
+        })
+    }
+
+    /// Every identifier value, tagged with its type.
+    fn values(&self) -> impl Iterator<Item = (Kind, &[u8])> {
+        let exposed = &self.exposed;
+        let names = exposed.names.iter().map(|v| (Kind::Name, v.as_bytes()));
+        let uuids = exposed.uuids.iter().map(|v| (Kind::Uuid, &v[..]));
+        let macs = exposed.macs.iter().map(|v| (Kind::Mac, &v[..]));
+        names.chain(uuids).chain(macs)
+    }
+}
+
+/// Sort and deduplicate `values`, leaving the distinct ones.
+fn distinct<T: Ord>(mut values: Vec<T>) -> Vec<T> {
+    values.sort_unstable();
+    values.dedup();
+    values
 }
 
 /// Run the §6.3 analysis.
@@ -167,29 +178,13 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
             household
                 .devices
                 .iter()
-                .filter_map(|device| {
-                    let identifiers = extract_device_identifiers(device)?;
-                    Some(DeviceExtraction {
-                        household: house_index,
-                        vendor: &device.truth_vendor,
-                        product: (device.truth_vendor.clone(), device.truth_category.clone()),
-                        class: identifiers.class,
-                        names: identifiers.names,
-                        uuids: identifiers.uuids,
-                        macs: identifiers.macs,
-                    })
-                })
+                .filter_map(|device| DeviceExtraction::new(house_index, device))
                 .collect()
         });
-    let analyzed_households: BTreeSet<usize> = per_household
-        .iter()
-        .enumerate()
-        .filter(|(_, extractions)| !extractions.is_empty())
-        .map(|(house_index, _)| house_index)
-        .collect();
+    let analyzed_households = per_household.iter().filter(|e| !e.is_empty()).count();
     let extractions: Vec<DeviceExtraction> = per_household.into_iter().flatten().collect();
 
-    // Group by class.
+    // Group by class; each group stays in household order.
     let mut by_class: BTreeMap<IdentifierClass, Vec<&DeviceExtraction>> = BTreeMap::new();
     for extraction in &extractions {
         by_class.entry(extraction.class).or_default().push(extraction);
@@ -198,53 +193,47 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
     // Global per-type value spaces: the paper's entropy is per identifier
     // *type* (name 3.4, UUID 8.9, MAC 7.8 bits) and combination rows add
     // them (12.3 ≈ 3.4+8.9; 16.7 ≈ 8.9+7.8; 20.1 ≈ all three).
-    let mut global_names: BTreeSet<&str> = BTreeSet::new();
-    let mut global_uuids: BTreeSet<&str> = BTreeSet::new();
-    let mut global_macs: BTreeSet<&str> = BTreeSet::new();
-    for extraction in &extractions {
-        global_names.extend(extraction.names.iter().map(String::as_str));
-        global_uuids.extend(extraction.uuids.iter().map(String::as_str));
-        global_macs.extend(extraction.macs.iter().map(String::as_str));
-    }
-    let bits = |n: usize| if n == 0 { 0.0 } else { (n as f64).log2() };
-    let name_bits = bits(global_names.len());
-    let uuid_bits = bits(global_uuids.len());
-    let mac_bits = bits(global_macs.len());
+    let global = distinct(
+        extractions
+            .iter()
+            .flat_map(DeviceExtraction::values)
+            .collect(),
+    );
+    let bits = |kind: Kind| {
+        let n = global.iter().filter(|(k, _)| *k == kind).count();
+        if n == 0 {
+            0.0
+        } else {
+            (n as f64).log2()
+        }
+    };
+    let name_bits = bits(Kind::Name);
+    let uuid_bits = bits(Kind::Uuid);
+    let mac_bits = bits(Kind::Mac);
 
     let mut rows = Vec::new();
     for (class, devices) in &by_class {
-        let products: BTreeSet<&(String, String)> = devices.iter().map(|d| &d.product).collect();
-        let vendors: BTreeSet<&str> = devices.iter().map(|d| d.vendor).collect();
-        let households: BTreeSet<usize> = devices.iter().map(|d| d.household).collect();
+        let products = distinct(devices.iter().map(|d| d.product).collect());
+        let vendors = distinct(products.iter().map(|(vendor, _)| *vendor).collect());
 
-        // Per-household identifier value sets (for uniqueness).
-        let mut per_household: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
-        for device in devices {
-            let entry = per_household.entry(device.household).or_default();
-            for v in &device.names {
-                entry.insert(format!("n:{v}"));
-            }
-            for v in &device.uuids {
-                entry.insert(format!("u:{v}"));
-            }
-            for v in &device.macs {
-                entry.insert(format!("m:{v}"));
-            }
-        }
+        // Per-household identifier value sets (for uniqueness), each
+        // sorted: a household's devices are one run of `devices`.
+        let mut signatures: Vec<Vec<(Kind, &[u8])>> = devices
+            .chunk_by(|a, b| a.household == b.household)
+            .map(|run| distinct(run.iter().flat_map(|d| d.values()).collect()))
+            .collect();
+        let households = signatures.len();
         // Uniqueness: households whose value-set is unique among this row's
         // households.
-        let mut signature_counts: BTreeMap<&BTreeSet<String>, usize> = BTreeMap::new();
-        for values in per_household.values() {
-            *signature_counts.entry(values).or_insert(0) += 1;
-        }
-        let unique_households = per_household
-            .values()
-            .filter(|values| signature_counts[*values] == 1 && !values.is_empty())
+        signatures.sort_unstable();
+        let unique_households = signatures
+            .chunk_by(|a, b| a == b)
+            .filter(|same| same.len() == 1 && !same[0].is_empty())
             .count();
         let unique_fraction = if class.count() == 0 {
             0.0
         } else {
-            unique_households as f64 / households.len().max(1) as f64
+            unique_households as f64 / households.max(1) as f64
         };
 
         let mut entropy_bits = 0.0;
@@ -263,7 +252,7 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
             products: products.len(),
             vendors: vendors.len(),
             devices: devices.len(),
-            households: households.len(),
+            households,
             unique_fraction,
             entropy_bits,
         });
@@ -271,7 +260,7 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
 
     EntropyTable {
         rows,
-        analyzed_households: analyzed_households.len(),
+        analyzed_households,
         analyzed_devices: extractions.len(),
     }
 }

@@ -3,12 +3,14 @@
 #
 #   ./scripts/bench_perf.sh [--quick]
 #
-# Runs the four perf benches — perf_netsim, perf_stream, perf_wire,
-# perf_telemetry — and appends every machine-readable
-# {"type":"throughput",...} and {"type":"overhead",...} JSON line they
-# emit to BENCH_perf.json (one JSON object per line, append-only), so the
-# repo carries its own performance trajectory across commits — including
-# the telemetry layer's enabled-vs-disabled overhead claim. The
+# Runs the five perf benches — perf_netsim, perf_stream, perf_wire,
+# perf_telemetry, perf_sweep — and appends every machine-readable
+# {"type":"throughput",...}, {"type":"overhead",...} and
+# {"type":"speedup",...} JSON line they emit to BENCH_perf.json (one JSON
+# object per line, append-only), so the repo carries its own performance
+# trajectory across commits — including the telemetry layer's
+# enabled-vs-disabled overhead claim and Table 2's serial and parallel
+# stage times. The
 # per-benchmark {"type":"bench",...} medians are printed but not recorded:
 # the trajectory tracks end-to-end rates, not harness samples.
 #
@@ -39,7 +41,7 @@ run_bench() {
     # shellcheck disable=SC2086  # $quick is intentionally word-split ('' or --quick)
     bench_out=$(cargo bench -p iotlan-bench --bench "$name" --offline -- $quick)
     printf '%s\n' "$bench_out"
-    printf '%s\n' "$bench_out" | grep -E '^\{"type":"(throughput|overhead)"' |
+    printf '%s\n' "$bench_out" | grep -E '^\{"type":"(throughput|overhead|speedup)"' |
         sed "s/}\$/$stamp/" >>"$out" || true
 }
 
@@ -47,6 +49,7 @@ run_bench perf_netsim
 run_bench perf_stream
 run_bench perf_wire
 run_bench perf_telemetry
+run_bench perf_sweep
 
 lines=$(grep -cE '^\{"type":"(throughput|speedup|overhead)"' "$out")
 echo "bench_perf: $out now holds $lines trajectory lines"

@@ -22,7 +22,8 @@
 #    harness
 # 6. sweep smoke: perf_sweep in --quick mode must emit one
 #    {"type":"speedup",...} serial-vs-parallel comparison line for each of
-#    Table 2's stages, dataset_generate and entropy_analyze
+#    Table 2's stages, dataset_generate and entropy_analyze, each with its
+#    reps and min/max spread
 # 7. stream smoke: perf_stream in --quick mode must emit its
 #    {"type":"throughput",...} packet-rate / peak-state lines and its
 #    appd1_periodicity line with its reps and min/max spread; perf_netsim
@@ -100,10 +101,18 @@ echo "==> sweep smoke: perf_sweep --quick"
 sweep_out=$(cargo bench -p iotlan-bench --bench perf_sweep --offline -- --quick)
 printf '%s\n' "$sweep_out"
 for id in dataset_generate entropy_analyze; do
-    if ! printf '%s\n' "$sweep_out" | grep -qF "{\"type\":\"speedup\",\"id\":\"$id\""; then
+    sweep_line=$(printf '%s\n' "$sweep_out" |
+        grep -F "{\"type\":\"speedup\",\"id\":\"$id\"" || true)
+    if [ -z "$sweep_line" ]; then
         echo "verify: FAIL — perf_sweep emitted no $id speedup line" >&2
         exit 1
     fi
+    for key in reps min max; do
+        if ! printf '%s\n' "$sweep_line" | grep -qF "\"$key\":"; then
+            echo "verify: FAIL — perf_sweep emitted no $id speedup line with \"$key\"" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "==> stream smoke: perf_stream --quick"

@@ -165,13 +165,21 @@ fn fast_seed42_artifacts() -> Vec<(&'static str, Vec<u8>)> {
     artifacts
 }
 
-/// Table 2 rendered over a 400-household synthetic Inspector dataset.
-fn table2_render() -> String {
+/// A 400-household synthetic Inspector dataset, whole (its `Debug` form,
+/// so every generated field is pinned, not only what Table 2 renders),
+/// and Table 2 rendered over it.
+fn table2_artifacts() -> [(&'static str, Vec<u8>); 2] {
     let dataset = generate(&GeneratorConfig {
         seed: 0xc0ffee,
         households: 400,
     });
-    entropy::analyze(&dataset).render()
+    [
+        ("households400.dataset", format!("{dataset:?}").into_bytes()),
+        (
+            "table2_households400.render",
+            entropy::analyze(&dataset).render().into_bytes(),
+        ),
+    ]
 }
 
 #[test]
@@ -182,8 +190,8 @@ fn artifacts_match_the_golden_digests() {
     artifacts.extend([
         ("small_seed1312.pcap", small_pcap),
         ("small_seed1312.report", small_report.into_bytes()),
-        ("table2_households400.render", table2_render().into_bytes()),
     ]);
+    artifacts.extend(table2_artifacts());
     let pinned: Vec<(&str, &str)> = GOLDEN
         .lines()
         .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
