@@ -1,6 +1,10 @@
 //! One entry point per table/figure of the paper (the DESIGN.md experiment
 //! index). Each function computes the artifact from lab/scan/app/inspector
 //! data and renders a paper-vs-measured comparison block.
+//!
+//! The flow-fed artifacts (Figs. 1–4, Tables 1/4/5, §5.1 and App. D.1)
+//! share one flow table per capture state through [`Lab::flow_table`]: a
+//! regeneration that runs them back to back assembles the capture once.
 
 use crate::lab::Lab;
 use iotlan_analysis::report::{paper_vs_measured, pct};

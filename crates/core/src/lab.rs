@@ -13,6 +13,7 @@
 //!   a time.
 
 use iotlan_apps::{AppConfig, Phone};
+use iotlan_classify::FlowTable;
 use iotlan_devices::{build_testbed, Catalog, Device};
 use iotlan_honeypot::Honeypot;
 use iotlan_netsim::router::{Router, GATEWAY_MAC};
@@ -23,8 +24,10 @@ use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::{tcp, tplink};
 use iotlan_util::json;
 use iotlan_util::rng::Rng;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// Lab configuration.
 #[derive(Debug, Clone)]
@@ -72,6 +75,9 @@ pub struct Lab {
     pub manifest: Manifest,
     phone_id: Option<NodeId>,
     interaction_rng: Rng,
+    /// [`Lab::flow_table`]'s memo: the capture generation and length it
+    /// was built at, and the table.
+    flows: RefCell<Option<(u64, usize, Rc<FlowTable>)>>,
 }
 
 /// MAC/IP of the lab's interaction controller (stands in for the paired
@@ -122,6 +128,7 @@ impl Lab {
             honeypot_id,
             manifest,
             phone_id: None,
+            flows: RefCell::new(None),
         }
     }
 
@@ -365,9 +372,26 @@ impl Lab {
             .map(|id| self.network.node(id).as_any().downcast_ref::<Honeypot>().unwrap())
     }
 
-    /// Assemble the capture into flows.
-    pub fn flow_table(&self) -> iotlan_classify::FlowTable {
-        iotlan_classify::FlowTable::from_capture(&self.network.capture)
+    /// The capture assembled into flows, built once per capture state and
+    /// shared by every caller until the capture changes.
+    ///
+    /// The table is memoized under the capture's `(generation, len)`. The
+    /// generation changes whenever the capture stops being an append-only
+    /// extension of itself (it is drained, cloned or replaced), so an equal
+    /// key means identical frames. On any other key the table is rebuilt
+    /// from the whole capture.
+    pub fn flow_table(&self) -> Rc<FlowTable> {
+        let capture = &self.network.capture;
+        let (generation, len) = (capture.generation(), capture.len());
+        let mut memo = self.flows.borrow_mut();
+        if let Some((at_generation, at_len, table)) = &*memo {
+            if (*at_generation, *at_len) == (generation, len) {
+                return Rc::clone(table);
+            }
+        }
+        let table = Rc::new(FlowTable::from_capture(capture));
+        *memo = Some((generation, len, Rc::clone(&table)));
+        table
     }
 
     /// Seal and return this run's manifest: output counts, per-device
@@ -558,6 +582,44 @@ mod tests {
             report.discovery_response_rows(&batch.catalog),
             iotlan_analysis::responses::discovery_responses(&table, &batch.catalog)
         );
+    }
+
+    #[test]
+    fn flow_table_is_built_once_per_capture_state() {
+        let mut lab = Lab::new(LabConfig {
+            seed: 5,
+            idle_duration: SimDuration::from_secs(40),
+            interactions: 0,
+            with_honeypot: false,
+        });
+        lab.run_idle();
+        let first = lab.flow_table();
+        assert!(Rc::ptr_eq(&first, &lab.flow_table()), "no simulation, no rebuild");
+
+        // The capture grows: the memo rebuilds to what a fresh build gives.
+        let before = lab.network.capture.len();
+        lab.network.run_for(SimDuration::from_secs(20));
+        assert!(lab.network.capture.len() > before);
+        let grown = lab.flow_table();
+        assert!(!Rc::ptr_eq(&first, &grown));
+        let fresh = FlowTable::from_capture(&lab.network.capture);
+        assert_eq!(format!("{:?}", grown.flows), format!("{:?}", fresh.flows));
+
+        // A replaced capture of the same length and bytes, in another
+        // order: a length-only key would hand back the stale table.
+        let mut frames: Vec<_> = lab
+            .network
+            .capture
+            .frames()
+            .map(|f| (f.time, f.data().to_vec()))
+            .collect();
+        frames.reverse();
+        lab.network.capture = iotlan_netsim::Capture::from_frames(frames);
+        let replaced = lab.flow_table();
+        assert!(!Rc::ptr_eq(&grown, &replaced));
+        let fresh = FlowTable::from_capture(&lab.network.capture);
+        assert_eq!(format!("{:?}", replaced.flows), format!("{:?}", fresh.flows));
+        assert_ne!(format!("{:?}", replaced.flows), format!("{:?}", grown.flows));
     }
 
     #[test]

@@ -12,10 +12,23 @@
 //! whole capture is two allocations no matter how many frames it holds.
 //! Consumers see frames through the borrowed [`FrameRef`] view, which keeps
 //! the `src_mac`/`dst_mac` accessors of the old owning frame type.
+//!
+//! Each capture also carries a **generation**, so that a consumer can tell
+//! whether it has seen this capture's frames before (see
+//! [`Capture::generation`]).
 
 use crate::time::SimTime;
 use iotlan_wire::ethernet::{EthernetAddress, Frame};
 use iotlan_wire::pcap::write_pcap_refs;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`Capture::generation`] values, process-wide so that no two
+/// captures ever share one.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(0);
+
+fn next_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Index record for one frame in the arena: 16 bytes per frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,17 +125,65 @@ pub trait FrameSink {
 }
 
 /// The full promiscuous capture at the AP, arena-backed.
-#[derive(Debug, Default, Clone)]
 pub struct Capture {
     /// Every frame's bytes, back to back in record order.
     arena: Vec<u8>,
     /// One index record per frame, in record order.
     metas: Vec<FrameMeta>,
+    /// See [`Capture::generation`].
+    generation: u64,
+}
+
+impl Default for Capture {
+    fn default() -> Capture {
+        Capture {
+            arena: Vec::new(),
+            metas: Vec::new(),
+            generation: next_generation(),
+        }
+    }
+}
+
+/// A clone is a new generation: the original and the clone may each be
+/// extended with different frames from here on.
+impl Clone for Capture {
+    fn clone(&self) -> Capture {
+        Capture {
+            arena: self.arena.clone(),
+            metas: self.metas.clone(),
+            generation: next_generation(),
+        }
+    }
+}
+
+/// The frames only: two captures of the same frames print alike whatever
+/// their generations.
+impl std::fmt::Debug for Capture {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Capture")
+            .field("arena", &self.arena)
+            .field("metas", &self.metas)
+            .finish()
+    }
 }
 
 impl Capture {
     pub fn new() -> Capture {
         Capture::default()
+    }
+
+    /// This capture's generation, unique in the process. It is drawn anew
+    /// whenever the capture stops being an append-only extension of what it
+    /// held before: at construction, on `clone` and on
+    /// [`drain_into`](Capture::drain_into). Recording a frame keeps it.
+    ///
+    /// So two observations of one capture with equal `(generation(),
+    /// len())` saw identical frames, and a consumer may key a result
+    /// derived from the frames on that pair. The length alone is not such
+    /// a key: a drained and refilled capture, or another capture of the
+    /// same size, holds different frames.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Pre-size the capture for `frames` frames totalling `bytes` frame
@@ -239,12 +300,14 @@ impl Capture {
     /// windows and drains between them never holds more than one window of
     /// frames, no matter how long the run. The arena's capacity is kept, so
     /// steady-state windowed runs record and drain without allocating.
+    /// The emptied capture is a new [generation](Capture::generation).
     pub fn drain_into(&mut self, sink: &mut impl FrameSink) {
         for frame in self.frames() {
             sink.on_frame(frame.time, frame.data());
         }
         self.arena.clear();
         self.metas.clear();
+        self.generation = next_generation();
     }
 
     /// Export the whole capture as a pcap file image.
@@ -352,6 +415,30 @@ mod tests {
         let mac1 = EthernetAddress([2, 0, 0, 0, 0, 1]);
         let packets = read_pcap(&capture.to_pcap_for_mac(mac1)).unwrap();
         assert_eq!(packets.len(), 1);
+    }
+
+    #[test]
+    fn generation_changes_wherever_frames_stop_extending() {
+        struct Discard;
+        impl FrameSink for Discard {
+            fn on_frame(&mut self, _: SimTime, _: &[u8]) {}
+        }
+        let mut first = Capture::new();
+        let second = Capture::new();
+        assert_ne!(first.generation(), second.generation());
+        assert_ne!(Capture::default().generation(), second.generation());
+
+        let before = first.generation();
+        first.record(SimTime::from_secs(1), &frame(1, 2));
+        assert_eq!(first.generation(), before, "recording extends the capture");
+        let clone = first.clone();
+        assert_ne!(clone.generation(), first.generation());
+        assert_eq!(format!("{clone:?}"), format!("{first:?}"), "Debug shows frames only");
+
+        first.drain_into(&mut Discard);
+        assert_ne!(first.generation(), before);
+        assert_ne!(first.generation(), clone.generation());
+        assert_ne!(first.generation(), second.generation());
     }
 
     #[test]

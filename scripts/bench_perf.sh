@@ -3,8 +3,8 @@
 #
 #   ./scripts/bench_perf.sh [--quick]
 #
-# Runs the five perf benches — perf_netsim, perf_stream, perf_wire,
-# perf_telemetry, perf_sweep — and appends every machine-readable
+# Runs the six perf benches — perf_netsim, perf_stream, perf_classify,
+# perf_wire, perf_telemetry, perf_sweep — and appends every machine-readable
 # {"type":"throughput",...}, {"type":"overhead",...} and
 # {"type":"speedup",...} JSON line they emit to BENCH_perf.json (one JSON
 # object per line, append-only), so the repo carries its own performance
@@ -47,6 +47,7 @@ run_bench() {
 
 run_bench perf_netsim
 run_bench perf_stream
+run_bench perf_classify
 run_bench perf_wire
 run_bench perf_telemetry
 run_bench perf_sweep

@@ -20,6 +20,7 @@ use iotlan::stream::engine::stream_capture;
 use iotlan::telemetry::fnv1a64;
 use iotlan::{Lab, LabConfig};
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 const GOLDEN: &str = include_str!("golden.txt");
 
@@ -71,6 +72,7 @@ fn fast_seed42_artifacts() -> Vec<(&'static str, Vec<u8>)> {
     let apps: Vec<_> = build_population().into_iter().take(APP_COUNT).collect();
     lab.deploy_phone(apps);
     let census = AppCensusReport::from_runs(&lab.run_app_tests(APP_COUNT));
+    let flows = lab.flow_table();
     let stream = stream_capture(&lab.network.capture, &lab.catalog);
 
     let mut table5 = String::new();
@@ -161,6 +163,10 @@ fn fast_seed42_artifacts() -> Vec<(&'static str, Vec<u8>)> {
             responses::render(&stream.discovery_response_rows(&lab.catalog)).into_bytes(),
         ),
     ];
+    assert!(
+        Rc::ptr_eq(&flows, &lab.flow_table()),
+        "every artifact of the regeneration shares one flow table"
+    );
     artifacts.extend(renders);
     artifacts
 }
