@@ -2,6 +2,13 @@
 //! (Monkey-style, §3.2), generates each app's local traffic, harvests the
 //! responses, and produces [`TestRun`] records with taint-tracked
 //! exfiltration.
+//!
+//! Devices resend the same mDNS and SSDP responses throughout a run, so the
+//! phone harvests each distinct response once: a memo keyed on the exact
+//! UDP payload bytes holds what the payload yielded, and a repeat copies
+//! those items instead of parsing and scanning again. The per-app gates and
+//! the mDNS source MAC stay per frame, since they depend on the app under
+//! test and on the frame, not on the payload.
 
 use crate::android::{evaluate_access, AndroidApi};
 use crate::app::{AppBehavior, AppConfig};
@@ -16,11 +23,17 @@ use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::tls::{Handshake, Version as TlsVersion};
 use iotlan_wire::{arp, dns, icmpv4, ssdp, tcp, tplink, tuya};
 use std::any::Any;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Per-app test window. The paper exercises each app ~5 wall-clock
 /// minutes; the network-relevant behaviour compresses into seconds.
 pub const APP_WINDOW: SimDuration = SimDuration(2_000_000);
+
+/// Exact response payload bytes → what the payload yields to the harvest:
+/// its items in scan order, or `None` when it is not a parseable response.
+/// Boxed slices, so a lookup borrows the frame's payload without allocating.
+type ResponseMemo = HashMap<Box<[u8]>, Option<Vec<Harvested>>>;
 
 /// The instrumented phone node.
 pub struct Phone {
@@ -34,6 +47,12 @@ pub struct Phone {
     current: Option<usize>,
     current_protocols: Vec<&'static str>,
     current_harvest: Vec<Harvested>,
+    /// The harvest memo, one map per protocol (mDNS, SSDP), kept for the
+    /// phone's lifetime. The key is the full payload, never a digest, so
+    /// two frames share an entry only when their payloads are identical;
+    /// the memo holds one entry per distinct payload heard.
+    mdns_memo: ResponseMemo,
+    ssdp_memo: ResponseMemo,
     /// Completed runs.
     pub runs: Vec<TestRun>,
 }
@@ -56,6 +75,8 @@ impl Phone {
             current: None,
             current_protocols: Vec::new(),
             current_harvest: Vec::new(),
+            mdns_memo: HashMap::new(),
+            ssdp_memo: HashMap::new(),
             runs: Vec::new(),
         }
     }
@@ -69,6 +90,12 @@ impl Phone {
     /// periodic broadcasts like TuyaLP's 10-second cadence).
     pub fn set_window(&mut self, window: SimDuration) {
         self.window = window;
+    }
+
+    /// Distinct (protocol, payload) pairs in the harvest memo: every mDNS
+    /// and SSDP payload the phone has examined, responses or not.
+    pub fn memoized_responses(&self) -> usize {
+        self.mdns_memo.len() + self.ssdp_memo.len()
     }
 
     /// Total sim time needed to exercise `n` apps.
@@ -407,30 +434,70 @@ impl Phone {
         }
         out
     }
+}
 
-    fn harvest_text(&mut self, source_protocol: &'static str, text: &str) {
-        for mac in extract_macs(text) {
-            self.current_harvest.push(Harvested {
-                data: DataType::DeviceMac,
-                value: mac,
-                source_protocol,
-            });
-        }
-        for uuid in extract_uuids(text) {
-            self.current_harvest.push(Harvested {
-                data: DataType::DeviceUuid,
-                value: uuid,
-                source_protocol,
-            });
-        }
-        for name in extract_possessive_names(text) {
-            self.current_harvest.push(Harvested {
-                data: DataType::DisplayName,
-                value: name,
-                source_protocol,
-            });
-        }
+/// Push what a response `payload` yields onto `harvest`, parsing and
+/// scanning it only the first time the phone hears these exact bytes.
+/// Returns whether the payload is a parseable response.
+fn harvest_response(
+    memo: &mut ResponseMemo,
+    harvest: &mut Vec<Harvested>,
+    payload: &[u8],
+    parse: impl FnOnce() -> Option<Vec<Harvested>>,
+) -> bool {
+    if let Some(items) = memo.get(payload) {
+        iotlan_telemetry::counter!("apps.harvest_reuses").incr();
+        harvest.extend_from_slice(items.as_deref().unwrap_or_default());
+        return items.is_some();
     }
+    iotlan_telemetry::counter!("apps.harvest_parses").incr();
+    let items = parse();
+    harvest.extend_from_slice(items.as_deref().unwrap_or_default());
+    let is_response = items.is_some();
+    memo.insert(payload.into(), items);
+    is_response
+}
+
+/// The items an mDNS response yields; `None` for a query or for bytes
+/// that do not parse.
+fn mdns_items(frame: &Dissected<'_>) -> Option<Vec<Harvested>> {
+    let message = frame.dns().filter(|message| message.is_response)?;
+    Some(text_items("mDNS", &message.text_content().join(" ")))
+}
+
+/// The items an SSDP message yields, ending with its UPnP descriptor (the
+/// text's first 120 chars); `None` for bytes that do not parse.
+fn ssdp_items(frame: &Dissected<'_>) -> Option<Vec<Harvested>> {
+    let text = frame.ssdp()?.text_content().join(" ");
+    let mut items = text_items("SSDP", &text);
+    items.push(Harvested {
+        data: DataType::UpnpDescriptor,
+        value: text.chars().take(120).collect(),
+        source_protocol: "SSDP",
+    });
+    Some(items)
+}
+
+/// The MACs, UUIDs and possessive display names in a response's text, in
+/// that order.
+fn text_items(source_protocol: &'static str, text: &str) -> Vec<Harvested> {
+    let macs = extract_macs(text)
+        .into_iter()
+        .map(|v| (DataType::DeviceMac, v));
+    let uuids = extract_uuids(text)
+        .into_iter()
+        .map(|v| (DataType::DeviceUuid, v));
+    let names = extract_possessive_names(text)
+        .into_iter()
+        .map(|v| (DataType::DisplayName, v));
+    macs.chain(uuids)
+        .chain(names)
+        .map(|(data, value)| Harvested {
+            data,
+            value,
+            source_protocol,
+        })
+        .collect()
 }
 
 fn base64ish(text: &str) -> String {
@@ -484,29 +551,28 @@ impl Node for Phone {
                 // mDNS responses — only a registered NsdManager listener
                 // receives them.
                 if (sport == dns::MDNS_PORT || dport == dns::MDNS_PORT) && gate_mdns {
-                    if let Some(message) = frame.dns() {
-                        if message.is_response {
-                            let text = message.text_content().join(" ");
-                            self.harvest_text("mDNS", &text);
-                            // mDNS source MAC is itself an identifier.
-                            self.current_harvest.push(Harvested {
-                                data: DataType::DeviceMac,
-                                value: src_mac.to_string(),
-                                source_protocol: "mDNS",
-                            });
-                        }
+                    let is_response = harvest_response(
+                        &mut self.mdns_memo,
+                        &mut self.current_harvest,
+                        payload,
+                        || mdns_items(frame),
+                    );
+                    if is_response {
+                        // mDNS source MAC is itself an identifier.
+                        self.current_harvest.push(Harvested {
+                            data: DataType::DeviceMac,
+                            value: src_mac.to_string(),
+                            source_protocol: "mDNS",
+                        });
                     }
                 } else if sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT && gate_ssdp {
                     // Unicast SSDP response to our M-SEARCH.
-                    if let Some(message) = frame.ssdp() {
-                        let text = message.text_content().join(" ");
-                        self.harvest_text("SSDP", &text);
-                        self.current_harvest.push(Harvested {
-                            data: DataType::UpnpDescriptor,
-                            value: text.chars().take(120).collect(),
-                            source_protocol: "SSDP",
-                        });
-                    }
+                    harvest_response(
+                        &mut self.ssdp_memo,
+                        &mut self.current_harvest,
+                        payload,
+                        || ssdp_items(frame),
+                    );
                 } else if sport == tplink::SHP_PORT && gate_tplink {
                     if let Ok(message) = tplink::Message::from_udp_bytes(payload) {
                         if let Some(info) = message.sysinfo() {
@@ -598,12 +664,17 @@ mod tests {
     use crate::app::{named_apps, AppCategory};
     use crate::appcensus::AppCensusReport;
     use iotlan_devices::{build_testbed, Device};
-    use iotlan_netsim::router::Router;
-    use iotlan_netsim::Network;
+    use iotlan_netsim::router::{Router, GATEWAY_MAC};
+    use iotlan_netsim::{Network, NodeId};
+    use iotlan_util::check::Gen;
+    use std::collections::BTreeSet;
+    use std::sync::OnceLock;
 
     fn phone_mac() -> EthernetAddress {
         EthernetAddress([0x02, 0x91, 0x0e, 0x00, 0x00, 0x01])
     }
+
+    const PHONE_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 10, 240);
 
     /// A small testbed: router + a handful of signature devices.
     fn mini_network(apps: Vec<AppConfig>) -> (Network, iotlan_netsim::NodeId) {
@@ -620,13 +691,7 @@ mod tests {
             let config = catalog.find(name).unwrap().clone();
             network.add_node(Box::new(Device::new(config)));
         }
-        let mut phone = Phone::new(
-            phone_mac(),
-            Ipv4Addr::new(192, 168, 10, 240),
-            "MonIoTr-Lab",
-            iotlan_netsim::router::GATEWAY_MAC,
-            apps,
-        );
+        let mut phone = Phone::new(phone_mac(), PHONE_IP, "MonIoTr-Lab", GATEWAY_MAC, apps);
         let hue = catalog.find("Philips Hue Bridge").unwrap();
         phone.pair_tls_target(hue.ip, hue.mac);
         let id = network.add_node(Box::new(phone));
@@ -776,5 +841,300 @@ mod tests {
         network.run_for(Phone::schedule_length(1) + SimDuration::from_secs(5));
         let phone = network.node(id).as_any().downcast_ref::<Phone>().unwrap();
         assert!(phone.runs[0].receives_downlink(DataType::DeviceMac));
+    }
+
+    /// An app whose gates let both mDNS and SSDP responses through.
+    fn scanner_app() -> AppConfig {
+        AppConfig {
+            package: "test.scanner".into(),
+            category: AppCategory::Iot,
+            permissions: crate::android::poc_permissions(),
+            behaviors: vec![
+                AppBehavior::MdnsScan(vec!["_services._dns-sd._udp.local".into()]),
+                AppBehavior::SsdpScan(vec!["ssdp:all".into()]),
+            ],
+            sdks: vec![],
+        }
+    }
+
+    /// An mDNS or SSDP payload and the device that sent it.
+    struct Response {
+        mdns: bool,
+        src: Endpoint,
+        payload: Vec<u8>,
+    }
+
+    /// Every mDNS and SSDP response the mini-network's devices send while
+    /// [`scanner_app`] runs.
+    fn real_responses() -> &'static [Response] {
+        static RESPONSES: OnceLock<Vec<Response>> = OnceLock::new();
+        RESPONSES.get_or_init(|| {
+            let (mut network, _) = mini_network(vec![scanner_app()]);
+            network.run_for(Phone::schedule_length(1));
+            let responses: Vec<Response> = network
+                .capture
+                .frames()
+                .filter_map(|captured| {
+                    let frame = stack::dissect(captured.data())?;
+                    let Content::UdpV4 {
+                        src,
+                        sport,
+                        dport,
+                        payload,
+                        ..
+                    } = frame.content
+                    else {
+                        return None;
+                    };
+                    let mdns = sport == dns::MDNS_PORT && frame.dns()?.is_response;
+                    let ssdp = sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT;
+                    (mdns || ssdp).then(|| Response {
+                        mdns,
+                        src: Endpoint {
+                            mac: frame.eth.src_addr,
+                            ip: src,
+                        },
+                        payload: payload.to_vec(),
+                    })
+                })
+                .collect();
+            assert!(responses.iter().any(|r| r.mdns) && responses.iter().any(|r| !r.mdns));
+            responses
+        })
+    }
+
+    /// `payload` from `src` the way a device sends it: mDNS to the group,
+    /// SSDP unicast to the phone's M-SEARCH port.
+    fn response_frame(mdns: bool, src: Endpoint, payload: &[u8]) -> Vec<u8> {
+        if mdns {
+            stack::udp_multicast(
+                src,
+                dns::MDNS_GROUP_V4,
+                dns::MDNS_PORT,
+                dns::MDNS_PORT,
+                payload,
+            )
+        } else {
+            let phone = Endpoint {
+                mac: phone_mac(),
+                ip: PHONE_IP,
+            };
+            stack::udp_unicast(src, phone, ssdp::SSDP_PORT, 50000, payload)
+        }
+    }
+
+    /// A LAN holding only a phone, inside its first app's window.
+    fn listening_phone(apps: Vec<AppConfig>, window: SimDuration) -> (Network, NodeId) {
+        let mut network = Network::new(5);
+        let mut phone = Phone::new(phone_mac(), PHONE_IP, "MonIoTr-Lab", GATEWAY_MAC, apps);
+        phone.set_window(window);
+        let id = network.add_node(Box::new(phone));
+        network.run_for(SimDuration::from_millis(200));
+        (network, id)
+    }
+
+    fn phone_of(network: &Network, id: NodeId) -> &Phone {
+        network.node(id).as_any().downcast_ref::<Phone>().unwrap()
+    }
+
+    /// Deliver `frame` and return what the phone harvested from it.
+    fn deliver(network: &mut Network, id: NodeId, frame: &[u8]) -> Vec<Harvested> {
+        let before = phone_of(network, id).current_harvest.len();
+        network.inject_frame(frame.to_vec());
+        network.run_for(SimDuration::from_millis(10));
+        phone_of(network, id).current_harvest[before..].to_vec()
+    }
+
+    /// The harvest as the phone computed it before the memo: every frame
+    /// parsed, its text joined and scanned.
+    fn unmemoized_harvest(frame: &[u8]) -> Vec<Harvested> {
+        let frame = stack::dissect(frame).unwrap();
+        let Content::UdpV4 { sport, dport, .. } = frame.content else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        let mut scan = |text: &str, source_protocol: &'static str| {
+            for (extract, data) in [
+                (extract_macs as fn(&str) -> Vec<String>, DataType::DeviceMac),
+                (extract_uuids, DataType::DeviceUuid),
+                (extract_possessive_names, DataType::DisplayName),
+            ] {
+                for value in extract(text) {
+                    out.push(Harvested {
+                        data,
+                        value,
+                        source_protocol,
+                    });
+                }
+            }
+        };
+        if sport == dns::MDNS_PORT || dport == dns::MDNS_PORT {
+            if let Some(message) = frame.dns().filter(|m| m.is_response) {
+                scan(&message.text_content().join(" "), "mDNS");
+                out.push(Harvested {
+                    data: DataType::DeviceMac,
+                    value: frame.eth.src_addr.to_string(),
+                    source_protocol: "mDNS",
+                });
+            }
+        } else if sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT {
+            if let Some(message) = frame.ssdp() {
+                let text = message.text_content().join(" ");
+                scan(&text, "SSDP");
+                out.push(Harvested {
+                    data: DataType::UpnpDescriptor,
+                    value: text.chars().take(120).collect(),
+                    source_protocol: "SSDP",
+                });
+            }
+        }
+        out
+    }
+
+    /// A real response, as sent or mutated: truncated, a byte flipped,
+    /// bytes appended, or (for mDNS) replaced by a query.
+    fn response_variant(g: &mut Gen) -> (bool, Endpoint, Vec<u8>) {
+        let real = real_responses();
+        let response = &real[g.int_in(0..real.len())];
+        let mut payload = response.payload.clone();
+        match g.int_in(0..5u8) {
+            0 => payload.truncate(g.int_in(0..=payload.len())),
+            1 if !payload.is_empty() => {
+                let at = g.int_in(0..payload.len());
+                payload[at] ^= g.int_in(1..=255u8);
+            }
+            2 => payload.extend(g.bytes(64)),
+            3 if response.mdns => {
+                let name = format!("_{}._tcp.local", g.label(1, 12));
+                payload = dns::Message::mdns_query(&[(&name, dns::RecordType::Ptr)]).to_bytes();
+            }
+            _ => {}
+        }
+        // Another device's address now and then: the payload, not the
+        // sender, keys the memo.
+        let src = if g.bool() {
+            response.src
+        } else {
+            real[g.int_in(0..real.len())].src
+        };
+        (response.mdns, src, payload)
+    }
+
+    #[test]
+    fn real_responses_are_memoized_once_per_distinct_payload() {
+        let (mut network, id) = listening_phone(vec![scanner_app()], SimDuration::from_hours(1));
+        let mut distinct = BTreeSet::new();
+        for response in real_responses() {
+            let frame = response_frame(response.mdns, response.src, &response.payload);
+            let harvest = deliver(&mut network, id, &frame);
+            assert!(!harvest.is_empty(), "a real response yields items");
+            assert_eq!(harvest, unmemoized_harvest(&frame));
+            distinct.insert((response.mdns, response.payload.clone()));
+        }
+        assert!(
+            distinct.len() < real_responses().len(),
+            "devices repeat responses"
+        );
+        assert_eq!(phone_of(&network, id).memoized_responses(), distinct.len());
+    }
+
+    #[test]
+    fn one_payload_from_two_devices_pushes_each_source_mac() {
+        let response = real_responses().iter().find(|r| r.mdns).unwrap();
+        let other = Endpoint {
+            mac: EthernetAddress([0x02, 0, 0, 0, 0, 0x42]),
+            ip: Ipv4Addr::new(192, 168, 10, 42),
+        };
+        let (mut network, id) = listening_phone(vec![scanner_app()], SimDuration::from_hours(1));
+        let first = deliver(
+            &mut network,
+            id,
+            &response_frame(true, response.src, &response.payload),
+        );
+        let second = deliver(
+            &mut network,
+            id,
+            &response_frame(true, other, &response.payload),
+        );
+        assert_eq!(phone_of(&network, id).memoized_responses(), 1);
+        let (last, items) = first.split_last().unwrap();
+        assert_eq!(last.value, response.src.mac.to_string());
+        assert_eq!(
+            second.split_last().unwrap(),
+            (
+                &Harvested {
+                    value: other.mac.to_string(),
+                    ..last.clone()
+                },
+                items
+            )
+        );
+    }
+
+    #[test]
+    fn one_payload_on_both_ports_is_memoized_per_protocol() {
+        let response = real_responses().iter().find(|r| r.mdns).unwrap();
+        let (mut network, id) = listening_phone(vec![scanner_app()], SimDuration::from_hours(1));
+        let as_ssdp = response_frame(false, response.src, &response.payload);
+        let as_mdns = response_frame(true, response.src, &response.payload);
+        assert_eq!(deliver(&mut network, id, &as_ssdp), Vec::new());
+        assert_eq!(
+            deliver(&mut network, id, &as_mdns),
+            unmemoized_harvest(&as_mdns)
+        );
+        assert_eq!(phone_of(&network, id).memoized_responses(), 2);
+    }
+
+    #[test]
+    fn a_closed_gate_harvests_nothing_from_a_memoized_payload() {
+        let silent = AppConfig {
+            package: "test.silent".into(),
+            behaviors: vec![],
+            ..scanner_app()
+        };
+        let (mut network, id) =
+            listening_phone(vec![scanner_app(), silent], SimDuration::from_secs(1));
+        let frames: Vec<Vec<u8>> = [true, false]
+            .into_iter()
+            .map(|mdns| {
+                let response = real_responses().iter().find(|r| r.mdns == mdns).unwrap();
+                response_frame(mdns, response.src, &response.payload)
+            })
+            .collect();
+        for frame in &frames {
+            assert!(!deliver(&mut network, id, frame).is_empty());
+        }
+        // Into the silent app's window: neither gate is open.
+        network.run_for(SimDuration::from_secs(1));
+        assert_eq!(phone_of(&network, id).runs.len(), 1);
+        for frame in &frames {
+            assert_eq!(deliver(&mut network, id, frame), Vec::new());
+        }
+        assert_eq!(phone_of(&network, id).memoized_responses(), 2);
+    }
+
+    iotlan_util::props! {
+        /// A memo hit yields what the first delivery yielded, which is what
+        /// a fresh phone and the unmemoized harvest yield; queries and
+        /// broken payloads yield nothing; the memo holds one entry per
+        /// distinct (protocol, payload).
+        fn memoized_harvest_equals_a_fresh_harvest(g) {
+            let window = SimDuration::from_hours(1);
+            let (mut network, id) = listening_phone(vec![scanner_app()], window);
+            let mut distinct = BTreeSet::new();
+            for _ in 0..g.int_in(1..=8usize) {
+                let (mdns, src, payload) = response_variant(g);
+                let frame = response_frame(mdns, src, &payload);
+                let first = deliver(&mut network, id, &frame);
+                assert_eq!(first, unmemoized_harvest(&frame));
+                let (mut fresh, fresh_id) = listening_phone(vec![scanner_app()], window);
+                assert_eq!(deliver(&mut fresh, fresh_id, &frame), first);
+                for _ in 0..g.int_in(1..=3usize) {
+                    assert_eq!(deliver(&mut network, id, &frame), first);
+                }
+                distinct.insert((mdns, payload));
+            }
+            assert_eq!(phone_of(&network, id).memoized_responses(), distinct.len());
+        }
     }
 }

@@ -6,9 +6,13 @@
 //! verdict, capture and delivery — for the trajectory recorded by
 //! `scripts/bench_perf.sh`. The idle stretch is timed on `reps` fresh warm
 //! labs: `frames_per_sec` and `sim_secs_per_wall_sec` are the medians, and
-//! `min`/`max` bound `frames_per_sec`.
+//! `min`/`max` bound `frames_per_sec`. An `app_phase` line times the app
+//! tests the same way: `run_app_tests` over the first `apps` population
+//! apps (40 with `--quick`, 160 otherwise) on a fresh warm lab per rep,
+//! the phone's harvest included.
 
 use iotlan_bench::{emit_line, per_sec};
+use iotlan_core::apps::build_population;
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::{Lab, LabConfig};
 use iotlan_util::bench::Criterion;
@@ -26,6 +30,24 @@ fn warm_lab() -> Lab {
     lab
 }
 
+/// Run `stretch` once on each of `reps` fresh warm labs. `stretch` returns
+/// the wall nanoseconds of the part it times; the result is the frames one
+/// stretch recorded and the times, sorted.
+fn timed_reps(reps: usize, mut stretch: impl FnMut(&mut Lab) -> f64) -> (usize, Vec<f64>) {
+    let mut frames = 0;
+    let mut elapsed: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut lab = warm_lab();
+            let before = lab.network.capture.len();
+            let elapsed = stretch(&mut lab);
+            frames = lab.network.capture.len() - before;
+            elapsed
+        })
+        .collect();
+    elapsed.sort_by(f64::total_cmp);
+    (frames, elapsed)
+}
+
 fn bench(c: &mut Criterion) {
     let quick = std::env::args().any(|arg| arg == "--quick");
     c.bench_function("netsim/testbed_minute", |b| {
@@ -39,19 +61,11 @@ fn bench(c: &mut Criterion) {
     // second over a longer idle stretch, once per fresh warm lab.
     let span = SimDuration::from_mins(if quick { 2 } else { 10 });
     let reps = if quick { 3 } else { 9 };
-    let mut frames = 0;
-    let mut elapsed: Vec<f64> = (0..reps)
-        .map(|_| {
-            let mut lab = warm_lab();
-            let before = lab.network.capture.len();
-            let start = Instant::now();
-            lab.network.run_for(span);
-            let elapsed = start.elapsed().as_nanos() as f64;
-            frames = lab.network.capture.len() - before;
-            elapsed
-        })
-        .collect();
-    elapsed.sort_by(f64::total_cmp);
+    let (frames, elapsed) = timed_reps(reps, |lab| {
+        let start = Instant::now();
+        lab.network.run_for(span);
+        start.elapsed().as_nanos() as f64
+    });
     let median = elapsed[reps / 2];
     let frame_rate = |elapsed: f64| json::Value::from(per_sec(frames as f64, elapsed));
     emit_line(
@@ -64,6 +78,29 @@ fn bench(c: &mut Criterion) {
                 "sim_secs_per_wall_sec",
                 json::Value::from(per_sec(span.as_secs_f64(), median)),
             ),
+            ("reps", json::Value::from(reps)),
+            ("min", frame_rate(elapsed[reps - 1])),
+            ("max", frame_rate(elapsed[0])),
+        ],
+    );
+
+    // The app phase: the whole `run_app_tests` call, every app's test
+    // window plus the tail it waits out.
+    let apps = if quick { 40 } else { 160 };
+    let (frames, elapsed) = timed_reps(reps, |lab| {
+        lab.deploy_phone(build_population().into_iter().take(apps).collect());
+        let start = Instant::now();
+        lab.run_app_tests(apps);
+        start.elapsed().as_nanos() as f64
+    });
+    let frame_rate = |elapsed: f64| json::Value::from(per_sec(frames as f64, elapsed));
+    emit_line(
+        "throughput",
+        "app_phase",
+        [
+            ("apps", json::Value::from(apps)),
+            ("frames", json::Value::from(frames)),
+            ("frames_per_sec", frame_rate(elapsed[reps / 2])),
             ("reps", json::Value::from(reps)),
             ("min", frame_rate(elapsed[reps - 1])),
             ("max", frame_rate(elapsed[0])),

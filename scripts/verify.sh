@@ -27,9 +27,10 @@
 # 7. stream smoke: perf_stream in --quick mode must emit its
 #    {"type":"throughput",...} packet-rate / peak-state lines and its
 #    appd1_periodicity line with its reps and min/max spread; perf_netsim
-#    in --quick mode must emit its testbed_idle_frames throughput line with
-#    its reps and min/max spread; perf_classify in --quick mode must emit
-#    its flow_assembly throughput line with its reps and min/max spread
+#    in --quick mode must emit its testbed_idle_frames and app_phase
+#    throughput lines, each with its reps and min/max spread; perf_classify
+#    in --quick mode must emit its flow_assembly throughput line with its
+#    reps and min/max spread
 # 8. telemetry smoke: perf_telemetry in --quick mode must emit its
 #    {"type":"overhead",...} enabled-vs-disabled comparison lines
 # 9. observability: the observability example must write run manifests
@@ -135,13 +136,15 @@ done
 echo "==> simulator smoke: perf_netsim --quick"
 netsim_out=$(cargo bench -p iotlan-bench --bench perf_netsim --offline -- --quick)
 printf '%s\n' "$netsim_out"
-netsim_line=$(printf '%s\n' "$netsim_out" |
-    grep -F '{"type":"throughput","id":"testbed_idle_frames"' || true)
-for key in reps min max; do
-    if ! printf '%s\n' "$netsim_line" | grep -qF "\"$key\":"; then
-        echo "verify: FAIL — perf_netsim emitted no testbed_idle_frames line with \"$key\"" >&2
-        exit 1
-    fi
+for id in testbed_idle_frames app_phase; do
+    netsim_line=$(printf '%s\n' "$netsim_out" |
+        grep -F "{\"type\":\"throughput\",\"id\":\"$id\"" || true)
+    for key in reps min max; do
+        if ! printf '%s\n' "$netsim_line" | grep -qF "\"$key\":"; then
+            echo "verify: FAIL — perf_netsim emitted no $id line with \"$key\"" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "==> flow assembly smoke: perf_classify --quick"

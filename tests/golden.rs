@@ -71,7 +71,11 @@ fn fast_seed42_artifacts() -> Vec<(&'static str, Vec<u8>)> {
     let mut artifacts = vec![("fast_seed42.pcap", lab.network.capture.to_pcap())];
     let apps: Vec<_> = build_population().into_iter().take(APP_COUNT).collect();
     lab.deploy_phone(apps);
-    let census = AppCensusReport::from_runs(&lab.run_app_tests(APP_COUNT));
+    let runs = lab.run_app_tests(APP_COUNT);
+    // Whole runs: §6 renders only counts, so this pins every harvested
+    // and exfiltrated value too.
+    artifacts.push(("fast_seed42.runs", format!("{runs:?}").into_bytes()));
+    let census = AppCensusReport::from_runs(&runs);
     let flows = lab.flow_table();
     let stream = stream_capture(&lab.network.capture, &lab.catalog);
 
