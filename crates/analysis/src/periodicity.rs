@@ -7,10 +7,11 @@
 //! Findings to reproduce: ~88% of discovery-protocol flows are periodic,
 //! ~580 periodic (destination, protocol) groups, ~6.2 per device.
 //!
-//! Both spectral detectors run on one in-place radix-2 FFT: the
-//! autocorrelation through Wiener–Khinchin (|X|², inverted) and the DFT
-//! test by reading the power spectrum, so each costs O(n log n) in the
-//! number of bins rather than the O(n²) of a direct sum.
+//! The autocorrelation detector is exact: the binned series is a vector of
+//! integer counts, so its normalized autocorrelation at every lag is a ratio
+//! of integer sums over the occupied bins, compared without rounding. The
+//! DFT test reads the power spectrum of one 1,024-point in-place radix-2
+//! FFT.
 
 use iotlan_classify::flow::{Flow, FlowTable};
 use iotlan_classify::rules::{classify_with_rules, paper_rules};
@@ -92,8 +93,9 @@ pub const DISCOVERY_PROTOCOLS: &[Label] = &[
 /// Most bins the autocorrelation detector uses, however long the span.
 const MAX_BINS: usize = 4096;
 
-/// Longest transform: the autocorrelation zero-pads `MAX_BINS` to twice
-/// its length, so no lag wraps around.
+/// Longest transform: the tests' FFT autocorrelation zero-pads `MAX_BINS`
+/// to twice its length, so no lag wraps around; the DFT detector's
+/// transform is 1,024 points.
 const MAX_FFT_LEN: usize = 2 * MAX_BINS;
 
 /// `exp(-2πik / MAX_FFT_LEN)` as `(cos, sin)` for `k < MAX_FFT_LEN / 2`,
@@ -154,37 +156,6 @@ fn fft(re: &mut [f64], im: &mut [f64], inverse: bool) {
     }
 }
 
-/// Normalized autocorrelation of `series` at lags `0..series.len() / 2`:
-/// `r[lag] = Σ_i (x_i − x̄)(x_{i+lag} − x̄) / Σ_i (x_i − x̄)²`, or `None` for
-/// a constant series. Wiener–Khinchin: the inverse transform of the
-/// zero-padded series' |X|² is its linear autocovariance.
-fn autocorrelation(series: &[f64]) -> Option<Vec<f64>> {
-    let bins = series.len();
-    let mean = series.iter().sum::<f64>() / bins as f64;
-    let var: f64 = series.iter().map(|v| (v - mean) * (v - mean)).sum();
-    if var == 0.0 {
-        return None;
-    }
-    let n = (2 * bins).next_power_of_two();
-    let mut re = vec![0.0f64; n];
-    for (slot, v) in re.iter_mut().zip(series) {
-        *slot = v - mean;
-    }
-    let mut im = vec![0.0f64; n];
-    fft(&mut re, &mut im, false);
-    for (x_re, x_im) in re.iter_mut().zip(&mut im) {
-        *x_re = *x_re * *x_re + *x_im * *x_im;
-        *x_im = 0.0;
-    }
-    fft(&mut re, &mut im, true);
-    Some(
-        re[..bins / 2]
-            .iter()
-            .map(|acc| acc / n as f64 / var)
-            .collect(),
-    )
-}
-
 /// Power `|X_k|²` of `series` (a power-of-two length) at frequencies
 /// `k = 0..series.len() / 2`.
 fn power_spectrum(mut series: Vec<f64>) -> Vec<f64> {
@@ -200,11 +171,22 @@ fn power_spectrum(mut series: Vec<f64>) -> Vec<f64> {
 
 /// Autocorrelation-based periodicity test on event times (seconds).
 ///
-/// Computes the normalized autocorrelation of the binned event series by
-/// FFT (Wiener–Khinchin, O(n log n) in the bin count) and accepts when
-/// some non-zero lag exceeds `0.5`. Robust to jitter because the bin width
-/// adapts to the median inter-arrival.
+/// Bins the events at half the median inter-arrival, so the bin width
+/// adapts to the rate and absorbs jitter, and accepts when the normalized
+/// autocorrelation of the bin counts exceeds `0.5` at some lag in
+/// `1..bins / 2`. Returns the first lag with the largest autocorrelation,
+/// in seconds. Both comparisons are exact, in integer arithmetic over the
+/// occupied bins.
 pub fn autocorrelation_periodic(events: &[f64]) -> Option<f64> {
+    let (bin, counts) = bin_counts(events)?;
+    strongest_lag(&counts).map(|lag| lag as f64 * bin)
+}
+
+/// The autocorrelation detector's series: event counts in bins of half the
+/// median positive inter-arrival (at least 1 ms), at most `MAX_BINS` of
+/// them, with the bin width in seconds. `None` below four events or with
+/// no positive interval.
+fn bin_counts(events: &[f64]) -> Option<(f64, Vec<u64>)> {
     if events.len() < 4 {
         return None;
     }
@@ -222,25 +204,87 @@ pub fn autocorrelation_periodic(events: &[f64]) -> Option<f64> {
     let bin = (median / 2.0).max(1e-3);
     let span = events.last().unwrap() - events[0];
     let bins = ((span / bin).ceil() as usize + 1).min(MAX_BINS);
-    let mut series = vec![0.0f64; bins];
+    let mut counts = vec![0u64; bins];
     for &t in events {
         let index = (((t - events[0]) / bin) as usize).min(bins - 1);
-        series[index] += 1.0;
+        counts[index] += 1;
     }
-    let correlation = autocorrelation(&series)?;
-    let mut best_lag = 0usize;
-    let mut best = 0.0f64;
-    for (lag, &r) in correlation.iter().enumerate().skip(1) {
-        if r > best {
-            best = r;
+    Some((bin, counts))
+}
+
+/// The lag in `1..counts.len() / 2` with the largest autocorrelation, the
+/// first such lag on a tie, if that autocorrelation exceeds `0.5`. Both
+/// comparisons are exact, on [`scaled_autocorrelation`]'s integers.
+fn strongest_lag(counts: &[u64]) -> Option<usize> {
+    let (numerators, den) = scaled_autocorrelation(counts)?;
+    let (mut best_lag, mut best) = (0usize, 0i128);
+    for (lag, &num) in numerators.iter().enumerate().skip(1) {
+        if num > best {
+            best = num;
             best_lag = lag;
         }
     }
-    if best > 0.5 && best_lag > 0 {
-        Some(best_lag as f64 * bin)
-    } else {
-        None
+    (2 * best > den).then_some(best_lag)
+}
+
+/// The normalized autocorrelation `r[lag] = Σ_{i<B−lag} (x_i − x̄)(x_{i+lag}
+/// − x̄) / Σ_i (x_i − x̄)²` of `B = counts.len()` integer counts at lags
+/// `0..B / 2`, as integer numerators over one denominator (`r[lag] =
+/// num[lag] / den`); `None` for a constant series.
+///
+/// Scaled by `B²`, both sides are integers. With `S = Σx`, `Q = Σx²`,
+/// `P[lag] = Σ x_i·x_{i+lag}`, `H[lag] = Σ_{i<B−lag} x_i` and
+/// `T[lag] = Σ_{i≥lag} x_i`:
+/// `num[lag] = B²·P[lag] − B·S·(H[lag] + T[lag]) + (B − lag)·S²` and
+/// `den = B²·Q − B·S²`. `P` comes from the pairs of occupied bins less
+/// than `B / 2` apart, `H` and `T` from one prefix sum: for `k` occupied
+/// bins the cost is O(k·min(k, B/2) + B).
+fn scaled_autocorrelation(counts: &[u64]) -> Option<(Vec<i128>, i128)> {
+    let bins = counts.len();
+    let half = bins / 2;
+    // prefix[i] = Σ_{j<i} x_j.
+    let mut prefix = Vec::with_capacity(bins + 1);
+    prefix.push(0u64);
+    let mut occupied: Vec<(usize, u64)> = Vec::new();
+    let (mut sum, mut squares) = (0u64, 0u64);
+    for (index, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            occupied.push((index, count));
+            squares += count * count;
+        }
+        sum += count;
+        prefix.push(sum);
     }
+    let (b, s) = (bins as i128, i128::from(sum));
+    let den = b * b * i128::from(squares) - b * s * s;
+    if den == 0 {
+        return None;
+    }
+    // Every product sum is at most S², which fits a u64 for any slice of
+    // fewer than 2³² events.
+    let mut products = vec![0u64; half];
+    for (a, &(i, x)) in occupied.iter().enumerate() {
+        for &(j, y) in &occupied[a + 1..] {
+            let lag = j - i;
+            if lag >= half {
+                break;
+            }
+            products[lag] += x * y;
+        }
+    }
+    // Lag 0 pairs each bin with itself.
+    if let Some(zero) = products.first_mut() {
+        *zero = squares;
+    }
+    let numerators = products
+        .iter()
+        .enumerate()
+        .map(|(lag, &pairs)| {
+            let ends = prefix[bins - lag] + (sum - prefix[lag]);
+            b * b * i128::from(pairs) - b * s * i128::from(ends) + (b - lag as i128) * s * s
+        })
+        .collect();
+    Some((numerators, den))
 }
 
 /// Inter-arrival regularity test: a group whose intervals have a low
@@ -476,6 +520,217 @@ mod tests {
         let period = ssdp_groups[0].period_secs.unwrap();
         assert!((period - 20.0).abs() < 3.0, "period {period}");
         assert!(report.discovery_periodic_fraction() > 0.99);
+    }
+
+    /// Normalized autocorrelation of `series` at lags `0..series.len() / 2`:
+    /// `r[lag] = Σ_i (x_i − x̄)(x_{i+lag} − x̄) / Σ_i (x_i − x̄)²`, or `None` for
+    /// a constant series. Wiener–Khinchin: the inverse transform of the
+    /// zero-padded series' |X|² is its linear autocovariance.
+    fn autocorrelation(series: &[f64]) -> Option<Vec<f64>> {
+        let bins = series.len();
+        let mean = series.iter().sum::<f64>() / bins as f64;
+        let var: f64 = series.iter().map(|v| (v - mean) * (v - mean)).sum();
+        if var == 0.0 {
+            return None;
+        }
+        let n = (2 * bins).next_power_of_two();
+        let mut re = vec![0.0f64; n];
+        for (slot, v) in re.iter_mut().zip(series) {
+            *slot = v - mean;
+        }
+        let mut im = vec![0.0f64; n];
+        fft(&mut re, &mut im, false);
+        for (x_re, x_im) in re.iter_mut().zip(&mut im) {
+            *x_re = *x_re * *x_re + *x_im * *x_im;
+            *x_im = 0.0;
+        }
+        fft(&mut re, &mut im, true);
+        Some(
+            re[..bins / 2]
+                .iter()
+                .map(|acc| acc / n as f64 / var)
+                .collect(),
+        )
+    }
+
+    /// Reference: the FFT detector the exact one replaced, over the same
+    /// bins — the Wiener–Khinchin autocorrelation in floating point, its
+    /// argmax and the `0.5` threshold — as a lag.
+    fn fft_strongest_lag(counts: &[u64]) -> Option<usize> {
+        let series: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let correlation = autocorrelation(&series)?;
+        let mut best_lag = 0usize;
+        let mut best = 0.0f64;
+        for (lag, &r) in correlation.iter().enumerate().skip(1) {
+            if r > best {
+                best = r;
+                best_lag = lag;
+            }
+        }
+        (best > 0.5 && best_lag > 0).then_some(best_lag)
+    }
+
+    /// The stream engine's per-flow timestamp cap (`EVENT_CAP`): a stream
+    /// group holds at least this many events when one of its flows hit it.
+    const EVENT_CAP: usize = 2048;
+
+    /// Sorted event times of one of the shapes App. D.1 meets: periodic
+    /// with and without jitter, bursty, uniform random, at least
+    /// `EVENT_CAP` events, a span that hits `MAX_BINS`, and many events
+    /// in one bin.
+    fn event_series(g: &mut iotlan_util::check::Gen) -> Vec<f64> {
+        let start = g.rng().gen_range(0.0..1000.0);
+        // `least` plus up to `extra` (scaled by size) events.
+        let periodic =
+            |g: &mut iotlan_util::check::Gen, least: usize, extra: usize, jitter: f64| {
+                let period = g.rng().gen_range(0.01..600.0);
+                (0..least + g.len(extra))
+                    .map(|i| {
+                        let noise = g.rng().gen_range(-0.5..0.5) * jitter * period;
+                        start + i as f64 * period + noise
+                    })
+                    .collect::<Vec<f64>>()
+            };
+        let mut events = match g.int_in(0..7u8) {
+            0 => periodic(g, 4, 396, 0.0),
+            1 => {
+                let jitter = g.rng().gen_range(0.0..0.6);
+                periodic(g, 4, 396, jitter)
+            }
+            2 => {
+                let mut t = start;
+                let mut events = Vec::new();
+                for _ in 0..g.len(40).max(2) {
+                    t += g.rng().gen_range(10.0..1000.0);
+                    let spacing = g.rng().gen_range(0.001..1.0);
+                    for k in 0..g.int_in(2..=20usize) {
+                        events.push(t + k as f64 * spacing);
+                    }
+                }
+                events
+            }
+            3 => {
+                let span = g.rng().gen_range(1.0..100_000.0);
+                (0..g.len(400).max(4))
+                    .map(|_| start + g.rng().gen_range(0.0..span))
+                    .collect()
+            }
+            4 => {
+                let jitter = if g.bool() {
+                    0.0
+                } else {
+                    g.rng().gen_range(0.0..0.3)
+                };
+                periodic(g, EVENT_CAP, 1000, jitter)
+            }
+            5 => {
+                // A dense run, then a straggler far enough out that the
+                // span needs more than `MAX_BINS` bins at this width.
+                let mut events = periodic(g, 4, 196, 0.1);
+                let last = *events.last().unwrap();
+                let median_gap = (last - start) / events.len() as f64;
+                events.push(last + median_gap * g.rng().gen_range(4096.0..1e5));
+                events
+            }
+            _ => {
+                // Repeated instants: each event `k` times, or one burst.
+                let base = periodic(g, 4, 96, 0.05);
+                if g.bool() {
+                    let k = g.int_in(2..=50usize);
+                    base.iter()
+                        .flat_map(|&t| std::iter::repeat_n(t, k))
+                        .collect()
+                } else {
+                    let mut events = base.clone();
+                    events.extend(std::iter::repeat_n(base[0], g.int_in(100..=1000usize)));
+                    events
+                }
+            }
+        };
+        events.sort_by(f64::total_cmp);
+        events
+    }
+
+    iotlan_util::props! {
+        /// The exact detector returns, bit for bit, the period the FFT
+        /// detector it replaced returns, and its `num / den` is the FFT's
+        /// autocorrelation at every lag. The one licensed difference is an
+        /// exact tie that the FFT's rounding resolved: two lags with equal
+        /// numerators (the exact detector keeps the first) or a maximum of
+        /// exactly `0.5` (which it rejects).
+        fn exact_autocorrelation_matches_fft(g) {
+            let events = event_series(g);
+            let exact = autocorrelation_periodic(&events);
+            let Some((bin, counts)) = bin_counts(&events) else {
+                assert_eq!(exact, None);
+                return;
+            };
+            let fft = fft_strongest_lag(&counts);
+            let fft_period = fft.map(|lag| lag as f64 * bin);
+            let scaled = scaled_autocorrelation(&counts);
+            let series: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+            let correlation = autocorrelation(&series);
+            assert_eq!(scaled.is_some(), correlation.is_some());
+            let Some((numerators, den)) = scaled else {
+                assert_eq!((exact, fft), (None, None));
+                return;
+            };
+            let correlation = correlation.unwrap();
+            assert_eq!(numerators.len(), correlation.len());
+            for (lag, (&num, r)) in numerators.iter().zip(&correlation).enumerate() {
+                let exact_r = num as f64 / den as f64;
+                assert!((exact_r - r).abs() <= 1e-9, "lag {lag}: {exact_r} vs FFT {r}");
+            }
+            if exact.map(f64::to_bits) == fft_period.map(f64::to_bits) {
+                return;
+            }
+            let context = format!("{} events in {} bins: exact {exact:?} vs FFT {fft_period:?}", events.len(), counts.len());
+            match (strongest_lag(&counts), fft) {
+                (Some(first), Some(later)) => {
+                    assert!(first < later && numerators[first] == numerators[later], "{context}");
+                }
+                (None, Some(lag)) => assert_eq!(2 * numerators[lag], den, "{context}"),
+                _ => panic!("{context}"),
+            }
+        }
+    }
+
+    /// Exact ties follow the documented rules, whatever the FFT's rounding
+    /// made of them: equal maxima go to the first lag, and a maximum of
+    /// exactly `0.5` is rejected.
+    #[test]
+    fn exact_ties_keep_the_first_lag_and_reject_one_half() {
+        let mut counts = vec![1u64, 1, 0, 0];
+        counts.extend([1, 0].repeat(12));
+        let (numerators, den) = scaled_autocorrelation(&counts).unwrap();
+        assert_eq!((numerators[2], numerators[4], den), (3920, 3920, 5488));
+        assert_eq!(strongest_lag(&counts), Some(2));
+
+        let mut counts = vec![1u64, 1, 0, 0];
+        counts.extend([1, 0].repeat(6));
+        let (numerators, den) = scaled_autocorrelation(&counts).unwrap();
+        assert_eq!((2 * numerators[2], 2 * numerators[4]), (den, den));
+        assert_eq!(strongest_lag(&counts), None);
+    }
+
+    /// A million events, almost all in the last of `MAX_BINS` bins: `B²·Q`
+    /// alone exceeds 1.6·10¹⁹, near the top of a u64, and the i128 sums
+    /// still give the FFT's verdict.
+    #[test]
+    fn exact_autocorrelation_holds_at_a_million_events() {
+        let events: Vec<f64> = (0..1_000_000).map(|i| i as f64 * 1e-3).collect();
+        let (_, counts) = bin_counts(&events).unwrap();
+        assert_eq!(counts.len(), MAX_BINS);
+        assert!(counts[MAX_BINS - 1] > 990_000);
+        assert_eq!(strongest_lag(&counts), fft_strongest_lag(&counts));
+        // A million events in bursts of 489 at one instant every 2 s:
+        // 1-s bins, every other one holding 489 events.
+        let events: Vec<f64> = (0..1_000_000).map(|i| (i / 489) as f64 * 2.0).collect();
+        let (bin, counts) = bin_counts(&events).unwrap();
+        assert_eq!(bin, 1.0);
+        assert_eq!(strongest_lag(&counts), Some(2));
+        assert_eq!(fft_strongest_lag(&counts), Some(2));
+        assert_eq!(autocorrelation_periodic(&events), Some(2.0));
     }
 
     /// Reference: the direct O(n²) autocorrelation sum over the same lags.

@@ -10,8 +10,9 @@
 //! configuration (`--quick`, `--sample-size N`, substring filters).
 //!
 //! The `perf_*` targets also print trajectory lines for
-//! `scripts/bench_perf.sh` through [`emit_line`], deriving them from the
-//! medians `bench_function` returns.
+//! `scripts/bench_perf.sh` through [`emit_line`], from the medians
+//! `bench_function` returns or from their own timed reps, whose lines carry
+//! `reps` and the `min`/`max` spread.
 
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::{Lab, LabConfig};

@@ -348,7 +348,8 @@ impl Lab {
     }
 
     /// Run long enough for all `n` deployed apps to finish, then return the
-    /// completed runs.
+    /// runs completed since the previous call. The runs move out of the
+    /// phone, so a second call returns only runs completed after the first.
     pub fn run_app_tests(&mut self, app_count: usize) -> Vec<iotlan_apps::TestRun> {
         let _span = iotlan_telemetry::span!("lab.app_tests");
         let timer = self.manifest.phase_timer("app_tests");
@@ -359,10 +360,10 @@ impl Lab {
             return Vec::new();
         };
         self.network
-            .node(id)
-            .as_any()
-            .downcast_ref::<Phone>()
-            .map(|p| p.runs.clone())
+            .node_mut(id)
+            .as_any_mut()
+            .downcast_mut::<Phone>()
+            .map(|p| std::mem::take(&mut p.runs))
             .unwrap_or_default()
     }
 
@@ -504,6 +505,29 @@ mod tests {
             "no TPLINK_SHP flow after bounded interaction rounds"
         );
         assert!(lab.network.capture.len() > before + 20);
+    }
+
+    /// The runs move out of the phone: a second call returns only runs
+    /// completed after the first.
+    #[test]
+    fn app_runs_are_returned_once() {
+        let mut lab = Lab::new(LabConfig {
+            seed: 1,
+            idle_duration: SimDuration::from_secs(10),
+            interactions: 0,
+            with_honeypot: false,
+        });
+        lab.run_idle();
+        let apps: Vec<_> = iotlan_apps::build_population()
+            .into_iter()
+            .take(2)
+            .collect();
+        let packages: Vec<String> = apps.iter().map(|app| app.package.clone()).collect();
+        lab.deploy_phone(apps);
+        let runs = lab.run_app_tests(2);
+        let completed: Vec<String> = runs.iter().map(|run| run.package.clone()).collect();
+        assert_eq!(completed, packages);
+        assert!(lab.run_app_tests(2).is_empty());
     }
 
     #[test]

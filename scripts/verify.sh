@@ -19,7 +19,8 @@
 #    --quick mode must emit one {"type":"bench","id":...} line for each of
 #    its fourteen artifact ids; perf_wire in --quick mode must emit
 #    machine-readable {"type":"bench",...} JSON lines via the in-tree
-#    harness
+#    harness, and its mdns_parse and tplink_decrypt_parse throughput
+#    lines, each with its reps and min/max spread
 # 6. sweep smoke: perf_sweep in --quick mode must emit one
 #    {"type":"speedup",...} serial-vs-parallel comparison line for each of
 #    Table 2's stages, dataset_generate and entropy_analyze, each with its
@@ -98,6 +99,16 @@ if ! printf '%s\n' "$bench_out" | grep -q '^{"type":"bench"'; then
     echo "verify: FAIL — perf_wire emitted no bench JSON lines" >&2
     exit 1
 fi
+for id in mdns_parse tplink_decrypt_parse; do
+    wire_line=$(printf '%s\n' "$bench_out" |
+        grep -F "{\"type\":\"throughput\",\"id\":\"$id\"" || true)
+    for key in reps min max; do
+        if ! printf '%s\n' "$wire_line" | grep -qF "\"$key\":"; then
+            echo "verify: FAIL — perf_wire emitted no $id line with \"$key\"" >&2
+            exit 1
+        fi
+    done
+done
 
 echo "==> sweep smoke: perf_sweep --quick"
 sweep_out=$(cargo bench -p iotlan-bench --bench perf_sweep --offline -- --quick)
