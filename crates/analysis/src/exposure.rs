@@ -121,9 +121,7 @@ fn scan_payload(protocol: &str, payload: &[u8], set: &mut BTreeSet<ExposureType>
                     set.insert(ExposureType::Mac); // chaddr is always present
                     if let Some(hostname) = &repr.hostname {
                         set.insert(ExposureType::DeviceModel);
-                        if !ident::extract_names(hostname).is_empty()
-                            || hostname.contains('\'')
-                        {
+                        if !ident::extract_names(hostname).is_empty() || hostname.contains('\'') {
                             set.insert(ExposureType::DisplayName);
                         }
                     }
@@ -266,7 +264,12 @@ mod tests {
     #[test]
     fn tuya_row() {
         let frame = iotlan_wire::tuya::Frame::discovery("gw123", "prodkey", "192.168.10.5", "3.3");
-        let table = table_with(vec![stack::udp_broadcast(ep(1), 40000, 6666, &frame.to_bytes())]);
+        let table = table_with(vec![stack::udp_broadcast(
+            ep(1),
+            40000,
+            6666,
+            &frame.to_bytes(),
+        )]);
         let matrix = exposure_matrix(&table);
         assert!(matrix.exposes("TuyaLP", ExposureType::GwId));
         assert!(matrix.exposes("TuyaLP", ExposureType::ProductKey));
@@ -336,7 +339,12 @@ mod tests {
     #[test]
     fn render_matrix() {
         let frame = iotlan_wire::tuya::Frame::discovery("gw", "pk", "192.168.10.5", "3.3");
-        let table = table_with(vec![stack::udp_broadcast(ep(1), 40000, 6666, &frame.to_bytes())]);
+        let table = table_with(vec![stack::udp_broadcast(
+            ep(1),
+            40000,
+            6666,
+            &frame.to_bytes(),
+        )]);
         let matrix = exposure_matrix(&table);
         let rendered = matrix.render();
         assert!(rendered.contains("TuyaLP"));

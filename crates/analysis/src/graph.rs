@@ -110,8 +110,7 @@ pub fn build_graph(table: &FlowTable, catalog: &Catalog) -> DeviceGraph {
         ..Default::default()
     };
     for flow in &table.flows {
-        let is_unicast_transport =
-            matches!(flow.key.transport, Transport::Tcp | Transport::Udp);
+        let is_unicast_transport = matches!(flow.key.transport, Transport::Tcp | Transport::Udp);
         if !is_unicast_transport || flow.is_multicast_or_broadcast() {
             continue;
         }
@@ -161,7 +160,10 @@ mod tests {
 
     fn endpoint_of(catalog: &Catalog, name: &str) -> Endpoint {
         let d = catalog.find(name).unwrap();
-        Endpoint { mac: d.mac, ip: d.ip }
+        Endpoint {
+            mac: d.mac,
+            ip: d.ip,
+        }
     }
 
     #[test]

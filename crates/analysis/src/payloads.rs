@@ -19,7 +19,11 @@ pub fn payload_examples(table: &FlowTable) -> Vec<PayloadExample> {
     let mut out: Vec<PayloadExample> = Vec::new();
     for flow in &table.flows {
         let protocol = classify_with_rules(flow, &rules);
-        let protocol = if protocol == "NETBIOS" { "NETBIOS" } else { protocol };
+        let protocol = if protocol == "NETBIOS" {
+            "NETBIOS"
+        } else {
+            protocol
+        };
         if !wanted.contains(&protocol) {
             continue;
         }
@@ -64,7 +68,11 @@ pub fn hexdump(data: &[u8]) -> String {
         }
         out.push(' ');
         for &b in chunk {
-            out.push(if (0x20..0x7f).contains(&b) { b as char } else { '.' });
+            out.push(if (0x20..0x7f).contains(&b) {
+                b as char
+            } else {
+                '.'
+            });
         }
         out.push('\n');
     }
@@ -125,8 +133,13 @@ mod tests {
         // The Table 5 NetBIOS bytes: 0x43 0x4b ('C','K') then the 'A' run.
         assert!(nb.rendered.contains("43 4b 41"));
         assert!(nb.rendered.contains("AAAAAAAAAAAAAAAA"));
-        let tp = examples.iter().find(|e| e.protocol == "TPLINK_SHP").unwrap();
-        assert!(tp.rendered.contains("8006E8E9017F556D283C850B4E29BC1F185334E5"));
+        let tp = examples
+            .iter()
+            .find(|e| e.protocol == "TPLINK_SHP")
+            .unwrap();
+        assert!(tp
+            .rendered
+            .contains("8006E8E9017F556D283C850B4E29BC1F185334E5"));
         assert!(tp.rendered.contains("42.337681"));
     }
 

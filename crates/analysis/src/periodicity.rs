@@ -87,7 +87,16 @@ impl PeriodicityReport {
 
 /// Protocols the paper treats as discovery traffic (App. D.1).
 pub const DISCOVERY_PROTOCOLS: &[Label] = &[
-    "mDNS", "SSDP", "ARP", "DHCP", "ICMPv6", "TuyaLP", "TPLINK_SHP", "LIFX", "COAP", "IGMP",
+    "mDNS",
+    "SSDP",
+    "ARP",
+    "DHCP",
+    "ICMPv6",
+    "TuyaLP",
+    "TPLINK_SHP",
+    "LIFX",
+    "COAP",
+    "IGMP",
 ];
 
 /// Most bins the autocorrelation detector uses, however long the span.

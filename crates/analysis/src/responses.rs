@@ -119,10 +119,7 @@ pub fn rows_from_records(
                     .map(|r| r.protocols_with_response.len() as f64)
                     .sum::<f64>()
                     / n,
-                mean_devices_responded: recs
-                    .iter()
-                    .map(|r| r.responders.len() as f64)
-                    .sum::<f64>()
+                mean_devices_responded: recs.iter().map(|r| r.responders.len() as f64).sum::<f64>()
                     / n,
             }
         })
@@ -307,9 +304,8 @@ pub fn discovery_responses(table: &FlowTable, catalog: &Catalog) -> Vec<Category
 
 /// Render Table 4.
 pub fn render(rows: &[CategoryResponseRow]) -> String {
-    let mut out = String::from(
-        "Device Group     #Disc.Protocols  #Proto w/Response  #Devices Responded\n",
-    );
+    let mut out =
+        String::from("Device Group     #Disc.Protocols  #Proto w/Response  #Devices Responded\n");
     for row in rows {
         out.push_str(&format!(
             "{:<16} {:>15.2}  {:>17.2}  {:>18.2}\n",

@@ -191,7 +191,10 @@ pub fn named_apps() -> Vec<AppConfig> {
             package: "com.pzolee.networkscanner".into(), // Device Finder
             category: AppCategory::Regular,
             permissions: base_permissions(),
-            behaviors: vec![AppBehavior::NetBiosScan, AppBehavior::MdnsScan(vec![cast()])],
+            behaviors: vec![
+                AppBehavior::NetBiosScan,
+                AppBehavior::MdnsScan(vec![cast()]),
+            ],
             sdks: vec![],
         },
         AppConfig {
@@ -206,7 +209,7 @@ pub fn named_apps() -> Vec<AppConfig> {
             category: AppCategory::Regular,
             permissions: base_permissions(),
             behaviors: vec![AppBehavior::MdnsScan(vec![
-                "_spotify-connect._tcp.local".into(),
+                "_spotify-connect._tcp.local".into()
             ])],
             sdks: vec![],
         },
@@ -242,10 +245,16 @@ pub fn build_population() -> Vec<AppConfig> {
     let mut both_left = 33usize; // overlap so that "any scan" lands near 9%
     let mut netbios_left = 10usize.saturating_sub(apps.iter().filter(|a| a.uses_netbios()).count());
     let mut tls_left = 584usize.saturating_sub(apps.iter().filter(|a| a.uses_tls()).count());
-    let mut router_info_left = 36usize
-        .saturating_sub(apps.iter().filter(|a| a.behaviors.contains(&AppBehavior::CollectRouterInfo)).count());
-    let mut downlink_left = 13usize
-        .saturating_sub(apps.iter().filter(|a| a.behaviors.contains(&AppBehavior::DownlinkMacReceipt)).count());
+    let mut router_info_left = 36usize.saturating_sub(
+        apps.iter()
+            .filter(|a| a.behaviors.contains(&AppBehavior::CollectRouterInfo))
+            .count(),
+    );
+    let mut downlink_left = 13usize.saturating_sub(
+        apps.iter()
+            .filter(|a| a.behaviors.contains(&AppBehavior::DownlinkMacReceipt))
+            .count(),
+    );
 
     for index in named_count..TOTAL {
         let is_iot = index < IOT + named_count / 2; // keep ~987 IoT total
@@ -258,7 +267,9 @@ pub fn build_population() -> Vec<AppConfig> {
         let mut sdks = Vec::new();
 
         if both_left > 0 {
-            behaviors.push(AppBehavior::MdnsScan(vec!["_services._dns-sd._udp.local".into()]));
+            behaviors.push(AppBehavior::MdnsScan(vec![
+                "_services._dns-sd._udp.local".into()
+            ]));
             behaviors.push(AppBehavior::SsdpScan(vec!["ssdp:all".into()]));
             if both_left >= 31 {
                 // Three more IoT apps relaying harvested MACs to analytics
@@ -313,7 +324,11 @@ pub fn build_population() -> Vec<AppConfig> {
         apps.push(AppConfig {
             package: format!(
                 "{}.app{index:04}",
-                if is_iot { "iot.companion" } else { "com.regular" }
+                if is_iot {
+                    "iot.companion"
+                } else {
+                    "com.regular"
+                }
             ),
             category,
             permissions: base_permissions(),
@@ -332,7 +347,10 @@ mod tests {
     fn population_size_and_split() {
         let apps = build_population();
         assert_eq!(apps.len(), 2335);
-        let iot = apps.iter().filter(|a| a.category == AppCategory::Iot).count();
+        let iot = apps
+            .iter()
+            .filter(|a| a.category == AppCategory::Iot)
+            .count();
         // 987 IoT apps, give or take the named handful.
         assert!((980..=995).contains(&iot), "iot apps {iot}");
     }
@@ -388,7 +406,10 @@ mod tests {
             .iter()
             .filter(|a| a.behaviors.contains(&AppBehavior::DownlinkMacReceipt))
             .count();
-        assert_eq!(downlink, 13, "§6.1: 13 companion apps receive MACs downlink");
+        assert_eq!(
+            downlink, 13,
+            "§6.1: 13 companion apps receive MACs downlink"
+        );
     }
 
     #[test]

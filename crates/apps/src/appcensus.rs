@@ -94,16 +94,16 @@ pub struct TestRun {
 impl TestRun {
     /// Did the run exfiltrate a given data type uplink?
     pub fn exfiltrates(&self, data: DataType) -> bool {
-        self.exfil.iter().any(|e| {
-            e.direction == Direction::Uplink && e.values.iter().any(|(d, _)| *d == data)
-        })
+        self.exfil
+            .iter()
+            .any(|e| e.direction == Direction::Uplink && e.values.iter().any(|(d, _)| *d == data))
     }
 
     /// Did the run receive a given data type downlink?
     pub fn receives_downlink(&self, data: DataType) -> bool {
-        self.exfil.iter().any(|e| {
-            e.direction == Direction::Downlink && e.values.iter().any(|(d, _)| *d == data)
-        })
+        self.exfil
+            .iter()
+            .any(|e| e.direction == Direction::Downlink && e.values.iter().any(|(d, _)| *d == data))
     }
 }
 

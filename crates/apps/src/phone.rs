@@ -183,13 +183,7 @@ impl Phone {
                             mac: EthernetAddress::BROADCAST,
                             ip: target_ip,
                         };
-                        ctx.send_frame(stack::udp_unicast(
-                            self.endpoint,
-                            dst,
-                            137,
-                            137,
-                            &probe,
-                        ));
+                        ctx.send_frame(stack::udp_unicast(self.endpoint, dst, 137, 137, &probe));
                     }
                     self.current_protocols.push("NETBIOS");
                 }
@@ -208,7 +202,8 @@ impl Phone {
                         let syn = tcp::Repr::syn(sport, *dst_port, 0x0a00_0000);
                         let target = Endpoint { mac, ip };
                         ctx.send_frame(stack::tcp_segment(self.endpoint, target, &syn, &[]));
-                        let data = tcp::Repr::data(sport, *dst_port, 0x0a00_0001, 0x2001, hello.len());
+                        let data =
+                            tcp::Repr::data(sport, *dst_port, 0x0a00_0001, 0x2001, hello.len());
                         ctx.send_frame_delayed(
                             SimDuration::from_millis(30),
                             stack::tcp_segment(self.endpoint, target, &data, &hello),
@@ -332,7 +327,10 @@ impl Phone {
             {
                 (sdk.endpoint().to_string(), Some(*sdk))
             } else {
-                (format!("https://cloud.{}.example/devices", app.package), None)
+                (
+                    format!("https://cloud.{}.example/devices", app.package),
+                    None,
+                )
             };
             out.push(ExfilRecord {
                 endpoint,
@@ -547,7 +545,12 @@ impl Node for Phone {
             app.behaviors.contains(&AppBehavior::TplinkDiscovery),
         );
         match frame.content {
-            Content::UdpV4 { sport, dport, payload, .. } => {
+            Content::UdpV4 {
+                sport,
+                dport,
+                payload,
+                ..
+            } => {
                 // mDNS responses — only a registered NsdManager listener
                 // receives them.
                 if (sport == dns::MDNS_PORT || dport == dns::MDNS_PORT) && gate_mdns {
@@ -715,9 +718,7 @@ mod tests {
         assert!(run.protocols_used.contains(&"mDNS"));
         // Harvested the Hue's MAC-bearing mDNS data.
         assert!(
-            run.harvested
-                .iter()
-                .any(|h| h.data == DataType::DeviceMac),
+            run.harvested.iter().any(|h| h.data == DataType::DeviceMac),
             "harvest: {:?}",
             run.harvested
         );

@@ -45,7 +45,10 @@ impl SdkKind {
     pub fn scans_lan(self) -> bool {
         matches!(
             self,
-            SdkKind::InnoSdk | SdkKind::AppDynamics | SdkKind::UmlautInsightCore | SdkKind::MyTracker
+            SdkKind::InnoSdk
+                | SdkKind::AppDynamics
+                | SdkKind::UmlautInsightCore
+                | SdkKind::MyTracker
         )
     }
 
@@ -105,7 +108,9 @@ mod tests {
     #[test]
     fn endpoints_match_paper() {
         assert!(SdkKind::InnoSdk.endpoint().contains("gw.innotechworld.com"));
-        assert!(SdkKind::AppDynamics.endpoint().contains("events.claspws.tv/v1/event"));
+        assert!(SdkKind::AppDynamics
+            .endpoint()
+            .contains("events.claspws.tv/v1/event"));
         assert!(SdkKind::MyTracker.endpoint().contains("tracker.my.com"));
     }
 

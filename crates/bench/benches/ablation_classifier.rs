@@ -2,11 +2,11 @@
 //! nDPI signatures vs nDPI + the paper's manual rules, scored against the
 //! strict-parse ground truth. Shows *why* §3.5 needed manual augmentation.
 
-use iotlan_util::bench::Criterion;
 use iotlan_bench::bench_lab;
 use iotlan_core::classify::flow::Transport;
 use iotlan_core::classify::rules::{classify_with_rules, paper_rules};
 use iotlan_core::classify::{ndpi, truth, tshark};
+use iotlan_util::bench::Criterion;
 
 fn bench(c: &mut Criterion) {
     let lab = bench_lab();
@@ -50,8 +50,14 @@ fn bench(c: &mut Criterion) {
 
     println!("== Ablation: classifier layering (accuracy vs ground truth) ==");
     println!("ports-only       {:.1}%", 100.0 * score(&ports_only));
-    println!("tshark model     {:.1}%", 100.0 * score(&|f| tshark::classify(f)));
-    println!("nDPI model       {:.1}%", 100.0 * score(&|f| ndpi::classify(f)));
+    println!(
+        "tshark model     {:.1}%",
+        100.0 * score(&|f| tshark::classify(f))
+    );
+    println!(
+        "nDPI model       {:.1}%",
+        100.0 * score(&|f| ndpi::classify(f))
+    );
     println!(
         "nDPI + manual    {:.1}%   <- the paper's pipeline",
         100.0 * score(&|f| classify_with_rules(f, &rules))

@@ -3,9 +3,9 @@
 //! GE-Microwave randomized scheme, measured as distinct stable identifiers
 //! a DHCP-observing adversary collects across lease renewals.
 
-use iotlan_util::bench::Criterion;
 use iotlan_core::devices::config::{Category, DeviceConfig, HostnameScheme};
 use iotlan_core::wire::ethernet::EthernetAddress;
+use iotlan_util::bench::Criterion;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -36,7 +36,10 @@ fn bench(c: &mut Criterion) {
     println!("== Ablation: hostname scheme vs trackability over 50 DHCP renewals ==");
     for (label, scheme) in [
         ("model name     ", HostnameScheme::Model("Widget-9".into())),
-        ("name + MAC     ", HostnameScheme::NamePlusMac("acme".into())),
+        (
+            "name + MAC     ",
+            HostnameScheme::NamePlusMac("acme".into()),
+        ),
         ("display name   ", HostnameScheme::DisplayName),
         ("randomized (GE)", HostnameScheme::Randomized("ge".into())),
         ("none           ", HostnameScheme::None),

@@ -2,8 +2,8 @@
 //! uniqueness — what Table 2 would look like if vendors stripped UUIDs/MACs
 //! from discovery payloads (the §7 "data exposure minimization" mitigation).
 
-use iotlan_util::bench::Criterion;
 use iotlan_core::inspector::{dataset, entropy};
+use iotlan_util::bench::Criterion;
 
 fn strip_identifiers(data: &mut dataset::Dataset, strip_uuid: bool, strip_mac: bool) {
     for household in &mut data.households {

@@ -3,10 +3,10 @@
 //! "Discovery Intervals"): higher frequency → faster, finer-grained
 //! knowledge of who is home.
 
-use iotlan_util::bench::Criterion;
 use iotlan_core::devices::{build_testbed, Device};
 use iotlan_core::netsim::router::Router;
 use iotlan_core::netsim::{Network, SimDuration};
+use iotlan_util::bench::Criterion;
 
 /// Count discovery frames emitted by one device in a window under a given
 /// SSDP search interval.

@@ -7,11 +7,11 @@
 //! times. `frames_per_sec` is the median rate and `min`/`max` bound it.
 
 use iotlan_bench::{emit_line, per_sec};
-use iotlan_util::bench::{Criterion, Throughput};
-use iotlan_util::json;
 use iotlan_core::classify::rules::{classify_with_rules, paper_rules};
 use iotlan_core::classify::{truth, FlowTable};
 use iotlan_core::{Lab, LabConfig};
+use iotlan_util::bench::{Criterion, Throughput};
+use iotlan_util::json;
 use std::time::Instant;
 
 fn bench(c: &mut Criterion) {

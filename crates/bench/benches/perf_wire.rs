@@ -46,7 +46,14 @@ fn bench(c: &mut Criterion) {
     });
 
     let sysinfo = tplink::Message::sysinfo_response(
-        "TP-Link Plug", "Smart Plug", "DEV", "HW", "OEM", 42.3, -71.1, 1,
+        "TP-Link Plug",
+        "Smart Plug",
+        "DEV",
+        "HW",
+        "OEM",
+        42.3,
+        -71.1,
+        1,
     );
     let shp_bytes = sysinfo.to_udp_bytes();
     group.throughput(Throughput::Bytes(shp_bytes.len() as u64));

@@ -213,7 +213,13 @@ mod tests {
         )]);
         table.add_frame(
             t,
-            &stack::udp_multicast(ep(1), Ipv4Addr::new(224, 0, 0, 251), 5353, 5353, &query.to_bytes()),
+            &stack::udp_multicast(
+                ep(1),
+                Ipv4Addr::new(224, 0, 0, 251),
+                5353,
+                5353,
+                &query.to_bytes(),
+            ),
         );
         // SSDP response from port 1900 (tshark fails).
         let response =
@@ -230,10 +236,16 @@ mod tests {
         }
         .to_bytes();
         rtp_payload.extend_from_slice(&[0xAD; 8]);
-        table.add_frame(t, &stack::udp_unicast(ep(1), ep(2), 40000, 10005, &rtp_payload));
+        table.add_frame(
+            t,
+            &stack::udp_unicast(ep(1), ep(2), 40000, 10005, &rtp_payload),
+        );
         // LIFX (neither labels).
         let lifx = iotlan_wire::lifx::Header::get_service(1, 1);
-        table.add_frame(t, &stack::udp_broadcast(ep(1), 41002, 56700, &lifx.to_bytes()));
+        table.add_frame(
+            t,
+            &stack::udp_broadcast(ep(1), 41002, 56700, &lifx.to_bytes()),
+        );
         table
     }
 
@@ -286,7 +298,13 @@ mod tests {
         let mut table = FlowTable::default();
         table.add_frame(
             SimTime::ZERO,
-            &stack::udp_multicast(ep(1), Ipv4Addr::new(224, 0, 0, 251), 5353, 5353, &query.to_bytes()),
+            &stack::udp_multicast(
+                ep(1),
+                Ipv4Addr::new(224, 0, 0, 251),
+                5353,
+                5353,
+                &query.to_bytes(),
+            ),
         );
         assert!(tools_agree_correctly(&table.flows[0]));
     }

@@ -357,7 +357,10 @@ mod tests {
             message: iotlan_wire::icmpv4::Message::EchoRequest { ident: 1, seq: 1 },
             payload_len: 0,
         };
-        table.add_frame(SimTime::ZERO, &stack::icmpv4_frame(ep(1), ep(2), &ping, &[]));
+        table.add_frame(
+            SimTime::ZERO,
+            &stack::icmpv4_frame(ep(1), ep(2), &ping, &[]),
+        );
         assert_eq!(table.len(), 2);
         assert!(table
             .flows

@@ -63,8 +63,7 @@ pub fn classify_frame(frame: &[u8], subnet: LocalSubnet) -> Option<KeepReason> {
             let packet = iotlan_wire::ipv4::Packet::new_checked(view.payload()).ok()?;
             // Clause 1: both endpoints local. (DHCP's 0.0.0.0 source is
             // accepted: it is a station on the local segment.)
-            let src_ok =
-                subnet.contains(packet.src_addr()) || packet.src_addr().is_unspecified();
+            let src_ok = subnet.contains(packet.src_addr()) || packet.src_addr().is_unspecified();
             if src_ok && subnet.contains(packet.dst_addr()) {
                 Some(KeepReason::LocalIpUnicast)
             } else {
@@ -155,12 +154,7 @@ mod tests {
 
     #[test]
     fn clause3_non_ip_unicast() {
-        let request = iotlan_wire::arp::Repr::reply(
-            ep(1).mac,
-            ep(1).ip,
-            ep(2).mac,
-            ep(2).ip,
-        );
+        let request = iotlan_wire::arp::Repr::reply(ep(1).mac, ep(1).ip, ep(2).mac, ep(2).ip);
         let frame = stack::arp_frame(&request); // unicast ARP reply
         assert_eq!(
             classify_frame(&frame, LocalSubnet::lab_default()),

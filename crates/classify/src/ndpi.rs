@@ -47,7 +47,7 @@ pub fn classify(flow: &Flow) -> Label {
                     labels::SSDP
                 }
             }
-            labels::RTP => labels::STUN, // the RTP/STUN confusion
+            labels::RTP => labels::STUN,     // the RTP/STUN confusion
             labels::LIFX => labels::UNKNOWN, // no LIFX dissector
             labels::NTP => labels::NTP,
             other => other,
@@ -173,8 +173,10 @@ mod tests {
 
     #[test]
     fn correct_protocols_pass_through() {
-        let query =
-            iotlan_wire::dns::Message::mdns_query(&[("_hue._tcp.local", iotlan_wire::dns::RecordType::Ptr)]);
+        let query = iotlan_wire::dns::Message::mdns_query(&[(
+            "_hue._tcp.local",
+            iotlan_wire::dns::RecordType::Ptr,
+        )]);
         let flow = one_flow(stack::udp_multicast(
             ep(1),
             Ipv4Addr::new(224, 0, 0, 251),

@@ -130,7 +130,9 @@ fn label_tcp(flow: &Flow) -> Label {
             return labels::TPLINK_SHP;
         }
     }
-    if payload.starts_with(b"RTSP/") || payload.starts_with(b"OPTIONS rtsp") || payload.starts_with(b"DESCRIBE rtsp")
+    if payload.starts_with(b"RTSP/")
+        || payload.starts_with(b"OPTIONS rtsp")
+        || payload.starts_with(b"DESCRIBE rtsp")
     {
         return labels::RTSP;
     }
@@ -191,11 +193,21 @@ mod tests {
     #[test]
     fn proprietary_protocols() {
         let shp = tplink::Message::get_sysinfo();
-        let flow = one_flow(stack::udp_broadcast(ep(1), 41000, 9999, &shp.to_udp_bytes()));
+        let flow = one_flow(stack::udp_broadcast(
+            ep(1),
+            41000,
+            9999,
+            &shp.to_udp_bytes(),
+        ));
         assert_eq!(label_flow(&flow), labels::TPLINK_SHP);
 
         let tuya_frame = tuya::Frame::discovery("gw", "pk", "192.168.10.5", "3.3");
-        let flow = one_flow(stack::udp_broadcast(ep(1), 41001, 6666, &tuya_frame.to_bytes()));
+        let flow = one_flow(stack::udp_broadcast(
+            ep(1),
+            41001,
+            6666,
+            &tuya_frame.to_bytes(),
+        ));
         assert_eq!(label_flow(&flow), labels::TUYALP);
 
         let lifx = iotlan_wire::lifx::Header::get_service(1, 1);

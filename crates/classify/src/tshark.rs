@@ -71,7 +71,10 @@ pub fn classify(flow: &Flow) -> Label {
 }
 
 fn well_known_tls_port(port: u16) -> bool {
-    matches!(port, 443 | 8443 | 8009 | 8889 | 55443 | 4070 | 7000 | 3000 | 8002)
+    matches!(
+        port,
+        443 | 8443 | 8009 | 8889 | 55443 | 4070 | 7000 | 3000 | 8002
+    )
 }
 
 /// True when the label is a real classification (not the generic

@@ -8,8 +8,8 @@ use iotlan_classify::rules::{classify_with_rules, paper_rules};
 use iotlan_classify::{crossval, ndpi, truth, tshark};
 use iotlan_netsim::stack::{self, Endpoint};
 use iotlan_netsim::SimTime;
-use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_util::props;
+use iotlan_wire::ethernet::EthernetAddress;
 use std::net::Ipv4Addr;
 
 fn ep(last: u8) -> Endpoint {

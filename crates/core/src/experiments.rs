@@ -75,9 +75,17 @@ impl Fig2 {
         let mut out = paper_vs_measured(
             "Figure 2 — protocol prevalence",
             &[
-                ("ARP (passive, % devices)", "92%".into(), pct(p.passive_rate("ARP"))),
+                (
+                    "ARP (passive, % devices)",
+                    "92%".into(),
+                    pct(p.passive_rate("ARP")),
+                ),
                 ("DHCP (passive)", "92%".into(), pct(p.passive_rate("DHCP"))),
-                ("EAPOL (passive)", "84%".into(), pct(p.passive_rate("EAPOL"))),
+                (
+                    "EAPOL (passive)",
+                    "84%".into(),
+                    pct(p.passive_rate("EAPOL")),
+                ),
                 ("ICMP (passive)", "78%".into(), pct(p.passive_rate("ICMP"))),
                 ("IGMP (passive)", "56%".into(), pct(p.passive_rate("IGMP"))),
                 ("mDNS (passive)", "44%".into(), pct(p.passive_rate("mDNS"))),
@@ -89,7 +97,11 @@ impl Fig2 {
                     "26%".into(),
                     pct(p.passive_rate("TPLINK_SHP")),
                 ),
-                ("TuyaLP (passive)", "5%".into(), pct(p.passive_rate("TuyaLP"))),
+                (
+                    "TuyaLP (passive)",
+                    "5%".into(),
+                    pct(p.passive_rate("TuyaLP")),
+                ),
                 ("RTP (passive)", "10%".into(), pct(p.passive_rate("RTP"))),
                 ("mDNS (apps)", "6.0%".into(), pct(p.app_rate("mDNS"))),
                 ("SSDP (apps)", "4.0%".into(), pct(p.app_rate("SSDP"))),
@@ -129,7 +141,11 @@ impl Fig3 {
         let mut out = paper_vs_measured(
             "Figure 3 / Appendix C.2 — classifier cross-validation",
             &[
-                ("flows analyzed", "366K pkts".into(), format!("{}", a.total_flows)),
+                (
+                    "flows analyzed",
+                    "366K pkts".into(),
+                    format!("{}", a.total_flows),
+                ),
                 ("tshark labelled", "76%".into(), pct(a.tshark_labeled)),
                 ("nDPI labelled", "74%".into(), pct(a.ndpi_labeled)),
                 ("neither labelled", "7.5%".into(), pct(a.neither)),
@@ -386,7 +402,10 @@ pub fn sec51_discovery_stats(lab: &Lab) -> Sec51 {
         }
     }
     // Router-side DHCP observations.
-    let router_id = lab.network.node_by_mac(iotlan_netsim::router::GATEWAY_MAC).unwrap();
+    let router_id = lab
+        .network
+        .node_by_mac(iotlan_netsim::router::GATEWAY_MAC)
+        .unwrap();
     let router = lab
         .network
         .node(router_id)
@@ -450,7 +469,9 @@ pub fn sec6_exfiltration(report: &AppCensusReport) -> String {
             (
                 "IoT apps relaying device MACs",
                 "6".into(),
-                report.iot_apps_exfiltrating(DataType::DeviceMac).to_string(),
+                report
+                    .iot_apps_exfiltrating(DataType::DeviceMac)
+                    .to_string(),
             ),
             (
                 "apps uploading router SSID",
@@ -546,10 +567,18 @@ mod tests {
         assert!(a.total_flows > 50);
         assert!(a.ndpi_labeled > 0.7);
         // Paper: tshark labelled 76% of flows.
-        assert!((0.6..=0.95).contains(&a.tshark_labeled), "{}", a.tshark_labeled);
+        assert!(
+            (0.6..=0.95).contains(&a.tshark_labeled),
+            "{}",
+            a.tshark_labeled
+        );
         assert!(a.ndpi_label_count >= 5);
         // Paper: ~95% of disagreements are tshark's SSDP failures.
-        assert!(fig3.crossval.ssdp_share > 0.8, "{}", fig3.crossval.ssdp_share);
+        assert!(
+            fig3.crossval.ssdp_share > 0.8,
+            "{}",
+            fig3.crossval.ssdp_share
+        );
 
         let fig4 = fig4_vendor_clusters(&lab);
         assert!(!fig4.google.edges.is_empty(), "google cluster");

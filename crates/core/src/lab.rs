@@ -20,10 +20,10 @@ use iotlan_netsim::router::{Router, GATEWAY_MAC};
 use iotlan_netsim::stack::{self, Endpoint};
 use iotlan_netsim::{FrameSink, Network, NodeId, SimDuration};
 use iotlan_telemetry::Manifest;
-use iotlan_wire::ethernet::EthernetAddress;
-use iotlan_wire::{tcp, tplink};
 use iotlan_util::json;
 use iotlan_util::rng::Rng;
+use iotlan_wire::ethernet::EthernetAddress;
+use iotlan_wire::{tcp, tplink};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -162,11 +162,7 @@ impl Lab {
             if device.open_tcp.iter().any(|s| s.port == 9999) {
                 actions.push(Action::TplinkRelay(endpoint));
             }
-            if let Some(http) = device
-                .open_tcp
-                .iter()
-                .find(|s| s.service.is_http())
-            {
+            if let Some(http) = device.open_tcp.iter().find(|s| s.service.is_http()) {
                 actions.push(Action::HttpGet(endpoint, http.port, "/".into()));
             }
             if let Some(tls) = device.open_tcp.iter().find(|s| s.service.is_tls()) {
@@ -369,8 +365,13 @@ impl Lab {
 
     /// The honeypot's interaction log, if deployed.
     pub fn honeypot(&self) -> Option<&Honeypot> {
-        self.honeypot_id
-            .map(|id| self.network.node(id).as_any().downcast_ref::<Honeypot>().unwrap())
+        self.honeypot_id.map(|id| {
+            self.network
+                .node(id)
+                .as_any()
+                .downcast_ref::<Honeypot>()
+                .unwrap()
+        })
     }
 
     /// The capture assembled into flows, built once per capture state and
@@ -618,7 +619,10 @@ mod tests {
         });
         lab.run_idle();
         let first = lab.flow_table();
-        assert!(Rc::ptr_eq(&first, &lab.flow_table()), "no simulation, no rebuild");
+        assert!(
+            Rc::ptr_eq(&first, &lab.flow_table()),
+            "no simulation, no rebuild"
+        );
 
         // The capture grows: the memo rebuilds to what a fresh build gives.
         let before = lab.network.capture.len();
@@ -642,8 +646,14 @@ mod tests {
         let replaced = lab.flow_table();
         assert!(!Rc::ptr_eq(&grown, &replaced));
         let fresh = FlowTable::from_capture(&lab.network.capture);
-        assert_eq!(format!("{:?}", replaced.flows), format!("{:?}", fresh.flows));
-        assert_ne!(format!("{:?}", replaced.flows), format!("{:?}", grown.flows));
+        assert_eq!(
+            format!("{:?}", replaced.flows),
+            format!("{:?}", fresh.flows)
+        );
+        assert_ne!(
+            format!("{:?}", replaced.flows),
+            format!("{:?}", grown.flows)
+        );
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //!   and TiVo randomized bytes (§5.1).
 
 use crate::config::{
-    ArpScanConfig, Category, CoapConfig, DeviceConfig, HostnameScheme, HttpPollConfig,
-    MdnsConfig, MdnsService, RtpConfig, ScanProfile, SsdpConfig, TlsPeerConfig, TplinkRole,
-    TuyaConfig,
+    ArpScanConfig, Category, CoapConfig, DeviceConfig, HostnameScheme, HttpPollConfig, MdnsConfig,
+    MdnsService, RtpConfig, ScanProfile, SsdpConfig, TlsPeerConfig, TplinkRole, TuyaConfig,
 };
 use crate::services::{ServiceKind, ServicePort};
 use iotlan_wire::ethernet::EthernetAddress;
@@ -277,7 +276,11 @@ fn echo_device(
                 service_type: "_amzn-wplay._tcp.local".into(),
                 instance: display_name.to_string(),
                 port: 55442,
-                txt: vec![format!("u={uuid}"), "t=1".into(), format!("n={display_name}")],
+                txt: vec![
+                    format!("u={uuid}"),
+                    "t=1".into(),
+                    format!("n={display_name}"),
+                ],
             },
             // §4.1: "the newly-released IPv6-based Matter traffic from
             // Amazon Echo smart speakers".
@@ -430,8 +433,7 @@ fn google_device(
             notify: false,
             responds: is_hub, // Nest hubs respond thanks to Chromecast built-in
             uuid,
-            server_banner: "Linux/3.8.13, UPnP/1.0, Portable SDK for UPnP devices/1.6.18"
-                .into(),
+            server_banner: "Linux/3.8.13, UPnP/1.0, Portable SDK for UPnP devices/1.6.18".into(),
             location: Some(format!("http://{ip}:8008/ssdp/device-desc.xml")),
             upnp_version_10: true,
         });
@@ -625,7 +627,13 @@ fn apple_device(
 }
 
 /// A TP-Link smart plug or bulb (SHP server with geolocation leak).
-fn tplink_device(b: &mut Builder, name: &str, model: &str, alias: &str, dev_name: &str) -> Ipv4Addr {
+fn tplink_device(
+    b: &mut Builder,
+    name: &str,
+    model: &str,
+    alias: &str,
+    dev_name: &str,
+) -> Ipv4Addr {
     let (mac, ip) = b.alloc(oui::TPLINK);
     let mut c = DeviceConfig::base(name, "TP-Link", model, Category::HomeAutomation, mac, ip);
     c.igmp = false;
@@ -767,11 +775,31 @@ pub fn build_testbed() -> Catalog {
     let echo_models: [(&str, &str, &str); 17] = [
         ("Amazon Echo (2nd gen) A", "Echo (2nd gen)", "Kitchen Echo"),
         ("Amazon Echo (2nd gen) B", "Echo (2nd gen)", "Office Echo"),
-        ("Amazon Echo Dot (2nd gen)", "Echo Dot (2nd gen)", "Bedroom Dot"),
-        ("Amazon Echo Dot (3rd gen) A", "Echo Dot (3rd gen)", "Hall Dot"),
-        ("Amazon Echo Dot (3rd gen) B", "Echo Dot (3rd gen)", "Bath Dot"),
-        ("Amazon Echo Dot (3rd gen) C", "Echo Dot (3rd gen)", "Desk Dot"),
-        ("Amazon Echo Dot (4th gen)", "Echo Dot (4th gen)", "Studio Dot"),
+        (
+            "Amazon Echo Dot (2nd gen)",
+            "Echo Dot (2nd gen)",
+            "Bedroom Dot",
+        ),
+        (
+            "Amazon Echo Dot (3rd gen) A",
+            "Echo Dot (3rd gen)",
+            "Hall Dot",
+        ),
+        (
+            "Amazon Echo Dot (3rd gen) B",
+            "Echo Dot (3rd gen)",
+            "Bath Dot",
+        ),
+        (
+            "Amazon Echo Dot (3rd gen) C",
+            "Echo Dot (3rd gen)",
+            "Desk Dot",
+        ),
+        (
+            "Amazon Echo Dot (4th gen)",
+            "Echo Dot (4th gen)",
+            "Studio Dot",
+        ),
         ("Amazon Echo Spot", "Echo Spot", "Nightstand Spot"),
         ("Amazon Echo Show 5 A", "Echo Show 5", "Kitchen Show"),
         ("Amazon Echo Show 5 B", "Echo Show 5", "Lab Show"),
@@ -1034,7 +1062,9 @@ pub fn build_testbed() -> Catalog {
                 1424,
                 ServiceKind::Http {
                     server_banner: Some("WebOS/4.1.0 UPnP/1.0".into()),
-                    index_body: "<root><device><friendlyName>[LG] webOS TV</friendlyName></device></root>".into(),
+                    index_body:
+                        "<root><device><friendlyName>[LG] webOS TV</friendlyName></device></root>"
+                            .into(),
                     extra_paths: vec![],
                 },
             ),
@@ -1058,19 +1088,27 @@ pub fn build_testbed() -> Catalog {
     // Roku TV: possessive name + IGD searches.
     {
         let (mac, ip) = b.alloc(oui::ROKU);
-        let mut c = DeviceConfig::base("Roku Express", "Roku", "Express 3960", Category::MediaTv, mac, ip);
+        let mut c = DeviceConfig::base(
+            "Roku Express",
+            "Roku",
+            "Express 3960",
+            Category::MediaTv,
+            mac,
+            ip,
+        );
         c.igmp = true;
         c.hostname = HostnameScheme::Model("Roku-Express".into());
         c.identity.display_name = Some("Danny's Room".into());
         let serial = format!("YH00{:02X}{:02X}{:02X}", mac.0[3], mac.0[4], mac.0[5]);
         c.identity.serial = Some(serial.clone());
-        let uuid = format!("294b6e2a-roku-4e5f-8a9b-{:02x}{:02x}c39e2a77", mac.0[4], mac.0[5]);
+        let uuid = format!(
+            "294b6e2a-roku-4e5f-8a9b-{:02x}{:02x}c39e2a77",
+            mac.0[4], mac.0[5]
+        );
         c.identity.uuid = Some(uuid.clone());
         c.ssdp = Some(SsdpConfig {
             // §5.1: Roku sends IGD-related SSDP requests.
-            search_targets: vec![
-                "urn:schemas-upnp-org:device:InternetGatewayDevice:1".into(),
-            ],
+            search_targets: vec!["urn:schemas-upnp-org:device:InternetGatewayDevice:1".into()],
             search_interval_secs: 600,
             notify: true,
             responds: true,
@@ -1117,7 +1155,14 @@ pub fn build_testbed() -> Catalog {
     // Samsung TV.
     {
         let (mac, ip) = b.alloc(oui::SAMSUNG);
-        let mut c = DeviceConfig::base("Samsung Smart TV", "Samsung", "QN55Q60", Category::MediaTv, mac, ip);
+        let mut c = DeviceConfig::base(
+            "Samsung Smart TV",
+            "Samsung",
+            "QN55Q60",
+            Category::MediaTv,
+            mac,
+            ip,
+        );
         c.ipv6 = true;
         c.igmp = true;
         c.hostname = HostnameScheme::Model("Samsung-TV".into());
@@ -1162,7 +1207,14 @@ pub fn build_testbed() -> Catalog {
     // TiVo Stream: obfuscated names (§5.1).
     {
         let (mac, ip) = b.alloc(oui::TIVO);
-        let mut c = DeviceConfig::base("TiVo Stream 4K", "TiVo", "Stream 4K", Category::MediaTv, mac, ip);
+        let mut c = DeviceConfig::base(
+            "TiVo Stream 4K",
+            "TiVo",
+            "Stream 4K",
+            Category::MediaTv,
+            mac,
+            ip,
+        );
         c.igmp = true;
         c.hostname = HostnameScheme::Randomized("tivo".into());
         c.mdns = Some(MdnsConfig {
@@ -1535,7 +1587,9 @@ pub fn build_testbed() -> Catalog {
                 index_body: "<root/>".into(),
                 extra_paths: vec![(
                     "/setup.xml".into(),
-                    format!("<friendlyName>Wemo Insight</friendlyName><macAddress>{mac}</macAddress>"),
+                    format!(
+                        "<friendlyName>Wemo Insight</friendlyName><macAddress>{mac}</macAddress>"
+                    ),
                 )],
             },
         )];
@@ -2076,8 +2130,9 @@ fn calibrate_dhcp_identifiers(catalog: &mut Catalog) {
         "Realtek-SDK dhcpc 2.0",
     ];
     let stable_hash = |text: &str| -> usize {
-        text.bytes()
-            .fold(0usize, |acc, b| acc.wrapping_mul(131).wrapping_add(b as usize))
+        text.bytes().fold(0usize, |acc, b| {
+            acc.wrapping_mul(131).wrapping_add(b as usize)
+        })
     };
     // 40% of devices (37) send option 60; firmware families share a client.
     let total = catalog.devices.len();
@@ -2113,7 +2168,9 @@ fn calibrate_dhcp_identifiers(catalog: &mut Catalog) {
         let device = &mut catalog.devices[index];
         let protected = matches!(
             device.hostname,
-            HostnameScheme::Randomized(_) | HostnameScheme::NamePlusMac(_) | HostnameScheme::DisplayName
+            HostnameScheme::Randomized(_)
+                | HostnameScheme::NamePlusMac(_)
+                | HostnameScheme::DisplayName
         );
         if !protected {
             device.hostname = HostnameScheme::None;
@@ -2186,7 +2243,9 @@ fn calibrate_ports(catalog: &mut Catalog) {
         if device.vendor == "Apple" && !device.model.contains("Mini") {
             device.open_udp.push(ServicePort::new(
                 320,
-                ServiceKind::Opaque { label: "ptp".into() },
+                ServiceKind::Opaque {
+                    label: "ptp".into(),
+                },
             ));
         }
     }
@@ -2199,7 +2258,9 @@ fn calibrate_ports(catalog: &mut Catalog) {
         if device.vendor == "Amazon" && device.category == Category::VoiceAssistant {
             device.open_udp.push(ServicePort::new(
                 68,
-                ServiceKind::Opaque { label: "dhcpc".into() },
+                ServiceKind::Opaque {
+                    label: "dhcpc".into(),
+                },
             ));
             dhcp_open += 1;
         }
@@ -2349,11 +2410,7 @@ mod tests {
     fn key_devices_present_with_signature_behaviours() {
         let catalog = build_testbed();
         let hue = catalog.find("Philips Hue Bridge").unwrap();
-        assert!(hue
-            .mdns
-            .as_ref()
-            .unwrap()
-            .advertise[0]
+        assert!(hue.mdns.as_ref().unwrap().advertise[0]
             .instance
             .contains("Philips Hue - "));
         let plug = catalog.find("TP-Link Smart Plug").unwrap();

@@ -323,7 +323,7 @@ impl DeviceConfig {
                 responds_ip_proto: true,
             },
             identity: Identity::anonymous(),
-        tls_certificate: None,
+            tls_certificate: None,
         }
     }
 
@@ -341,9 +341,7 @@ impl DeviceConfig {
                 .display_name
                 .clone()
                 .map(|d| d.replace(' ', "-")),
-            HostnameScheme::Randomized(prefix) => {
-                Some(format!("{prefix}-{:016x}", nonce))
-            }
+            HostnameScheme::Randomized(prefix) => Some(format!("{prefix}-{:016x}", nonce)),
             HostnameScheme::None => None,
         }
     }
@@ -377,20 +375,10 @@ impl DeviceConfig {
         if self.coap.is_some() {
             protocols.push("COAP");
         }
-        if !self.tls_peers.is_empty()
-            || self
-                .open_tcp
-                .iter()
-                .any(|s| s.service.is_tls())
-        {
+        if !self.tls_peers.is_empty() || self.open_tcp.iter().any(|s| s.service.is_tls()) {
             protocols.push("TLS");
         }
-        if !self.http_polls.is_empty()
-            || self
-                .open_tcp
-                .iter()
-                .any(|s| s.service.is_http())
-        {
+        if !self.http_polls.is_empty() || self.open_tcp.iter().any(|s| s.service.is_http()) {
             protocols.push("HTTP");
         }
         if self.rtp.is_some() {

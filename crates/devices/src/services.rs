@@ -86,7 +86,11 @@ impl ServiceKind {
 
     /// Produce the service's response to the first data a client sends
     /// after connecting. `None` means the service stays silent.
-    pub fn respond(&self, request_data: &[u8], sysinfo: Option<&tplink::Message>) -> Option<Vec<u8>> {
+    pub fn respond(
+        &self,
+        request_data: &[u8],
+        sysinfo: Option<&tplink::Message>,
+    ) -> Option<Vec<u8>> {
         match self {
             ServiceKind::Http {
                 server_banner,
@@ -380,7 +384,9 @@ mod tests {
         let rtsp = ServiceKind::Rtsp {
             server_banner: "Hipcam RealServer/V1.0".into(),
         };
-        let out = rtsp.respond(b"OPTIONS rtsp://x RTSP/1.0\r\n\r\n", None).unwrap();
+        let out = rtsp
+            .respond(b"OPTIONS rtsp://x RTSP/1.0\r\n\r\n", None)
+            .unwrap();
         assert!(String::from_utf8_lossy(&out).contains("Hipcam"));
     }
 

@@ -140,15 +140,22 @@ impl Default for GeneratorConfig {
 }
 
 const FIRST_NAMES: &[&str] = &[
-    "Danny", "Jane", "Alice", "Bob", "Carol", "Dave", "Erin", "Frank", "Grace", "Heidi",
-    "Ivan", "Judy", "Mallory", "Niaj", "Olivia", "Peggy", "Rupert", "Sybil", "Trent",
-    "Victor", "Wendy", "Yusuf", "Zoe", "Liam", "Noah", "Emma", "Ava", "Mia", "Ethan",
-    "Lucas",
+    "Danny", "Jane", "Alice", "Bob", "Carol", "Dave", "Erin", "Frank", "Grace", "Heidi", "Ivan",
+    "Judy", "Mallory", "Niaj", "Olivia", "Peggy", "Rupert", "Sybil", "Trent", "Victor", "Wendy",
+    "Yusuf", "Zoe", "Liam", "Noah", "Emma", "Ava", "Mia", "Ethan", "Lucas",
 ];
 
 const ROOMS: &[&str] = &[
-    "Room", "Bedroom", "Kitchen", "Office", "Den", "Living Room", "Basement", "Garage",
-    "Loft", "Study",
+    "Room",
+    "Bedroom",
+    "Kitchen",
+    "Office",
+    "Den",
+    "Living Room",
+    "Basement",
+    "Garage",
+    "Loft",
+    "Study",
 ];
 
 /// Build the product universe: 284 products across 143 vendors with the
@@ -156,52 +163,121 @@ const ROOMS: &[&str] = &[
 pub fn product_universe() -> Vec<Product> {
     let mut products = Vec::new();
     let mut vendor_index = 0usize;
-    let push_family =
-        |count: usize,
-         category: &str,
-         exposure: ExposureClass,
-         weight: u32,
-         products: &mut Vec<Product>,
-         vendor_index: &mut usize| {
-            for i in 0..count {
-                // ~1.6 products per vendor on average: new vendor every
-                // other product.
-                if i % 2 == 0 || *vendor_index == 0 {
-                    *vendor_index += 1;
-                }
-                let vendor = format!("Vendor{:03}", *vendor_index);
-                products.push(Product {
-                    vendor: vendor.clone(),
-                    category: category.to_string(),
-                    model: format!("{category}-{}", products.len()),
-                    oui: format!(
-                        "{:02x}:{:02x}:{:02x}",
-                        0x10 + (products.len() / 97) as u8,
-                        (products.len() % 251) as u8,
-                        (products.len() % 241) as u8
-                    ),
-                    exposure,
-                    weight,
-                });
+    let push_family = |count: usize,
+                       category: &str,
+                       exposure: ExposureClass,
+                       weight: u32,
+                       products: &mut Vec<Product>,
+                       vendor_index: &mut usize| {
+        for i in 0..count {
+            // ~1.6 products per vendor on average: new vendor every
+            // other product.
+            if i % 2 == 0 || *vendor_index == 0 {
+                *vendor_index += 1;
             }
-        };
+            let vendor = format!("Vendor{:03}", *vendor_index);
+            products.push(Product {
+                vendor: vendor.clone(),
+                category: category.to_string(),
+                model: format!("{category}-{}", products.len()),
+                oui: format!(
+                    "{:02x}:{:02x}:{:02x}",
+                    0x10 + (products.len() / 97) as u8,
+                    (products.len() % 251) as u8,
+                    (products.len() % 241) as u8
+                ),
+                exposure,
+                weight,
+            });
+        }
+    };
 
     // 154 products exposing nothing (Table 2 row 0) — the bulk of cheap
     // plugs/sensors/appliances.
-    push_family(80, "plug", ExposureClass::None, 6, &mut products, &mut vendor_index);
-    push_family(40, "sensor", ExposureClass::None, 4, &mut products, &mut vendor_index);
-    push_family(34, "appliance", ExposureClass::None, 3, &mut products, &mut vendor_index);
+    push_family(
+        80,
+        "plug",
+        ExposureClass::None,
+        6,
+        &mut products,
+        &mut vendor_index,
+    );
+    push_family(
+        40,
+        "sensor",
+        ExposureClass::None,
+        4,
+        &mut products,
+        &mut vendor_index,
+    );
+    push_family(
+        34,
+        "appliance",
+        ExposureClass::None,
+        3,
+        &mut products,
+        &mut vendor_index,
+    );
     // UUID-exposing products (speakers, TVs, cast targets): popular.
-    push_family(60, "speaker", ExposureClass::UuidOnly, 14, &mut products, &mut vendor_index);
-    push_family(12, "tv", ExposureClass::UuidOnly, 10, &mut products, &mut vendor_index);
+    push_family(
+        60,
+        "speaker",
+        ExposureClass::UuidOnly,
+        14,
+        &mut products,
+        &mut vendor_index,
+    );
+    push_family(
+        12,
+        "tv",
+        ExposureClass::UuidOnly,
+        10,
+        &mut products,
+        &mut vendor_index,
+    );
     // MAC-only products (bridges that embed the MAC in hostnames).
-    push_family(24, "bridge", ExposureClass::MacOnly, 4, &mut products, &mut vendor_index);
+    push_family(
+        24,
+        "bridge",
+        ExposureClass::MacOnly,
+        4,
+        &mut products,
+        &mut vendor_index,
+    );
     // UUID+MAC combinations (cast sticks, hubs).
-    push_family(22, "streamer", ExposureClass::UuidMac, 9, &mut products, &mut vendor_index);
-    push_family(4, "hub", ExposureClass::UuidMac, 4, &mut products, &mut vendor_index);
+    push_family(
+        22,
+        "streamer",
+        ExposureClass::UuidMac,
+        9,
+        &mut products,
+        &mut vendor_index,
+    );
+    push_family(
+        4,
+        "hub",
+        ExposureClass::UuidMac,
+        4,
+        &mut products,
+        &mut vendor_index,
+    );
     // Possessive-name exposers are rare.
-    push_family(1, "camera", ExposureClass::NameOnly, 0, &mut products, &mut vendor_index);
-    push_family(6, "media-player", ExposureClass::NameUuid, 1, &mut products, &mut vendor_index);
+    push_family(
+        1,
+        "camera",
+        ExposureClass::NameOnly,
+        0,
+        &mut products,
+        &mut vendor_index,
+    );
+    push_family(
+        6,
+        "media-player",
+        ExposureClass::NameUuid,
+        1,
+        &mut products,
+        &mut vendor_index,
+    );
     // The single all-three product: a Roku (Table 2's last row).
     products.push(Product {
         vendor: "Roku".into(),
@@ -251,7 +327,10 @@ fn make_payloads(
     let mut display_name = None;
     let expose_uuid = matches!(
         product.exposure,
-        ExposureClass::UuidOnly | ExposureClass::NameUuid | ExposureClass::UuidMac | ExposureClass::All
+        ExposureClass::UuidOnly
+            | ExposureClass::NameUuid
+            | ExposureClass::UuidMac
+            | ExposureClass::All
     );
     let expose_mac = matches!(
         product.exposure,
@@ -268,10 +347,9 @@ fn make_payloads(
         let mut response = String::with_capacity(160);
         response.push_str("HTTP/1.1 200 OK\r\nST: upnp:rootdevice\r\nUSN: uuid:");
         if rng.gen_bool(0.16) {
-            let h = product
-                .model
-                .bytes()
-                .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(u64::from(b)));
+            let h = product.model.bytes().fold(0u64, |acc, b| {
+                acc.wrapping_mul(131).wrapping_add(u64::from(b))
+            });
             push_hex(&mut response, h >> 32, 8);
             response.push_str("-0000-4000-8000-");
             push_hex(&mut response, h, 12);
@@ -433,7 +511,10 @@ mod tests {
     #[test]
     fn universe_shape() {
         let products = product_universe();
-        assert_eq!(products.len(), 80 + 40 + 34 + 60 + 12 + 24 + 22 + 4 + 1 + 6 + 1);
+        assert_eq!(
+            products.len(),
+            80 + 40 + 34 + 60 + 12 + 24 + 22 + 4 + 1 + 6 + 1
+        );
         let none = products
             .iter()
             .filter(|p| p.exposure == ExposureClass::None)

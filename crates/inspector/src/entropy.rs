@@ -87,9 +87,7 @@ impl EntropyTable {
 
     /// Render the table as text.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "#  Pdt  Vdr   Dev    Hse   Identifier(s)      Unique%   Ent\n",
-        );
+        let mut out = String::from("#  Pdt  Vdr   Dev    Hse   Identifier(s)      Unique%   Ent\n");
         let mut rows = self.rows.clone();
         rows.sort_by_key(|r| (r.class.count(), r.class));
         for row in rows {
@@ -187,7 +185,10 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
     // Group by class; each group stays in household order.
     let mut by_class: BTreeMap<IdentifierClass, Vec<&DeviceExtraction>> = BTreeMap::new();
     for extraction in &extractions {
-        by_class.entry(extraction.class).or_default().push(extraction);
+        by_class
+            .entry(extraction.class)
+            .or_default()
+            .push(extraction);
     }
 
     // Global per-type value spaces: the paper's entropy is per identifier

@@ -257,10 +257,7 @@ mod tests {
 
     #[test]
     fn names_from_table2_examples() {
-        assert_eq!(
-            extract_names("Roku 3 - Danny's Room"),
-            vec!["Danny's Room"]
-        );
+        assert_eq!(extract_names("Roku 3 - Danny's Room"), vec!["Danny's Room"]);
         assert_eq!(
             extract_names("name=\"Alice's Roku Express\" x"),
             vec!["Alice's Roku Express"]

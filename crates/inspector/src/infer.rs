@@ -169,7 +169,10 @@ mod tests {
             .find(|d| d.user_label.is_some())
             .unwrap();
         let inference = infer_device(device, &registry);
-        assert_eq!(inference.vendor.as_deref(), Some(device.truth_vendor.as_str()));
+        assert_eq!(
+            inference.vendor.as_deref(),
+            Some(device.truth_vendor.as_str())
+        );
     }
 
     #[test]

@@ -433,7 +433,11 @@ mod tests {
         assert_eq!(first.generation(), before, "recording extends the capture");
         let clone = first.clone();
         assert_ne!(clone.generation(), first.generation());
-        assert_eq!(format!("{clone:?}"), format!("{first:?}"), "Debug shows frames only");
+        assert_eq!(
+            format!("{clone:?}"),
+            format!("{first:?}"),
+            "Debug shows frames only"
+        );
 
         first.drain_into(&mut Discard);
         assert_ne!(first.generation(), before);

@@ -327,7 +327,10 @@ mod tests {
         }
 
         fn on_frame(&mut self, _ctx: &mut Context, frame: &Dissected<'_>) {
-            if let stack::Content::UdpV4 { dport: 68, payload, .. } = frame.content {
+            if let stack::Content::UdpV4 {
+                dport: 68, payload, ..
+            } = frame.content
+            {
                 if let Ok(packet) = dhcpv4::Packet::new_checked(payload) {
                     if let Ok(reply) = dhcpv4::Repr::parse(&packet) {
                         if reply.message_type == dhcpv4::MessageType::Offer {
@@ -494,13 +497,19 @@ mod tests {
         let mac1 = EthernetAddress([0, 0, 0, 0, 0, 1]);
         let mac2 = EthernetAddress([0, 0, 0, 0, 0, 2]);
         let mac3 = EthernetAddress([0, 0, 0, 0, 0, 3]);
-        assert_eq!(router.allocate(mac1, None), Ipv4Addr::new(192, 168, 10, 100));
+        assert_eq!(
+            router.allocate(mac1, None),
+            Ipv4Addr::new(192, 168, 10, 100)
+        );
         assert_eq!(
             router.allocate(mac2, Some(Ipv4Addr::new(192, 168, 10, 55))),
             Ipv4Addr::new(192, 168, 10, 55)
         );
         // Same MAC keeps its lease.
-        assert_eq!(router.allocate(mac1, None), Ipv4Addr::new(192, 168, 10, 100));
+        assert_eq!(
+            router.allocate(mac1, None),
+            Ipv4Addr::new(192, 168, 10, 100)
+        );
         // Requesting an off-subnet address falls back to the pool.
         assert_eq!(
             router.allocate(mac3, Some(Ipv4Addr::new(10, 0, 0, 5))),

@@ -35,7 +35,13 @@ pub struct Endpoint {
 }
 
 /// Build `eth(ipv4(udp(payload)))` between unicast endpoints.
-pub fn udp_unicast(src: Endpoint, dst: Endpoint, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
+pub fn udp_unicast(
+    src: Endpoint,
+    dst: Endpoint,
+    sport: u16,
+    dport: u16,
+    payload: &[u8],
+) -> Vec<u8> {
     let udp_repr = udp::Repr {
         src_port: sport,
         dst_port: dport,
@@ -60,7 +66,13 @@ pub fn udp_unicast(src: Endpoint, dst: Endpoint, sport: u16, dport: u16, payload
 }
 
 /// Build a UDP datagram to an IPv4 multicast group.
-pub fn udp_multicast(src: Endpoint, group: Ipv4Addr, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
+pub fn udp_multicast(
+    src: Endpoint,
+    group: Ipv4Addr,
+    sport: u16,
+    dport: u16,
+    payload: &[u8],
+) -> Vec<u8> {
     udp_unicast(
         src,
         Endpoint {
@@ -510,11 +522,7 @@ mod tests {
 
     #[test]
     fn arp_frames() {
-        let request = arp::Repr::request(
-            endpoint(1).mac,
-            endpoint(1).ip,
-            endpoint(2).ip,
-        );
+        let request = arp::Repr::request(endpoint(1).mac, endpoint(1).ip, endpoint(2).ip);
         let frame = arp_frame(&request);
         let view = ethernet::Frame::new_checked(&frame[..]).unwrap();
         assert!(view.dst_addr().is_broadcast());
@@ -523,7 +531,12 @@ mod tests {
             _ => panic!("wrong content"),
         }
 
-        let reply = arp::Repr::reply(endpoint(2).mac, endpoint(2).ip, endpoint(1).mac, endpoint(1).ip);
+        let reply = arp::Repr::reply(
+            endpoint(2).mac,
+            endpoint(2).ip,
+            endpoint(1).mac,
+            endpoint(1).ip,
+        );
         let frame = arp_frame(&reply);
         let view = ethernet::Frame::new_checked(&frame[..]).unwrap();
         assert_eq!(view.dst_addr(), endpoint(1).mac);

@@ -75,20 +75,14 @@ fn frame_build_and_record_is_one_allocation() {
         .unwrap();
 
     assert_eq!(
-        allocations,
-        FRAMES as u64,
+        allocations, FRAMES as u64,
         "build+record must cost exactly one allocation per frame \
          (the composed frame buffer); record-into-arena is amortized free"
     );
 
     // The other composed paths share the same budget: one allocation each.
     let (tcp_allocs, frame) = count_allocations(|| {
-        stack::tcp_segment(
-            src,
-            dst,
-            &iotlan_wire::tcp::Repr::syn(40000, 80, 1),
-            &[],
-        )
+        stack::tcp_segment(src, dst, &iotlan_wire::tcp::Repr::syn(40000, 80, 1), &[])
     });
     assert_eq!(tcp_allocs, 1, "tcp_segment is one allocation");
     drop(frame);

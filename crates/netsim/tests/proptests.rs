@@ -3,8 +3,8 @@
 
 use iotlan_netsim::stack::{self, Dissected, Endpoint};
 use iotlan_netsim::{Context, FaultInjector, Network, Node, SimDuration};
-use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_util::props;
+use iotlan_wire::ethernet::EthernetAddress;
 use std::any::Any;
 use std::net::Ipv4Addr;
 

@@ -87,10 +87,7 @@ impl CatalogScan {
 
     /// Devices that responded to the IP-protocol scan (paper: 58).
     pub fn ip_proto_responders(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| d.responded_ip_proto)
-            .count()
+        self.devices.iter().filter(|d| d.responded_ip_proto).count()
     }
 
     /// Fraction of devices with a given TCP port open (Fig. 2's orange
@@ -200,11 +197,7 @@ pub fn scanner_endpoint() -> Endpoint {
 
 /// Drive a real SYN probe through the simulator and interpret the answer —
 /// used to verify the model path end-to-end.
-pub fn probe_tcp_wire(
-    network: &mut Network,
-    target: Endpoint,
-    port: u16,
-) -> PortState {
+pub fn probe_tcp_wire(network: &mut Network, target: Endpoint, port: u16) -> PortState {
     iotlan_telemetry::counter!("scan.probes_tcp_wire").incr();
     let scanner = scanner_endpoint();
     let probe_sport = 47000 + (port % 1000);
@@ -343,7 +336,11 @@ mod tests {
         // §4.2: 178 unique TCP / 115 unique UDP ports on 61 devices. The
         // exact figures are printed by the bench; here we assert the shape:
         // substantial diversity and tens of devices with open ports.
-        assert!(scan.unique_tcp_ports().len() >= 20, "{}", scan.unique_tcp_ports().len());
+        assert!(
+            scan.unique_tcp_ports().len() >= 20,
+            "{}",
+            scan.unique_tcp_ports().len()
+        );
         assert!(scan.devices_with_open_ports() >= 40);
     }
 }

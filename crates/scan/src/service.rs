@@ -20,9 +20,9 @@ pub fn nmap_service_name(port: u16, udp: bool) -> &'static str {
             1900 => "upnp",
             5353 => "zeroconf",
             5683 => "coap",
-            6666 => "irc",       // nmap: irc — actually TuyaLP
-            6667 => "irc",       // nmap: irc — actually TuyaLP
-            9999 => "distinct",  // actually TPLINK-SHP discovery
+            6666 => "irc",      // nmap: irc — actually TuyaLP
+            6667 => "irc",      // nmap: irc — actually TuyaLP
+            9999 => "distinct", // actually TPLINK-SHP discovery
             55444 => "unknown",
             56700 => "unknown",
             _ => "unknown",
@@ -36,7 +36,7 @@ pub fn nmap_service_name(port: u16, udp: bool) -> &'static str {
             554 => "rtsp",
             1080 => "socks5",
             1424 => "hybrid",
-            3000 => "ppp", // nmap's 3000/tcp entry
+            3000 => "ppp",   // nmap's 3000/tcp entry
             4070 => "tripe", // actually Amazon device control (HTTPS)
             6466 => "unknown",
             6667 => "irc",
@@ -165,13 +165,7 @@ mod tests {
 
     #[test]
     fn telnet_and_dns_correct() {
-        let telnet = identify(
-            23,
-            false,
-            &ServiceKind::Telnet {
-                banner: "b".into(),
-            },
-        );
+        let telnet = identify(23, false, &ServiceKind::Telnet { banner: "b".into() });
         assert!(!was_mislabeled(&telnet));
         let dns = identify(
             53,

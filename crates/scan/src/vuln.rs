@@ -139,7 +139,9 @@ plugin!(JQueryXss, "jquery-1.2-xss", |device| {
                         severity: Severity::Medium,
                         cve: Some(cve),
                         port: Some(service.port),
-                        description: "HTTP server ships jQuery 1.2, which has multiple XSS vulnerabilities".into(),
+                        description:
+                            "HTTP server ships jQuery 1.2, which has multiple XSS vulnerabilities"
+                                .into(),
                     });
                 }
             }
@@ -212,9 +214,8 @@ plugin!(DnsIssues, "dns-server-issues", |device| {
                     severity: Severity::Medium,
                     cve: None,
                     port: Some(service.port),
-                    description:
-                        "DNS server allows cache snooping (remote information disclosure)"
-                            .into(),
+                    description: "DNS server allows cache snooping (remote information disclosure)"
+                        .into(),
                 });
             }
             if *reveals_hostname {
@@ -265,25 +266,33 @@ plugin!(LegacyUpnp, "upnp-legacy", |device| {
     findings
 });
 
-plugin!(UnauthenticatedControl, "unauthenticated-control", |device| {
-    let mut findings = Vec::new();
-    if matches!(device.tplink, Some(TplinkRole::Server { .. })) {
-        findings.push(Finding {
-            plugin: "unauthenticated-control",
-            severity: Severity::High,
-            cve: None,
-            port: Some(9999),
-            description:
-                "TPLINK-SHP accepts unauthenticated control commands from any LAN host"
-                    .into(),
-        });
+plugin!(
+    UnauthenticatedControl,
+    "unauthenticated-control",
+    |device| {
+        let mut findings = Vec::new();
+        if matches!(device.tplink, Some(TplinkRole::Server { .. })) {
+            findings.push(Finding {
+                plugin: "unauthenticated-control",
+                severity: Severity::High,
+                cve: None,
+                port: Some(9999),
+                description:
+                    "TPLINK-SHP accepts unauthenticated control commands from any LAN host".into(),
+            });
+        }
+        findings
     }
-    findings
-});
+);
 
 plugin!(GeolocationExposure, "geolocation-exposure", |device| {
     let mut findings = Vec::new();
-    if let Some(TplinkRole::Server { latitude, longitude, .. }) = &device.tplink {
+    if let Some(TplinkRole::Server {
+        latitude,
+        longitude,
+        ..
+    }) = &device.tplink
+    {
         findings.push(Finding {
             plugin: "geolocation-exposure",
             severity: Severity::High,
@@ -380,9 +389,7 @@ mod tests {
         let findings = scan_device(cam);
         assert!(findings.iter().any(|f| f.cve == Some("CVE-2020-11022")));
         assert!(findings.iter().any(|f| f.cve == Some("CVE-2020-11023")));
-        assert!(findings
-            .iter()
-            .any(|f| f.description.contains("snapshot")));
+        assert!(findings.iter().any(|f| f.description.contains("snapshot")));
         assert!(findings
             .iter()
             .any(|f| f.description.contains("user-account")));
@@ -403,9 +410,7 @@ mod tests {
         let catalog = build_testbed();
         let homepod = catalog.find("Apple HomePod Mini A").unwrap();
         let findings = scan_device(homepod);
-        assert!(findings
-            .iter()
-            .any(|f| f.description.contains("SheerDNS")));
+        assert!(findings.iter().any(|f| f.description.contains("SheerDNS")));
         assert!(findings
             .iter()
             .any(|f| f.description.contains("cache snooping")));
@@ -422,9 +427,7 @@ mod tests {
         // The HomePod's AirPlay TLS is 1.3 with encrypted certs: the cert
         // plugins must not fire.
         assert!(!findings.iter().any(|f| f.plugin == "ssl-weak-key"));
-        assert!(!findings
-            .iter()
-            .any(|f| f.plugin == "ssl-self-signed-long"));
+        assert!(!findings.iter().any(|f| f.plugin == "ssl-self-signed-long"));
     }
 
     #[test]

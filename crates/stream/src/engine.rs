@@ -88,9 +88,7 @@ impl StreamEngine {
         self.pcap_bytes_pushed += chunk.len() as u64;
         self.reader.push(chunk);
         while let Some(packet) = self.reader.next_packet()? {
-            let time = SimTime(
-                u64::from(packet.ts_sec) * 1_000_000 + u64::from(packet.ts_usec),
-            );
+            let time = SimTime(u64::from(packet.ts_sec) * 1_000_000 + u64::from(packet.ts_usec));
             self.on_frame(time, &packet.data);
         }
         Ok(())
@@ -232,7 +230,10 @@ impl StreamReport {
         manifest.set("periodicity_groups", self.periodicity_groups.len());
         manifest.set("periodicity_exact", self.periodicity_exact);
         manifest.digest("graph.txt", self.graph(catalog).render().as_bytes());
-        manifest.digest("prevalence.txt", self.prevalence(catalog).render().as_bytes());
+        manifest.digest(
+            "prevalence.txt",
+            self.prevalence(catalog).render().as_bytes(),
+        );
         manifest.attach_metrics();
         manifest.attach_host_info();
         manifest
@@ -258,7 +259,10 @@ mod tests {
 
     fn endpoint_of(catalog: &Catalog, name: &str) -> Endpoint {
         let d = catalog.find(name).unwrap();
-        Endpoint { mac: d.mac, ip: d.ip }
+        Endpoint {
+            mac: d.mac,
+            ip: d.ip,
+        }
     }
 
     /// A small synthetic capture exercising every accumulator: unicast

@@ -159,12 +159,7 @@ pub enum FlameMetric {
 pub fn collapsed_stacks(root: &FlameNode, metric: FlameMetric) -> String {
     let mut out = String::new();
     let mut path: Vec<&'static str> = Vec::new();
-    fn walk(
-        node: &FlameNode,
-        metric: FlameMetric,
-        path: &mut Vec<&'static str>,
-        out: &mut String,
-    ) {
+    fn walk(node: &FlameNode, metric: FlameMetric, path: &mut Vec<&'static str>, out: &mut String) {
         for (name, child) in &node.children {
             path.push(name);
             let value = match metric {

@@ -121,7 +121,10 @@ impl Criterion {
         // Warmup, counting iterations to calibrate the per-sample count.
         let warmup_start = Instant::now();
         let mut warmup_iters: u64 = 0;
-        let mut bencher = Bencher { iters: 1, elapsed: Duration::ZERO };
+        let mut bencher = Bencher {
+            iters: 1,
+            elapsed: Duration::ZERO,
+        };
         while warmup_start.elapsed() < warmup_target {
             f(&mut bencher);
             warmup_iters += bencher.iters;
@@ -130,8 +133,7 @@ impl Criterion {
             }
         }
         let warmup_elapsed = warmup_start.elapsed();
-        let ns_per_iter =
-            (warmup_elapsed.as_nanos() as f64 / warmup_iters.max(1) as f64).max(0.5);
+        let ns_per_iter = (warmup_elapsed.as_nanos() as f64 / warmup_iters.max(1) as f64).max(0.5);
         let sample_target_ns = if self.quick { 200_000.0 } else { 1_000_000.0 };
         let iters_per_sample = ((sample_target_ns / ns_per_iter) as u64).clamp(1, 1 << 24);
 
@@ -154,7 +156,10 @@ impl Criterion {
         line.insert("p95_ns".into(), json::Value::from(p95));
         line.insert("min_ns".into(), json::Value::from(min));
         line.insert("samples".into(), json::Value::from(samples));
-        line.insert("iters_per_sample".into(), json::Value::from(iters_per_sample));
+        line.insert(
+            "iters_per_sample".into(),
+            json::Value::from(iters_per_sample),
+        );
         let mut human_rate = String::new();
         match throughput {
             Some(Throughput::Bytes(bytes)) => {
@@ -304,8 +309,11 @@ mod tests {
 
     #[test]
     fn args_parsing() {
-        let c = Criterion::default()
-            .configure_from(["--quick", "--sample-size", "5", "wire"].map(String::from).into_iter());
+        let c = Criterion::default().configure_from(
+            ["--quick", "--sample-size", "5", "wire"]
+                .map(String::from)
+                .into_iter(),
+        );
         assert!(c.quick);
         assert_eq!(c.sample_size, 5);
         assert_eq!(c.filter.as_deref(), Some("wire"));
@@ -330,8 +338,7 @@ mod tests {
         assert!(runs > 0);
         assert!(median.is_some_and(f64::is_finite));
         // Filtered-out ids never execute their closure and have no median.
-        let mut c = Criterion::default()
-            .configure_from(["nomatch"].map(String::from).into_iter());
+        let mut c = Criterion::default().configure_from(["nomatch"].map(String::from).into_iter());
         let mut ran = false;
         assert_eq!(c.bench_function("selftest/other", |_| ran = true), None);
         assert!(!ran);

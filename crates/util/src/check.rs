@@ -170,11 +170,9 @@ pub fn run_props(name: &str, property: impl Fn(&mut Gen)) {
     let cases = env_u64("IOTLAN_CHECK_CASES").map_or(DEFAULT_CASES, |c| c.max(1) as usize);
     // Per-property seed base: FNV-1a of the name, so properties in one
     // binary draw unrelated streams but every run is reproducible.
-    let base = name
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
 
     for case in 0..cases {
         let seed = {

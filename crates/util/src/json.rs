@@ -563,7 +563,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_escape(&mut self, out: &mut String) -> Result<(), ParseError> {
-        let escape = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
+        let escape = self
+            .peek()
+            .ok_or_else(|| self.error("unterminated escape"))?;
         self.pos += 1;
         match escape {
             b'"' => out.push('"'),
@@ -604,7 +606,9 @@ impl<'a> Parser<'a> {
     fn parse_hex4(&mut self) -> Result<u32, ParseError> {
         let mut code = 0u32;
         for _ in 0..4 {
-            let digit = self.peek().ok_or_else(|| self.error("truncated \\u escape"))?;
+            let digit = self
+                .peek()
+                .ok_or_else(|| self.error("truncated \\u escape"))?;
             let nibble = match digit {
                 b'0'..=b'9' => u32::from(digit - b'0'),
                 b'a'..=b'f' => u32::from(digit - b'a') + 10,
@@ -743,7 +747,10 @@ mod tests {
         assert_eq!(json!("x"), Value::String("x".into()));
         assert_eq!(json!([]).to_string(), "[]");
         assert_eq!(json!({}).to_string(), "{}");
-        assert_eq!(json!([1, "two", null, [3]]).to_string(), r#"[1,"two",null,[3]]"#);
+        assert_eq!(
+            json!([1, "two", null, [3]]).to_string(),
+            r#"[1,"two",null,[3]]"#
+        );
         let on = true;
         let alias = "Plug";
         let value = json!({

@@ -383,7 +383,12 @@ where
 /// into a fresh accumulator from `init`, then the per-chunk accumulators
 /// merge strictly in chunk (== input) order. Safe for non-commutative
 /// merges.
-pub fn par_map_reduce<T, A, FMap, FMerge>(items: &[T], init: impl Fn() -> A + Sync, map: FMap, merge: FMerge) -> A
+pub fn par_map_reduce<T, A, FMap, FMerge>(
+    items: &[T],
+    init: impl Fn() -> A + Sync,
+    map: FMap,
+    merge: FMerge,
+) -> A
 where
     T: Sync,
     A: Send,
@@ -472,7 +477,10 @@ mod tests {
                 })
             })
         });
-        assert!(result.is_err(), "panic inside a worker must reach the caller");
+        assert!(
+            result.is_err(),
+            "panic inside a worker must reach the caller"
+        );
     }
 
     #[test]

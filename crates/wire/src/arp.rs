@@ -208,11 +208,7 @@ impl Repr {
 
     /// Build the probe a device sends when ARP-scanning `target` —
     /// the shape of the Echo daily sweep.
-    pub fn request(
-        sender_mac: EthernetAddress,
-        sender_ip: Ipv4Addr,
-        target_ip: Ipv4Addr,
-    ) -> Repr {
+    pub fn request(sender_mac: EthernetAddress, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Repr {
         Repr {
             operation: Operation::Request,
             sender_hardware_addr: sender_mac,

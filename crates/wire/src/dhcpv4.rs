@@ -268,8 +268,7 @@ impl Repr {
                     message_type = Some(MessageType::from_u8(b)?);
                 }
                 option_codes::HOSTNAME => {
-                    hostname =
-                        Some(String::from_utf8(option.data).map_err(|_| Error::Malformed)?);
+                    hostname = Some(String::from_utf8(option.data).map_err(|_| Error::Malformed)?);
                 }
                 option_codes::VENDOR_CLASS_ID => {
                     vendor_class =
@@ -279,13 +278,19 @@ impl Repr {
                     parameter_request_list = option.data;
                 }
                 option_codes::REQUESTED_IP => {
-                    let b: [u8; 4] =
-                        option.data.as_slice().try_into().map_err(|_| Error::Malformed)?;
+                    let b: [u8; 4] = option
+                        .data
+                        .as_slice()
+                        .try_into()
+                        .map_err(|_| Error::Malformed)?;
                     requested_ip = Some(Ipv4Addr::from(b));
                 }
                 option_codes::SERVER_ID => {
-                    let b: [u8; 4] =
-                        option.data.as_slice().try_into().map_err(|_| Error::Malformed)?;
+                    let b: [u8; 4] = option
+                        .data
+                        .as_slice()
+                        .try_into()
+                        .map_err(|_| Error::Malformed)?;
                     server_id = Some(Ipv4Addr::from(b));
                 }
                 _ => other_options.push(option),
@@ -425,7 +430,10 @@ mod tests {
     fn missing_magic_rejected() {
         let mut bytes = ring_chime_discover().to_bytes();
         bytes[236] = 0;
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Malformed
+        );
     }
 
     #[test]

@@ -140,7 +140,10 @@ mod tests {
         let bytes = repr.to_bytes();
         let parsed = Repr::parse(&bytes).unwrap();
         assert_eq!(parsed, repr);
-        assert_eq!(parsed.option(option_codes::FQDN), Some(&b"\x00nest-hub"[..]));
+        assert_eq!(
+            parsed.option(option_codes::FQDN),
+            Some(&b"\x00nest-hub"[..])
+        );
     }
 
     #[test]
@@ -154,7 +157,10 @@ mod tests {
             }],
         };
         let bytes = repr.to_bytes();
-        assert_eq!(Repr::parse(&bytes[..bytes.len() - 1]).unwrap_err(), Error::Truncated);
+        assert_eq!(
+            Repr::parse(&bytes[..bytes.len() - 1]).unwrap_err(),
+            Error::Truncated
+        );
         assert_eq!(Repr::parse(&bytes[..3]).unwrap_err(), Error::Truncated);
     }
 

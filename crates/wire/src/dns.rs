@@ -459,7 +459,10 @@ mod tests {
                 name: "Philips Hue - 685F61._hue._tcp.local".into(),
                 cache_flush: true,
                 ttl: 4500,
-                rdata: RData::Txt(vec!["bridgeid=001788FFFE685F61".into(), "modelid=BSB002".into()]),
+                rdata: RData::Txt(vec![
+                    "bridgeid=001788FFFE685F61".into(),
+                    "modelid=BSB002".into(),
+                ]),
             },
         ]);
         let bytes = message.to_bytes();

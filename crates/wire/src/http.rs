@@ -61,8 +61,7 @@ impl Headers {
 /// endings, which some IoT firmwares emit.
 pub(crate) fn parse_head(data: &[u8]) -> Result<(String, Headers, Vec<u8>)> {
     let text_end = find_head_end(data).ok_or(Error::Truncated)?;
-    let head =
-        std::str::from_utf8(&data[..text_end.head_len]).map_err(|_| Error::Malformed)?;
+    let head = std::str::from_utf8(&data[..text_end.head_len]).map_err(|_| Error::Malformed)?;
     let mut lines = head.split("\r\n").flat_map(|l| l.split('\n'));
     let start_line = lines.next().ok_or(Error::Malformed)?.to_string();
     if start_line.is_empty() {
@@ -253,8 +252,7 @@ mod tests {
 
     #[test]
     fn case_insensitive_headers() {
-        let request =
-            Request::parse(b"GET / HTTP/1.1\r\nhOsT: example.local\r\n\r\n").unwrap();
+        let request = Request::parse(b"GET / HTTP/1.1\r\nhOsT: example.local\r\n\r\n").unwrap();
         assert_eq!(request.headers.get("Host"), Some("example.local"));
         assert_eq!(request.headers.get("HOST"), Some("example.local"));
     }

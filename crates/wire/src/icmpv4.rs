@@ -7,12 +7,23 @@ use crate::{checksum, Error, Result};
 /// ICMPv4 message kinds used in the lab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Message {
-    EchoReply { ident: u16, seq: u16 },
-    EchoRequest { ident: u16, seq: u16 },
+    EchoReply {
+        ident: u16,
+        seq: u16,
+    },
+    EchoRequest {
+        ident: u16,
+        seq: u16,
+    },
     /// Destination unreachable; the code distinguishes port/protocol
     /// unreachable, which the UDP and IP-protocol scanners rely on.
-    DstUnreachable { code: u8 },
-    Other { msg_type: u8, code: u8 },
+    DstUnreachable {
+        code: u8,
+    },
+    Other {
+        msg_type: u8,
+        code: u8,
+    },
 }
 
 /// Code for "port unreachable" within `DstUnreachable`.

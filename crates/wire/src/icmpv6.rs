@@ -324,7 +324,10 @@ mod tests {
     use super::*;
 
     fn addrs() -> (Ipv6Addr, Ipv6Addr) {
-        ("fe80::1".parse().unwrap(), "ff02::1:ff00:2".parse().unwrap())
+        (
+            "fe80::1".parse().unwrap(),
+            "ff02::1:ff00:2".parse().unwrap(),
+        )
     }
 
     #[test]
@@ -403,7 +406,10 @@ mod tests {
         let ck = checksum::transport_v6(src, dst, 58, &bytes);
         bytes[2..4].copy_from_slice(&ck.to_be_bytes());
         let packet = Packet::new_checked(&bytes[..]).unwrap();
-        assert_eq!(Repr::parse(&packet, src, dst).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Repr::parse(&packet, src, dst).unwrap_err(),
+            Error::Malformed
+        );
     }
 
     #[test]

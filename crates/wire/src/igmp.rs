@@ -8,11 +8,20 @@ use std::net::Ipv4Addr;
 /// IGMPv2 message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Message {
-    MembershipQuery { group: Ipv4Addr, max_resp_ds: u8 },
-    MembershipReportV2 { group: Ipv4Addr },
-    LeaveGroup { group: Ipv4Addr },
+    MembershipQuery {
+        group: Ipv4Addr,
+        max_resp_ds: u8,
+    },
+    MembershipReportV2 {
+        group: Ipv4Addr,
+    },
+    LeaveGroup {
+        group: Ipv4Addr,
+    },
     /// IGMPv3 report, summarized (type 0x22).
-    MembershipReportV3 { group_count: u16 },
+    MembershipReportV3 {
+        group_count: u16,
+    },
 }
 
 mod layout {
@@ -105,8 +114,7 @@ impl Repr {
                 group: packet.group_addr(),
             },
             0x22 => {
-                let count =
-                    field::read_u16(packet.buffer.as_ref(), layout::GROUP.start + 2)?;
+                let count = field::read_u16(packet.buffer.as_ref(), layout::GROUP.start + 2)?;
                 Message::MembershipReportV3 { group_count: count }
             }
             _ => return Err(Error::Unsupported),
@@ -139,11 +147,7 @@ impl Repr {
                 packet.set_msg_type(0x22);
                 packet.set_max_resp(0);
                 packet.set_group_addr(Ipv4Addr::UNSPECIFIED);
-                field::write_u16(
-                    packet.buffer.as_mut(),
-                    layout::GROUP.start + 2,
-                    group_count,
-                );
+                field::write_u16(packet.buffer.as_mut(), layout::GROUP.start + 2, group_count);
             }
         }
         packet.fill_checksum();

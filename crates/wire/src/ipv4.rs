@@ -339,15 +339,24 @@ mod tests {
     fn version_and_length_validation() {
         let (_, mut bytes) = sample();
         bytes[0] = 0x65; // version 6
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Malformed
+        );
 
         let (_, mut bytes) = sample();
         bytes[0] = 0x44; // IHL 16 < 20
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Malformed
+        );
 
         let (_, mut bytes) = sample();
         bytes[3] = 200; // total length beyond buffer
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Truncated);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Truncated
+        );
     }
 
     #[test]

@@ -231,7 +231,10 @@ mod tests {
         };
         let mut bytes = build_packet(&repr, &[]);
         bytes[0] = 0x40;
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Malformed
+        );
     }
 
     #[test]
@@ -245,7 +248,10 @@ mod tests {
         };
         let mut bytes = build_packet(&repr, &[]);
         bytes[5] = 10; // claims 10 payload bytes that are not there
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Truncated);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Truncated
+        );
     }
 
     #[test]

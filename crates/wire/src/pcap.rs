@@ -41,7 +41,11 @@ pub struct StreamError {
 
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {} ({})", self.kind, self.offset, self.context)
+        write!(
+            f,
+            "{} at byte {} ({})",
+            self.kind, self.offset, self.context
+        )
     }
 }
 
@@ -394,7 +398,10 @@ mod tests {
     #[test]
     fn truncated_packet_rejected() {
         let image = write_pcap(&sample_packets());
-        assert_eq!(read_pcap(&image[..image.len() - 1]).unwrap_err(), Error::Truncated);
+        assert_eq!(
+            read_pcap(&image[..image.len() - 1]).unwrap_err(),
+            Error::Truncated
+        );
         assert_eq!(read_pcap(&image[..30]).unwrap_err(), Error::Truncated);
     }
 
@@ -417,7 +424,11 @@ mod tests {
         let packets = sample_packets();
         let image = write_pcap(&packets);
         for chunk in [1, 2, 3, 7, 16, 24, 25, 4096, image.len()] {
-            assert_eq!(stream_in_chunks(&image, chunk).unwrap(), packets, "chunk={chunk}");
+            assert_eq!(
+                stream_in_chunks(&image, chunk).unwrap(),
+                packets,
+                "chunk={chunk}"
+            );
         }
     }
 
@@ -480,7 +491,10 @@ mod tests {
         assert_eq!(reader.next_packet().unwrap(), None);
         let error = reader.finish().unwrap_err();
         assert_eq!(error.kind, Error::Truncated);
-        assert_eq!(error.offset, 0, "the incomplete object is the global header");
+        assert_eq!(
+            error.offset, 0,
+            "the incomplete object is the global header"
+        );
         assert!(error.context.contains("global header"), "{}", error.context);
     }
 
@@ -512,7 +526,10 @@ mod tests {
         assert_eq!(error.offset, 0);
         assert!(error.context.contains("magic"), "{}", error.context);
         // The rendered message carries the location for operators.
-        assert_eq!(error.to_string(), "malformed packet at byte 0 (pcap global header magic)");
+        assert_eq!(
+            error.to_string(),
+            "malformed packet at byte 0 (pcap global header magic)"
+        );
     }
 
     #[test]

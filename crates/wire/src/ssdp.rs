@@ -300,10 +300,7 @@ mod tests {
             }
             _ => panic!("wrong variant"),
         }
-        assert!(parsed
-            .text_content()
-            .iter()
-            .any(|s| s.contains("UPnP/1.0")));
+        assert!(parsed.text_content().iter().any(|s| s.contains("UPnP/1.0")));
     }
 
     #[test]

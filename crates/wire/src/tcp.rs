@@ -138,8 +138,9 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
     pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         let data = self.buffer.as_ref();
-        checksum::fold(checksum::pseudo_header_v4(src, dst, 6, data.len() as u32) + checksum::sum(data))
-            == 0
+        checksum::fold(
+            checksum::pseudo_header_v4(src, dst, 6, data.len() as u32) + checksum::sum(data),
+        ) == 0
     }
 }
 
@@ -339,9 +340,15 @@ mod tests {
         let repr = Repr::syn(1, 2, 3);
         let mut bytes = build_segment_v4(&repr, SRC, DST, &[]);
         bytes[12] = 0x20; // offset 8 bytes < 20
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Malformed
+        );
         bytes[12] = 0xf0; // offset 60 bytes > buffer
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Malformed);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Malformed
+        );
     }
 
     #[test]

@@ -246,8 +246,7 @@ impl Handshake {
             return Err(Error::Truncated);
         }
         let msg_type = data[0];
-        let length =
-            ((data[1] as usize) << 16) | ((data[2] as usize) << 8) | data[3] as usize;
+        let length = ((data[1] as usize) << 16) | ((data[2] as usize) << 8) | data[3] as usize;
         let body = data.get(4..4 + length).ok_or(Error::Truncated)?;
         match msg_type {
             1 => {

@@ -143,7 +143,10 @@ impl Message {
     /// Extract the plaintext geolocation (the headline leak).
     pub fn geolocation(&self) -> Option<(f64, f64)> {
         let info = self.sysinfo()?;
-        Some((info.get("latitude")?.as_f64()?, info.get("longitude")?.as_f64()?))
+        Some((
+            info.get("latitude")?.as_f64()?,
+            info.get("longitude")?.as_f64()?,
+        ))
     }
 }
 

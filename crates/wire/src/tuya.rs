@@ -91,8 +91,7 @@ impl Frame {
         if field::read_u32(data, crc_pos + 4)? != SUFFIX {
             return Err(Error::Malformed);
         }
-        let payload: Value =
-            json::from_slice(payload_bytes).map_err(|_| Error::Malformed)?;
+        let payload: Value = json::from_slice(payload_bytes).map_err(|_| Error::Malformed)?;
         Ok(Frame {
             sequence,
             command,

@@ -68,15 +68,17 @@ impl<T: AsRef<[u8]>> Packet<T> {
             return true;
         }
         let data = &self.buffer.as_ref()[..self.length() as usize];
-        checksum::fold(checksum::pseudo_header_v4(src, dst, 17, data.len() as u32) + checksum::sum(data))
-            == 0
+        checksum::fold(
+            checksum::pseudo_header_v4(src, dst, 17, data.len() as u32) + checksum::sum(data),
+        ) == 0
     }
 
     /// Verify the checksum against an IPv6 pseudo-header (mandatory in v6).
     pub fn verify_checksum_v6(&self, src: Ipv6Addr, dst: Ipv6Addr) -> bool {
         let data = &self.buffer.as_ref()[..self.length() as usize];
-        checksum::fold(checksum::pseudo_header_v6(src, dst, 17, data.len() as u32) + checksum::sum(data))
-            == 0
+        checksum::fold(
+            checksum::pseudo_header_v6(src, dst, 17, data.len() as u32) + checksum::sum(data),
+        ) == 0
     }
 }
 
@@ -147,12 +149,7 @@ impl Repr {
 }
 
 /// Build a UDP datagram with a valid IPv4 pseudo-header checksum.
-pub fn build_datagram_v4(
-    repr: &Repr,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    payload: &[u8],
-) -> Vec<u8> {
+pub fn build_datagram_v4(repr: &Repr, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
     debug_assert_eq!(repr.payload_len, payload.len());
     let mut buffer = vec![0u8; HEADER_LEN + payload.len()];
     let mut packet = Packet::new_unchecked(&mut buffer[..]);
@@ -163,12 +160,7 @@ pub fn build_datagram_v4(
 }
 
 /// Build a UDP datagram with a valid IPv6 pseudo-header checksum.
-pub fn build_datagram_v6(
-    repr: &Repr,
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    payload: &[u8],
-) -> Vec<u8> {
+pub fn build_datagram_v6(repr: &Repr, src: Ipv6Addr, dst: Ipv6Addr, payload: &[u8]) -> Vec<u8> {
     debug_assert_eq!(repr.payload_len, payload.len());
     let mut buffer = vec![0u8; HEADER_LEN + payload.len()];
     let mut packet = Packet::new_unchecked(&mut buffer[..]);
@@ -249,9 +241,15 @@ mod tests {
         };
         let mut bytes = build_datagram_v4(&repr, SRC, DST, &[0, 0]);
         bytes[5] = 200;
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Truncated);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Truncated
+        );
         bytes[5] = 4; // < HEADER_LEN
-        assert_eq!(Packet::new_checked(&bytes[..]).unwrap_err(), Error::Truncated);
+        assert_eq!(
+            Packet::new_checked(&bytes[..]).unwrap_err(),
+            Error::Truncated
+        );
     }
 
     #[test]

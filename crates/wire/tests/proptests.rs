@@ -10,8 +10,11 @@
 use iotlan_util::check::Gen;
 use iotlan_util::props;
 
-use iotlan_wire::{arp, coap, dhcpv4, dns, ethernet, icmpv4, igmp, ipv4, lifx, netbios, pcap, rtp, ssdp, stun, tcp, tls, tplink, tuya, udp};
 use iotlan_wire::EthernetAddress;
+use iotlan_wire::{
+    arp, coap, dhcpv4, dns, ethernet, icmpv4, igmp, ipv4, lifx, netbios, pcap, rtp, ssdp, stun,
+    tcp, tls, tplink, tuya, udp,
+};
 use std::net::Ipv4Addr;
 
 fn mac(g: &mut Gen) -> EthernetAddress {

@@ -48,8 +48,7 @@ fn main() {
     println!("\n{}", table.render());
 
     // 3. The attack: snapshot every household's fingerprint "today"…
-    let fingerprints: Vec<BTreeSet<String>> =
-        data.households.iter().map(fingerprint).collect();
+    let fingerprints: Vec<BTreeSet<String>> = data.households.iter().map(fingerprint).collect();
 
     // …then pick a target household with identifiers and re-identify it
     // among all 3,893 from its fingerprint alone.

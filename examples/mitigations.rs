@@ -83,7 +83,11 @@ fn main() {
         println!(
             "  {label:<12} identifier-exposing households: {households:>5}, \
              uniquely fingerprintable: {:>5.1}%",
-            if households == 0 { 0.0 } else { 100.0 * unique / households as f64 }
+            if households == 0 {
+                0.0
+            } else {
+                100.0 * unique / households as f64
+            }
         );
     }
 

@@ -56,10 +56,7 @@ fn main() {
                 record.direction,
                 record.endpoint,
                 record.values.len(),
-                record
-                    .sdk
-                    .map(|s| format!(", via {s}"))
-                    .unwrap_or_default()
+                record.sdk.map(|s| format!(", via {s}")).unwrap_or_default()
             );
         }
         println!();

@@ -36,9 +36,7 @@ fn phase_table(name: &str, value: &json::Value) {
                 // simulated duration.
                 let delta = sim.saturating_sub(previous.unwrap_or(0));
                 previous = Some(sim);
-                println!(
-                    "    {phase_name:<26} sim_end {sim:>14} us   +{delta:>12} us"
-                );
+                println!("    {phase_name:<26} sim_end {sim:>14} us   +{delta:>12} us");
             }
             None => println!("    {phase_name:<26} (no simulated clock)"),
         }
@@ -109,7 +107,10 @@ fn main() {
     for path in &manifest_paths {
         // trace.json/flame.json are record streams, not manifests; the
         // kind probe below just prints them as <unknown> — skip instead.
-        if path.file_name().is_some_and(|n| n == "trace.json" || n == "flame.json") {
+        if path
+            .file_name()
+            .is_some_and(|n| n == "trace.json" || n == "flame.json")
+        {
             continue;
         }
         summarize_manifest(path);
@@ -139,5 +140,8 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("trace_report: summarized {summarized} manifests from {}", dir.display());
+    println!(
+        "trace_report: summarized {summarized} manifests from {}",
+        dir.display()
+    );
 }

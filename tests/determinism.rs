@@ -33,5 +33,8 @@ fn same_seed_same_pcap_and_report() {
 fn different_seed_different_capture() {
     let (pcap_a, _) = run(1312);
     let (pcap_b, _) = run(1313);
-    assert_ne!(pcap_a, pcap_b, "different seeds produced identical captures");
+    assert_ne!(
+        pcap_a, pcap_b,
+        "different seeds produced identical captures"
+    );
 }

@@ -115,6 +115,9 @@ fn size_limit_partitions_traffic() {
     assert!(lab.network.faults.dropped() > 0);
     let table = lab.flow_table();
     assert!(table.flows.iter().any(|f| {
-        matches!(f.key.transport, iotlan::classify::flow::Transport::L2(0x0806))
+        matches!(
+            f.key.transport,
+            iotlan::classify::flow::Transport::L2(0x0806)
+        )
     }));
 }

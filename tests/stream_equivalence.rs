@@ -234,7 +234,10 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
     let report = stream_capture(&capture, &catalog);
     assert_eq!(report.packets, capture.len() as u64);
     assert_eq!(report_renders(&report, &catalog), batch);
-    assert!(report.periodicity_exact, "lab-scale keys must stay under EVENT_CAP");
+    assert!(
+        report.periodicity_exact,
+        "lab-scale keys must stay under EVENT_CAP"
+    );
     let streamed_periodicity = report.periodicity();
     assert_eq!(
         streamed_periodicity.groups.len(),
@@ -260,6 +263,10 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
         }
         let report = engine.finish().unwrap();
         assert_eq!(report.packets, capture.len() as u64, "chunk {chunk_size}");
-        assert_eq!(report_renders(&report, &catalog), batch, "chunk {chunk_size}");
+        assert_eq!(
+            report_renders(&report, &catalog),
+            batch,
+            "chunk {chunk_size}"
+        );
     }
 }

@@ -109,7 +109,10 @@ fn artifacts_byte_identical_across_thread_counts() {
             reference.metrics, parallel.metrics,
             "metric snapshot diverged at {threads} threads"
         );
-        assert_eq!(reference, parallel, "some artifact diverged at {threads} threads");
+        assert_eq!(
+            reference, parallel,
+            "some artifact diverged at {threads} threads"
+        );
     }
 }
 
@@ -151,9 +154,15 @@ fn artifacts_carry_the_instrumentation() {
     assert!(artifacts.lab_manifest.contains("\"kind\": \"lab\""));
     assert!(artifacts.lab_manifest.contains("\"idle\""));
     assert!(artifacts.lab_manifest.contains("capture.pcap"));
-    assert!(artifacts.stream_manifest.contains("\"kind\": \"stream_pass\""));
-    assert!(artifacts.scan_manifest.contains("\"kind\": \"scan_campaign\""));
-    assert!(artifacts.honeypot_manifest.contains("\"kind\": \"honeypot_campaign\""));
+    assert!(artifacts
+        .stream_manifest
+        .contains("\"kind\": \"stream_pass\""));
+    assert!(artifacts
+        .scan_manifest
+        .contains("\"kind\": \"scan_campaign\""));
+    assert!(artifacts
+        .honeypot_manifest
+        .contains("\"kind\": \"honeypot_campaign\""));
 
     // And none of the deterministic views leak host-volatile facts.
     for rendered in [

@@ -79,8 +79,20 @@ fn protocol_diversity() {
         labels.len()
     );
     for expected in [
-        "ARP", "DHCP", "DHCPv6", "EAPOL", "ICMP", "ICMPv6", "IGMP", "mDNS", "SSDP", "TLS",
-        "TPLINK_SHP", "TuyaLP", "LIFX", "UNKNOWN-L3",
+        "ARP",
+        "DHCP",
+        "DHCPv6",
+        "EAPOL",
+        "ICMP",
+        "ICMPv6",
+        "IGMP",
+        "mDNS",
+        "SSDP",
+        "TLS",
+        "TPLINK_SHP",
+        "TuyaLP",
+        "LIFX",
+        "UNKNOWN-L3",
     ] {
         assert!(labels.contains(expected), "missing {expected}: {labels:?}");
     }
