@@ -1,14 +1,20 @@
-//! Overhead budget for the observability layer.
+//! The observability layer's overhead.
 //!
 //! Runs the same fully-instrumented workload — a `Lab::fast()` idle
 //! capture, whose inner loop crosses the netsim counters, capture gauges,
 //! device counters and lab spans on every frame — twice: once with
 //! telemetry enabled (the default) and once runtime-disabled via
 //! `telemetry::set_enabled(false)`, which leaves only the per-call-site
-//! `enabled()` load in place. The emitted `{"type":"overhead",…}` line is
-//! the repo's pinned claim that instrumentation costs <5% of end-to-end
-//! wall clock; compiling the `telemetry` feature out removes even the
-//! flag check.
+//! `enabled()` load in place. The emitted `{"type":"overhead",…}` line
+//! prices instrumentation against end-to-end wall clock. On a 2-core Xeon
+//! VM, three full-mode runs read 2.5%, 8.8% and 0.4% (the same runs of the
+//! code before the reply memos and the subscriber index read 12.0%, 10.2%
+//! and -0.3%). The two medians are taken one after the other on labs of
+//! 11–32 ms, so host phases move the figure by several points either way;
+//! the rest is the fixed cost of the per-frame counters and histograms
+//! (5–7 ns per enabled increment, the second line below), whose share grows
+//! as the event loop gets faster. No gate checks the figure. Compiling the
+//! `telemetry` feature out removes even the flag check.
 //!
 //! A second line prices the raw counter hot path (increments/sec, enabled
 //! vs disabled) so a regression in the metric primitives themselves is

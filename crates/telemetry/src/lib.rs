@@ -15,7 +15,7 @@
 //!
 //! ## Switching it off
 //!
-//! Two layers, per the overhead budget pinned by `perf_telemetry`:
+//! Two layers; `perf_telemetry` measures what the runtime one costs:
 //!
 //! - **Runtime**: [`set_enabled`]`(false)` turns every record/observe
 //!   call into a relaxed atomic load and branch. Enabled by default.

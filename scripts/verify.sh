@@ -5,6 +5,8 @@
 #
 #   ./scripts/verify.sh
 #
+# 0. formatting: `cargo fmt --all --check` must report no rustfmt drift
+#    (ttpbench is a workspace of its own and is not checked)
 # 1. release build of every workspace target (libraries, binaries, tests,
 #    examples and benches); any `warning` line in its output fails the gate
 # 2. full test suite (unit + property + integration), serial
@@ -46,6 +48,12 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --all --check"
+if ! cargo fmt --all --check; then
+    echo "verify: FAIL — rustfmt drift; run cargo fmt --all" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release --offline --workspace --all-targets (no warnings)"
 if ! build_out=$(cargo build --release --offline --workspace --all-targets 2>&1); then

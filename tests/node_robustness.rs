@@ -5,15 +5,18 @@
 //! whose one app (every discovery behaviour) stays in its test window for
 //! the whole run. The frames are arbitrary bytes, truncated or flipped real
 //! frames, and well-formed Ethernet/IPv4/UDP frames that carry arbitrary
-//! payloads to the discovery and DHCP ports the node handlers parse. After
-//! the injection the network must keep running: devices keep sending their
-//! periodic traffic.
+//! payloads to the discovery and DHCP ports the node handlers parse, and
+//! M-SEARCHes that every SSDP responder accepts, each for a target of its
+//! own, so every reply memo keeps growing. After the injection the network
+//! must keep running: devices keep sending their periodic traffic.
 
 mod lan;
 
+use iotlan::netsim::stack;
 use iotlan::netsim::SimDuration;
 use iotlan::util::props;
 use iotlan::wire::ethernet::EthernetAddress;
+use iotlan::wire::ssdp;
 use iotlan::{Lab, LabConfig};
 use lan::{discovery_phone, endpoints, pick, udp_frame};
 
@@ -86,6 +89,32 @@ props! {
         let lab = full_lan();
         let endpoints = endpoints(&lab.catalog);
         let frames = g.vec_of(1, 40, |g| udp_frame(g, &endpoints));
+        survives(lab, frames);
+    }
+
+    /// M-SEARCHes for many distinct targets that the responders accept
+    /// (`ssdp:all`, and any target naming `dial` or `MediaRenderer`),
+    /// multicast or unicast, with any MX.
+    fn hostile_msearches_never_panic(g) {
+        let lab = full_lan();
+        let endpoints = endpoints(&lab.catalog);
+        let frames = g.vec_of(1, 300, |g| {
+            let junk = g.string_of("abcXYZ019:-._/ %é✓", 0, 120);
+            let target = match g.int_in(0..4u8) {
+                0 => ssdp::targets::ALL.to_string(),
+                1 => format!("urn:{junk}:service:dial:{}", g.u32()),
+                2 => format!("urn:schemas-upnp-org:device:MediaRenderer:{junk}"),
+                _ => format!("{junk}dial{}", g.u64()),
+            };
+            let msearch = ssdp::Message::msearch(&target, g.u8()).to_bytes();
+            let src = pick(g, &endpoints);
+            if g.bool() {
+                stack::udp_multicast(src, ssdp::SSDP_GROUP_V4, g.u16(), ssdp::SSDP_PORT, &msearch)
+            } else {
+                let dst = pick(g, &endpoints);
+                stack::udp_unicast(src, dst, g.u16(), ssdp::SSDP_PORT, &msearch)
+            }
+        });
         survives(lab, frames);
     }
 }
