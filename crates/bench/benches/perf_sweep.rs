@@ -1,6 +1,9 @@
 //! Serial-vs-parallel performance of the crowd-scale pipeline (Table 2):
-//! dataset generation over households, then the entropy analysis of that
-//! dataset.
+//! dataset generation over households, the entropy analysis of that
+//! dataset, and the one pass per household that Table 2 runs
+//! (`table2_entropy`: `entropy::analyze_generated`, which generates and
+//! analyses each household on the worker that draws it and never builds
+//! the dataset).
 //!
 //! Besides the usual per-benchmark `{"type":"bench",…}` lines, this target
 //! emits one `{"type":"speedup",…}` JSON line per stage comparing
@@ -90,6 +93,9 @@ fn bench(criterion: &mut Criterion) {
     let reps = if quick { 3 } else { 9 };
     speedup_line("dataset_generate", reps, || dataset::generate(&generator));
     speedup_line("entropy_analyze", reps, || entropy::analyze(&data));
+    speedup_line("table2_entropy", reps, || {
+        entropy::analyze_generated(&generator)
+    });
 }
 
 iotlan_util::bench_main!(bench);

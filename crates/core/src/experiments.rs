@@ -209,16 +209,17 @@ pub struct Table2 {
     pub dataset_households: usize,
 }
 
+/// The crowd is generated and analysed in one pass per household
+/// ([`entropy::analyze_generated`]); the dataset is never built whole.
 pub fn table2_entropy(seed: u64) -> Table2 {
-    let data = dataset::generate(&dataset::GeneratorConfig {
+    let crowd = entropy::analyze_generated(&dataset::GeneratorConfig {
         seed,
         ..Default::default()
     });
-    let table = entropy::analyze(&data);
     Table2 {
-        dataset_devices: data.device_count(),
-        dataset_households: data.households.len(),
-        table,
+        table: crowd.table,
+        dataset_devices: crowd.devices,
+        dataset_households: crowd.households,
     }
 }
 

@@ -13,7 +13,6 @@
 use crate::hashes::{self, push_hex, HmacKey};
 use iotlan_util::pool;
 use iotlan_util::rng::Rng;
-use std::fmt::Write as _;
 
 /// What identifier types a product's discovery payloads expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -290,17 +289,17 @@ pub fn product_universe() -> Vec<Product> {
     products
 }
 
-/// A random MAC under `oui`, in colon form and in the bare 12-hex-digit
-/// form that payloads and hostnames embed.
-fn random_mac(rng: &mut Rng, oui: &str) -> (String, String) {
-    let mut mac = String::with_capacity(17);
+/// Fill `mac` with a random MAC under `oui` in colon form and `bare` with
+/// the 12-hex-digit form that payloads and hostnames embed.
+fn random_mac(rng: &mut Rng, oui: &str, mac: &mut String, bare: &mut String) {
+    mac.clear();
     mac.push_str(oui);
     for _ in 0..3 {
         mac.push(':');
-        push_hex(&mut mac, u64::from(rng.gen_u8()), 2);
+        push_hex(mac, u64::from(rng.gen_u8()), 2);
     }
-    let bare = mac.replace(':', "");
-    (mac, bare)
+    bare.clear();
+    bare.extend(mac.chars().filter(|&c| c != ':'));
 }
 
 /// Append a random UUID with the version-4 nibble.
@@ -356,44 +355,82 @@ fn make_payloads(
         } else {
             push_random_uuid(&mut response, rng);
         }
-        let _ = write!(
-            response,
-            "::upnp:rootdevice\r\nSERVER: Linux UPnP/1.0 {}/1.0\r\n\r\n",
-            product.vendor
-        );
+        response.push_str("::upnp:rootdevice\r\nSERVER: Linux UPnP/1.0 ");
+        response.push_str(&product.vendor);
+        response.push_str("/1.0\r\n\r\n");
         ssdp.push(response);
     }
     if expose_mac {
-        mdns.push(format!(
-            "{} - {}._{}._tcp.local TXT mac={} id={}",
-            product.model,
-            &bare_mac[6..],
-            product.category,
-            mac,
-            bare_mac
-        ));
+        mdns.push(
+            [
+                &product.model,
+                " - ",
+                &bare_mac[6..],
+                "._",
+                &product.category,
+                "._tcp.local TXT mac=",
+                mac,
+                " id=",
+                bare_mac,
+            ]
+            .concat(),
+        );
     }
     if expose_name {
-        let name = format!(
-            "{}'s {}",
-            FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())],
-            ROOMS[rng.gen_range(0..ROOMS.len())]
+        let first = FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())];
+        let room = ROOMS[rng.gen_range(0..ROOMS.len())];
+        let name = [first, "'s ", room].concat();
+        ssdp.push(
+            [
+                "HTTP/1.1 200 OK\r\nST: roku:ecp\r\nname: \"",
+                &product.model,
+                " - ",
+                &name,
+                "\"\r\n\r\n",
+            ]
+            .concat(),
         );
-        ssdp.push(format!(
-            "HTTP/1.1 200 OK\r\nST: roku:ecp\r\nname: \"{} - {}\"\r\n\r\n",
-            product.model, name
-        ));
         display_name = Some(name);
     }
     if matches!(product.exposure, ExposureClass::None) && rng.gen_bool(0.5) {
         // None-class products still answer discovery, just without unique
         // identifiers — "154 products … exposing none of the three types".
-        mdns.push(format!(
-            "{}._{}._tcp.local TXT md={}",
-            product.model, product.category, product.model
-        ));
+        mdns.push(
+            [
+                &product.model,
+                "._",
+                &product.category,
+                "._tcp.local TXT md=",
+                &product.model,
+            ]
+            .concat(),
+        );
     }
     (mdns, ssdp, display_name)
+}
+
+/// A device's DHCP hostname: its display name with dashes for spaces, or
+/// its model and the last four digits of its MAC.
+fn dhcp_hostname(product: &Product, display_name: Option<String>, bare_mac: &str) -> String {
+    match display_name {
+        Some(name) => name.replace(' ', "-"),
+        None => [&product.model, "-", &bare_mac[8..]].concat(),
+    }
+}
+
+/// The crowdsourced label for a product: its vendor lowercased as
+/// `str::to_lowercase` does it, a space, and its category.
+fn user_label(product: &Product) -> String {
+    let (vendor, category) = (&product.vendor, &product.category);
+    let mut label = String::with_capacity(vendor.len() + 1 + category.len());
+    if vendor.is_ascii() {
+        label.extend(vendor.chars().map(|c| c.to_ascii_lowercase()));
+    } else {
+        label.push_str(&vendor.to_lowercase());
+    }
+    label.push(' ');
+    label.push_str(category);
+    label
 }
 
 /// Generate a dataset.
@@ -403,29 +440,75 @@ fn make_payloads(
 /// [`iotlan_util::pool`] with bit-identical output at any thread count.
 pub fn generate(config: &GeneratorConfig) -> Dataset {
     let products = product_universe();
-    let total_weight: u32 = products.iter().map(|p| p.weight).sum();
-    let households = pool::par_map_range(config.households, |house_index| {
-        let mut rng = Rng::stream(config.seed, house_index as u64);
-        generate_household(&mut rng, house_index, &products, total_weight)
-    });
+    let households = fold_households(
+        config,
+        &products,
+        |user_id| Household {
+            user_id,
+            devices: Vec::new(),
+        },
+        |household, _, device| household.devices.push(device),
+    );
     Dataset { households }
 }
 
-/// Build one household from its private generator.
-fn generate_household(
+/// Generate the households of `config` across the pool and reduce each one
+/// where it is generated, without building the dataset. `start` opens
+/// household `i`'s accumulator from its user ID, and `visit` folds in each
+/// of its devices with the product it was drawn from, in draw order. Only
+/// the accumulators are kept, in household order, so the result is the same
+/// at any thread count.
+///
+/// `products` must be [`product_universe`]'s list; an accumulator may keep
+/// references into it.
+pub fn fold_households<'p, A, S, V>(
+    config: &GeneratorConfig,
+    products: &'p [Product],
+    start: S,
+    visit: V,
+) -> Vec<A>
+where
+    A: Send,
+    S: Fn(String) -> A + Sync,
+    V: Fn(&mut A, &'p Product, Device) + Sync,
+{
+    let total_weight: u32 = products.iter().map(|p| p.weight).sum();
+    pool::par_map_range(config.households, |house_index| {
+        let mut rng = Rng::stream(config.seed, house_index as u64);
+        generate_household(
+            &mut rng,
+            house_index,
+            products,
+            total_weight,
+            &start,
+            &visit,
+        )
+    })
+}
+
+/// Build one household from its private generator: its accumulator from
+/// `start`, then each device handed to `visit` as it is drawn.
+fn generate_household<'p, A>(
     rng: &mut Rng,
     house_index: usize,
-    products: &[Product],
+    products: &'p [Product],
     total_weight: u32,
-) -> Household {
+    start: impl FnOnce(String) -> A,
+    visit: impl Fn(&mut A, &'p Product, Device),
+) -> A {
     let salt: [u8; 16] = rng.gen_array();
-    let user_id = hashes::to_hex(&hashes::sha256(&salt)[..8]);
+    let mut household = start(hashes::to_hex(&hashes::sha256(&salt)[..8]));
     let salt = HmacKey::new(&salt);
+    // Reused by every device's MAC.
+    let (mut mac, mut bare_mac) = (String::with_capacity(17), String::with_capacity(12));
+    let mut add = |product: &'p Product, rng: &mut Rng| {
+        let device = make_device(rng, product, &salt, &mut mac, &mut bare_mac);
+        visit(&mut household, product, device);
+    };
     // Household size: median 3 (1..=9, weighted toward small).
     let size = *[1usize, 2, 2, 3, 3, 3, 3, 4, 4, 5, 6]
         .get(rng.gen_range(0..11usize))
         .unwrap();
-    let mut devices = Vec::with_capacity(size);
     for _ in 0..size {
         // Weighted product draw.
         let mut pick = rng.gen_range(0..total_weight);
@@ -440,45 +523,37 @@ fn generate_household(
                 }
             })
             .unwrap();
-        devices.push(make_device(rng, product, &salt));
+        add(product, rng);
     }
     // Deterministic rare-class injection: the 2 name-only households
     // and the 2 all-three (Roku) households of Table 2.
     if house_index == 100 || house_index == 2100 {
-        let roku = products.last().unwrap();
-        devices.push(make_device(rng, roku, &salt));
+        add(products.last().unwrap(), rng);
     }
     if house_index == 700 || house_index == 2900 {
         let name_only = products
             .iter()
             .find(|p| p.exposure == ExposureClass::NameOnly)
             .unwrap();
-        devices.push(make_device(rng, name_only, &salt));
+        add(name_only, rng);
     }
-    Household { user_id, devices }
+    household
 }
 
-fn make_device(rng: &mut Rng, product: &Product, salt: &HmacKey) -> Device {
-    let (mac, bare_mac) = random_mac(rng, &product.oui);
-    let (mdns_responses, ssdp_responses, display_name) =
-        make_payloads(rng, product, &mac, &bare_mac);
-    let dhcp_hostname = if rng.gen_bool(0.67) {
-        Some(match display_name {
-            Some(name) => name.replace(' ', "-"),
-            None => format!("{}-{}", product.model, &bare_mac[8..]),
-        })
-    } else {
-        None
-    };
-    let user_label = if rng.gen_bool(0.6) {
-        Some(format!(
-            "{} {}",
-            product.vendor.to_lowercase(),
-            product.category
-        ))
-    } else {
-        None
-    };
+/// One device of `product`; `mac` and `bare_mac` are scratch buffers.
+fn make_device(
+    rng: &mut Rng,
+    product: &Product,
+    salt: &HmacKey,
+    mac: &mut String,
+    bare_mac: &mut String,
+) -> Device {
+    random_mac(rng, &product.oui, mac, bare_mac);
+    let (mdns_responses, ssdp_responses, display_name) = make_payloads(rng, product, mac, bare_mac);
+    let dhcp_hostname = rng
+        .gen_bool(0.67)
+        .then(|| dhcp_hostname(product, display_name, bare_mac));
+    let user_label = rng.gen_bool(0.6).then(|| user_label(product));
     // A few 5-second traffic windows; some local-peer, mostly cloud.
     let flows = (0..rng.gen_range(4..12))
         .map(|k| FlowWindow {
@@ -492,7 +567,7 @@ fn make_device(rng: &mut Rng, product: &Product, salt: &HmacKey) -> Device {
         })
         .collect();
     Device {
-        device_id: hashes::device_id(&mac, salt),
+        device_id: hashes::device_id(mac, salt),
         oui: product.oui.clone(),
         dhcp_hostname,
         user_label,
@@ -596,5 +671,154 @@ mod tests {
             }
         }
         assert!(saw_uuid && saw_mac && saw_name);
+    }
+
+    iotlan_util::props! {
+        /// The presized MAC, payload, hostname and label builders equal
+        /// the `format!` ones they replaced for every product, and draw
+        /// the same numbers from the generator.
+        fn builders_match_the_format_oracle(g) {
+            let (mut mac, mut bare_mac) = (String::new(), String::new());
+            for product in &product_universe() {
+                let mut rng = Rng::stream(g.u64(), g.u64());
+                let mut expected = rng.clone();
+                random_mac(&mut rng, &product.oui, &mut mac, &mut bare_mac);
+                let (oracle_mac, oracle_bare) = oracle::random_mac(&mut expected, &product.oui);
+                assert_eq!((&mac, &bare_mac), (&oracle_mac, &oracle_bare));
+                let payloads = make_payloads(&mut rng, product, &mac, &bare_mac);
+                let oracle_payloads =
+                    oracle::make_payloads(&mut expected, product, &oracle_mac, &oracle_bare);
+                assert_eq!(payloads, oracle_payloads, "{}", product.model);
+                assert_eq!(rng, expected, "{}", product.model);
+                let random_name = g.string_of("ab Z's", 0, 12);
+                for display_name in [None, payloads.2, Some(random_name)] {
+                    assert_eq!(
+                        dhcp_hostname(product, display_name.clone(), &bare_mac),
+                        oracle::dhcp_hostname(product, display_name, &bare_mac)
+                    );
+                }
+                // The universe's vendors are ASCII; a drawn one need not be,
+                // nor end without a final sigma.
+                let drawn = Product {
+                    vendor: g.string_of("aZ9 ΣςİẞÅ", 0, 10),
+                    ..product.clone()
+                };
+                for product in [product, &drawn] {
+                    assert_eq!(user_label(product), oracle::user_label(product));
+                }
+            }
+        }
+    }
+}
+
+/// The `format!`-built MAC, payload, hostname and label of the original
+/// generator, kept as test oracles for the presized builders above.
+#[cfg(test)]
+mod oracle {
+    use super::{push_random_uuid, ExposureClass, Product, FIRST_NAMES, ROOMS};
+    use crate::hashes::push_hex;
+    use iotlan_util::rng::Rng;
+    use std::fmt::Write as _;
+
+    pub fn random_mac(rng: &mut Rng, oui: &str) -> (String, String) {
+        let mut mac = String::with_capacity(17);
+        mac.push_str(oui);
+        for _ in 0..3 {
+            mac.push(':');
+            push_hex(&mut mac, u64::from(rng.gen_u8()), 2);
+        }
+        let bare = mac.replace(':', "");
+        (mac, bare)
+    }
+
+    pub fn make_payloads(
+        rng: &mut Rng,
+        product: &Product,
+        mac: &str,
+        bare_mac: &str,
+    ) -> (Vec<String>, Vec<String>, Option<String>) {
+        let mut mdns = Vec::new();
+        let mut ssdp = Vec::new();
+        let mut display_name = None;
+        let expose_uuid = matches!(
+            product.exposure,
+            ExposureClass::UuidOnly
+                | ExposureClass::NameUuid
+                | ExposureClass::UuidMac
+                | ExposureClass::All
+        );
+        let expose_mac = matches!(
+            product.exposure,
+            ExposureClass::MacOnly | ExposureClass::UuidMac | ExposureClass::All
+        );
+        let expose_name = matches!(
+            product.exposure,
+            ExposureClass::NameOnly | ExposureClass::NameUuid | ExposureClass::All
+        );
+
+        if expose_uuid {
+            let mut response = String::with_capacity(160);
+            response.push_str("HTTP/1.1 200 OK\r\nST: upnp:rootdevice\r\nUSN: uuid:");
+            if rng.gen_bool(0.16) {
+                let h = product.model.bytes().fold(0u64, |acc, b| {
+                    acc.wrapping_mul(131).wrapping_add(u64::from(b))
+                });
+                push_hex(&mut response, h >> 32, 8);
+                response.push_str("-0000-4000-8000-");
+                push_hex(&mut response, h, 12);
+            } else {
+                push_random_uuid(&mut response, rng);
+            }
+            let _ = write!(
+                response,
+                "::upnp:rootdevice\r\nSERVER: Linux UPnP/1.0 {}/1.0\r\n\r\n",
+                product.vendor
+            );
+            ssdp.push(response);
+        }
+        if expose_mac {
+            mdns.push(format!(
+                "{} - {}._{}._tcp.local TXT mac={} id={}",
+                product.model,
+                &bare_mac[6..],
+                product.category,
+                mac,
+                bare_mac
+            ));
+        }
+        if expose_name {
+            let name = format!(
+                "{}'s {}",
+                FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())],
+                ROOMS[rng.gen_range(0..ROOMS.len())]
+            );
+            ssdp.push(format!(
+                "HTTP/1.1 200 OK\r\nST: roku:ecp\r\nname: \"{} - {}\"\r\n\r\n",
+                product.model, name
+            ));
+            display_name = Some(name);
+        }
+        if matches!(product.exposure, ExposureClass::None) && rng.gen_bool(0.5) {
+            mdns.push(format!(
+                "{}._{}._tcp.local TXT md={}",
+                product.model, product.category, product.model
+            ));
+        }
+        (mdns, ssdp, display_name)
+    }
+
+    pub fn dhcp_hostname(
+        product: &Product,
+        display_name: Option<String>,
+        bare_mac: &str,
+    ) -> String {
+        match display_name {
+            Some(name) => name.replace(' ', "-"),
+            None => format!("{}-{}", product.model, &bare_mac[8..]),
+        }
+    }
+
+    pub fn user_label(product: &Product) -> String {
+        format!("{} {}", product.vendor.to_lowercase(), product.category)
     }
 }

@@ -8,8 +8,8 @@
 //! the types in the combination, matching the paper's additive combination
 //! rows: 12.3 ≈ 3.4 + 8.9, 16.7 ≈ 8.9 + 7.8, 20.1 ≈ all three).
 
-use crate::dataset::{Dataset, Device};
-use crate::ident::Exposed;
+use crate::dataset::{self, Dataset, Device, GeneratorConfig};
+use crate::ident::{Exposed, Mac, Uuid};
 use iotlan_util::pool;
 use std::collections::BTreeMap;
 
@@ -107,14 +107,14 @@ impl EntropyTable {
     }
 }
 
-/// One device's share of the analysis: what it is, where it lives, and
-/// the identifiers its discovery responses expose.
+/// One device's share of the analysis: what it is and the identifiers its
+/// discovery responses expose. It owns its identifiers, so it outlives the
+/// device it was taken from.
 struct DeviceExtraction<'a> {
-    household: usize,
     /// (vendor, category)
     product: (&'a str, &'a str),
     class: IdentifierClass,
-    exposed: Exposed<'a>,
+    exposed: Exposed,
 }
 
 /// Identifier types, so that equal text under two types stays two values.
@@ -126,18 +126,17 @@ enum Kind {
 }
 
 impl<'a> DeviceExtraction<'a> {
-    /// Extract a device's exposed identifiers. `None` when the device
-    /// carries no discovery payloads (such devices were never collected
-    /// and are excluded from every Table 2 aggregate).
-    fn new(household: usize, device: &'a Device) -> Option<DeviceExtraction<'a>> {
+    /// Extract the identifiers `device`, of `product`, exposes. `None` when
+    /// the device carries no discovery payloads (such devices were never
+    /// collected and are excluded from every Table 2 aggregate).
+    fn new(product: (&'a str, &'a str), device: &Device) -> Option<DeviceExtraction<'a>> {
         if device.mdns_responses.is_empty() && device.ssdp_responses.is_empty() {
             return None;
         }
         let responses = device.mdns_responses.iter().chain(&device.ssdp_responses);
         let exposed = Exposed::scan(responses.map(String::as_str), &device.oui);
         Some(DeviceExtraction {
-            household,
-            product: (&device.truth_vendor, &device.truth_category),
+            product,
             class: IdentifierClass {
                 name: !exposed.names.is_empty(),
                 uuid: !exposed.uuids.is_empty(),
@@ -157,6 +156,41 @@ impl<'a> DeviceExtraction<'a> {
     }
 }
 
+/// `log2(n)` bits for `n` distinct values, 0 for none.
+fn bits(n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        (n as f64).log2()
+    }
+}
+
+/// The value of a run of lowercase hex digits.
+fn hex_value<'a>(digits: impl IntoIterator<Item = &'a u8>) -> u128 {
+    digits.into_iter().fold(0, |value, &digit| {
+        // '0'..='9' → 0..=9, 'a'..='f' → 10..=15.
+        value << 4 | u128::from((digit & 0xf) + 9 * (digit >> 6))
+    })
+}
+
+/// A UUID match as its 32 digits' value: matches are lowercase with their
+/// dashes at fixed places, so distinct matches have distinct keys.
+fn uuid_key(uuid: &Uuid) -> u128 {
+    let groups = [
+        &uuid[..8],
+        &uuid[9..13],
+        &uuid[14..18],
+        &uuid[19..23],
+        &uuid[24..],
+    ];
+    hex_value(groups.into_iter().flatten())
+}
+
+/// A MAC match (12 lowercase digits) as its value.
+fn mac_key(mac: &Mac) -> u64 {
+    hex_value(mac) as u64
+}
+
 /// Sort and deduplicate `values`, leaving the distinct ones.
 fn distinct<T: Ord>(mut values: Vec<T>) -> Vec<T> {
     values.sort_unstable();
@@ -164,64 +198,98 @@ fn distinct<T: Ord>(mut values: Vec<T>) -> Vec<T> {
     values
 }
 
-/// Run the §6.3 analysis.
+/// Run the §6.3 analysis over a built dataset.
 ///
 /// Identifier extraction — the string-scanning hot loop — fans out across
-/// the pool per household; the flattened extraction list is rebuilt in
-/// household order, so every downstream aggregate is thread-count
-/// invariant.
+/// the pool per household, and [`merge`] reduces the extractions in
+/// household order, so every aggregate is thread-count invariant.
 pub fn analyze(dataset: &Dataset) -> EntropyTable {
-    let per_household: Vec<Vec<DeviceExtraction>> =
-        pool::par_map(&dataset.households, |house_index, household| {
-            household
-                .devices
-                .iter()
-                .filter_map(|device| DeviceExtraction::new(house_index, device))
-                .collect()
-        });
+    merge(pool::par_map(&dataset.households, |_, household| {
+        household
+            .devices
+            .iter()
+            .filter_map(|device| {
+                DeviceExtraction::new((&device.truth_vendor, &device.truth_category), device)
+            })
+            .collect()
+    }))
+}
+
+/// [`analyze_generated`]'s result: the table and the size of the crowd it
+/// was computed over.
+#[derive(Debug, Clone)]
+pub struct CrowdTable {
+    pub table: EntropyTable,
+    /// Households and devices generated, with or without discovery
+    /// payloads.
+    pub households: usize,
+    pub devices: usize,
+}
+
+/// Run the §6.3 analysis over the households `config` generates, without
+/// building the dataset: each pool worker extracts a household's
+/// identifiers as [`dataset::fold_households`] draws its devices and drops
+/// them there. The table equals `analyze(&generate(config))`.
+pub fn analyze_generated(config: &GeneratorConfig) -> CrowdTable {
+    let products = dataset::product_universe();
+    let per_household = dataset::fold_households(
+        config,
+        &products,
+        |_| (0, Vec::new()),
+        |(devices, extractions): &mut (usize, Vec<DeviceExtraction>), product, device| {
+            *devices += 1;
+            extractions.extend(DeviceExtraction::new(
+                (&product.vendor, &product.category),
+                &device,
+            ));
+        },
+    );
+    let households = per_household.len();
+    let devices = per_household.iter().map(|(devices, _)| devices).sum();
+    let table = merge(per_household.into_iter().map(|(_, e)| e).collect());
+    CrowdTable {
+        table,
+        households,
+        devices,
+    }
+}
+
+/// Reduce every household's extractions, in household order, to the table.
+fn merge(per_household: Vec<Vec<DeviceExtraction>>) -> EntropyTable {
     let analyzed_households = per_household.iter().filter(|e| !e.is_empty()).count();
-    let extractions: Vec<DeviceExtraction> = per_household.into_iter().flatten().collect();
+    let extractions = || per_household.iter().flatten();
 
     // Group by class; each group stays in household order.
-    let mut by_class: BTreeMap<IdentifierClass, Vec<&DeviceExtraction>> = BTreeMap::new();
-    for extraction in &extractions {
-        by_class
-            .entry(extraction.class)
-            .or_default()
-            .push(extraction);
+    let mut by_class: BTreeMap<IdentifierClass, Vec<(usize, &DeviceExtraction)>> = BTreeMap::new();
+    for (household, extractions) in per_household.iter().enumerate() {
+        for extraction in extractions {
+            by_class
+                .entry(extraction.class)
+                .or_default()
+                .push((household, extraction));
+        }
     }
 
     // Global per-type value spaces: the paper's entropy is per identifier
     // *type* (name 3.4, UUID 8.9, MAC 7.8 bits) and combination rows add
     // them (12.3 ≈ 3.4+8.9; 16.7 ≈ 8.9+7.8; 20.1 ≈ all three).
-    let global = distinct(
-        extractions
-            .iter()
-            .flat_map(DeviceExtraction::values)
-            .collect(),
-    );
-    let bits = |kind: Kind| {
-        let n = global.iter().filter(|(k, _)| *k == kind).count();
-        if n == 0 {
-            0.0
-        } else {
-            (n as f64).log2()
-        }
-    };
-    let name_bits = bits(Kind::Name);
-    let uuid_bits = bits(Kind::Uuid);
-    let mac_bits = bits(Kind::Mac);
+    let names = extractions().flat_map(|e| &e.exposed.names);
+    let uuids = extractions().flat_map(|e| &e.exposed.uuids);
+    let macs = extractions().flat_map(|e| &e.exposed.macs);
+    let name_bits = bits(distinct(names.map(String::as_str).collect()).len());
+    let uuid_bits = bits(distinct(uuids.map(uuid_key).collect()).len());
+    let mac_bits = bits(distinct(macs.map(mac_key).collect()).len());
 
     let mut rows = Vec::new();
     for (class, devices) in &by_class {
-        let products = distinct(devices.iter().map(|d| d.product).collect());
+        let products = distinct(devices.iter().map(|(_, d)| d.product).collect());
         let vendors = distinct(products.iter().map(|(vendor, _)| *vendor).collect());
 
         // Per-household identifier value sets (for uniqueness), each
         // sorted: a household's devices are one run of `devices`.
         let mut signatures: Vec<Vec<(Kind, &[u8])>> = devices
-            .chunk_by(|a, b| a.household == b.household)
-            .map(|run| distinct(run.iter().flat_map(|d| d.values()).collect()))
+            .chunk_by(|(a, _), (b, _)| a == b)
+            .map(|run| distinct(run.iter().flat_map(|(_, d)| d.values()).collect()))
             .collect();
         let households = signatures.len();
         // Uniqueness: households whose value-set is unique among this row's
@@ -262,14 +330,14 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
     EntropyTable {
         rows,
         analyzed_households,
-        analyzed_devices: extractions.len(),
+        analyzed_devices: extractions().count(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{generate, GeneratorConfig};
+    use crate::dataset::generate;
 
     fn table() -> EntropyTable {
         analyze(&generate(&GeneratorConfig::default()))
@@ -374,5 +442,46 @@ mod tests {
         assert!(rendered.contains("UUID, MAC"));
         assert!(rendered.contains("N/A"));
         assert!(rendered.lines().count() >= 6);
+    }
+
+    iotlan_util::props! {
+        /// A UUID's or a MAC's key is the number its lowercase text spells,
+        /// so distinct matches keep distinct keys.
+        fn identifier_keys_are_the_values_the_text_spells(g) {
+            let value = u128::from_be_bytes(g.array());
+            let hex = format!("{value:032x}");
+            let text = format!(
+                "{}-{}-{}-{}-{}",
+                &hex[..8],
+                &hex[8..12],
+                &hex[12..16],
+                &hex[16..20],
+                &hex[20..]
+            );
+            assert_eq!(uuid_key(text.as_bytes().try_into().unwrap()), value, "{text}");
+            let value = value as u64 & 0xffff_ffff_ffff;
+            let text = format!("{value:012x}");
+            assert_eq!(mac_key(text.as_bytes().try_into().unwrap()), value, "{text}");
+        }
+
+        /// The one-pass analysis of a generated crowd equals the batch
+        /// analysis of the built dataset at 1 and 4 pool threads, over
+        /// crowds that reach household 100's Roku.
+        fn generated_analysis_matches_batch(g) {
+            let config = GeneratorConfig {
+                seed: g.u64(),
+                households: g.int_in(0..=120usize),
+            };
+            let data = generate(&config);
+            let batch = analyze(&data);
+            for threads in [1, 4] {
+                let crowd = pool::with_threads(threads, || analyze_generated(&config));
+                assert_eq!(crowd.table.render(), batch.render(), "{config:?} at {threads}");
+                assert_eq!(crowd.table.analyzed_devices, batch.analyzed_devices);
+                assert_eq!(crowd.table.analyzed_households, batch.analyzed_households);
+                assert_eq!(crowd.devices, data.device_count());
+                assert_eq!(crowd.households, data.households.len());
+            }
+        }
     }
 }

@@ -215,27 +215,27 @@ fn ascii(bytes: &[u8]) -> String {
 }
 
 /// The identifiers one device exposes in its discovery responses, each
-/// type in scan order: names borrowed from the responses, MACs already
-/// filtered by the device's OUI.
+/// type in scan order, MACs already filtered by the device's OUI. Names are
+/// copied out of the responses (they are rare), so the result outlives them.
 #[derive(Debug, Default)]
-pub(crate) struct Exposed<'a> {
-    pub names: Vec<&'a str>,
+pub(crate) struct Exposed {
+    pub names: Vec<String>,
     pub uuids: Vec<Uuid>,
     pub macs: Vec<Mac>,
 }
 
-impl<'a> Exposed<'a> {
+impl Exposed {
     /// Scan each response in place, in order. This equals scanning the
     /// responses joined with `'\n'`: no match can span a newline, which is
     /// not hex, `-`, `:`, a space or alphanumeric, and a newline bounds a
     /// bare MAC or a UUID just as the start of a response does.
-    pub(crate) fn scan(
+    pub(crate) fn scan<'a>(
         responses: impl IntoIterator<Item = &'a str>,
         device_oui: &str,
-    ) -> Exposed<'a> {
+    ) -> Exposed {
         let mut exposed = Exposed::default();
         for response in responses {
-            for_each_name(response, |name| exposed.names.push(name));
+            for_each_name(response, |name| exposed.names.push(name.to_string()));
             for_each_uuid_and_mac(
                 response,
                 |uuid| exposed.uuids.push(uuid),

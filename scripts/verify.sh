@@ -25,8 +25,9 @@
 #    lines, each with its reps and min/max spread
 # 6. sweep smoke: perf_sweep in --quick mode must emit one
 #    {"type":"speedup",...} serial-vs-parallel comparison line for each of
-#    Table 2's stages, dataset_generate and entropy_analyze, each with its
-#    reps and min/max spread
+#    Table 2's stages, dataset_generate and entropy_analyze, and for the
+#    one-pass table2_entropy that the paper runs, each with its reps and
+#    min/max spread
 # 7. stream smoke: perf_stream in --quick mode must emit its
 #    {"type":"throughput",...} packet-rate / peak-state lines and its
 #    appd1_periodicity line with its reps and min/max spread; perf_netsim
@@ -121,7 +122,7 @@ done
 echo "==> sweep smoke: perf_sweep --quick"
 sweep_out=$(cargo bench -p iotlan-bench --bench perf_sweep --offline -- --quick)
 printf '%s\n' "$sweep_out"
-for id in dataset_generate entropy_analyze; do
+for id in dataset_generate entropy_analyze table2_entropy; do
     sweep_line=$(printf '%s\n' "$sweep_out" |
         grep -F "{\"type\":\"speedup\",\"id\":\"$id\"" || true)
     if [ -z "$sweep_line" ]; then
