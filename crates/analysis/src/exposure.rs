@@ -3,7 +3,7 @@
 //! captured payloads (not configuration) for each exposure type.
 
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_rules, paper_rules};
+use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_inspector::ident;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -94,8 +94,8 @@ const TABLE1_PROTOCOLS: &[&str] = &["ARP", "DHCP", "mDNS", "SSDP", "TuyaLP", "TP
 pub fn exposure_matrix(table: &FlowTable) -> ExposureMatrix {
     let rules = paper_rules();
     let mut matrix = ExposureMatrix::default();
-    for flow in &table.flows {
-        let protocol = classify_with_rules(flow, &rules);
+    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
+        let protocol = classify_with_truth(flow, truth, &rules);
         if !TABLE1_PROTOCOLS.contains(&protocol) {
             continue;
         }

@@ -3,7 +3,7 @@
 //! render them like the paper's appendix.
 
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_rules, paper_rules};
+use iotlan_classify::rules::{classify_with_truth, paper_rules};
 
 /// One rendered example.
 #[derive(Debug, Clone)]
@@ -17,8 +17,8 @@ pub fn payload_examples(table: &FlowTable) -> Vec<PayloadExample> {
     let rules = paper_rules();
     let wanted = ["SSDP", "mDNS", "NETBIOS", "TPLINK_SHP", "TuyaLP"];
     let mut out: Vec<PayloadExample> = Vec::new();
-    for flow in &table.flows {
-        let protocol = classify_with_rules(flow, &rules);
+    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
+        let protocol = classify_with_truth(flow, truth, &rules);
         let protocol = if protocol == "NETBIOS" {
             "NETBIOS"
         } else {

@@ -14,7 +14,7 @@
 //! FFT.
 
 use iotlan_classify::flow::{Flow, FlowTable};
-use iotlan_classify::rules::{classify_with_rules, paper_rules};
+use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_classify::Label;
 use iotlan_wire::ethernet::EthernetAddress;
 use std::collections::BTreeMap;
@@ -397,11 +397,11 @@ pub fn analyze_periodicity(table: &FlowTable) -> PeriodicityReport {
 pub fn group_events(table: &FlowTable) -> BTreeMap<GroupKey, Vec<f64>> {
     let rules = paper_rules();
     let mut groups: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
-    for flow in &table.flows {
+    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
         let key = GroupKey {
             src_mac: flow.key.src_mac,
             destination: destination_bucket(flow),
-            protocol: classify_with_rules(flow, &rules).to_string(),
+            protocol: classify_with_truth(flow, truth, &rules).to_string(),
         };
         let entry = groups.entry(key).or_default();
         entry.extend(flow.timestamps.iter().map(|t| t.as_secs_f64()));

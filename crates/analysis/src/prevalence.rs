@@ -3,7 +3,7 @@
 //! active scans, and the percentage of apps using it.
 
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_rules, paper_rules};
+use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_devices::Catalog;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -59,11 +59,11 @@ pub fn passive_prevalence(table: &FlowTable, catalog: &Catalog) -> Prevalence {
     let device_macs: BTreeSet<_> = catalog.devices.iter().map(|d| d.mac).collect();
     let mut per_device: BTreeMap<iotlan_wire::ethernet::EthernetAddress, BTreeSet<String>> =
         BTreeMap::new();
-    for flow in &table.flows {
+    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
         if !device_macs.contains(&flow.key.src_mac) {
             continue; // phones/scanners/router are not devices for Fig. 2
         }
-        let label = classify_with_rules(flow, &rules);
+        let label = classify_with_truth(flow, truth, &rules);
         per_device
             .entry(flow.key.src_mac)
             .or_default()

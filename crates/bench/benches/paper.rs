@@ -178,12 +178,13 @@ fn fig2(c: &mut Criterion, lab: &mut Lab) {
 }
 
 /// Table 2: household fingerprintability entropy over the synthetic IoT
-/// Inspector dataset.
+/// Inspector crowd, generated and analysed in one pass per household as
+/// `experiments::table2_entropy` runs it.
 fn table2(c: &mut Criterion) {
     println!("{}", experiments::table2_entropy(0x1077_1a6).render());
-    let data = dataset::generate(&dataset::GeneratorConfig::default());
+    let config = dataset::GeneratorConfig::default();
     c.bench_function("table2/entropy_analysis", |b| {
-        b.iter(|| entropy::analyze(&data))
+        b.iter(|| entropy::analyze_generated(&config))
     });
 }
 

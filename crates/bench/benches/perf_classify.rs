@@ -1,10 +1,12 @@
 //! Performance: flow assembly and classification throughput.
 //!
-//! Besides the `{"type":"bench",…}` medians, emits a
-//! `{"type":"throughput","id":"flow_assembly",…}` JSON line for the
-//! trajectory recorded by `scripts/bench_perf.sh`: one
-//! `FlowTable::from_capture` over the `fast` idle capture, timed `reps`
-//! times. `frames_per_sec` is the median rate and `min`/`max` bound it.
+//! Besides the `{"type":"bench",…}` medians, emits two throughput JSON
+//! lines for the trajectory recorded by `scripts/bench_perf.sh`, each
+//! timed `reps` times over the `fast` idle capture, with the median rate
+//! and `min`/`max` bounding it:
+//! * `flow_assembly`: one `FlowTable::from_capture`, in `frames_per_sec`;
+//! * `flow_labels`: one cold `FlowTable::truth_labels` pass over a freshly
+//!   assembled table (so no rep reads the memo), in `flows_per_sec`.
 
 use iotlan_bench::{emit_line, per_sec};
 use iotlan_core::classify::rules::{classify_with_rules, paper_rules};
@@ -41,28 +43,47 @@ fn bench(c: &mut Criterion) {
     });
     group.finish();
 
-    // Machine-readable throughput line: capture frames assembled into
-    // flows per wall second, once per rep.
+    // Machine-readable throughput lines, one sample per rep: capture
+    // frames assembled into flows per wall second, then flows labelled per
+    // wall second, each rep labelling a fresh table whose assembly is not
+    // timed.
     let reps = if quick { 3 } else { 9 };
-    let frames = capture.len();
-    let mut elapsed: Vec<f64> = (0..reps)
+    let assembly: Vec<f64> = (0..reps)
         .map(|_| {
             let start = Instant::now();
             std::hint::black_box(FlowTable::from_capture(capture));
             start.elapsed().as_nanos() as f64
         })
         .collect();
+    emit_rate("flow_assembly", "frames", capture.len(), assembly);
+    let labelling: Vec<f64> = (0..reps)
+        .map(|_| {
+            let fresh = FlowTable::from_capture(capture);
+            let start = Instant::now();
+            std::hint::black_box(fresh.truth_labels());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    emit_rate("flow_labels", "flows", table.len(), labelling);
+}
+
+/// Emit a `throughput` line for `count` items (`"<unit>"`) handled once in
+/// each rep timed in `elapsed` (ns): the median rate (`"<unit>_per_sec"`),
+/// `reps`, and the slowest and fastest reps' rates as `min`/`max`.
+fn emit_rate(id: &str, unit: &str, count: usize, mut elapsed: Vec<f64>) {
     elapsed.sort_by(f64::total_cmp);
-    let frame_rate = |elapsed: f64| json::Value::from(per_sec(frames as f64, elapsed));
+    let reps = elapsed.len();
+    let rate = |elapsed: f64| json::Value::from(per_sec(count as f64, elapsed));
+    let rate_key = format!("{unit}_per_sec");
     emit_line(
         "throughput",
-        "flow_assembly",
+        id,
         [
-            ("frames", json::Value::from(frames)),
-            ("frames_per_sec", frame_rate(elapsed[reps / 2])),
+            (unit, json::Value::from(count)),
+            (rate_key.as_str(), rate(elapsed[reps / 2])),
             ("reps", json::Value::from(reps)),
-            ("min", frame_rate(elapsed[reps - 1])),
-            ("max", frame_rate(elapsed[0])),
+            ("min", rate(elapsed[reps - 1])),
+            ("max", rate(elapsed[0])),
         ],
     );
 }

@@ -111,9 +111,9 @@ struct Tallies {
 }
 
 impl Tallies {
-    fn add(&mut self, flow: &Flow) {
-        let n = ndpi::classify(flow);
-        let t = tshark::classify(flow);
+    fn add(&mut self, flow: &Flow, truth: Label) {
+        let n = ndpi::classify_with_truth(flow, truth);
+        let t = tshark::classify_with_truth(flow, truth);
         self.matrix.add(n, t);
         let n_ok = ndpi::is_labeled(n);
         let t_ok = tshark::is_labeled(t);
@@ -169,13 +169,15 @@ impl Tallies {
     }
 }
 
-/// Run both classifiers over every flow. Classification is per-flow pure,
-/// so the table fans out across the pool; tallies merge in flow order.
+/// Run both classifiers over every flow, from the table's ground-truth
+/// labels. Classification is per-flow pure, so the table fans out across
+/// the pool; tallies merge in flow order.
 pub fn cross_validate(table: &FlowTable) -> CrossValidation {
+    let truth = table.truth_labels();
     let tallies = pool::par_map_reduce(
         &table.flows,
         Tallies::default,
-        |acc, _, flow| acc.add(flow),
+        |acc, index, flow| acc.add(flow, truth[index]),
         Tallies::merge,
     );
     tallies.into_crossval(table.flows.len())
@@ -185,7 +187,8 @@ pub fn cross_validate(table: &FlowTable) -> CrossValidation {
 /// tools agree on the truth?
 pub fn tools_agree_correctly(flow: &Flow) -> bool {
     let truth = crate::truth::label_flow(flow);
-    ndpi::classify(flow) == truth && tshark::classify(flow) == truth
+    ndpi::classify_with_truth(flow, truth) == truth
+        && tshark::classify_with_truth(flow, truth) == truth
 }
 
 #[cfg(test)]

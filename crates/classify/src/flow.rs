@@ -6,11 +6,14 @@
 //! (ICMP, IGMP) become pseudo-flows so the classifier comparison covers
 //! every captured frame, as the paper's 366K-packet corpus did.
 
+use crate::{truth, Label};
 use iotlan_netsim::stack::{self, Content};
 use iotlan_netsim::{Capture, SimTime};
+use iotlan_util::pool;
 use iotlan_wire::ethernet::{EthernetAddress, Frame};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// Transport discriminator for flow keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -212,10 +215,17 @@ pub fn dissect_frame(data: &[u8]) -> Option<FrameEvidence<'_>> {
 /// The assembled flow table for one capture.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
+    /// The flows in first-seen order. Read it freely, but mutate it only
+    /// through [`FlowTable::add_evidence`] (or the `add_frame` and
+    /// `from_capture` built on it): that is what clears the label memo, so
+    /// any other writer would leave [`FlowTable::truth_labels`] stale.
     pub flows: Vec<Flow>,
     index: HashMap<FlowKey, usize>,
     /// Arrival times kept per flow; later packets are still counted.
     timestamp_cap: usize,
+    /// `truth::label_flow` of each flow, in `flows` order, filled on the
+    /// first [`FlowTable::truth_labels`] call.
+    truth: OnceLock<Vec<Label>>,
 }
 
 impl Default for FlowTable {
@@ -233,6 +243,7 @@ impl FlowTable {
             flows: Vec::new(),
             index: HashMap::new(),
             timestamp_cap: cap,
+            truth: OnceLock::new(),
         }
     }
 
@@ -268,6 +279,7 @@ impl FlowTable {
             payload,
         } = evidence;
         let payload = payload.filter(|p| !p.is_empty());
+        self.truth.take();
         let index = *self.index.entry(key).or_insert_with(|| {
             self.flows.push(Flow {
                 key,
@@ -296,6 +308,18 @@ impl FlowTable {
         index
     }
 
+    /// The ground-truth label of every flow, in `flows` order: each flow's
+    /// `truth::label_flow`, computed once across the pool and kept until
+    /// the next frame is added. A label is a pure function of the flow's
+    /// key and first payload, so the vector is the same at any thread
+    /// count. Call it before entering a pool region, never inside one.
+    pub fn truth_labels(&self) -> &[Label] {
+        self.truth.get_or_init(|| {
+            iotlan_telemetry::counter!("classify.flows_labelled").add(self.flows.len() as u64);
+            pool::par_map(&self.flows, |_, flow| truth::label_flow(flow))
+        })
+    }
+
     /// True when every flow kept all of its arrival times.
     pub fn timestamps_complete(&self) -> bool {
         self.flows
@@ -320,7 +344,10 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ndpi, rules, tshark};
     use iotlan_netsim::stack::Endpoint;
+    use iotlan_util::check::Gen;
+    use iotlan_wire::{dhcpv4, dns, http, rtp, ssdp, stun, tls, tplink, tuya};
 
     fn ep(last: u8) -> Endpoint {
         Endpoint {
@@ -424,6 +451,175 @@ mod tests {
         assert!(table.flows.iter().all(|f| f.timestamps.len() == 5));
         assert!(!table.timestamps_complete());
         assert!(table_of(&mixed_frames(), 8).timestamps_complete());
+    }
+
+    /// Truncate a payload, flip one of its bits or empty it, each
+    /// sometimes, as a lossy medium or a handshake-only flow would.
+    fn mangle(g: &mut Gen, mut payload: Vec<u8>) -> Vec<u8> {
+        match g.int_in(0u8..6) {
+            0 if !payload.is_empty() => {
+                let len = g.int_in(0..payload.len());
+                payload.truncate(len);
+            }
+            1 if !payload.is_empty() => {
+                let at = g.int_in(0..payload.len());
+                payload[at] ^= 1 << g.int_in(0u8..8);
+            }
+            2 => payload.clear(),
+            _ => {}
+        }
+        payload
+    }
+
+    /// One frame of a protocol the classifiers tell apart, from a few
+    /// hosts and ports so that flows repeat, its payload sometimes mangled.
+    fn protocol_frame(g: &mut Gen) -> Vec<u8> {
+        let src = ep(g.int_in(1u8..5));
+        let dst = ep(g.int_in(5u8..8));
+        let sport = [1900, 5353, 40000, 40003, 50004][g.int_in(0usize..5)];
+        let kind = g.int_in(0u8..12);
+        if kind == 10 {
+            let request = iotlan_wire::arp::Repr::request(src.mac, src.ip, dst.ip);
+            return stack::arp_frame(&request);
+        }
+        if kind == 11 {
+            // EAPOL-Start to the PAE group, sometimes from a Nintendo OUI.
+            let mut frame = vec![0x01, 0x80, 0xc2, 0x00, 0x00, 0x03];
+            let mut mac = src.mac.0;
+            if g.bool() {
+                mac[..3].copy_from_slice(&[0x98, 0xb6, 0xe9]);
+            }
+            frame.extend_from_slice(&mac);
+            frame.extend_from_slice(&[0x88, 0x8e, 0x02, 0x01, 0x00, 0x00]);
+            return frame;
+        }
+        let payload = match kind {
+            0 => dns::Message::mdns_query(&[("_hue._tcp.local", dns::RecordType::Ptr)]).to_bytes(),
+            1 => ssdp::Message::msearch("ssdp:all", 3).to_bytes(),
+            2 => ssdp::Message::response("upnp:rootdevice", "u", None, None).to_bytes(),
+            3 => {
+                dhcpv4::Repr::discover(7, src.mac, Some("plug".into()), None, vec![1, 3]).to_bytes()
+            }
+            4 => tplink::Message::get_sysinfo().to_udp_bytes(),
+            5 => tuya::Frame::discovery("gw", "pk", "192.168.10.5", "3.3").to_bytes(),
+            6 => {
+                let mut rtp = rtp::Header {
+                    payload_type: 97,
+                    sequence: 1,
+                    timestamp: 0,
+                    ssrc: 7,
+                    marker: false,
+                    csrc_count: 0,
+                }
+                .to_bytes();
+                rtp.extend_from_slice(&[0xAD; 32]);
+                rtp
+            }
+            7 => stun::Header {
+                kind: stun::MessageKind::BindingRequest,
+                length: 0,
+                transaction_id: [1; 12],
+            }
+            .to_bytes(),
+            8 => http::Request::get("/", http::Headers::new()).to_bytes(),
+            _ => tls::Handshake::ClientHello {
+                version: tls::Version::Tls12,
+                supported_versions: vec![],
+                server_name: None,
+                cipher_suites: vec![0xc02f],
+            }
+            .into_record(tls::Version::Tls12)
+            .to_bytes(),
+        };
+        let payload = mangle(g, payload);
+        let tcp = |dport: u16| {
+            let repr = iotlan_wire::tcp::Repr::data(sport, dport, 1, 1, payload.len());
+            stack::tcp_segment(src, dst, &repr, &payload)
+        };
+        match kind {
+            0 => stack::udp_multicast(src, Ipv4Addr::new(224, 0, 0, 251), 5353, 5353, &payload),
+            1 => stack::udp_multicast(
+                src,
+                Ipv4Addr::new(239, 255, 255, 250),
+                sport,
+                1900,
+                &payload,
+            ),
+            2 => stack::udp_unicast(src, dst, 1900, sport, &payload),
+            3 => stack::udp_broadcast(src, 68, 67, &payload),
+            4 => stack::udp_broadcast(src, sport, 9999, &payload),
+            5 => stack::udp_broadcast(src, sport, 6666, &payload),
+            6 | 7 => {
+                let dport = [10005, 55444, 30000][g.int_in(0usize..3)];
+                stack::udp_unicast(src, dst, sport, dport, &payload)
+            }
+            8 => tcp([80, 8080][g.int_in(0usize..2)]),
+            _ => tcp([8009, 40001][g.int_in(0usize..2)]),
+        }
+    }
+
+    /// Every memo entry against a fresh per-flow labelling, and each
+    /// classifier fed from the memo against its per-flow wrapper.
+    fn assert_memo_matches_per_flow(table: &FlowTable) {
+        let rules = rules::paper_rules();
+        let memo = table.truth_labels();
+        assert_eq!(memo.len(), table.len());
+        for (flow, &label) in table.flows.iter().zip(memo) {
+            assert_eq!(label, truth::label_flow(flow), "{:?}", flow.key);
+            assert_eq!(ndpi::classify_with_truth(flow, label), ndpi::classify(flow));
+            assert_eq!(
+                tshark::classify_with_truth(flow, label),
+                tshark::classify(flow)
+            );
+            assert_eq!(
+                rules::classify_with_truth(flow, label, &rules),
+                rules::classify_with_rules(flow, &rules)
+            );
+        }
+    }
+
+    iotlan_util::props! {
+        /// The label memo equals `truth::label_flow` of every flow, the
+        /// classifiers read from it equal their per-flow wrappers, and
+        /// frames added after labelling (a first payload for a flow that
+        /// had none, a new flow) leave it equal to a fresh table's.
+        fn truth_labels_match_per_flow_labelling(g) {
+            // An SSDP flow whose first frame is empty: UNKNOWN until its
+            // M-SEARCH arrives.
+            let silent = |payload: &[u8]| {
+                stack::udp_multicast(ep(9), Ipv4Addr::new(239, 255, 255, 250), 40009, 1900, payload)
+            };
+            let mut frames = vec![silent(&[])];
+            frames.extend(g.vec_of(1, 60, protocol_frame));
+            let mut table = FlowTable::default();
+            for (i, frame) in frames.iter().enumerate() {
+                table.add_frame(SimTime::from_secs(i as u64), frame);
+            }
+            assert_memo_matches_per_flow(&table);
+            assert_eq!(table.truth_labels()[0], crate::labels::UNKNOWN);
+
+            let query = dns::Message::mdns_query(&[("_ipp._tcp.local", dns::RecordType::Ptr)]);
+            frames.push(silent(&ssdp::Message::msearch("ssdp:all", 3).to_bytes()));
+            frames.push(stack::udp_multicast(
+                ep(10),
+                Ipv4Addr::new(224, 0, 0, 251),
+                5353,
+                5353,
+                &query.to_bytes(),
+            ));
+            let old = table.len();
+            for (i, frame) in frames.iter().enumerate().skip(frames.len() - 2) {
+                table.add_frame(SimTime::from_secs(i as u64), frame);
+            }
+            assert_eq!(table.len(), old + 1);
+            let mut fresh = FlowTable::default();
+            for (i, frame) in frames.iter().enumerate() {
+                fresh.add_frame(SimTime::from_secs(i as u64), frame);
+            }
+            assert_eq!(table.truth_labels(), fresh.truth_labels());
+            assert_eq!(table.truth_labels()[0], crate::labels::SSDP);
+            assert_memo_matches_per_flow(&table);
+        }
     }
 
     #[test]

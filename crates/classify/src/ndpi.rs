@@ -23,7 +23,12 @@ const NINTENDO_OUI: [u8; 3] = [0x98, 0xb6, 0xe9];
 
 /// Classify a flow the way nDPI would.
 pub fn classify(flow: &Flow) -> Label {
-    let true_label = truth::label_flow(flow);
+    classify_with_truth(flow, truth::label_flow(flow))
+}
+
+/// [`classify`] for a flow whose ground-truth label is already known
+/// (`FlowTable::truth_labels`), so its payload is not parsed again.
+pub fn classify_with_truth(flow: &Flow, true_label: Label) -> Label {
     match flow.key.transport {
         Transport::L2(0x888e) => {
             // Appendix C.2: Nintendo Switch EAPOL → AmazonAWS.

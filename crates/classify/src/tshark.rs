@@ -15,7 +15,12 @@ use crate::{labels, truth, Label};
 
 /// Classify a flow the way tshark would.
 pub fn classify(flow: &Flow) -> Label {
-    let true_label = truth::label_flow(flow);
+    classify_with_truth(flow, truth::label_flow(flow))
+}
+
+/// [`classify`] for a flow whose ground-truth label is already known
+/// (`FlowTable::truth_labels`), so its payload is not parsed again.
+pub fn classify_with_truth(flow: &Flow, true_label: Label) -> Label {
     match flow.key.transport {
         Transport::L2(0x0806) => labels::ARP,
         Transport::L2(0x888e) => labels::EAPOL,

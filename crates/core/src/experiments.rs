@@ -388,11 +388,11 @@ pub fn sec51_discovery_stats(lab: &Lab) -> Sec51 {
     let mut ssdp = std::collections::BTreeSet::new();
     let device_macs: std::collections::BTreeSet<_> =
         lab.catalog.devices.iter().map(|d| d.mac).collect();
-    for flow in &table.flows {
+    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
         if !device_macs.contains(&flow.key.src_mac) {
             continue;
         }
-        match iotlan_classify::rules::classify_with_rules(flow, &rules) {
+        match iotlan_classify::rules::classify_with_truth(flow, truth, &rules) {
             "mDNS" => {
                 mdns.insert(flow.key.src_mac);
             }

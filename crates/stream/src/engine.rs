@@ -122,6 +122,8 @@ impl StreamEngine {
 
     /// Finish the pass and build the report. Fails only when pcap bytes
     /// were pushed and the image was malformed or truncated mid-record.
+    /// The table labels its flows once here, for `group_events` and
+    /// `records`; the report's table keeps the labels for Fig. 2.
     pub fn finish(mut self) -> Result<StreamReport, iotlan_wire::Error> {
         let _span = iotlan_telemetry::span!("stream.finish");
         if self.pcap_bytes_pushed > 0 {

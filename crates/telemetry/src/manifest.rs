@@ -148,10 +148,19 @@ impl Manifest {
     }
 
     /// Attach host facts: effective thread count, process allocation
-    /// count, and the pool's per-worker accounting.
+    /// count, the process's minor page faults so far (when
+    /// `/proc/self/stat` can be read), and the pool's per-worker
+    /// accounting. Minor faults tell a run whose allocator regrew a
+    /// trimmed heap from one that reused it.
     pub fn attach_host_info(&mut self) {
         self.set_host("threads", pool::thread_count() as u64);
         self.set_host("allocations", iotlan_util::alloc::allocation_count());
+        if let Some(faults) = std::fs::read_to_string("/proc/self/stat")
+            .ok()
+            .and_then(|stat| minor_faults(&stat))
+        {
+            self.set_host("minor_faults", faults);
+        }
         let stats = pool::stats();
         let mut pool_map = json::Map::new();
         pool_map.insert("regions".to_string(), json::Value::from(stats.regions));
@@ -250,9 +259,38 @@ impl Manifest {
     }
 }
 
+/// Field 10 (`minflt`) of a `/proc/<pid>/stat` line. The command name in
+/// field 2 is parenthesised and may hold spaces, so fields are counted
+/// from the last `)`.
+fn minor_faults(stat: &str) -> Option<u64> {
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn minor_faults_is_field_ten_of_stat() {
+        let stat = "4242 (a (b) c) S 1 4242 4242 0 -1 4194560 8123 0 3 0 12 4";
+        assert_eq!(minor_faults(stat), Some(8123));
+        assert_eq!(minor_faults("4242 (short) S 1"), None);
+        assert_eq!(minor_faults("no command name"), None);
+    }
+
+    #[test]
+    fn host_info_carries_minor_faults_when_readable() {
+        let mut manifest = Manifest::new("t");
+        manifest.attach_host_info();
+        let full = manifest.to_json().to_string();
+        let readable = std::fs::read_to_string("/proc/self/stat").is_ok();
+        assert_eq!(full.contains("\"minor_faults\":"), readable, "{full}");
+        assert!(!manifest
+            .deterministic_json()
+            .to_string()
+            .contains("minor_faults"));
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {

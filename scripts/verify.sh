@@ -33,8 +33,8 @@
 #    appd1_periodicity line with its reps and min/max spread; perf_netsim
 #    in --quick mode must emit its testbed_idle_frames and app_phase
 #    throughput lines, each with its reps and min/max spread; perf_classify
-#    in --quick mode must emit its flow_assembly throughput line with its
-#    reps and min/max spread
+#    in --quick mode must emit its flow_assembly and flow_labels throughput
+#    lines, each with its reps and min/max spread
 # 8. telemetry smoke: perf_telemetry in --quick mode must emit its
 #    {"type":"overhead",...} enabled-vs-disabled comparison lines
 # 9. observability: the observability example must write run manifests
@@ -170,13 +170,15 @@ done
 echo "==> flow assembly smoke: perf_classify --quick"
 classify_out=$(cargo bench -p iotlan-bench --bench perf_classify --offline -- --quick)
 printf '%s\n' "$classify_out"
-classify_line=$(printf '%s\n' "$classify_out" |
-    grep -F '{"type":"throughput","id":"flow_assembly"' || true)
-for key in reps min max; do
-    if ! printf '%s\n' "$classify_line" | grep -qF "\"$key\":"; then
-        echo "verify: FAIL — perf_classify emitted no flow_assembly line with \"$key\"" >&2
-        exit 1
-    fi
+for id in flow_assembly flow_labels; do
+    classify_line=$(printf '%s\n' "$classify_out" |
+        grep -F "{\"type\":\"throughput\",\"id\":\"$id\"" || true)
+    for key in reps min max; do
+        if ! printf '%s\n' "$classify_line" | grep -qF "\"$key\":"; then
+            echo "verify: FAIL — perf_classify emitted no $id line with \"$key\"" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "==> telemetry smoke: perf_telemetry --quick"

@@ -8,7 +8,7 @@
 //! drawing from a shared RNG) fails these before it can corrupt a
 //! paper-vs-measured comparison.
 
-use iotlan::classify::crossval;
+use iotlan::classify::{crossval, FlowTable};
 use iotlan::inspector::{dataset, entropy, infer};
 use iotlan::netsim::SimDuration;
 use iotlan::{experiments, Lab, LabConfig};
@@ -76,6 +76,31 @@ fn crossval_is_thread_count_invariant() {
             cv.ssdp_share
         )
     });
+}
+
+#[test]
+fn truth_labels_are_thread_count_invariant() {
+    let mut lab = Lab::new(LabConfig {
+        seed: 77,
+        idle_duration: SimDuration::from_mins(3),
+        interactions: 0,
+        with_honeypot: false,
+    });
+    lab.run_idle();
+    // A fresh table per thread count: a table labels its flows only once.
+    let labels_at = |threads: usize| {
+        pool::with_threads(threads, || {
+            FlowTable::from_capture(&lab.network.capture)
+                .truth_labels()
+                .to_vec()
+        })
+    };
+    let serial = labels_at(1);
+    assert_eq!(serial.len(), lab.flow_table().len());
+    assert!(
+        labels_at(4) == serial,
+        "FlowTable::truth_labels: IOTLAN_THREADS=4 diverged from the serial reference"
+    );
 }
 
 #[test]

@@ -140,6 +140,7 @@ fn artifacts_carry_the_instrumentation() {
         "devices.mdns_queries",
         "stream.packets",
         "stream.flow_keys_created",
+        "classify.flows_labelled",
         "scan.devices_scanned",
         "honeypot.interactions",
     ] {
