@@ -1,16 +1,18 @@
 //! Synthetic IoT Inspector dataset generator (§3.3; DESIGN.md substitution
 //! table).
 //!
-//! Schema-faithful to the published description: per-device source/dest
-//! byte counts in 5-second windows, DHCP hostnames, full mDNS and SSDP
-//! response payloads, crowdsourced user labels, HMAC-SHA256 device IDs with
-//! a per-household salt, and OUI metadata. The identifier-exposure mixture
-//! is calibrated so the §6.3 analysis reproduces Table 2's shape:
+//! Each device keeps what Table 2 reads: its OUI, its full mDNS and SSDP
+//! response payloads, and its product's vendor and category. IoT Inspector
+//! also records salted device IDs, 5-second byte-count windows, DHCP
+//! hostnames and user labels; no artifact reads those, so the generator
+//! only makes the random draws they took and discards them, which keeps
+//! every household's draws where they were. The identifier-exposure
+//! mixture is calibrated so the §6.3 analysis reproduces Table 2's shape:
 //! most households expose UUIDs, a third expose UUID+MAC combinations,
 //! possessive display names are rare, and the one all-three product is a
 //! Roku.
 
-use crate::hashes::{self, push_hex, HmacKey};
+use crate::ident;
 use iotlan_util::pool;
 use iotlan_util::rng::Rng;
 
@@ -38,41 +40,22 @@ pub struct Product {
     pub weight: u32,
 }
 
-/// One observed 5-second traffic window (the only flow data IoT Inspector
-/// keeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowWindow {
-    /// Window start, seconds since dataset epoch.
-    pub ts: u64,
-    pub remote_port: u16,
-    pub bytes_sent: u64,
-    pub bytes_received: u64,
-    /// True when the remote endpoint is another local (RFC 1918) device.
-    pub local_peer: bool,
-}
-
-/// One device as IoT Inspector records it.
+/// One device: the part of IoT Inspector's record that Table 2 reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
-    /// HMAC-SHA256(MAC, household salt).
-    pub device_id: String,
     /// First three octets of the MAC, colon form.
     pub oui: String,
-    pub dhcp_hostname: Option<String>,
-    pub user_label: Option<String>,
     pub mdns_responses: Vec<String>,
     pub ssdp_responses: Vec<String>,
-    pub flows: Vec<FlowWindow>,
-    /// Ground truth (not available to the analyses; used to score the
-    /// inference engine).
+    /// The product's vendor and category, which Table 2 counts per
+    /// identifier class.
     pub truth_vendor: String,
     pub truth_category: String,
 }
 
 /// One household (user).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Household {
-    pub user_id: String,
     pub devices: Vec<Device>,
 }
 
@@ -118,6 +101,43 @@ impl Dataset {
         set.sort();
         set.dedup();
         set.len()
+    }
+
+    /// Identifier minimization (§7): overwrite every UUID (with `uuids`)
+    /// and every MAC (with `macs`) in each device's mDNS and SSDP
+    /// responses with zeros. A MAC is scrubbed in its bare, colon,
+    /// uppercase colon and dash spellings.
+    pub fn strip_identifiers(&mut self, uuids: bool, macs: bool) {
+        for device in self.households.iter_mut().flat_map(|h| &mut h.devices) {
+            for response in device
+                .mdns_responses
+                .iter_mut()
+                .chain(&mut device.ssdp_responses)
+            {
+                if uuids {
+                    for uuid in ident::extract_uuids(response) {
+                        *response = response.replace(&uuid, "00000000-0000-0000-0000-000000000000");
+                    }
+                }
+                if macs {
+                    // The extractor normalizes to bare lowercase hex.
+                    for mac in ident::extract_mac_candidates(response) {
+                        let colon: String = mac
+                            .as_bytes()
+                            .chunks(2)
+                            .map(|c| std::str::from_utf8(c).expect("MAC candidates are ASCII hex"))
+                            .collect::<Vec<_>>()
+                            .join(":");
+                        let dash = colon.replace(':', "-");
+                        *response = response
+                            .replace(&mac, "000000000000")
+                            .replace(&colon, "00:00:00:00:00:00")
+                            .replace(&colon.to_uppercase(), "00:00:00:00:00:00")
+                            .replace(&dash, "00-00-00-00-00-00");
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -289,8 +309,17 @@ pub fn product_universe() -> Vec<Product> {
     products
 }
 
+/// Append the low `digits` hex digits of `value`, lowercase and
+/// zero-padded: `format!("{value:0digits$x}")` for a value that fits.
+fn push_hex(out: &mut String, value: u64, digits: u32) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..digits).rev() {
+        out.push(char::from(DIGITS[(value >> (4 * shift)) as usize & 0xf]));
+    }
+}
+
 /// Fill `mac` with a random MAC under `oui` in colon form and `bare` with
-/// the 12-hex-digit form that payloads and hostnames embed.
+/// the 12-hex-digit form that payloads embed.
 fn random_mac(rng: &mut Rng, oui: &str, mac: &mut String, bare: &mut String) {
     mac.clear();
     mac.push_str(oui);
@@ -320,10 +349,9 @@ fn make_payloads(
     product: &Product,
     mac: &str,
     bare_mac: &str,
-) -> (Vec<String>, Vec<String>, Option<String>) {
+) -> (Vec<String>, Vec<String>) {
     let mut mdns = Vec::new();
     let mut ssdp = Vec::new();
-    let mut display_name = None;
     let expose_uuid = matches!(
         product.exposure,
         ExposureClass::UuidOnly
@@ -379,18 +407,18 @@ fn make_payloads(
     if expose_name {
         let first = FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())];
         let room = ROOMS[rng.gen_range(0..ROOMS.len())];
-        let name = [first, "'s ", room].concat();
         ssdp.push(
             [
                 "HTTP/1.1 200 OK\r\nST: roku:ecp\r\nname: \"",
                 &product.model,
                 " - ",
-                &name,
+                first,
+                "'s ",
+                room,
                 "\"\r\n\r\n",
             ]
             .concat(),
         );
-        display_name = Some(name);
     }
     if matches!(product.exposure, ExposureClass::None) && rng.gen_bool(0.5) {
         // None-class products still answer discovery, just without unique
@@ -406,31 +434,7 @@ fn make_payloads(
             .concat(),
         );
     }
-    (mdns, ssdp, display_name)
-}
-
-/// A device's DHCP hostname: its display name with dashes for spaces, or
-/// its model and the last four digits of its MAC.
-fn dhcp_hostname(product: &Product, display_name: Option<String>, bare_mac: &str) -> String {
-    match display_name {
-        Some(name) => name.replace(' ', "-"),
-        None => [&product.model, "-", &bare_mac[8..]].concat(),
-    }
-}
-
-/// The crowdsourced label for a product: its vendor lowercased as
-/// `str::to_lowercase` does it, a space, and its category.
-fn user_label(product: &Product) -> String {
-    let (vendor, category) = (&product.vendor, &product.category);
-    let mut label = String::with_capacity(vendor.len() + 1 + category.len());
-    if vendor.is_ascii() {
-        label.extend(vendor.chars().map(|c| c.to_ascii_lowercase()));
-    } else {
-        label.push_str(&vendor.to_lowercase());
-    }
-    label.push(' ');
-    label.push_str(category);
-    label
+    (mdns, ssdp)
 }
 
 /// Generate a dataset.
@@ -440,69 +444,53 @@ fn user_label(product: &Product) -> String {
 /// [`iotlan_util::pool`] with bit-identical output at any thread count.
 pub fn generate(config: &GeneratorConfig) -> Dataset {
     let products = product_universe();
-    let households = fold_households(
-        config,
-        &products,
-        |user_id| Household {
-            user_id,
-            devices: Vec::new(),
-        },
-        |household, _, device| household.devices.push(device),
-    );
+    let households = fold_households(config, &products, |household: &mut Household, _, device| {
+        household.devices.push(device)
+    });
     Dataset { households }
 }
 
 /// Generate the households of `config` across the pool and reduce each one
-/// where it is generated, without building the dataset. `start` opens
-/// household `i`'s accumulator from its user ID, and `visit` folds in each
-/// of its devices with the product it was drawn from, in draw order. Only
-/// the accumulators are kept, in household order, so the result is the same
-/// at any thread count.
+/// where it is generated, without building the dataset. Household `i`'s
+/// accumulator starts as `A::default()`, and `visit` folds in each of its
+/// devices with the product it was drawn from, in draw order. Only the
+/// accumulators are kept, in household order, so the result is the same at
+/// any thread count.
 ///
 /// `products` must be [`product_universe`]'s list; an accumulator may keep
 /// references into it.
-pub fn fold_households<'p, A, S, V>(
+pub fn fold_households<'p, A, V>(
     config: &GeneratorConfig,
     products: &'p [Product],
-    start: S,
     visit: V,
 ) -> Vec<A>
 where
-    A: Send,
-    S: Fn(String) -> A + Sync,
+    A: Default + Send,
     V: Fn(&mut A, &'p Product, Device) + Sync,
 {
     let total_weight: u32 = products.iter().map(|p| p.weight).sum();
     pool::par_map_range(config.households, |house_index| {
         let mut rng = Rng::stream(config.seed, house_index as u64);
-        generate_household(
-            &mut rng,
-            house_index,
-            products,
-            total_weight,
-            &start,
-            &visit,
-        )
+        generate_household(&mut rng, house_index, products, total_weight, &visit)
     })
 }
 
-/// Build one household from its private generator: its accumulator from
-/// `start`, then each device handed to `visit` as it is drawn.
-fn generate_household<'p, A>(
+/// Build one household from its private generator: each device is handed
+/// to `visit` as it is drawn.
+fn generate_household<'p, A: Default>(
     rng: &mut Rng,
     house_index: usize,
     products: &'p [Product],
     total_weight: u32,
-    start: impl FnOnce(String) -> A,
     visit: impl Fn(&mut A, &'p Product, Device),
 ) -> A {
-    let salt: [u8; 16] = rng.gen_array();
-    let mut household = start(hashes::to_hex(&hashes::sha256(&salt)[..8]));
-    let salt = HmacKey::new(&salt);
+    // IoT Inspector's per-user salt for its device IDs: drawn, not kept.
+    let _salt: [u8; 16] = rng.gen_array();
+    let mut household = A::default();
     // Reused by every device's MAC.
     let (mut mac, mut bare_mac) = (String::with_capacity(17), String::with_capacity(12));
     let mut add = |product: &'p Product, rng: &mut Rng| {
-        let device = make_device(rng, product, &salt, &mut mac, &mut bare_mac);
+        let device = make_device(rng, product, &mut mac, &mut bare_mac);
         visit(&mut household, product, device);
     };
     // Household size: median 3 (1..=9, weighted toward small).
@@ -544,38 +532,33 @@ fn generate_household<'p, A>(
 fn make_device(
     rng: &mut Rng,
     product: &Product,
-    salt: &HmacKey,
     mac: &mut String,
     bare_mac: &mut String,
 ) -> Device {
     random_mac(rng, &product.oui, mac, bare_mac);
-    let (mdns_responses, ssdp_responses, display_name) = make_payloads(rng, product, mac, bare_mac);
-    let dhcp_hostname = rng
-        .gen_bool(0.67)
-        .then(|| dhcp_hostname(product, display_name, bare_mac));
-    let user_label = rng.gen_bool(0.6).then(|| user_label(product));
-    // A few 5-second traffic windows; some local-peer, mostly cloud.
-    let flows = (0..rng.gen_range(4..12))
-        .map(|k| FlowWindow {
-            ts: k * 5,
-            remote_port: *[443u16, 8009, 1900, 5353, 80]
-                .get(rng.gen_range(0..5usize))
-                .unwrap(),
-            bytes_sent: rng.gen_range(60..5_000),
-            bytes_received: rng.gen_range(60..50_000),
-            local_peer: rng.gen_bool(0.3),
-        })
-        .collect();
+    let (mdns_responses, ssdp_responses) = make_payloads(rng, product, mac, bare_mac);
+    skip_unread_fields(rng);
     Device {
-        device_id: hashes::device_id(mac, salt),
         oui: product.oui.clone(),
-        dhcp_hostname,
-        user_label,
         mdns_responses,
         ssdp_responses,
-        flows,
         truth_vendor: product.vendor.clone(),
         truth_category: product.category.clone(),
+    }
+}
+
+/// The draws of the fields IoT Inspector records but no artifact reads,
+/// discarded with the same calls and bounds so that later draws stay put:
+/// the DHCP hostname's and user label's coins, then 4–11 five-second flow
+/// windows (remote port, bytes sent, bytes received, local peer).
+fn skip_unread_fields(rng: &mut Rng) {
+    rng.gen_bool(0.67);
+    rng.gen_bool(0.6);
+    for _ in 0..rng.gen_range(4u64..12) {
+        rng.gen_range(0..5usize);
+        rng.gen_range(60u64..5_000);
+        rng.gen_range(60u64..50_000);
+        rng.gen_bool(0.3);
     }
 }
 
@@ -611,41 +594,54 @@ mod tests {
     }
 
     #[test]
-    fn device_ids_are_hmacs() {
-        let dataset = generate(&GeneratorConfig {
-            seed: 1,
-            households: 10,
-        });
-        for household in &dataset.households {
-            for device in &household.devices {
-                assert_eq!(device.device_id.len(), 64);
-                assert!(device.device_id.chars().all(|c| c.is_ascii_hexdigit()));
-            }
+    fn deterministic_given_seed() {
+        let config = |seed| GeneratorConfig {
+            seed,
+            households: 50,
+        };
+        let a = generate(&config(7));
+        assert_eq!(a, generate(&config(7)));
+        assert_ne!(a, generate(&config(8)));
+    }
+
+    #[test]
+    fn hex_matches_format() {
+        for value in [0, 0xabc, 0xffff_ffff, 0x0123_4567_89ab_cdef, u64::MAX] {
+            let mut pushed = String::new();
+            push_hex(&mut pushed, value & 0xffff_ffff_ffff, 12);
+            assert_eq!(pushed, format!("{:012x}", value & 0xffff_ffff_ffff));
+        }
+        for byte in 0..=255u8 {
+            let mut pushed = String::new();
+            push_hex(&mut pushed, u64::from(byte), 2);
+            assert_eq!(pushed, format!("{byte:02x}"));
         }
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let a = generate(&GeneratorConfig {
-            seed: 7,
-            households: 50,
-        });
-        let b = generate(&GeneratorConfig {
-            seed: 7,
-            households: 50,
-        });
-        assert_eq!(a.device_count(), b.device_count());
+    fn stripping_identifiers_scrubs_every_spelling() {
+        let device = |response: &str| Device {
+            oui: "b0:a7:37".into(),
+            mdns_responses: vec![response.into()],
+            ssdp_responses: Vec::new(),
+            truth_vendor: "Roku".into(),
+            truth_category: "tv-stick".into(),
+        };
+        let text = "USN: uuid:0a1b2c3d-0000-4abc-8def-0123456789ab mac=b0:a7:37:01:02:0f \
+                    MAC=B0:A7:37:01:02:0F hw=b0-a7-37-01-02-0f id=b0a7370102af";
+        let mut data = Dataset {
+            households: vec![Household {
+                devices: vec![device(text)],
+            }],
+        };
+        let scrubbed = |data: &Dataset| data.households[0].devices[0].mdns_responses[0].clone();
+        data.strip_identifiers(false, false);
+        assert_eq!(scrubbed(&data), text);
+        data.strip_identifiers(true, true);
         assert_eq!(
-            a.households[0].devices[0].device_id,
-            b.households[0].devices[0].device_id
-        );
-        let c = generate(&GeneratorConfig {
-            seed: 8,
-            households: 50,
-        });
-        assert_ne!(
-            a.households[0].devices[0].device_id,
-            c.households[0].devices[0].device_id
+            scrubbed(&data),
+            "USN: uuid:00000000-0000-0000-0000-000000000000 mac=00:00:00:00:00:00 \
+             MAC=00:00:00:00:00:00 hw=00-00-00-00-00-00 id=000000000000"
         );
     }
 
@@ -674,9 +670,9 @@ mod tests {
     }
 
     iotlan_util::props! {
-        /// The presized MAC, payload, hostname and label builders equal
-        /// the `format!` ones they replaced for every product, and draw
-        /// the same numbers from the generator.
+        /// The presized MAC and payload builders equal the `format!` ones
+        /// they replaced for every product, and draw the same numbers from
+        /// the generator.
         fn builders_match_the_format_oracle(g) {
             let (mut mac, mut bare_mac) = (String::new(), String::new());
             for product in &product_universe() {
@@ -690,33 +686,55 @@ mod tests {
                     oracle::make_payloads(&mut expected, product, &oracle_mac, &oracle_bare);
                 assert_eq!(payloads, oracle_payloads, "{}", product.model);
                 assert_eq!(rng, expected, "{}", product.model);
-                let random_name = g.string_of("ab Z's", 0, 12);
-                for display_name in [None, payloads.2, Some(random_name)] {
-                    assert_eq!(
-                        dhcp_hostname(product, display_name.clone(), &bare_mac),
-                        oracle::dhcp_hostname(product, display_name, &bare_mac)
-                    );
-                }
-                // The universe's vendors are ASCII; a drawn one need not be,
-                // nor end without a final sigma.
-                let drawn = Product {
-                    vendor: g.string_of("aZ9 ΣςİẞÅ", 0, 10),
-                    ..product.clone()
-                };
-                for product in [product, &drawn] {
-                    assert_eq!(user_label(product), oracle::user_label(product));
-                }
             }
+        }
+
+        /// The generator equals the one that also built device IDs, user
+        /// IDs, flow windows, DHCP hostnames and user labels, projected
+        /// onto the fields it keeps: each device's OUI, payloads, vendor
+        /// and category, and each household's final generator state, over
+        /// crowds that reach household 100's Roku.
+        fn generator_equals_the_projected_full_record_oracle(g) {
+            let config = GeneratorConfig {
+                seed: g.u64(),
+                households: g.int_in(0..=120usize),
+            };
+            let products = product_universe();
+            let total_weight: u32 = products.iter().map(|p| p.weight).sum();
+            let mut projected = Vec::new();
+            for house_index in 0..config.households {
+                let mut rng = Rng::stream(config.seed, house_index as u64);
+                let mut expected = rng.clone();
+                let household: Household = generate_household(
+                    &mut rng,
+                    house_index,
+                    &products,
+                    total_weight,
+                    |household: &mut Household, _, device| household.devices.push(device),
+                );
+                let oracle = oracle::household(&mut expected, house_index, &products);
+                assert_eq!(household, oracle, "{config:?} household {house_index}");
+                assert_eq!(rng, expected, "{config:?} household {house_index}");
+                projected.push(oracle);
+            }
+            assert_eq!(
+                generate(&config),
+                Dataset {
+                    households: projected
+                }
+            );
         }
     }
 }
 
-/// The `format!`-built MAC, payload, hostname and label of the original
-/// generator, kept as test oracles for the presized builders above.
+/// The original generator, kept as a test oracle: its `format!`-built MAC
+/// and payloads, and its households with every draw their user IDs and
+/// their devices' IDs, DHCP hostnames, user labels and flow windows took.
+/// Hashing draws nothing, so the oracle computes no IDs.
 #[cfg(test)]
 mod oracle {
-    use super::{push_random_uuid, ExposureClass, Product, FIRST_NAMES, ROOMS};
-    use crate::hashes::push_hex;
+    use super::{push_hex, push_random_uuid, Device, ExposureClass, Household, Product};
+    use super::{FIRST_NAMES, ROOMS};
     use iotlan_util::rng::Rng;
     use std::fmt::Write as _;
 
@@ -736,10 +754,9 @@ mod oracle {
         product: &Product,
         mac: &str,
         bare_mac: &str,
-    ) -> (Vec<String>, Vec<String>, Option<String>) {
+    ) -> (Vec<String>, Vec<String>) {
         let mut mdns = Vec::new();
         let mut ssdp = Vec::new();
-        let mut display_name = None;
         let expose_uuid = matches!(
             product.exposure,
             ExposureClass::UuidOnly
@@ -796,7 +813,6 @@ mod oracle {
                 "HTTP/1.1 200 OK\r\nST: roku:ecp\r\nname: \"{} - {}\"\r\n\r\n",
                 product.model, name
             ));
-            display_name = Some(name);
         }
         if matches!(product.exposure, ExposureClass::None) && rng.gen_bool(0.5) {
             mdns.push(format!(
@@ -804,21 +820,79 @@ mod oracle {
                 product.model, product.category, product.model
             ));
         }
-        (mdns, ssdp, display_name)
+        (mdns, ssdp)
     }
 
-    pub fn dhcp_hostname(
-        product: &Product,
-        display_name: Option<String>,
-        bare_mac: &str,
-    ) -> String {
-        match display_name {
-            Some(name) => name.replace(' ', "-"),
-            None => format!("{}-{}", product.model, &bare_mac[8..]),
+    /// One 5-second traffic window: start, remote port, bytes sent and
+    /// received, and whether the peer was local.
+    type FlowWindow = (u64, u16, u64, u64, bool);
+
+    /// Household `house_index` drawn from `rng` the original way, less
+    /// its user ID and each device's ID, hostname, label and flows.
+    pub fn household(rng: &mut Rng, house_index: usize, products: &[Product]) -> Household {
+        let total_weight: u32 = products.iter().map(|p| p.weight).sum();
+        let _salt: [u8; 16] = rng.gen_array();
+        let mut devices = Vec::new();
+        let mut add = |product: &Product, rng: &mut Rng| {
+            devices.push(device(rng, product));
+        };
+        let size = *[1usize, 2, 2, 3, 3, 3, 3, 4, 4, 5, 6]
+            .get(rng.gen_range(0..11usize))
+            .unwrap();
+        for _ in 0..size {
+            let mut pick = rng.gen_range(0..total_weight);
+            let product = products
+                .iter()
+                .find(|p| {
+                    if pick < p.weight {
+                        true
+                    } else {
+                        pick -= p.weight;
+                        false
+                    }
+                })
+                .unwrap();
+            add(product, rng);
         }
+        if house_index == 100 || house_index == 2100 {
+            add(products.last().unwrap(), rng);
+        }
+        if house_index == 700 || house_index == 2900 {
+            let name_only = products
+                .iter()
+                .find(|p| p.exposure == ExposureClass::NameOnly)
+                .unwrap();
+            add(name_only, rng);
+        }
+        Household { devices }
     }
 
-    pub fn user_label(product: &Product) -> String {
-        format!("{} {}", product.vendor.to_lowercase(), product.category)
+    fn device(rng: &mut Rng, product: &Product) -> Device {
+        let (mac, bare_mac) = random_mac(rng, &product.oui);
+        let (mdns_responses, ssdp_responses) = make_payloads(rng, product, &mac, &bare_mac);
+        // Whether the device had a DHCP hostname and a user label; building
+        // them drew nothing.
+        let _has_dhcp_hostname = rng.gen_bool(0.67);
+        let _has_user_label = rng.gen_bool(0.6);
+        let _flows: Vec<FlowWindow> = (0..rng.gen_range(4..12))
+            .map(|k| {
+                (
+                    k * 5,
+                    *[443u16, 8009, 1900, 5353, 80]
+                        .get(rng.gen_range(0..5usize))
+                        .unwrap(),
+                    rng.gen_range(60..5_000),
+                    rng.gen_range(60..50_000),
+                    rng.gen_bool(0.3),
+                )
+            })
+            .collect();
+        Device {
+            oui: product.oui.clone(),
+            mdns_responses,
+            ssdp_responses,
+            truth_vendor: product.vendor.clone(),
+            truth_category: product.category.clone(),
+        }
     }
 }

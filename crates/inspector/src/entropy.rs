@@ -235,7 +235,6 @@ pub fn analyze_generated(config: &GeneratorConfig) -> CrowdTable {
     let per_household = dataset::fold_households(
         config,
         &products,
-        |_| (0, Vec::new()),
         |(devices, extractions): &mut (usize, Vec<DeviceExtraction>), product, device| {
             *devices += 1;
             extractions.extend(DeviceExtraction::new(

@@ -16,7 +16,7 @@
 use iotlan::apps::android::{evaluate_access, poc_permissions};
 use iotlan::apps::{AndroidApi, Permission};
 use iotlan::devices::config::HostnameScheme;
-use iotlan::inspector::{dataset, entropy, ident};
+use iotlan::inspector::{dataset, entropy};
 
 fn main() {
     // ---- 1. Local-network consent (the iOS model, §2.1/§7) -------------
@@ -46,30 +46,7 @@ fn main() {
     println!("\n== mitigation 2: strip UUIDs/MACs from discovery payloads ==");
     let baseline = dataset::generate(&dataset::GeneratorConfig::default());
     let mut minimized = baseline.clone();
-    for household in &mut minimized.households {
-        for device in &mut household.devices {
-            for response in device
-                .mdns_responses
-                .iter_mut()
-                .chain(device.ssdp_responses.iter_mut())
-            {
-                for uuid in ident::extract_uuids(response) {
-                    *response = response.replace(&uuid, "00000000-0000-0000-0000-000000000000");
-                }
-                for mac in ident::extract_mac_candidates(response) {
-                    let colon: String = mac
-                        .as_bytes()
-                        .chunks(2)
-                        .map(|c| std::str::from_utf8(c).unwrap())
-                        .collect::<Vec<_>>()
-                        .join(":");
-                    *response = response
-                        .replace(&mac, "000000000000")
-                        .replace(&colon, "00:00:00:00:00:00");
-                }
-            }
-        }
-    }
+    minimized.strip_identifiers(true, true);
     for (label, data) in [("as deployed", &baseline), ("minimized", &minimized)] {
         let table = entropy::analyze(data);
         let mut households = 0usize;

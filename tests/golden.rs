@@ -176,8 +176,8 @@ fn fast_seed42_artifacts() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// A 400-household synthetic Inspector dataset, whole (its `Debug` form,
-/// so every generated field is pinned, not only what Table 2 renders),
-/// and Table 2 rendered over it.
+/// so every device's OUI, payloads, vendor and category are pinned, not
+/// only what Table 2 renders), and Table 2 rendered over it.
 fn table2_artifacts() -> [(&'static str, Vec<u8>); 2] {
     let dataset = generate(&GeneratorConfig {
         seed: 0xc0ffee,

@@ -9,7 +9,7 @@
 //! paper-vs-measured comparison.
 
 use iotlan::classify::{crossval, FlowTable};
-use iotlan::inspector::{dataset, entropy, infer};
+use iotlan::inspector::{dataset, entropy};
 use iotlan::netsim::SimDuration;
 use iotlan::{experiments, Lab, LabConfig};
 use iotlan_util::pool;
@@ -43,17 +43,13 @@ fn dataset_generation_is_thread_count_invariant() {
 }
 
 #[test]
-fn entropy_and_inference_reports_are_thread_count_invariant() {
+fn entropy_reports_are_thread_count_invariant() {
     let data = dataset::generate(&dataset::GeneratorConfig {
         seed: 0xe7,
         households: 500,
     });
     assert_thread_count_invariant("inspector::entropy::analyze", || {
         entropy::analyze(&data).render()
-    });
-    assert_thread_count_invariant("inspector::infer::score", || {
-        let (vendor, category, coverage) = infer::score(&data);
-        format!("{vendor:.12}|{category:.12}|{coverage:.12}")
     });
 }
 
