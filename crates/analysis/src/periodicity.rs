@@ -16,6 +16,7 @@
 use iotlan_classify::flow::{Flow, FlowTable};
 use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_classify::Label;
+use iotlan_util::pool;
 use iotlan_wire::ethernet::EthernetAddress;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -370,26 +371,31 @@ pub fn dft_periodic(events: &[f64]) -> Option<f64> {
 
 /// Analyze a flow table, grouping by (source, destination, protocol).
 pub fn analyze_periodicity(table: &FlowTable) -> PeriodicityReport {
-    let analyzed = group_events(table)
+    // Grouping labels the table's flows across the pool, so it runs here,
+    // outside the detectors' pool region.
+    let grouped: Vec<(GroupKey, Vec<f64>)> = group_events(table).into_iter().collect();
+    // Each verdict is a pure function of its group's events, so the
+    // report is the same at any thread count.
+    let periods = pool::par_map(&grouped, |_, (_, events)| {
+        // The paper combines DFT and autocorrelation; we accept any of
+        // the three detectors (regularity converges fastest).
+        interval_regularity_periodic(events)
+            .or_else(|| autocorrelation_periodic(events))
+            .or_else(|| dft_periodic(events))
+    });
+    let groups = grouped
         .into_iter()
-        .map(|(key, events)| {
-            // The paper combines DFT and autocorrelation; we accept any of
-            // the three detectors (regularity converges fastest).
-            let period = interval_regularity_periodic(&events)
-                .or_else(|| autocorrelation_periodic(&events))
-                .or_else(|| dft_periodic(&events));
-            let discovery = DISCOVERY_PROTOCOLS.contains(&key.protocol.as_str());
-            Group {
-                decidable: events.len() >= 4,
-                periodic: period.is_some(),
-                period_secs: period,
-                discovery,
-                key,
-                events,
-            }
+        .zip(periods)
+        .map(|((key, events), period)| Group {
+            decidable: events.len() >= 4,
+            periodic: period.is_some(),
+            period_secs: period,
+            discovery: DISCOVERY_PROTOCOLS.contains(&key.protocol.as_str()),
+            key,
+            events,
         })
         .collect();
-    PeriodicityReport { groups: analyzed }
+    PeriodicityReport { groups }
 }
 
 /// The detectors' input: each (source, destination, protocol) group's

@@ -12,9 +12,17 @@
 //! the same capture's flow table `reps` times: `groups_per_sec` is the
 //! median rate and `min`/`max` bound it (3 reps with `--quick`, 9 in full
 //! mode).
+//!
+//! A `stream_vs_assembly` line compares the stream pass with batch flow
+//! assembly (`FlowTable::from_capture`) on the same capture, timing both
+//! once per rep: `per_packet_ratio` is the median ratio of the per-packet
+//! pass (every frame fed, before `finish`) to assembly, with its `min` and
+//! `max` over the reps, and `whole_ratio` (with `whole_min`/`whole_max`)
+//! the same for the whole `stream_capture`, `finish` included.
 
 use iotlan_bench::{emit_line, per_sec};
 use iotlan_core::analysis::periodicity::analyze_periodicity;
+use iotlan_core::classify::FlowTable;
 use iotlan_core::devices::Catalog;
 use iotlan_core::netsim::SimDuration;
 use iotlan_core::stream::engine::stream_capture;
@@ -124,6 +132,40 @@ fn bench(criterion: &mut Criterion) {
             ("reps", json::Value::from(reps)),
             ("min", group_rate(elapsed[reps - 1])),
             ("max", group_rate(elapsed[0])),
+        ],
+    );
+
+    // Stream pass against batch assembly, both timed in every rep so that
+    // a slow host phase lands on both sides of each ratio.
+    let mut per_packet = Vec::with_capacity(reps);
+    let mut whole = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let start = Instant::now();
+        std::hint::black_box(FlowTable::from_capture(&capture));
+        let assembly = start.elapsed().as_nanos() as f64;
+        let start = Instant::now();
+        let mut engine = StreamEngine::new(catalog);
+        capture.stream_into(&mut engine);
+        let fed = start.elapsed().as_nanos() as f64;
+        std::hint::black_box(engine.finish().unwrap());
+        let pass = start.elapsed().as_nanos() as f64;
+        per_packet.push(fed / assembly);
+        whole.push(pass / assembly);
+    }
+    per_packet.sort_by(f64::total_cmp);
+    whole.sort_by(f64::total_cmp);
+    emit_line(
+        "throughput",
+        "stream_vs_assembly",
+        [
+            ("packets", json::Value::from(capture.len())),
+            ("per_packet_ratio", json::Value::from(per_packet[reps / 2])),
+            ("whole_ratio", json::Value::from(whole[reps / 2])),
+            ("reps", json::Value::from(reps)),
+            ("min", json::Value::from(per_packet[0])),
+            ("max", json::Value::from(per_packet[reps - 1])),
+            ("whole_min", json::Value::from(whole[0])),
+            ("whole_max", json::Value::from(whole[reps - 1])),
         ],
     );
 

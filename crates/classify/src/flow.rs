@@ -12,6 +12,7 @@ use iotlan_netsim::{Capture, SimTime};
 use iotlan_util::pool;
 use iotlan_wire::ethernet::{EthernetAddress, Frame};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
@@ -30,7 +31,7 @@ pub enum Transport {
 }
 
 /// A flow key. For L2 and non-port traffic the port fields are zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     pub transport: Transport,
     pub src_ip: Option<Ipv4Addr>,
@@ -39,6 +40,47 @@ pub struct FlowKey {
     pub dst_port: u16,
     /// Source MAC (used for L2 flows and device attribution).
     pub src_mac: EthernetAddress,
+}
+
+impl FlowKey {
+    /// Every field packed into three words, one-to-one: equal keys give
+    /// equal words and distinct keys distinct ones.
+    fn words(&self) -> [u64; 3] {
+        let (tag, arg) = match self.transport {
+            Transport::Udp => (0, 0),
+            Transport::Tcp => (1, 0),
+            Transport::Icmp => (2, 0),
+            Transport::Igmp => (3, 0),
+            Transport::IcmpV6 => (4, 0),
+            Transport::UdpV6 => (5, 0),
+            Transport::OtherIp(protocol) => (6, u64::from(protocol)),
+            Transport::L2(ethertype) => (7, u64::from(ethertype)),
+        };
+        let ip = |ip: Option<Ipv4Addr>| ip.map_or(0, |ip| u64::from(u32::from(ip)));
+        let mut mac = [0u8; 8];
+        mac[..6].copy_from_slice(&self.src_mac.0);
+        [
+            ip(self.src_ip) | ip(self.dst_ip) << 32,
+            u64::from_le_bytes(mac) | u64::from(self.src_port) << 48,
+            u64::from(self.dst_port)
+                | tag << 16
+                | arg << 24
+                | u64::from(self.src_ip.is_some()) << 40
+                | u64::from(self.dst_ip.is_some()) << 41,
+        ]
+    }
+}
+
+/// Three word writes in place of the derived field-by-field hash, whose
+/// many small writes (enum tags, `Option` tags, length-prefixed address
+/// octets) cost more than the table lookup they feed. Consistent with
+/// `Eq` because [`FlowKey::words`] is a function of the fields.
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.words() {
+            state.write_u64(word);
+        }
+    }
 }
 
 /// An assembled flow with the evidence classifiers need.
@@ -223,6 +265,8 @@ pub struct FlowTable {
     index: HashMap<FlowKey, usize>,
     /// Arrival times kept per flow; later packets are still counted.
     timestamp_cap: usize,
+    /// Bytes of the arrival times and payload samples the flows keep.
+    evidence_bytes: usize,
     /// `truth::label_flow` of each flow, in `flows` order, filled on the
     /// first [`FlowTable::truth_labels`] call.
     truth: OnceLock<Vec<Label>>,
@@ -243,6 +287,7 @@ impl FlowTable {
             flows: Vec::new(),
             index: HashMap::new(),
             timestamp_cap: cap,
+            evidence_bytes: 0,
             truth: OnceLock::new(),
         }
     }
@@ -299,13 +344,22 @@ impl FlowTable {
         flow.last_seen = time;
         if flow.timestamps.len() < self.timestamp_cap {
             flow.timestamps.push(time);
+            self.evidence_bytes += std::mem::size_of::<SimTime>();
         }
         if let Some(p) = payload {
             if flow.payload_samples.len() < MAX_SAMPLES {
                 flow.payload_samples.push(p.to_vec());
+                self.evidence_bytes += p.len();
             }
         }
         index
+    }
+
+    /// Bytes of the arrival times and payload samples the flows keep, kept
+    /// up to date as frames are added: `size_of::<SimTime>()` per kept
+    /// time plus each kept sample's length.
+    pub fn evidence_bytes(&self) -> usize {
+        self.evidence_bytes
     }
 
     /// The ground-truth label of every flow, in `flows` order: each flow's
@@ -619,6 +673,77 @@ mod tests {
             assert_eq!(table.truth_labels(), fresh.truth_labels());
             assert_eq!(table.truth_labels()[0], crate::labels::SSDP);
             assert_memo_matches_per_flow(&table);
+        }
+    }
+
+    /// A key from small domains, so that equal keys and keys that differ
+    /// in one field both come up often.
+    fn small_key(g: &mut Gen) -> FlowKey {
+        let transport = match g.int_in(0u8..8) {
+            0 => Transport::Udp,
+            1 => Transport::Tcp,
+            2 => Transport::Icmp,
+            3 => Transport::Igmp,
+            4 => Transport::IcmpV6,
+            5 => Transport::UdpV6,
+            6 => Transport::OtherIp([0, 17, 255][g.int_in(0usize..3)]),
+            _ => Transport::L2([0, 0x0806, 0xffff][g.int_in(0usize..3)]),
+        };
+        let ip = |g: &mut Gen| {
+            g.option(|g| [Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST][g.int_in(0usize..2)])
+        };
+        let port = |g: &mut Gen| [0, 1, u16::MAX][g.int_in(0usize..3)];
+        FlowKey {
+            transport,
+            src_ip: ip(g),
+            dst_ip: ip(g),
+            src_port: port(g),
+            dst_port: port(g),
+            src_mac: [EthernetAddress([0; 6]), EthernetAddress([0xff; 6])][g.int_in(0usize..2)],
+        }
+    }
+
+    iotlan_util::props! {
+        /// The packed words tell keys apart exactly as `Eq` does, and equal
+        /// keys hash equal.
+        fn packed_key_words_are_one_to_one(g) {
+            // `b` is `a` with at most one field taken from a fresh key.
+            let (a, other) = (small_key(g), small_key(g));
+            let mut b = a;
+            match g.int_in(0u8..7) {
+                0 => b.transport = other.transport,
+                1 => b.src_ip = other.src_ip,
+                2 => b.dst_ip = other.dst_ip,
+                3 => b.src_port = other.src_port,
+                4 => b.dst_port = other.dst_port,
+                5 => b.src_mac = other.src_mac,
+                _ => {}
+            }
+            assert_eq!(a == b, a.words() == b.words(), "{a:?} {b:?}");
+            let hash = |key: &FlowKey| {
+                let mut state = std::collections::hash_map::DefaultHasher::new();
+                key.hash(&mut state);
+                state.finish()
+            };
+            if a == b {
+                assert_eq!(hash(&a), hash(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn evidence_bytes_count_the_kept_times_and_samples() {
+        for cap in [0, 5, usize::MAX] {
+            let table = table_of(&mixed_frames(), cap);
+            let swept: usize = table
+                .flows
+                .iter()
+                .map(|flow| {
+                    flow.timestamps.len() * std::mem::size_of::<SimTime>()
+                        + flow.payload_samples.iter().map(Vec::len).sum::<usize>()
+                })
+                .sum();
+            assert_eq!(table.evidence_bytes(), swept, "cap {cap}");
         }
     }
 

@@ -344,12 +344,7 @@ fn push_random_uuid(out: &mut String, rng: &mut Rng) {
     push_hex(out, rng.gen_u64(), 12);
 }
 
-fn make_payloads(
-    rng: &mut Rng,
-    product: &Product,
-    mac: &str,
-    bare_mac: &str,
-) -> (Vec<String>, Vec<String>) {
+fn make_payloads(rng: &mut Rng, product: &Product, mac: &str, bare_mac: &str) -> Payloads {
     let mut mdns = Vec::new();
     let mut ssdp = Vec::new();
     let expose_uuid = matches!(
@@ -444,18 +439,33 @@ fn make_payloads(
 /// [`iotlan_util::pool`] with bit-identical output at any thread count.
 pub fn generate(config: &GeneratorConfig) -> Dataset {
     let products = product_universe();
-    let households = fold_households(config, &products, |household: &mut Household, _, device| {
-        household.devices.push(device)
-    });
+    let households = fold_households(config, &products, push_device);
     Dataset { households }
 }
+
+/// [`generate`]'s visitor: the device of `product` with `payloads`.
+fn push_device(household: &mut Household, product: &Product, payloads: Payloads) {
+    let (mdns_responses, ssdp_responses) = payloads;
+    household.devices.push(Device {
+        oui: product.oui.clone(),
+        mdns_responses,
+        ssdp_responses,
+        truth_vendor: product.vendor.clone(),
+        truth_category: product.category.clone(),
+    });
+}
+
+/// A drawn device's discovery payloads: its mDNS and its SSDP responses.
+/// With its product they are all of its [`Device`] record.
+pub type Payloads = (Vec<String>, Vec<String>);
 
 /// Generate the households of `config` across the pool and reduce each one
 /// where it is generated, without building the dataset. Household `i`'s
 /// accumulator starts as `A::default()`, and `visit` folds in each of its
-/// devices with the product it was drawn from, in draw order. Only the
-/// accumulators are kept, in household order, so the result is the same at
-/// any thread count.
+/// devices, as the product it was drawn from and its payloads, in draw
+/// order; a visitor that needs no owned [`Device`] copies no product
+/// string. Only the accumulators are kept, in household order, so the
+/// result is the same at any thread count.
 ///
 /// `products` must be [`product_universe`]'s list; an accumulator may keep
 /// references into it.
@@ -466,7 +476,7 @@ pub fn fold_households<'p, A, V>(
 ) -> Vec<A>
 where
     A: Default + Send,
-    V: Fn(&mut A, &'p Product, Device) + Sync,
+    V: Fn(&mut A, &'p Product, Payloads) + Sync,
 {
     let total_weight: u32 = products.iter().map(|p| p.weight).sum();
     pool::par_map_range(config.households, |house_index| {
@@ -475,14 +485,14 @@ where
     })
 }
 
-/// Build one household from its private generator: each device is handed
-/// to `visit` as it is drawn.
+/// Build one household from its private generator: each device's product
+/// and payloads are handed to `visit` as they are drawn.
 fn generate_household<'p, A: Default>(
     rng: &mut Rng,
     house_index: usize,
     products: &'p [Product],
     total_weight: u32,
-    visit: impl Fn(&mut A, &'p Product, Device),
+    visit: impl Fn(&mut A, &'p Product, Payloads),
 ) -> A {
     // IoT Inspector's per-user salt for its device IDs: drawn, not kept.
     let _salt: [u8; 16] = rng.gen_array();
@@ -490,8 +500,8 @@ fn generate_household<'p, A: Default>(
     // Reused by every device's MAC.
     let (mut mac, mut bare_mac) = (String::with_capacity(17), String::with_capacity(12));
     let mut add = |product: &'p Product, rng: &mut Rng| {
-        let device = make_device(rng, product, &mut mac, &mut bare_mac);
-        visit(&mut household, product, device);
+        let payloads = draw_device(rng, product, &mut mac, &mut bare_mac);
+        visit(&mut household, product, payloads);
     };
     // Household size: median 3 (1..=9, weighted toward small).
     let size = *[1usize, 2, 2, 3, 3, 3, 3, 4, 4, 5, 6]
@@ -528,23 +538,18 @@ fn generate_household<'p, A: Default>(
     household
 }
 
-/// One device of `product`; `mac` and `bare_mac` are scratch buffers.
-fn make_device(
+/// Draw one device of `product` and return its payloads; `mac` and
+/// `bare_mac` are scratch buffers.
+fn draw_device(
     rng: &mut Rng,
     product: &Product,
     mac: &mut String,
     bare_mac: &mut String,
-) -> Device {
+) -> Payloads {
     random_mac(rng, &product.oui, mac, bare_mac);
-    let (mdns_responses, ssdp_responses) = make_payloads(rng, product, mac, bare_mac);
+    let payloads = make_payloads(rng, product, mac, bare_mac);
     skip_unread_fields(rng);
-    Device {
-        oui: product.oui.clone(),
-        mdns_responses,
-        ssdp_responses,
-        truth_vendor: product.vendor.clone(),
-        truth_category: product.category.clone(),
-    }
+    payloads
 }
 
 /// The draws of the fields IoT Inspector records but no artifact reads,
@@ -710,7 +715,7 @@ mod tests {
                     house_index,
                     &products,
                     total_weight,
-                    |household: &mut Household, _, device| household.devices.push(device),
+                    push_device,
                 );
                 let oracle = oracle::household(&mut expected, house_index, &products);
                 assert_eq!(household, oracle, "{config:?} household {house_index}");

@@ -8,7 +8,7 @@
 //! the types in the combination, matching the paper's additive combination
 //! rows: 12.3 ≈ 3.4 + 8.9, 16.7 ≈ 8.9 + 7.8, 20.1 ≈ all three).
 
-use crate::dataset::{self, Dataset, Device, GeneratorConfig};
+use crate::dataset::{self, Dataset, GeneratorConfig};
 use crate::ident::{Exposed, Mac, Uuid};
 use iotlan_util::pool;
 use std::collections::BTreeMap;
@@ -126,15 +126,20 @@ enum Kind {
 }
 
 impl<'a> DeviceExtraction<'a> {
-    /// Extract the identifiers `device`, of `product`, exposes. `None` when
-    /// the device carries no discovery payloads (such devices were never
-    /// collected and are excluded from every Table 2 aggregate).
-    fn new(product: (&'a str, &'a str), device: &Device) -> Option<DeviceExtraction<'a>> {
-        if device.mdns_responses.is_empty() && device.ssdp_responses.is_empty() {
+    /// Extract the identifiers a device of `product` whose MAC starts with
+    /// `oui` exposes in its (mDNS, SSDP) payloads. `None` when it carries
+    /// no discovery payloads (such devices were never collected and are
+    /// excluded from every Table 2 aggregate).
+    fn new(
+        product: (&'a str, &'a str),
+        oui: &str,
+        (mdns, ssdp): (&[String], &[String]),
+    ) -> Option<DeviceExtraction<'a>> {
+        if mdns.is_empty() && ssdp.is_empty() {
             return None;
         }
-        let responses = device.mdns_responses.iter().chain(&device.ssdp_responses);
-        let exposed = Exposed::scan(responses.map(String::as_str), &device.oui);
+        let responses = mdns.iter().chain(ssdp);
+        let exposed = Exposed::scan(responses.map(String::as_str), oui);
         Some(DeviceExtraction {
             product,
             class: IdentifierClass {
@@ -209,7 +214,11 @@ pub fn analyze(dataset: &Dataset) -> EntropyTable {
             .devices
             .iter()
             .filter_map(|device| {
-                DeviceExtraction::new((&device.truth_vendor, &device.truth_category), device)
+                DeviceExtraction::new(
+                    (&device.truth_vendor, &device.truth_category),
+                    &device.oui,
+                    (&device.mdns_responses, &device.ssdp_responses),
+                )
             })
             .collect()
     }))
@@ -235,11 +244,12 @@ pub fn analyze_generated(config: &GeneratorConfig) -> CrowdTable {
     let per_household = dataset::fold_households(
         config,
         &products,
-        |(devices, extractions): &mut (usize, Vec<DeviceExtraction>), product, device| {
+        |(devices, extractions): &mut (usize, Vec<DeviceExtraction>), product, (mdns, ssdp)| {
             *devices += 1;
             extractions.extend(DeviceExtraction::new(
                 (&product.vendor, &product.category),
-                &device,
+                &product.oui,
+                (&mdns, &ssdp),
             ));
         },
     );

@@ -51,6 +51,10 @@ pub const EVENT_CAP: usize = 2048;
 /// many packets.
 const PRUNE_EVERY: u64 = 1024;
 
+/// The state estimate's fixed charge per flow: its struct and its index
+/// entry.
+const FLOW_BYTES: usize = std::mem::size_of::<Flow>() + std::mem::size_of::<(FlowKey, usize)>();
+
 /// The single-pass engine. See the module docs for the design.
 pub struct StreamEngine {
     table: FlowTable,
@@ -63,6 +67,9 @@ pub struct StreamEngine {
     bytes: u64,
     streamed_bytes: u64,
     peak_state_bytes: usize,
+    /// State measurements taken, each checked against the sweep.
+    #[cfg(test)]
+    measurements: u64,
 }
 
 impl StreamEngine {
@@ -76,6 +83,8 @@ impl StreamEngine {
             bytes: 0,
             streamed_bytes: 0,
             peak_state_bytes: 0,
+            #[cfg(test)]
+            measurements: 0,
         }
     }
 
@@ -99,10 +108,23 @@ impl StreamEngine {
         self.packets
     }
 
-    /// Current (not peak) resident state estimate in bytes.
+    /// Current (not peak) resident state estimate in bytes: each flow's
+    /// struct and index entry, its kept arrival times and payload samples,
+    /// the Table 4 matcher's buffers and matches, and the pcap bytes
+    /// buffered mid-record. Every part is kept up to date as packets are
+    /// added and the matcher is pruned, so reading it costs no sweep.
     pub fn state_bytes(&self) -> usize {
-        let per_flow = std::mem::size_of::<Flow>() + std::mem::size_of::<(FlowKey, usize)>();
-        let mut total = self.table.len() * per_flow;
+        self.table.len() * FLOW_BYTES
+            + self.table.evidence_bytes()
+            + self.responses.state_bytes()
+            + self.reader.buffered_bytes()
+    }
+
+    /// The reference for [`state_bytes`](StreamEngine::state_bytes): the
+    /// same estimate, its flow part summed over every flow.
+    #[cfg(test)]
+    fn swept_state_bytes(&self) -> usize {
+        let mut total = self.table.len() * FLOW_BYTES;
         for flow in &self.table.flows {
             total += flow.timestamps.len() * std::mem::size_of::<SimTime>();
             total += flow.payload_samples.iter().map(Vec::len).sum::<usize>();
@@ -115,6 +137,16 @@ impl StreamEngine {
     fn prune_and_measure(&mut self) {
         self.responses.prune();
         let state = self.state_bytes();
+        #[cfg(test)]
+        {
+            assert_eq!(
+                state,
+                self.swept_state_bytes(),
+                "after {} packets",
+                self.packets
+            );
+            self.measurements += 1;
+        }
         if state > self.peak_state_bytes {
             self.peak_state_bytes = state;
         }
@@ -122,10 +154,14 @@ impl StreamEngine {
 
     /// Finish the pass and build the report. Fails only when pcap bytes
     /// were pushed and the image was malformed or truncated mid-record.
+    /// The pass's packets and flow keys are added to the `stream.packets`
+    /// and `stream.flow_keys_created` counters here, once per pass.
     /// The table labels its flows once here, for `group_events` and
     /// `records`; the report's table keeps the labels for Fig. 2.
     pub fn finish(mut self) -> Result<StreamReport, iotlan_wire::Error> {
         let _span = iotlan_telemetry::span!("stream.finish");
+        iotlan_telemetry::counter!("stream.packets").add(self.packets);
+        iotlan_telemetry::counter!("stream.flow_keys_created").add(self.table.len() as u64);
         if self.pcap_bytes_pushed > 0 {
             self.reader.finish()?;
         }
@@ -146,7 +182,6 @@ impl StreamEngine {
 
 impl FrameSink for StreamEngine {
     fn on_frame(&mut self, time: SimTime, data: &[u8]) {
-        iotlan_telemetry::counter!("stream.packets").incr();
         self.packets += 1;
         self.bytes += data.len() as u64;
         self.streamed_bytes += (FRAME_OVERHEAD + data.len()) as u64;
@@ -154,11 +189,7 @@ impl FrameSink for StreamEngine {
         let Some(evidence) = dissect_frame(data) else {
             return;
         };
-        let flows = self.table.len();
         let index = self.table.add_evidence(time, data.len(), evidence);
-        if self.table.len() > flows {
-            iotlan_telemetry::counter!("stream.flow_keys_created").incr();
-        }
         self.responses
             .observe(index, &self.table.flows[index], time);
 
@@ -396,6 +427,43 @@ mod tests {
             engine.finish(),
             Err(iotlan_wire::Error::Truncated)
         ));
+    }
+
+    /// The testbed idling with no honeypot or phone: every device's own
+    /// discovery and its answers, thousands of frames in two minutes.
+    fn testbed_idle_capture(catalog: &Catalog) -> Capture {
+        let mut network = iotlan_netsim::Network::new(7);
+        network.add_node(Box::new(iotlan_netsim::router::Router::new()));
+        for device in &catalog.devices {
+            network.add_node(Box::new(iotlan_devices::Device::new(device.clone())));
+        }
+        network.run_for(iotlan_netsim::SimDuration::from_mins(2));
+        network.capture.clone()
+    }
+
+    /// `prune_and_measure` asserts at each measurement that the kept-up
+    /// state estimate equals the sweep over every flow; this feeds it a
+    /// synthetic capture (measured at finish) and a lab capture measured
+    /// every `PRUNE_EVERY` packets, by frame and as pcap chunks.
+    #[test]
+    fn kept_state_equals_the_sweep_at_every_measurement() {
+        let catalog = build_testbed();
+        let synthetic = synthetic_capture(&catalog);
+        let lab = testbed_idle_capture(&catalog);
+        assert!(lab.frames().len() as u64 > 4 * PRUNE_EVERY);
+        for capture in [&synthetic, &lab] {
+            let mut engine = StreamEngine::new(&catalog);
+            capture.stream_into(&mut engine);
+            assert_eq!(engine.measurements, engine.packets / PRUNE_EVERY);
+            engine.finish().unwrap();
+
+            let mut engine = StreamEngine::new(&catalog);
+            for chunk in capture.to_pcap().chunks(1000) {
+                engine.push_pcap_chunk(chunk).unwrap();
+            }
+            assert_eq!(engine.measurements, engine.packets / PRUNE_EVERY);
+            engine.finish().unwrap();
+        }
     }
 
     #[test]

@@ -29,8 +29,10 @@
 #    one-pass table2_entropy that the paper runs, each with its reps and
 #    min/max spread
 # 7. stream smoke: perf_stream in --quick mode must emit its
-#    {"type":"throughput",...} packet-rate / peak-state lines and its
-#    appd1_periodicity line with its reps and min/max spread; perf_netsim
+#    {"type":"throughput",...} packet-rate / peak-state lines, its
+#    appd1_periodicity line with its reps and min/max spread, and its
+#    stream_vs_assembly line with its two ratios, its reps and the min/max
+#    spread of each ratio; perf_netsim
 #    in --quick mode must emit its testbed_idle_frames and app_phase
 #    throughput lines, each with its reps and min/max spread; perf_classify
 #    in --quick mode must emit its flow_assembly and flow_labels throughput
@@ -149,6 +151,14 @@ appd1_line=$(printf '%s\n' "$stream_out" |
 for key in reps min max; do
     if ! printf '%s\n' "$appd1_line" | grep -qF "\"$key\":"; then
         echo "verify: FAIL — perf_stream emitted no appd1_periodicity line with \"$key\"" >&2
+        exit 1
+    fi
+done
+ratio_line=$(printf '%s\n' "$stream_out" |
+    grep -F '{"type":"throughput","id":"stream_vs_assembly"' || true)
+for key in per_packet_ratio whole_ratio reps min max whole_min whole_max; do
+    if ! printf '%s\n' "$ratio_line" | grep -qF "\"$key\":"; then
+        echo "verify: FAIL — perf_stream emitted no stream_vs_assembly line with \"$key\"" >&2
         exit 1
     fi
 done

@@ -8,6 +8,7 @@
 //! drawing from a shared RNG) fails these before it can corrupt a
 //! paper-vs-measured comparison.
 
+use iotlan::analysis::periodicity;
 use iotlan::classify::{crossval, FlowTable};
 use iotlan::inspector::{dataset, entropy};
 use iotlan::netsim::SimDuration;
@@ -96,6 +97,31 @@ fn truth_labels_are_thread_count_invariant() {
     assert!(
         labels_at(4) == serial,
         "FlowTable::truth_labels: IOTLAN_THREADS=4 diverged from the serial reference"
+    );
+}
+
+#[test]
+fn periodicity_is_thread_count_invariant() {
+    let mut lab = Lab::new(LabConfig {
+        seed: 77,
+        idle_duration: SimDuration::from_mins(3),
+        interactions: 0,
+        with_honeypot: false,
+    });
+    lab.run_idle();
+    // The whole report (every group's key, events and verdict), over a
+    // fresh table per thread count so that the labels are redone too.
+    let report_at = |threads: usize| {
+        pool::with_threads(threads, || {
+            let table = FlowTable::from_capture(&lab.network.capture);
+            format!("{:?}", periodicity::analyze_periodicity(&table))
+        })
+    };
+    let serial = report_at(1);
+    assert!(serial.contains("periodic: true"));
+    assert!(
+        report_at(4) == serial,
+        "analysis::periodicity::analyze_periodicity: IOTLAN_THREADS=4 diverged from the serial reference"
     );
 }
 
