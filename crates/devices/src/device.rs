@@ -739,11 +739,7 @@ impl Device {
         let Some(message) = frame.dns() else {
             return;
         };
-        let matches = message.questions.iter().any(|q| {
-            q.name == "_services._dns-sd._udp.local"
-                || mdns.advertise.iter().any(|s| s.service_type == q.name)
-        });
-        if !matches {
+        if !message.asks_for(|name| mdns.advertise.iter().any(|s| s.service_type == name)) {
             return;
         }
         let wants_unicast =
@@ -1075,9 +1071,10 @@ impl Node for Device {
     }
 
     /// What `on_frame` can act on: frames to the device's address, ARP
-    /// replies (learned into the ARP table), mDNS queries when it
-    /// advertises, SSDP when it answers M-SEARCH, TP-Link SHP when it
-    /// speaks it, and ICMPv6 when it runs IPv6.
+    /// replies (learned into the ARP table), mDNS queries for the service
+    /// types it advertises, SSDP when it answers M-SEARCH, TP-Link SHP when
+    /// it speaks it, and neighbour solicitations for its link-local address
+    /// when it runs IPv6.
     fn interest(&self) -> Interest {
         let config = &self.config;
         let mut udp_ports = Vec::new();
@@ -1090,11 +1087,13 @@ impl Node for Device {
         Interest {
             arp_replies: true,
             udp_ports,
-            mdns_queries: config
+            mdns_services: config
                 .mdns
-                .as_ref()
-                .is_some_and(|m| !m.advertise.is_empty()),
-            icmpv6: config.ipv6,
+                .iter()
+                .flat_map(|m| &m.advertise)
+                .map(|s| s.service_type.clone())
+                .collect(),
+            ndp_target: config.ipv6.then(|| ipv6::link_local_from_mac(config.mac)),
             ..Interest::addressed_to(config.ip)
         }
     }

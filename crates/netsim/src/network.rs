@@ -6,11 +6,11 @@ use crate::fault::{FaultInjector, Verdict};
 use crate::stack::{self, Content, Dissected};
 use crate::time::{SimDuration, SimTime};
 use iotlan_util::rng::Rng;
-use iotlan_wire::ethernet::{EthernetAddress, Frame};
-use iotlan_wire::{arp, dns};
+use iotlan_wire::ethernet::{self, EtherType, EthernetAddress, Frame};
+use iotlan_wire::{arp, dns, icmpv6, ipv4, udp};
 use std::any::Any;
 use std::collections::{BinaryHeap, HashMap};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Index of a node within a [`Network`].
 pub type NodeId = usize;
@@ -67,10 +67,15 @@ pub struct Interest {
     pub arp_replies: bool,
     /// UDP/IPv4 datagrams to these destination ports.
     pub udp_ports: Vec<u16>,
-    /// mDNS queries: UDP/IPv4 to port 5353 that passes [`dns::is_query`].
+    /// Every mDNS query: UDP/IPv4 to port 5353 that passes
+    /// [`dns::is_query`].
     pub mdns_queries: bool,
-    /// ICMPv6 (neighbour discovery).
-    pub icmpv6: bool,
+    /// mDNS queries that ask for one of these service types, or for the
+    /// DNS-SD meta-query ([`dns::Message::asks_for`]): what an advertiser
+    /// answers.
+    pub mdns_services: Vec<String>,
+    /// Neighbour solicitations for this IPv6 address.
+    pub ndp_target: Option<Ipv6Addr>,
 }
 
 impl Interest {
@@ -82,7 +87,8 @@ impl Interest {
             arp_replies: false,
             udp_ports: Vec::new(),
             mdns_queries: false,
-            icmpv6: false,
+            mdns_services: Vec::new(),
+            ndp_target: None,
         }
     }
 
@@ -114,15 +120,35 @@ impl Interest {
             } => {
                 to_us(dst)
                     || self.udp_ports.contains(&dport)
-                    || (self.mdns_queries && dport == dns::MDNS_PORT && dns::is_query(payload))
+                    || (dport == dns::MDNS_PORT
+                        && dns::is_query(payload)
+                        && (self.mdns_queries || self.asks_for_a_service(frame)))
             }
             Content::TcpV4 { dst, .. }
             | Content::IcmpV4 { dst, .. }
             | Content::Igmp { dst, .. }
             | Content::OtherIpv4 { dst, .. } => to_us(dst),
-            Content::IcmpV6 { .. } => self.icmpv6,
+            Content::IcmpV6 { repr, .. } => {
+                neighbour_solicit_target(&repr).is_some_and(|t| self.ndp_target == Some(t))
+            }
             Content::UdpV6 { .. } | Content::OtherEther => false,
         }
+    }
+
+    /// Whether the frame's mDNS message asks for one of `mdns_services`.
+    fn asks_for_a_service(&self, frame: &Dissected<'_>) -> bool {
+        !self.mdns_services.is_empty()
+            && frame
+                .dns()
+                .is_some_and(|m| m.asks_for(|name| self.mdns_services.iter().any(|s| s == name)))
+    }
+}
+
+/// The target of a neighbour solicitation.
+fn neighbour_solicit_target(repr: &icmpv6::Repr) -> Option<Ipv6Addr> {
+    match repr.message {
+        icmpv6::Message::NeighborSolicit { target, .. } => Some(target),
+        _ => None,
     }
 }
 
@@ -133,11 +159,57 @@ impl Interest {
 #[derive(Default)]
 struct Subscribers {
     everything: Vec<NodeId>,
-    by_ipv4: HashMap<Ipv4Addr, Vec<NodeId>>,
-    by_udp_port: HashMap<u16, Vec<NodeId>>,
+    by_ipv4: Filed<Ipv4Addr>,
+    by_udp_port: Filed<u16>,
     arp_replies: Vec<NodeId>,
     mdns_queries: Vec<NodeId>,
-    icmpv6: Vec<NodeId>,
+    /// Every node with an `mdns_services` entry: each answers the DNS-SD
+    /// meta-query.
+    mdns_advertisers: Vec<NodeId>,
+    /// Advertisers by [`service_key`] of each service type they declare.
+    by_mdns_service: Filed<u64>,
+    by_ndp_target: Filed<Ipv6Addr>,
+}
+
+/// Node ids filed under keys, as `(key, id)` pairs kept sorted: filing a
+/// node allocates only when the one list grows, and a lookup is a binary
+/// search.
+struct Filed<K>(Vec<(K, NodeId)>);
+
+impl<K> Default for Filed<K> {
+    fn default() -> Self {
+        Filed(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy> Filed<K> {
+    /// File `id` under `key`, after the ids already there.
+    fn file(&mut self, key: K, id: NodeId) {
+        let at = self.0.partition_point(|&entry| entry <= (key, id));
+        self.0.insert(at, (key, id));
+    }
+
+    /// The ids filed under `key`.
+    fn ids(&self, key: K) -> impl Iterator<Item = NodeId> + '_ {
+        let start = self.0.partition_point(|&(k, _)| k < key);
+        self.0[start..]
+            .iter()
+            .take_while(move |&&(k, _)| k == key)
+            .map(|&(_, id)| id)
+    }
+
+    fn contains(&self, key: K) -> bool {
+        self.ids(key).next().is_some()
+    }
+}
+
+/// The index's key for an mDNS service type: its 64-bit FNV-1a hash. Two
+/// names that share a key only add candidates, which
+/// [`Interest::matches`] then turns down.
+fn service_key(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 impl Subscribers {
@@ -148,10 +220,10 @@ impl Subscribers {
             return;
         }
         if let Some(ip) = interest.ipv4 {
-            self.by_ipv4.entry(ip).or_default().push(id);
+            self.by_ipv4.file(ip, id);
         }
         for &port in &interest.udp_ports {
-            self.by_udp_port.entry(port).or_default().push(id);
+            self.by_udp_port.file(port, id);
         }
         if interest.arp_replies {
             self.arp_replies.push(id);
@@ -159,23 +231,73 @@ impl Subscribers {
         if interest.mdns_queries {
             self.mdns_queries.push(id);
         }
-        if interest.icmpv6 {
-            self.icmpv6.push(id);
+        if !interest.mdns_services.is_empty() {
+            self.mdns_advertisers.push(id);
+        }
+        for service in &interest.mdns_services {
+            self.by_mdns_service.file(service_key(service), id);
+        }
+        if let Some(target) = interest.ndp_target {
+            self.by_ndp_target.file(target, id);
         }
     }
 
-    /// Fill `out` with the ids whose interest can match a frame with this
-    /// content: a superset of those [`Interest::matches`] accepts, in
-    /// ascending order without repeats.
-    fn candidates(&self, content: &Content<'_>, out: &mut Vec<NodeId>) {
+    /// Whether any node could take the multicast frame `frame`, read from
+    /// the raw header fields the index keys on: the EtherType, the IPv4
+    /// header length, protocol and destination, the UDP destination port
+    /// and the DNS QR bit. A `false` means [`candidates`] would name no
+    /// node whose interest matches, so the frame need not be dissected.
+    /// Anything the check cannot read counts as taken: frames other than
+    /// IPv4 with a 20-byte header, and frames cut short of a field.
+    ///
+    /// [`candidates`]: Subscribers::candidates
+    fn might_take(&self, frame: &[u8]) -> bool {
+        const IP: usize = ethernet::HEADER_LEN;
+        const UDP: usize = IP + ipv4::HEADER_LEN;
+        const DNS: usize = UDP + udp::HEADER_LEN;
+        if !self.everything.is_empty() {
+            return true;
+        }
+        // EtherType IPv4, then version 4 with IHL 5 (no options).
+        let Some(ip) = frame.get(IP..UDP) else {
+            return true;
+        };
+        if frame[12..IP] != u16::from(EtherType::Ipv4).to_be_bytes() || ip[0] != 0x45 {
+            return true;
+        }
+        let dst = Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]);
+        if self.by_ipv4.contains(dst) {
+            return true;
+        }
+        // Beyond the address, only UDP is filed.
+        if ipv4::Protocol::from(ip[9]) != ipv4::Protocol::Udp {
+            return false;
+        }
+        let Some(port) = frame.get(UDP + 2..UDP + 4) else {
+            return true;
+        };
+        let dport = u16::from_be_bytes([port[0], port[1]]);
+        if self.by_udp_port.contains(dport) {
+            return true;
+        }
+        if dport != dns::MDNS_PORT
+            || (self.mdns_queries.is_empty() && self.mdns_advertisers.is_empty())
+        {
+            return false;
+        }
+        // Only queries are filed: a set QR bit is a response.
+        frame.get(DNS + 2).is_none_or(|flags| flags & 0x80 == 0)
+    }
+
+    /// Fill `out` with the ids whose interest can match `frame`: a superset
+    /// of those [`Interest::matches`] accepts, in ascending order without
+    /// repeats. An mDNS query's questions are looked up by name through
+    /// the frame's shared parse.
+    fn candidates(&self, frame: &Dissected<'_>, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(&self.everything);
-        let addressed_to = |dst: Ipv4Addr, out: &mut Vec<NodeId>| {
-            if let Some(ids) = self.by_ipv4.get(&dst) {
-                out.extend_from_slice(ids);
-            }
-        };
-        match *content {
+        let addressed_to = |dst: Ipv4Addr, out: &mut Vec<NodeId>| out.extend(self.by_ipv4.ids(dst));
+        match frame.content {
             Content::Arp(repr) => {
                 addressed_to(repr.target_protocol_addr, out);
                 if repr.operation == arp::Operation::Reply {
@@ -189,22 +311,43 @@ impl Subscribers {
                 ..
             } => {
                 addressed_to(dst, out);
-                if let Some(ids) = self.by_udp_port.get(&dport) {
-                    out.extend_from_slice(ids);
-                }
+                out.extend(self.by_udp_port.ids(dport));
                 if dport == dns::MDNS_PORT && dns::is_query(payload) {
                     out.extend_from_slice(&self.mdns_queries);
+                    self.mdns_askers(frame, out);
                 }
             }
             Content::TcpV4 { dst, .. }
             | Content::IcmpV4 { dst, .. }
             | Content::Igmp { dst, .. }
             | Content::OtherIpv4 { dst, .. } => addressed_to(dst, out),
-            Content::IcmpV6 { .. } => out.extend_from_slice(&self.icmpv6),
+            Content::IcmpV6 { repr, .. } => {
+                if let Some(target) = neighbour_solicit_target(&repr) {
+                    out.extend(self.by_ndp_target.ids(target));
+                }
+            }
             Content::UdpV6 { .. } | Content::OtherEther => {}
         }
         out.sort_unstable();
         out.dedup();
+    }
+
+    /// Append the advertisers of the services an mDNS query asks for, or
+    /// every advertiser if it asks the DNS-SD meta-query.
+    fn mdns_askers(&self, frame: &Dissected<'_>, out: &mut Vec<NodeId>) {
+        if self.mdns_advertisers.is_empty() {
+            return;
+        }
+        let Some(message) = frame.dns() else {
+            return;
+        };
+        for question in &message.questions {
+            if question.name == dns::SERVICES_META_QUERY {
+                out.extend_from_slice(&self.mdns_advertisers);
+                return;
+            }
+            out.extend(self.by_mdns_service.ids(service_key(&question.name)));
+        }
     }
 }
 
@@ -296,6 +439,9 @@ pub struct Network {
     subscribers: Subscribers,
     /// The candidate ids of the frame being delivered, reused across frames.
     candidates: Vec<NodeId>,
+    /// The actions of the callback being dispatched, reused across
+    /// dispatches.
+    actions: Vec<(NodeId, Action)>,
     by_mac: HashMap<EthernetAddress, NodeId>,
     queue: BinaryHeap<Event>,
     now: SimTime,
@@ -306,6 +452,7 @@ pub struct Network {
     /// Medium fault injection.
     pub faults: FaultInjector,
     frames_sent: u64,
+    frames_delivered: u64,
 }
 
 impl Network {
@@ -317,6 +464,7 @@ impl Network {
             interests: Vec::new(),
             subscribers: Subscribers::default(),
             candidates: Vec::new(),
+            actions: Vec::new(),
             by_mac: HashMap::new(),
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
@@ -325,6 +473,7 @@ impl Network {
             capture: Capture::new(),
             faults: FaultInjector::none(),
             frames_sent: 0,
+            frames_delivered: 0,
         }
     }
 
@@ -362,6 +511,12 @@ impl Network {
         self.frames_sent
     }
 
+    /// Total frames handed to a node's `on_frame`: one per unicast
+    /// delivery and one per node a multicast frame reaches.
+    pub fn frames_delivered(&self) -> u64 {
+        self.frames_delivered
+    }
+
     /// Look up a node id by MAC.
     pub fn node_by_mac(&self, mac: EthernetAddress) -> Option<NodeId> {
         self.by_mac.get(&mac).copied()
@@ -380,13 +535,13 @@ impl Network {
     /// Transmit a frame onto the medium from outside any node — used by
     /// test harnesses and by scanners that synthesize raw probes.
     pub fn inject_frame(&mut self, frame: Vec<u8>) {
-        self.apply_actions(vec![(
+        self.apply_actions(std::iter::once((
             usize::MAX,
             Action::Send {
                 frame,
                 delay: SimDuration::ZERO,
             },
-        )]);
+        )));
     }
 
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
@@ -433,7 +588,7 @@ impl Network {
     }
 
     fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Context)) {
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let node = self.nodes[id].as_mut();
             let mut ctx = Context {
@@ -444,10 +599,11 @@ impl Network {
             };
             f(node, &mut ctx);
         }
-        self.apply_actions(actions);
+        self.apply_actions(actions.drain(..));
+        self.actions = actions;
     }
 
-    fn apply_actions(&mut self, actions: Vec<(NodeId, Action)>) {
+    fn apply_actions(&mut self, actions: impl Iterator<Item = (NodeId, Action)>) {
         for (node_id, action) in actions {
             match action {
                 Action::Send { frame, delay } => {
@@ -499,21 +655,28 @@ impl Network {
     }
 
     fn deliver(&mut self, frame: Vec<u8>) {
+        // A multicast frame that no node's interest can take is dropped
+        // before the costlier dissection: the index reads the raw header
+        // fields it keys on.
+        let multicast = frame.first().is_some_and(|octet| octet & 0x01 != 0);
+        if multicast && !self.subscribers.might_take(&frame) {
+            iotlan_telemetry::histogram!("netsim.multicast_fanout").observe(0);
+            return;
+        }
         // Dissect once for every receiver. A frame that fails validation at
         // any layer is undeliverable: every node's stack would drop it.
         let Some(frame) = stack::dissect(&frame) else {
             return;
         };
-        let dst = frame.eth.dst_addr;
         let src = frame.eth.src_addr;
-        if dst.is_multicast() {
+        if multicast {
             // Broadcast medium: everyone but the sender hears it, and each
             // node whose interest matches handles it, in ascending id order
             // so RNG draws interleave as if every node had been called. The
             // index names the nodes the frame can concern; the rest would
             // not match.
             let mut candidates = std::mem::take(&mut self.candidates);
-            self.subscribers.candidates(&frame.content, &mut candidates);
+            self.subscribers.candidates(&frame, &mut candidates);
             let mut fanout = 0u64;
             for &id in &candidates {
                 if self.macs[id] == src || !self.interests[id].matches(&frame) {
@@ -523,9 +686,11 @@ impl Network {
                 self.dispatch(id, |node, ctx| node.on_frame(ctx, &frame));
             }
             self.candidates = candidates;
+            self.frames_delivered += fanout;
             iotlan_telemetry::counter!("netsim.frames_delivered").add(fanout);
             iotlan_telemetry::histogram!("netsim.multicast_fanout").observe(fanout);
-        } else if let Some(&id) = self.by_mac.get(&dst) {
+        } else if let Some(&id) = self.by_mac.get(&frame.eth.dst_addr) {
+            self.frames_delivered += 1;
             iotlan_telemetry::counter!("netsim.frames_delivered").incr();
             self.dispatch(id, |node, ctx| node.on_frame(ctx, &frame));
         } else {
@@ -541,8 +706,8 @@ mod tests {
     use super::*;
     use crate::stack::Endpoint;
     use iotlan_util::check::Gen;
-    use iotlan_wire::ethernet::{build_frame, EtherType, Repr};
-    use iotlan_wire::{icmpv6, igmp, ipv6, tcp};
+    use iotlan_wire::ethernet::{build_frame, Repr};
+    use iotlan_wire::{igmp, ipv6, tcp};
 
     /// A node that broadcasts one frame at start and counts receptions.
     struct Chatter {
@@ -693,18 +858,36 @@ mod tests {
         assert_eq!(heard(&network, narrow), 1);
     }
 
+    /// An NDP neighbour solicitation for `target`, to its solicited-node
+    /// group.
+    fn neighbour_solicit(src_mac: EthernetAddress, target: Ipv6Addr) -> Vec<u8> {
+        let repr = icmpv6::Repr {
+            message: icmpv6::Message::NeighborSolicit {
+                target,
+                source_mac: Some(src_mac),
+            },
+        };
+        let src_ip = ipv6::link_local_from_mac(src_mac);
+        stack::icmpv6_frame(src_mac, src_ip, ipv6::solicited_node(target), &repr)
+    }
+
+    /// An mDNS query asking for each of `names`.
+    fn mdns_query(names: &[&str]) -> Vec<u8> {
+        let questions: Vec<_> = names.iter().map(|&n| (n, dns::RecordType::Ptr)).collect();
+        dns::Message::mdns_query(&questions).to_bytes()
+    }
+
     #[test]
     fn interest_matches_what_it_declares() {
         let me = Ipv4Addr::new(192, 168, 10, 2);
+        let my_ll = ipv6::link_local_from_mac(EthernetAddress([2, 0, 0, 0, 0, 2]));
         let peer = Endpoint {
             mac: EthernetAddress([2, 0, 0, 0, 0, 1]),
             ip: Ipv4Addr::new(192, 168, 10, 1),
         };
-        let query = dns::Message::mdns_query(&[("_hue._tcp.local", dns::RecordType::Ptr)]);
-        let response = dns::Message::mdns_response(Vec::new());
-        let mdns = |message: &dns::Message| {
-            stack::udp_multicast(peer, dns::MDNS_GROUP_V4, 5353, 5353, &message.to_bytes())
-        };
+        let response = dns::Message::mdns_response(Vec::new()).to_bytes();
+        let mdns =
+            |payload: &[u8]| stack::udp_multicast(peer, dns::MDNS_GROUP_V4, 5353, 5353, payload);
         let other = Ipv4Addr::new(192, 168, 10, 9);
         let request_for_me = stack::arp_frame(&arp::Repr::request(peer.mac, peer.ip, me));
         let request_for_other = stack::arp_frame(&arp::Repr::request(peer.mac, peer.ip, other));
@@ -712,11 +895,18 @@ mod tests {
         let reply = arp::Repr::reply(peer.mac, peer.ip, EthernetAddress::BROADCAST, other);
         let reply = stack::arp_frame(&reply);
         let frames = [
-            (mdns(&query), "mdns query"),
+            (mdns(&mdns_query(&["_hue._tcp.local"])), "hue query"),
+            (mdns(&mdns_query(&["_airplay._tcp.local"])), "airplay query"),
+            (mdns(&mdns_query(&[dns::SERVICES_META_QUERY])), "meta query"),
             (mdns(&response), "mdns response"),
             (request_for_me, "arp request for me"),
             (request_for_other, "arp request for another"),
             (reply, "arp reply"),
+            (neighbour_solicit(peer.mac, my_ll), "ns for me"),
+            (
+                neighbour_solicit(peer.mac, "fe80::9".parse().unwrap()),
+                "ns for another",
+            ),
         ];
         let heard_by = |interest: &Interest| -> Vec<&str> {
             frames
@@ -730,18 +920,34 @@ mod tests {
             heard_by(&Interest::addressed_to(me)),
             ["arp request for me"]
         );
-        let advertiser = Interest {
+        let listener = Interest {
             arp_replies: true,
             mdns_queries: true,
             ..Interest::addressed_to(me)
         };
         assert_eq!(
+            heard_by(&listener),
+            [
+                "hue query",
+                "airplay query",
+                "meta query",
+                "arp request for me",
+                "arp reply"
+            ]
+        );
+        let advertiser = Interest {
+            mdns_services: vec!["_hue._tcp.local".into()],
+            ndp_target: Some(my_ll),
+            ..Interest::addressed_to(me)
+        };
+        assert_eq!(
             heard_by(&advertiser),
-            ["mdns query", "arp request for me", "arp reply"]
+            ["hue query", "meta query", "arp request for me", "ns for me"]
         );
     }
 
-    /// A few addresses and ports, so random interests and frames collide.
+    /// A few addresses, ports, service names and NDP targets, so random
+    /// interests and frames collide.
     const IPS: [Ipv4Addr; 5] = [
         Ipv4Addr::new(192, 168, 10, 1),
         Ipv4Addr::new(192, 168, 10, 2),
@@ -750,59 +956,80 @@ mod tests {
         Ipv4Addr::BROADCAST,
     ];
     const PORTS: [u16; 5] = [67, 1900, dns::MDNS_PORT, 9999, 20002];
+    /// Service types interests advertise; queries also ask the meta-query
+    /// and a type nobody advertises.
+    const SERVICES: [&str; 3] = [
+        "_hue._tcp.local",
+        "_googlecast._tcp.local",
+        "_hap._tcp.local",
+    ];
+    const TARGETS: [Ipv6Addr; 3] = [
+        Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 1),
+        Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 2),
+        Ipv6Addr::new(0xfe80, 0, 0, 0, 0x1ff, 0xfe00, 0, 3),
+    ];
+
+    fn pick<T: Copy>(g: &mut Gen, items: &[T]) -> T {
+        items[g.int_in(0..items.len())]
+    }
 
     fn random_interest(g: &mut Gen) -> Interest {
         Interest {
             everything: g.int_in(0..8u8) == 0,
-            ipv4: g.option(|g| IPS[g.int_in(0..IPS.len())]),
+            ipv4: g.option(|g| pick(g, &IPS)),
             arp_replies: g.bool(),
-            udp_ports: g.vec_of(0, 3, |g| PORTS[g.int_in(0..PORTS.len())]),
-            mdns_queries: g.bool(),
-            icmpv6: g.bool(),
+            udp_ports: g.vec_of(0, 3, |g| pick(g, &PORTS)),
+            mdns_queries: g.int_in(0..4u8) == 0,
+            mdns_services: g.vec_of(0, 2, |g| pick(g, &SERVICES).to_string()),
+            ndp_target: g.option(|g| pick(g, &TARGETS)),
         }
     }
 
     /// A frame of every content kind the index files, sometimes with
     /// flipped bytes or cut short.
     fn random_frame(g: &mut Gen) -> Vec<u8> {
-        let pick_ip = |g: &mut Gen| IPS[g.int_in(0..IPS.len())];
         let src = Endpoint {
             mac: EthernetAddress([2, 0, 0, 0, 0, g.u8()]),
-            ip: pick_ip(g),
+            ip: pick(g, &IPS),
         };
         let dst = Endpoint {
             mac: EthernetAddress::BROADCAST,
-            ip: pick_ip(g),
+            ip: pick(g, &IPS),
         };
-        let port = PORTS[g.int_in(0..PORTS.len())];
+        let port = pick(g, &PORTS);
         let payload = match g.int_in(0..3u8) {
-            0 => dns::Message::mdns_query(&[("_hue._tcp.local", dns::RecordType::Ptr)]).to_bytes(),
+            0 => {
+                let names = g.vec_of(1, 3, |g| match g.int_in(0..5u8) {
+                    0 => dns::SERVICES_META_QUERY,
+                    1 => "_nobody._tcp.local",
+                    _ => pick(g, &SERVICES),
+                });
+                mdns_query(&names)
+            }
             1 => dns::Message::mdns_response(Vec::new()).to_bytes(),
             _ => g.bytes(64),
         };
-        let mut frame = match g.int_in(0..8u8) {
+        let mut frame = match g.int_in(0..9u8) {
             0 => stack::arp_frame(&arp::Repr::request(src.mac, src.ip, dst.ip)),
             1 => stack::arp_frame(&arp::Repr::reply(src.mac, src.ip, dst.mac, dst.ip)),
             2 => stack::udp_unicast(src, dst, g.u16(), port, &payload),
-            3 => stack::tcp_segment(src, dst, &tcp::Repr::syn(g.u16(), port, 1), &[]),
-            4 => {
+            3 => with_ip_options(stack::udp_unicast(src, dst, g.u16(), port, &payload)),
+            4 => stack::tcp_segment(src, dst, &tcp::Repr::syn(g.u16(), port, 1), &[]),
+            5 => {
                 let repr = igmp::Repr {
                     message: igmp::Message::MembershipReportV2 { group: dst.ip },
                 };
                 stack::igmp_frame(src, dst.ip, &repr)
             }
-            5 => {
-                let target = ipv6::link_local_from_mac(dst.mac);
-                let repr = icmpv6::Repr {
-                    message: icmpv6::Message::NeighborSolicit {
-                        target,
-                        source_mac: Some(src.mac),
-                    },
-                };
-                let src_ip = ipv6::link_local_from_mac(src.mac);
-                stack::icmpv6_frame(src.mac, src_ip, ipv6::solicited_node(target), &repr)
-            }
             6 => {
+                let target = if g.bool() {
+                    pick(g, &TARGETS)
+                } else {
+                    ipv6::link_local_from_mac(EthernetAddress([2, 0, 0, 0, 0, g.u8()]))
+                };
+                neighbour_solicit(src.mac, target)
+            }
+            7 => {
                 let src_ip = ipv6::link_local_from_mac(src.mac);
                 let group = "ff02::1:2".parse().unwrap();
                 stack::udp_multicast_v6(src.mac, src_ip, group, 546, port, &payload)
@@ -828,22 +1055,44 @@ mod tests {
         frame
     }
 
+    /// `frame` (Ethernet/IPv4) with four bytes of IPv4 options (IHL 6),
+    /// still valid: the transport checksum does not cover the IP header.
+    fn with_ip_options(mut frame: Vec<u8>) -> Vec<u8> {
+        let options = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
+        frame.splice(options..options, [1, 1, 1, 0]);
+        frame[ethernet::HEADER_LEN] = 0x46;
+        let mut packet = ipv4::Packet::new_unchecked(&mut frame[ethernet::HEADER_LEN..]);
+        let total_len = packet.total_len() + 4;
+        packet.set_total_len(total_len);
+        packet.fill_checksum();
+        frame
+    }
+
+    /// An index over `1..=40` random interests.
+    fn random_index(g: &mut Gen) -> (Vec<Interest>, Subscribers) {
+        index_of(g.vec_of(1, 40, random_interest))
+    }
+
+    fn index_of(interests: Vec<Interest>) -> (Vec<Interest>, Subscribers) {
+        let mut subscribers = Subscribers::default();
+        for (id, interest) in interests.iter().enumerate() {
+            subscribers.add(id, interest);
+        }
+        (interests, subscribers)
+    }
+
     iotlan_util::props! {
         /// The subscriber index names every node whose interest matches a
         /// frame, in ascending order without repeats.
         fn subscriber_candidates_cover_every_match(g) {
-            let interests = g.vec_of(1, 40, random_interest);
-            let mut subscribers = Subscribers::default();
-            for (id, interest) in interests.iter().enumerate() {
-                subscribers.add(id, interest);
-            }
+            let (interests, subscribers) = random_index(g);
             let mut candidates = Vec::new();
             for _ in 0..32 {
                 let bytes = random_frame(g);
                 let Some(frame) = stack::dissect(&bytes) else {
                     continue;
                 };
-                subscribers.candidates(&frame.content, &mut candidates);
+                subscribers.candidates(&frame, &mut candidates);
                 assert!(
                     candidates.windows(2).all(|w| w[0] < w[1]),
                     "not ascending and distinct: {candidates:?}"
@@ -859,6 +1108,50 @@ mod tests {
                 }
             }
         }
+
+        /// A frame the raw pre-check turns away either fails dissection or
+        /// has no candidate, so skipping its dissection skips no delivery.
+        fn rejected_frames_have_no_candidate(g) {
+            // No node takes everything, or the pre-check never rejects.
+            let (interests, subscribers) = index_of(g.vec_of(1, 40, |g| Interest {
+                everything: false,
+                ..random_interest(g)
+            }));
+            let mut candidates = Vec::new();
+            for _ in 0..32 {
+                let bytes = random_frame(g);
+                if subscribers.might_take(&bytes) {
+                    continue;
+                }
+                let Some(frame) = stack::dissect(&bytes) else {
+                    continue;
+                };
+                subscribers.candidates(&frame, &mut candidates);
+                assert!(
+                    candidates.is_empty(),
+                    "pre-check rejects {:?}, which has candidates {candidates:?}",
+                    frame.content
+                );
+                assert!(interests.iter().all(|interest| !interest.matches(&frame)));
+            }
+        }
+    }
+
+    #[test]
+    fn pre_check_reads_options_and_short_frames_as_taken() {
+        let subscribers = Subscribers::default();
+        let src = Endpoint {
+            mac: EthernetAddress([2, 0, 0, 0, 0, 1]),
+            ip: IPS[0],
+        };
+        let response = dns::Message::mdns_response(Vec::new()).to_bytes();
+        let frame = stack::udp_multicast(src, dns::MDNS_GROUP_V4, 5353, 5353, &response);
+        assert!(!subscribers.might_take(&frame));
+        assert!(subscribers.might_take(&with_ip_options(frame.clone())));
+        for len in 0..ethernet::HEADER_LEN + ipv4::HEADER_LEN {
+            assert!(subscribers.might_take(&frame[..len]), "cut to {len}");
+        }
+        assert!(subscribers.might_take(&neighbour_solicit(src.mac, TARGETS[0])));
     }
 
     #[test]

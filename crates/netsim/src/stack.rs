@@ -174,26 +174,23 @@ pub fn igmp_frame(src: Endpoint, group: Ipv4Addr, repr: &igmp::Repr) -> Vec<u8> 
     )
 }
 
-/// Build an ICMPv6 frame (NDP or echo) over IPv6.
+/// Build an ICMPv6 frame (NDP or echo) to an IPv6 multicast group, at the
+/// group's Ethernet multicast MAC. A unicast destination has no MAC to
+/// derive; build it with [`icmpv6_frame_to`].
 pub fn icmpv6_frame(
     src_mac: EthernetAddress,
     src_ip: Ipv6Addr,
     dst_ip: Ipv6Addr,
     repr: &icmpv6::Repr,
 ) -> Vec<u8> {
-    let dst_mac = if ipv6::is_multicast(dst_ip) {
-        multicast_mac_v6(dst_ip)
-    } else {
-        // Simplification: resolve via EUI-64 reversal is not possible in
-        // general; NDP-layer code passes multicast destinations. Unicast
-        // NA replies address the solicitor's MAC at the Ethernet layer via
-        // `icmpv6_frame_to`.
-        multicast_mac_v6(dst_ip)
-    };
-    icmpv6_frame_to(src_mac, dst_mac, src_ip, dst_ip, repr)
+    debug_assert!(
+        ipv6::is_multicast(dst_ip),
+        "icmpv6_frame to unicast {dst_ip}: use icmpv6_frame_to"
+    );
+    icmpv6_frame_to(src_mac, multicast_mac_v6(dst_ip), src_ip, dst_ip, repr)
 }
 
-/// Build a unicast ICMPv6 frame to a known MAC.
+/// Build an ICMPv6 frame to a known MAC (a unicast NDP advert, say).
 pub fn icmpv6_frame_to(
     src_mac: EthernetAddress,
     dst_mac: EthernetAddress,
@@ -559,6 +556,38 @@ mod tests {
             Content::IcmpV6 { repr: parsed, .. } => assert_eq!(parsed, repr),
             _ => panic!("wrong content"),
         }
+    }
+
+    #[test]
+    fn icmpv6_frame_goes_to_the_group_mac() {
+        let src_mac = endpoint(1).mac;
+        let group = ipv6::solicited_node("fe80::2".parse().unwrap());
+        let repr = icmpv6::Repr {
+            message: icmpv6::Message::NeighborAdvert {
+                target: ipv6::link_local_from_mac(src_mac),
+                target_mac: Some(src_mac),
+            },
+        };
+        let frame = icmpv6_frame(src_mac, ipv6::link_local_from_mac(src_mac), group, &repr);
+        assert_eq!(
+            dissect(&frame).unwrap().eth.dst_addr,
+            multicast_mac_v6(group)
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "use icmpv6_frame_to")]
+    fn icmpv6_frame_rejects_a_unicast_destination() {
+        let src_mac = endpoint(1).mac;
+        let src_ip = ipv6::link_local_from_mac(src_mac);
+        let repr = icmpv6::Repr {
+            message: icmpv6::Message::NeighborSolicit {
+                target: src_ip,
+                source_mac: None,
+            },
+        };
+        icmpv6_frame(src_mac, src_ip, "fe80::2".parse().unwrap(), &repr);
     }
 
     #[test]

@@ -61,6 +61,8 @@ pub struct StreamEngine {
     responses: ResponseMatcher,
 
     reader: PcapStreamReader,
+    /// The record being fed, reused across packets and chunks.
+    record: Vec<u8>,
     pcap_bytes_pushed: u64,
 
     packets: u64,
@@ -78,6 +80,7 @@ impl StreamEngine {
             table: FlowTable::with_timestamp_cap(EVENT_CAP),
             responses: ResponseMatcher::new(catalog),
             reader: PcapStreamReader::new(),
+            record: Vec::new(),
             pcap_bytes_pushed: 0,
             packets: 0,
             bytes: 0,
@@ -96,10 +99,12 @@ impl StreamEngine {
     pub fn push_pcap_chunk(&mut self, chunk: &[u8]) -> Result<(), iotlan_wire::Error> {
         self.pcap_bytes_pushed += chunk.len() as u64;
         self.reader.push(chunk);
-        while let Some(packet) = self.reader.next_packet()? {
-            let time = SimTime(u64::from(packet.ts_sec) * 1_000_000 + u64::from(packet.ts_usec));
-            self.on_frame(time, &packet.data);
+        let mut record = std::mem::take(&mut self.record);
+        while let Some((ts_sec, ts_usec)) = self.reader.next_packet_into(&mut record)? {
+            let time = SimTime(u64::from(ts_sec) * 1_000_000 + u64::from(ts_usec));
+            self.on_frame(time, &record);
         }
+        self.record = record;
         Ok(())
     }
 

@@ -26,6 +26,10 @@ pub fn is_query(data: &[u8]) -> bool {
     data.len() >= 12 && data[2] & 0x80 == 0
 }
 
+/// The DNS-SD service enumeration name (RFC 6763 §9). A query for it asks
+/// every advertiser on the link for its service types.
+pub const SERVICES_META_QUERY: &str = "_services._dns-sd._udp.local";
+
 /// Record types supported with typed rdata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
@@ -132,6 +136,15 @@ pub struct Message {
 }
 
 impl Message {
+    /// Whether a question asks for a service type that `advertises`
+    /// accepts, or for [`SERVICES_META_QUERY`], which every advertiser
+    /// answers. The one test of whether an advertiser answers a query.
+    pub fn asks_for(&self, mut advertises: impl FnMut(&str) -> bool) -> bool {
+        self.questions
+            .iter()
+            .any(|q| q.name == SERVICES_META_QUERY || advertises(&q.name))
+    }
+
     /// An mDNS query (id 0, QM unless marked).
     pub fn mdns_query(names: &[(&str, RecordType)]) -> Message {
         Message {
@@ -488,6 +501,22 @@ mod tests {
         assert!(is_query(&bytes));
         assert!(!is_query(&bytes[..11]));
         assert!(!is_query(&Message::mdns_response(Vec::new()).to_bytes()));
+    }
+
+    #[test]
+    fn asks_for_a_service_or_the_meta_query() {
+        let cast = |name: &str| name == "_googlecast._tcp.local";
+        let query = |name: &str| {
+            Message::mdns_query(&[
+                ("_hue._tcp.local", RecordType::Ptr),
+                (name, RecordType::Ptr),
+            ])
+        };
+        assert!(query("_googlecast._tcp.local").asks_for(cast));
+        assert!(query(SERVICES_META_QUERY).asks_for(cast));
+        assert!(query(SERVICES_META_QUERY).asks_for(|_| false));
+        assert!(!query("_airplay._tcp.local").asks_for(cast));
+        assert!(!Message::mdns_query(&[]).asks_for(|_| true));
     }
 
     #[test]

@@ -226,6 +226,24 @@ impl PcapStreamReader {
     /// `Ok(None)` means "need more input" — call [`push`][Self::push] with
     /// the next chunk, or [`finish`][Self::finish] if the stream is done.
     pub fn next_packet(&mut self) -> core::result::Result<Option<PcapPacket>, StreamError> {
+        let mut data = Vec::new();
+        Ok(self
+            .next_packet_into(&mut data)?
+            .map(|(ts_sec, ts_usec)| PcapPacket {
+                ts_sec,
+                ts_usec,
+                data,
+            }))
+    }
+
+    /// [`next_packet`][Self::next_packet] into a caller's buffer: the
+    /// record's bytes replace `data`'s contents and its timestamp is
+    /// returned, so a caller that reuses one buffer allocates nothing per
+    /// packet.
+    pub fn next_packet_into(
+        &mut self,
+        data: &mut Vec<u8>,
+    ) -> core::result::Result<Option<(u32, u32)>, StreamError> {
         if let Some(error) = self.error {
             return Err(error);
         }
@@ -270,14 +288,12 @@ impl PcapStreamReader {
         if pending.len() < 16 + incl_len {
             return Ok(None);
         }
-        let packet = PcapPacket {
-            ts_sec: self.read_u32(&pending[0..4]),
-            ts_usec: self.read_u32(&pending[4..8]),
-            data: pending[16..16 + incl_len].to_vec(),
-        };
+        let stamp = (self.read_u32(&pending[0..4]), self.read_u32(&pending[4..8]));
+        data.clear();
+        data.extend_from_slice(&pending[16..16 + incl_len]);
         self.consume(16 + incl_len);
         self.packets_parsed += 1;
-        Ok(Some(packet))
+        Ok(Some(stamp))
     }
 
     /// Declare end-of-input. Errors with [`Error::Truncated`] when the
@@ -429,6 +445,39 @@ mod tests {
                 packets,
                 "chunk={chunk}"
             );
+        }
+    }
+
+    #[test]
+    fn one_reused_buffer_reads_every_record() {
+        // Long, short, empty and long again: each record must replace the
+        // buffer's contents, not append to them.
+        let packets: Vec<PcapPacket> = [300usize, 5, 0, 64]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| PcapPacket {
+                ts_sec: i as u32,
+                ts_usec: 7 * i as u32,
+                data: (0..len).map(|b| (b * 31 + i) as u8).collect(),
+            })
+            .collect();
+        let image = write_pcap(&packets);
+        for chunk in [1, 3, 16, 17, 4096] {
+            let mut reader = PcapStreamReader::new();
+            let mut data = Vec::new();
+            let mut read = Vec::new();
+            for piece in image.chunks(chunk) {
+                reader.push(piece);
+                while let Some((ts_sec, ts_usec)) = reader.next_packet_into(&mut data).unwrap() {
+                    read.push(PcapPacket {
+                        ts_sec,
+                        ts_usec,
+                        data: data.clone(),
+                    });
+                }
+            }
+            reader.finish().unwrap();
+            assert_eq!(read, packets, "chunk={chunk}");
         }
     }
 

@@ -34,7 +34,8 @@
 #    stream_vs_assembly line with its two ratios, its reps and the min/max
 #    spread of each ratio; perf_netsim
 #    in --quick mode must emit its testbed_idle_frames and app_phase
-#    throughput lines, each with its reps and min/max spread; perf_classify
+#    throughput lines, each with its reps, min/max spread and deliveries
+#    count; perf_classify
 #    in --quick mode must emit its flow_assembly and flow_labels throughput
 #    lines, each with its reps and min/max spread
 # 8. telemetry smoke: perf_telemetry in --quick mode must emit its
@@ -169,7 +170,7 @@ printf '%s\n' "$netsim_out"
 for id in testbed_idle_frames app_phase; do
     netsim_line=$(printf '%s\n' "$netsim_out" |
         grep -F "{\"type\":\"throughput\",\"id\":\"$id\"" || true)
-    for key in reps min max; do
+    for key in reps min max deliveries; do
         if ! printf '%s\n' "$netsim_line" | grep -qF "\"$key\":"; then
             echo "verify: FAIL — perf_netsim emitted no $id line with \"$key\"" >&2
             exit 1

@@ -7,7 +7,10 @@
 //! builds run a `LabConfig::fast()`-length idle capture. Along the way
 //! they receive valid UDP frames to every discovery port, plus broadcast
 //! ARP requests, gratuitous ARP replies and NDP neighbour solicitations
-//! for LAN addresses.
+//! for LAN addresses. The injected mDNS queries ask for the service types
+//! the catalog advertises and queries, the DNS-SD meta-query among them,
+//! and for one nobody advertises, so the interests' by-name filter is
+//! reached.
 //!
 //! In the second build every node is wrapped in [`Audit`]. It declares
 //! every frame, so the network calls every node on every frame as it did
@@ -21,13 +24,13 @@ mod lan;
 use iotlan::devices::{build_testbed, Device};
 use iotlan::honeypot::Honeypot;
 use iotlan::netsim::router::Router;
-use iotlan::netsim::stack::{self, Dissected, Endpoint};
+use iotlan::netsim::stack::{self, Content, Dissected, Endpoint};
 use iotlan::netsim::{Capture, Context, Interest, Network, Node, SimDuration};
 use iotlan::util::check::Gen;
 use iotlan::wire::ethernet::EthernetAddress;
-use iotlan::wire::{arp, icmpv6, ipv6};
+use iotlan::wire::{arp, dns, icmpv6, ipv6};
 use iotlan::LabConfig;
-use lan::{discovery_phone, endpoints, pick, udp_frame};
+use lan::{discovery_phone, endpoints, pick, service_types, udp_frame};
 use std::any::Any;
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -72,12 +75,20 @@ fn neighbour_frame(g: &mut Gen, endpoints: &[Endpoint]) -> Vec<u8> {
     }
 }
 
+/// Deliveries the interests would skip: all of them, and the mDNS queries
+/// an advertiser skips by name.
+#[derive(Default)]
+struct Skipped {
+    all: Cell<u64>,
+    queries_by_name: Cell<u64>,
+}
+
 /// Hears every frame and checks that the frames its inner node's interest
 /// would skip leave the shared RNG untouched.
 struct Audit {
     inner: Box<dyn Node>,
     interest: Interest,
-    skipped: Rc<Cell<u64>>,
+    skipped: Rc<Skipped>,
 }
 
 impl Node for Audit {
@@ -102,7 +113,18 @@ impl Node for Audit {
             self.inner.on_frame(ctx, frame);
             return;
         }
-        self.skipped.set(self.skipped.get() + 1);
+        self.skipped.all.set(self.skipped.all.get() + 1);
+        if let Content::UdpV4 {
+            dport: dns::MDNS_PORT,
+            payload,
+            ..
+        } = frame.content
+        {
+            if dns::is_query(payload) && !self.interest.mdns_services.is_empty() {
+                let count = &self.skipped.queries_by_name;
+                count.set(count.get() + 1);
+            }
+        }
         let before = ctx.rng().clone();
         self.inner.on_frame(ctx, frame);
         assert!(
@@ -137,10 +159,11 @@ fn run(wrap: impl Fn(Box<dyn Node>) -> Box<dyn Node>) -> Capture {
     network.add_node(wrap(Box::new(discovery_phone())));
 
     let endpoints = endpoints(&catalog);
+    let services = service_types(&catalog);
     let mut g = Gen::seeded(config.seed);
     for _ in 0..config.idle_duration.as_secs() / 10 {
         for _ in 0..UDP_PER_SLICE {
-            network.inject_frame(udp_frame(&mut g, &endpoints));
+            network.inject_frame(udp_frame(&mut g, &endpoints, &services));
         }
         for _ in 0..NEIGHBOUR_PER_SLICE {
             network.inject_frame(neighbour_frame(&mut g, &endpoints));
@@ -153,7 +176,7 @@ fn run(wrap: impl Fn(Box<dyn Node>) -> Box<dyn Node>) -> Capture {
 #[test]
 fn skipped_deliveries_change_nothing() {
     let filtered = run(|node| node);
-    let skipped = Rc::new(Cell::new(0));
+    let skipped = Rc::new(Skipped::default());
     let audited = run(|inner| {
         let interest = inner.interest();
         Box::new(Audit {
@@ -163,8 +186,12 @@ fn skipped_deliveries_change_nothing() {
         })
     });
     assert!(
-        skipped.get() > 0,
+        skipped.all.get() > 0,
         "the audit build must see deliveries the interests skip"
+    );
+    assert!(
+        skipped.queries_by_name.get() > 0,
+        "the audit build must see mDNS queries an advertiser skips by name"
     );
     if let Some((index, (a, b))) = filtered
         .frames()

@@ -1,7 +1,7 @@
 //! The LAN parts shared by the robustness and interest-audit suites: a
 //! phone whose one app runs every discovery behaviour, the LAN's
-//! endpoints, and a generator of valid UDP frames to the discovery and
-//! DHCP ports that the node handlers parse.
+//! endpoints and mDNS service types, and a generator of valid UDP frames
+//! to the discovery and DHCP ports that the node handlers parse.
 
 use iotlan::apps::android::poc_permissions;
 use iotlan::apps::{AppBehavior, AppCategory, AppConfig, Phone};
@@ -79,19 +79,43 @@ pub fn endpoints(catalog: &Catalog) -> Vec<Endpoint> {
     out
 }
 
+/// A service type no catalog device advertises or queries.
+const UNADVERTISED: &str = "_nobody-advertises._tcp.local";
+
+/// Every mDNS service type the catalog's devices advertise or query (the
+/// DNS-SD meta-query among them), plus one that nobody advertises: the
+/// names an mDNS query asks.
+pub fn service_types(catalog: &Catalog) -> Vec<String> {
+    let mut out: Vec<String> = catalog
+        .devices
+        .iter()
+        .filter_map(|d| d.mdns.as_ref())
+        .flat_map(|m| {
+            m.advertise
+                .iter()
+                .map(|s| s.service_type.clone())
+                .chain(m.query.iter().cloned())
+        })
+        .chain([UNADVERTISED.to_string()])
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
 pub fn pick<T: Copy>(g: &mut Gen, items: &[T]) -> T {
     items[g.int_in(0..items.len())]
 }
 
-/// A well-formed message for `port`, as the lab's own nodes send it.
-fn real_payload(port: u16) -> Vec<u8> {
+/// A well-formed message for `port`, as the lab's own nodes send it. An
+/// mDNS query asks for one to three of `services`.
+fn real_payload(g: &mut Gen, port: u16, services: &[String]) -> Vec<u8> {
     match port {
         dns::MDNS_PORT => {
-            let mut query = dns::Message::mdns_query(&[
-                ("_services._dns-sd._udp.local", dns::RecordType::Ptr),
-                ("_hue._tcp.local", dns::RecordType::Ptr),
-            ]);
-            query.questions[0].unicast_response = true;
+            let names = g.vec_of(1, 3, |g| services[g.int_in(0..services.len())].as_str());
+            let questions: Vec<_> = names.iter().map(|&n| (n, dns::RecordType::Ptr)).collect();
+            let mut query = dns::Message::mdns_query(&questions);
+            query.questions[0].unicast_response = g.bool();
             query.to_bytes()
         }
         ssdp::SSDP_PORT => ssdp::Message::msearch(ssdp::targets::ALL, 3).to_bytes(),
@@ -106,7 +130,7 @@ fn real_payload(port: u16) -> Vec<u8> {
 /// An arbitrary payload for `port`: short (under a DNS header), garbage
 /// with the DNS QR bit set or clear, or a real message with a few bytes
 /// flipped or the tail cut off.
-fn payload(g: &mut Gen, port: u16) -> Vec<u8> {
+fn payload(g: &mut Gen, port: u16, services: &[String]) -> Vec<u8> {
     match g.int_in(0..5u8) {
         0 => {
             let mut bytes = g.bytes(11);
@@ -123,9 +147,9 @@ fn payload(g: &mut Gen, port: u16) -> Vec<u8> {
             }
             bytes
         }
-        3 => real_payload(port),
+        3 => real_payload(g, port, services),
         _ => {
-            let mut bytes = real_payload(port);
+            let mut bytes = real_payload(g, port, services);
             for _ in 0..g.int_in(1..4u8) {
                 let at = g.int_in(0..bytes.len());
                 bytes[at] ^= g.int_in(1..=255u8);
@@ -139,8 +163,9 @@ fn payload(g: &mut Gen, port: u16) -> Vec<u8> {
 }
 
 /// A valid Ethernet/IPv4/UDP frame to a discovery port: multicast,
-/// broadcast or unicast, from a LAN node or a stranger.
-pub fn udp_frame(g: &mut Gen, endpoints: &[Endpoint]) -> Vec<u8> {
+/// broadcast or unicast, from a LAN node or a stranger. mDNS queries ask
+/// for `services` ([`service_types`]).
+pub fn udp_frame(g: &mut Gen, endpoints: &[Endpoint], services: &[String]) -> Vec<u8> {
     let dport = pick(g, &PORTS);
     let sport = if g.bool() {
         pick(g, &PORTS)
@@ -148,7 +173,7 @@ pub fn udp_frame(g: &mut Gen, endpoints: &[Endpoint]) -> Vec<u8> {
         g.int_in(1..=u16::MAX)
     };
     let src = pick(g, endpoints);
-    let payload = payload(g, dport);
+    let payload = payload(g, dport, services);
     match g.int_in(0..3u8) {
         0 => {
             let group = if dport == ssdp::SSDP_PORT {

@@ -18,7 +18,7 @@ use iotlan::util::props;
 use iotlan::wire::ethernet::EthernetAddress;
 use iotlan::wire::ssdp;
 use iotlan::{Lab, LabConfig};
-use lan::{discovery_phone, endpoints, pick, udp_frame};
+use lan::{discovery_phone, endpoints, pick, service_types, udp_frame};
 
 /// The full LAN, ten simulated seconds in: every device has sent its
 /// start-up traffic and scheduled its periodic behaviours.
@@ -88,7 +88,8 @@ props! {
     fn valid_udp_with_arbitrary_payloads_never_panics(g) {
         let lab = full_lan();
         let endpoints = endpoints(&lab.catalog);
-        let frames = g.vec_of(1, 40, |g| udp_frame(g, &endpoints));
+        let services = service_types(&lab.catalog);
+        let frames = g.vec_of(1, 40, |g| udp_frame(g, &endpoints, &services));
         survives(lab, frames);
     }
 
