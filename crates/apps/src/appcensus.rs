@@ -209,115 +209,9 @@ impl AppCensusReport {
     }
 }
 
-/// Find MAC-address-shaped substrings in text (colon form) — the simple
-/// extractor the phone uses on harvested responses.
-pub fn extract_macs(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let is_hex = |b: u8| b.is_ascii_hexdigit();
-    let mut i = 0;
-    while i + 17 <= bytes.len() {
-        let window = &bytes[i..i + 17];
-        let mut ok = true;
-        for (j, &b) in window.iter().enumerate() {
-            if j % 3 == 2 {
-                if b != b':' {
-                    ok = false;
-                    break;
-                }
-            } else if !is_hex(b) {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            out.push(String::from_utf8_lossy(window).into_owned());
-            i += 17;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Find UUID-shaped substrings (8-4-4-4-12 hex).
-pub fn extract_uuids(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let lens = [8usize, 4, 4, 4, 12];
-    let total = 36;
-    let mut i = 0;
-    while i + total <= bytes.len() {
-        let window = &bytes[i..i + total];
-        let mut pos = 0;
-        let mut ok = true;
-        for (seg, &len) in lens.iter().enumerate() {
-            for _ in 0..len {
-                if !window[pos].is_ascii_hexdigit() {
-                    ok = false;
-                    break;
-                }
-                pos += 1;
-            }
-            if !ok {
-                break;
-            }
-            if seg < 4 {
-                if window[pos] != b'-' {
-                    ok = false;
-                    break;
-                }
-                pos += 1;
-            }
-        }
-        if ok {
-            out.push(String::from_utf8_lossy(window).into_owned());
-            i += total;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Find possessive display names ("Danny's Room" style): a word, an
-/// apostrophe-s, and a following word.
-pub fn extract_possessive_names(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        // Find a word start.
-        if chars[i].is_alphabetic() {
-            let word_start = i;
-            while i < chars.len() && chars[i].is_alphanumeric() {
-                i += 1;
-            }
-            // Expect 's followed by space and another word.
-            if i + 2 < chars.len()
-                && chars[i] == '\''
-                && chars[i + 1] == 's'
-                && chars[i + 2] == ' '
-                && i + 3 < chars.len()
-                && chars[i + 3].is_alphabetic()
-            {
-                let mut j = i + 3;
-                while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == ' ') {
-                    j += 1;
-                }
-                let name: String = chars[word_start..j].iter().collect();
-                out.push(name.trim_end().to_string());
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
 
     #[test]
@@ -384,5 +278,118 @@ mod tests {
         assert_eq!(report.side_channel_apps, 1);
         assert_eq!(report.unique_protocols(), 3);
         assert!((report.protocol_rate("mDNS") - 0.5).abs() < 1e-9);
+    }
+}
+
+/// The phone's original extractors, kept as test oracles for the
+/// `inspector::ident` scans it now calls: per-byte windows for colon MACs
+/// and UUIDs (case kept, UUIDs matched inside longer hex runs), and
+/// possessive names over a `Vec<char>` (lowercase `'s ` only).
+#[cfg(test)]
+pub(crate) mod oracle {
+    /// Find MAC-address-shaped substrings in text (colon form).
+    pub fn extract_macs(text: &str) -> Vec<String> {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        let is_hex = |b: u8| b.is_ascii_hexdigit();
+        let mut i = 0;
+        while i + 17 <= bytes.len() {
+            let window = &bytes[i..i + 17];
+            let mut ok = true;
+            for (j, &b) in window.iter().enumerate() {
+                if j % 3 == 2 {
+                    if b != b':' {
+                        ok = false;
+                        break;
+                    }
+                } else if !is_hex(b) {
+                    ok = false;
+                    break;
+                }
+            }
+            if ok {
+                out.push(String::from_utf8_lossy(window).into_owned());
+                i += 17;
+            } else {
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// Find UUID-shaped substrings (8-4-4-4-12 hex).
+    pub fn extract_uuids(text: &str) -> Vec<String> {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        let lens = [8usize, 4, 4, 4, 12];
+        let total = 36;
+        let mut i = 0;
+        while i + total <= bytes.len() {
+            let window = &bytes[i..i + total];
+            let mut pos = 0;
+            let mut ok = true;
+            for (seg, &len) in lens.iter().enumerate() {
+                for _ in 0..len {
+                    if !window[pos].is_ascii_hexdigit() {
+                        ok = false;
+                        break;
+                    }
+                    pos += 1;
+                }
+                if !ok {
+                    break;
+                }
+                if seg < 4 {
+                    if window[pos] != b'-' {
+                        ok = false;
+                        break;
+                    }
+                    pos += 1;
+                }
+            }
+            if ok {
+                out.push(String::from_utf8_lossy(window).into_owned());
+                i += total;
+            } else {
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// Find possessive display names ("Danny's Room" style): a word, an
+    /// apostrophe-s, and a following word.
+    pub fn extract_possessive_names(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let chars: Vec<char> = text.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            // Find a word start.
+            if chars[i].is_alphabetic() {
+                let word_start = i;
+                while i < chars.len() && chars[i].is_alphanumeric() {
+                    i += 1;
+                }
+                // Expect 's followed by space and another word.
+                if i + 2 < chars.len()
+                    && chars[i] == '\''
+                    && chars[i + 1] == 's'
+                    && chars[i + 2] == ' '
+                    && i + 3 < chars.len()
+                    && chars[i + 3].is_alphabetic()
+                {
+                    let mut j = i + 3;
+                    while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == ' ') {
+                        j += 1;
+                    }
+                    let name: String = chars[word_start..j].iter().collect();
+                    out.push(name.trim_end().to_string());
+                    i = j;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        out
     }
 }

@@ -12,11 +12,9 @@
 
 use crate::android::{evaluate_access, AndroidApi};
 use crate::app::{AppBehavior, AppConfig};
-use crate::appcensus::{
-    extract_macs, extract_possessive_names, extract_uuids, DataType, Direction, ExfilRecord,
-    Harvested, TestRun,
-};
+use crate::appcensus::{DataType, Direction, ExfilRecord, Harvested, TestRun};
 use crate::sdk::{innosdk_generate_probe, SdkKind};
+use iotlan_inspector::ident;
 use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
 use iotlan_netsim::{Context, Node, SimDuration};
 use iotlan_wire::ethernet::EthernetAddress;
@@ -476,16 +474,16 @@ fn ssdp_items(frame: &Dissected<'_>) -> Option<Vec<Harvested>> {
     Some(items)
 }
 
-/// The MACs, UUIDs and possessive display names in a response's text, in
-/// that order.
+/// The colon-separated MACs, UUIDs and possessive display names in a
+/// response's text, in that order, as `inspector::ident` (§6.3) finds them.
 fn text_items(source_protocol: &'static str, text: &str) -> Vec<Harvested> {
-    let macs = extract_macs(text)
+    let macs = ident::extract_macs_separated_by(text, b':')
         .into_iter()
         .map(|v| (DataType::DeviceMac, v));
-    let uuids = extract_uuids(text)
+    let uuids = ident::extract_uuids(text)
         .into_iter()
         .map(|v| (DataType::DeviceUuid, v));
-    let names = extract_possessive_names(text)
+    let names = ident::extract_names(text)
         .into_iter()
         .map(|v| (DataType::DisplayName, v));
     macs.chain(uuids)
@@ -665,7 +663,7 @@ mod tests {
     use super::*;
     use crate::android::AccessOutcome;
     use crate::app::{named_apps, AppCategory};
-    use crate::appcensus::AppCensusReport;
+    use crate::appcensus::{oracle, AppCensusReport};
     use iotlan_devices::{build_testbed, Device};
     use iotlan_netsim::router::{Router, GATEWAY_MAC};
     use iotlan_netsim::{Network, NodeId};
@@ -953,43 +951,32 @@ mod tests {
         let Content::UdpV4 { sport, dport, .. } = frame.content else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        let mut scan = |text: &str, source_protocol: &'static str| {
-            for (extract, data) in [
-                (extract_macs as fn(&str) -> Vec<String>, DataType::DeviceMac),
-                (extract_uuids, DataType::DeviceUuid),
-                (extract_possessive_names, DataType::DisplayName),
-            ] {
-                for value in extract(text) {
-                    out.push(Harvested {
-                        data,
-                        value,
-                        source_protocol,
-                    });
-                }
-            }
-        };
         if sport == dns::MDNS_PORT || dport == dns::MDNS_PORT {
-            if let Some(message) = frame.dns().filter(|m| m.is_response) {
-                scan(&message.text_content().join(" "), "mDNS");
-                out.push(Harvested {
-                    data: DataType::DeviceMac,
-                    value: frame.eth.src_addr.to_string(),
-                    source_protocol: "mDNS",
-                });
-            }
+            let Some(message) = frame.dns().filter(|m| m.is_response) else {
+                return Vec::new();
+            };
+            let mut out = text_items("mDNS", &message.text_content().join(" "));
+            out.push(Harvested {
+                data: DataType::DeviceMac,
+                value: frame.eth.src_addr.to_string(),
+                source_protocol: "mDNS",
+            });
+            out
         } else if sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT {
-            if let Some(message) = frame.ssdp() {
-                let text = message.text_content().join(" ");
-                scan(&text, "SSDP");
-                out.push(Harvested {
-                    data: DataType::UpnpDescriptor,
-                    value: text.chars().take(120).collect(),
-                    source_protocol: "SSDP",
-                });
-            }
+            let Some(message) = frame.ssdp() else {
+                return Vec::new();
+            };
+            let text = message.text_content().join(" ");
+            let mut out = text_items("SSDP", &text);
+            out.push(Harvested {
+                data: DataType::UpnpDescriptor,
+                value: text.chars().take(120).collect(),
+                source_protocol: "SSDP",
+            });
+            out
+        } else {
+            Vec::new()
         }
-        out
     }
 
     /// A real response, as sent or mutated: truncated, a byte flipped,
@@ -1114,7 +1101,191 @@ mod tests {
         assert_eq!(phone_of(&network, id).memoized_responses(), 2);
     }
 
+    /// The distinct text of every mDNS and SSDP response the whole testbed
+    /// sends while [`scanner_app`] runs: what `text_items` reads in a lab.
+    fn catalog_texts() -> &'static [String] {
+        static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+        TEXTS.get_or_init(|| {
+            let mut network = Network::new(33);
+            network.add_node(Box::new(Router::new()));
+            for config in build_testbed().devices {
+                network.add_node(Box::new(Device::new(config)));
+            }
+            let phone = Phone::new(
+                phone_mac(),
+                PHONE_IP,
+                "MonIoTr-Lab",
+                GATEWAY_MAC,
+                vec![scanner_app()],
+            );
+            network.add_node(Box::new(phone));
+            network.run_for(Phone::schedule_length(1));
+            let texts: BTreeSet<String> = network
+                .capture
+                .frames()
+                .filter_map(|captured| {
+                    let frame = stack::dissect(captured.data())?;
+                    let Content::UdpV4 { sport, dport, .. } = frame.content else {
+                        return None;
+                    };
+                    let text = if sport == dns::MDNS_PORT {
+                        frame.dns().filter(|m| m.is_response)?.text_content()
+                    } else if sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT {
+                        frame.ssdp()?.text_content()
+                    } else {
+                        return None;
+                    };
+                    Some(text.join(" "))
+                })
+                .collect();
+            assert!(texts.len() >= 60, "{} response texts", texts.len());
+            texts.into_iter().collect()
+        })
+    }
+
+    /// `text_items` as the phone's original extractors compute it.
+    fn oracle_items(source_protocol: &'static str, text: &str) -> Vec<Harvested> {
+        let mut out = Vec::new();
+        for (extract, data) in [
+            (
+                oracle::extract_macs as fn(&str) -> Vec<String>,
+                DataType::DeviceMac,
+            ),
+            (oracle::extract_uuids, DataType::DeviceUuid),
+            (oracle::extract_possessive_names, DataType::DisplayName),
+        ] {
+            out.extend(extract(text).into_iter().map(|value| Harvested {
+                data,
+                value,
+                source_protocol,
+            }));
+        }
+        out
+    }
+
+    fn values(items: &[Harvested]) -> Vec<&str> {
+        items.iter().map(|item| item.value.as_str()).collect()
+    }
+
+    /// `len` lowercase hex digits.
+    fn hex(g: &mut Gen, len: usize) -> String {
+        g.string_of("0123456789abcdef", len, len)
+    }
+
+    /// `count` lowercase hex pairs joined by `sep`.
+    fn hex_pairs(g: &mut Gen, count: usize, sep: &str) -> String {
+        let pairs: Vec<String> = (0..count).map(|_| hex(g, 2)).collect();
+        pairs.join(sep)
+    }
+
+    /// One identifier-shaped or noise piece, in a syntax the phone's scan
+    /// and the oracles read alike: lowercase hex, UUIDs that start their
+    /// hex run, `'s ` names, and no MAC of one syntax that starts inside a
+    /// candidate of another.
+    fn piece(g: &mut Gen) -> String {
+        match g.int_in(0..8u8) {
+            0 => hex_pairs(g, 6, ":"),
+            // A colon MAC that starts inside a short hex run.
+            1 => {
+                let len = g.int_in(1..=6usize);
+                hex(g, len) + &hex_pairs(g, 6, ":")
+            }
+            // Chained colon pairs: matches consume 17 bytes and may chain.
+            2 => {
+                let count = g.int_in(7..=13usize);
+                hex_pairs(g, count, ":")
+            }
+            3 => hex_pairs(g, 6, "-"),
+            4 => hex(g, 12),
+            5 => {
+                let uuid = [8, 4, 4, 4, 12].map(|len| hex(g, len)).join("-");
+                let len = g.int_in(0..=4usize);
+                uuid + &hex(g, len)
+            }
+            6 => {
+                let owner = g.string_of("abcxyzRé中", 1, 6);
+                let rest = g.string_of("abcRé中 1", 0, 8);
+                format!("{owner}'s R{rest}")
+            }
+            _ => g.string_of("0123456789abcdefABCDEFxyzé .=;/\"<>", 0, 16),
+        }
+    }
+
+    /// A catalog response text with pieces spliced in at random char
+    /// boundaries, each between two delimiters that end any hex run.
+    fn spliced_text(g: &mut Gen) -> String {
+        let texts = catalog_texts();
+        let mut text = texts[g.int_in(0..texts.len())].clone();
+        for _ in 0..g.int_in(0..=6usize) {
+            let boundaries: Vec<usize> = text
+                .char_indices()
+                .map(|(at, _)| at)
+                .chain([text.len()])
+                .collect();
+            let at = boundaries[g.int_in(0..boundaries.len())];
+            let delimiters = [" ", ";", "=", "\"", "<", ">", "/", "\n"];
+            let open = delimiters[g.int_in(0..delimiters.len())];
+            let close = delimiters[g.int_in(0..delimiters.len())];
+            text.insert_str(at, &format!("{open}{}{close}", piece(g)));
+        }
+        text
+    }
+
+    /// The four ways `text_items` departs from the phone's original
+    /// extractors; no catalog response text shows any of them.
+    #[test]
+    fn text_items_differ_from_the_oracles_only_as_licensed() {
+        let scan = |text: &str| values(&text_items("SSDP", text)).join(" | ");
+        let oracle = |text: &str| values(&oracle_items("SSDP", text)).join(" | ");
+        // 1. Hex is lowercased.
+        let upper = "x=00:17:88:68:5F:61 uuid:ABCDEF01-2345-6789-ABCD-EF0123456789";
+        assert_eq!(
+            scan(upper),
+            "00:17:88:68:5f:61 | abcdef01-2345-6789-abcd-ef0123456789"
+        );
+        assert_eq!(
+            oracle(upper),
+            "00:17:88:68:5F:61 | ABCDEF01-2345-6789-ABCD-EF0123456789"
+        );
+        // 2. A UUID inside a longer hex run is not matched.
+        let inside = "x=12abcdef01-2345-6789-abcd-ef0123456789";
+        assert_eq!(scan(inside), "");
+        assert_eq!(oracle(inside), "abcdef01-2345-6789-abcd-ef0123456789");
+        // 3. `'S ` names are matched.
+        let shouted = "DANNY'S ROOM";
+        assert_eq!(scan(shouted), "DANNY'S ROOM");
+        assert_eq!(oracle(shouted), "");
+        // 4. Candidates never overlap: a colon MAC that starts inside an
+        //    earlier bare or dash candidate is not matched.
+        for (text, colon) in [
+            ("x=0123456789aa:bb:cc:dd:ee:ff", "aa:bb:cc:dd:ee:ff"),
+            ("x=00-11-22-33-44-55:66:77:88:99:aa", "55:66:77:88:99:aa"),
+        ] {
+            assert_eq!(scan(text), "", "{text}");
+            assert_eq!(oracle(text), colon, "{text}");
+        }
+    }
+
+    #[test]
+    fn catalog_texts_scan_as_the_oracles_do() {
+        for text in catalog_texts() {
+            assert_eq!(
+                text_items("mDNS", text),
+                oracle_items("mDNS", text),
+                "{text:?}"
+            );
+        }
+    }
+
     iotlan_util::props! {
+        /// Over catalog response texts with MACs, UUIDs, names and noise
+        /// spliced in, the phone's scan through `inspector::ident` finds
+        /// what its original extractors found.
+        fn text_items_match_the_oracles(g) {
+            let text = spliced_text(g);
+            assert_eq!(text_items("SSDP", &text), oracle_items("SSDP", &text), "{text:?}");
+        }
+
         /// A memo hit yields what the first delivery yielded, which is what
         /// a fresh phone and the unmemoized harvest yield; queries and
         /// broken payloads yield nothing; the memo holds one entry per

@@ -70,13 +70,6 @@ impl Dataset {
         self.households.iter().map(|h| h.devices.len()).sum()
     }
 
-    /// Median devices per household (paper: 3).
-    pub fn median_household_size(&self) -> usize {
-        let mut sizes: Vec<usize> = self.households.iter().map(|h| h.devices.len()).collect();
-        sizes.sort_unstable();
-        sizes[sizes.len() / 2]
-    }
-
     /// Distinct (vendor, category) products represented.
     pub fn distinct_products(&self) -> usize {
         let mut set: Vec<(&str, &str)> = self
@@ -595,7 +588,6 @@ mod tests {
         let devices = dataset.device_count();
         // Paper: 13,487 devices over 3,893 users (≈3.46/household).
         assert!((12_000..=15_500).contains(&devices), "{devices}");
-        assert_eq!(dataset.median_household_size(), 3);
     }
 
     #[test]

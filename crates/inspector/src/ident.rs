@@ -71,12 +71,17 @@ fn hex_run_end(bytes: &[u8], i: usize) -> usize {
 /// Call `uuid` with every UUID (8-4-4-4-12 hex with dashes) and `mac` with
 /// every MAC-address candidate in `text`, each in order, in one pass over
 /// its runs of hex digits. MAC candidates come in three syntaxes:
-/// `aa:bb:cc:dd:ee:ff`, `aa-bb-cc-dd-ee-ff`, and the bare 12-hex-digit form.
+/// `aa:bb:cc:dd:ee:ff`, `aa-bb-cc-dd-ee-ff`, and the bare 12-hex-digit form;
+/// `mac` gets the separator, `None` for the bare form.
 ///
 /// The result equals two separate scans, one per type: a separated MAC
 /// consumes its 17 bytes for MACs only (a bare one is its whole run), and
 /// inside a UUID match no other run of exactly eight digits starts.
-fn for_each_uuid_and_mac(text: &str, mut uuid: impl FnMut(Uuid), mut mac: impl FnMut(Mac)) {
+fn for_each_uuid_and_mac(
+    text: &str,
+    mut uuid: impl FnMut(Uuid),
+    mut mac: impl FnMut(Mac, Option<u8>),
+) {
     let bytes = text.as_bytes();
     let mut next_mac = 0;
     let mut start = 0;
@@ -101,14 +106,14 @@ fn for_each_uuid_and_mac(text: &str, mut uuid: impl FnMut(Uuid), mut mac: impl F
             .flatten();
         let separated = || match bytes.get(end) {
             Some(&sep @ (b':' | b'-')) if end - start >= 2 && end - 2 >= next_mac => {
-                match_separated(bytes, end - 2, sep)
+                Some((match_separated(bytes, end - 2, sep)?, sep))
             }
             _ => None,
         };
         if let Some(found) = bare {
-            mac(found);
-        } else if let Some(found) = separated() {
-            mac(found);
+            mac(found, None);
+        } else if let Some((found, sep)) = separated() {
+            mac(found, Some(sep));
             next_mac = end - 2 + 17;
         }
         start = end;
@@ -133,7 +138,7 @@ fn match_uuid(bytes: &[u8], i: usize) -> Option<Uuid> {
 /// UUID matches (8-4-4-4-12 hex with dashes), lowercased.
 pub fn extract_uuids(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    for_each_uuid_and_mac(text, |uuid| out.push(ascii(&uuid)), |_| {});
+    for_each_uuid_and_mac(text, |uuid| out.push(ascii(&uuid)), |_, _| {});
     out
 }
 
@@ -142,7 +147,26 @@ pub fn extract_uuids(text: &str) -> Vec<String> {
 /// noisy, so [`extract_macs_with_oui`] filters by the known OUI.
 pub fn extract_mac_candidates(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    for_each_uuid_and_mac(text, |_| {}, |mac| out.push(ascii(&mac)));
+    for_each_uuid_and_mac(text, |_| {}, |mac, _| out.push(ascii(&mac)));
+    out
+}
+
+/// The MAC candidates written with `sep` between their hex pairs, rendered
+/// that way (`aa:bb:cc:dd:ee:ff` for `b':'`) and lowercased. A candidate of
+/// this syntax that starts inside an earlier candidate of another syntax
+/// is not matched: the scan's candidates never overlap.
+pub fn extract_macs_separated_by(text: &str, sep: u8) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_uuid_and_mac(
+        text,
+        |_| {},
+        |mac, found| {
+            if found == Some(sep) {
+                let pairs: Vec<String> = mac.chunks(2).map(ascii).collect();
+                out.push(pairs.join(&char::from(sep).to_string()));
+            }
+        },
+    );
     out
 }
 
@@ -201,7 +225,7 @@ pub fn extract_macs_with_oui(text: &str, device_oui: &str) -> Vec<String> {
     for_each_uuid_and_mac(
         text,
         |_| {},
-        |mac| {
+        |mac, _| {
             if has_oui(&mac, device_oui) {
                 out.push(ascii(&mac));
             }
@@ -239,7 +263,7 @@ impl Exposed {
             for_each_uuid_and_mac(
                 response,
                 |uuid| exposed.uuids.push(uuid),
-                |mac| {
+                |mac, _| {
                     if has_oui(&mac, device_oui) {
                         exposed.macs.push(mac);
                     }
@@ -290,6 +314,15 @@ mod tests {
         assert_eq!(dash, vec!["9c8ecd0a331b"]);
         let bare = extract_mac_candidates("bridgeid=001788685f61 ");
         assert_eq!(bare, vec!["001788685f61"]);
+        let mixed = "mac=00:17:88:68:5F:61; serial 9C-8E-CD-0A-33-1B id=001788685f61";
+        assert_eq!(
+            extract_macs_separated_by(mixed, b':'),
+            vec!["00:17:88:68:5f:61"]
+        );
+        assert_eq!(
+            extract_macs_separated_by(mixed, b'-'),
+            vec!["9c-8e-cd-0a-33-1b"]
+        );
     }
 
     #[test]

@@ -266,24 +266,9 @@ impl Capture {
         self.arena.len()
     }
 
-    /// The per-MAC split of section 3.1: frames sent *or* received by `mac`.
-    pub fn for_mac(&self, mac: EthernetAddress) -> Vec<FrameRef<'_>> {
-        self.frames()
-            .filter(|f| f.src_mac() == mac || f.dst_mac() == mac)
-            .collect()
-    }
-
     /// Frames *sent* by `mac` only.
     pub fn sent_by(&self, mac: EthernetAddress) -> Vec<FrameRef<'_>> {
         self.frames().filter(|f| f.src_mac() == mac).collect()
-    }
-
-    /// All distinct source MACs seen.
-    pub fn source_macs(&self) -> Vec<EthernetAddress> {
-        let mut macs: Vec<EthernetAddress> = self.frames().map(|f| f.src_mac()).collect();
-        macs.sort();
-        macs.dedup();
-        macs
     }
 
     /// Replay every recorded frame into `sink`, in record order, without
@@ -363,9 +348,7 @@ mod tests {
         capture.record(SimTime::from_secs(2), &frame(2, 1));
         capture.record(SimTime::from_secs(3), &frame(3, 0xff));
         let mac1 = EthernetAddress([2, 0, 0, 0, 0, 1]);
-        assert_eq!(capture.for_mac(mac1).len(), 2);
         assert_eq!(capture.sent_by(mac1).len(), 1);
-        assert_eq!(capture.source_macs().len(), 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use iotlan_devices::Catalog;
 use iotlan_netsim::stack::{self, Content, Endpoint};
 use iotlan_netsim::{Network, SimDuration};
 use iotlan_wire::ethernet::EthernetAddress;
-use iotlan_wire::{icmpv4, tcp};
+use iotlan_wire::tcp;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -223,33 +223,6 @@ pub fn probe_tcp_wire(network: &mut Network, target: Endpoint, port: u16) -> Por
     PortState::Filtered
 }
 
-/// Drive a UDP probe through the simulator; true if any response (payload
-/// or ICMP unreachable) came back.
-pub fn probe_udp_wire(network: &mut Network, target: Endpoint, port: u16) -> bool {
-    iotlan_telemetry::counter!("scan.probes_udp_wire").incr();
-    let scanner = scanner_endpoint();
-    let before = network.capture.len();
-    network.inject_frame(stack::udp_unicast(scanner, target, 47001, port, &[0u8; 8]));
-    network.run_for(SimDuration::from_millis(500));
-    network.capture.frames_from(before).any(|frame| {
-        if frame.src_mac() != target.mac {
-            return false;
-        }
-        match stack::dissect(frame.data()).map(|d| d.content) {
-            Some(Content::UdpV4 { sport, .. }) => sport == port,
-            Some(Content::IcmpV4 {
-                repr:
-                    icmpv4::Repr {
-                        message: icmpv4::Message::DstUnreachable { code },
-                        ..
-                    },
-                ..
-            }) => code == icmpv4::UNREACHABLE_PORT,
-            _ => false,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,20 +286,6 @@ mod tests {
         };
         assert_eq!(probe_tcp_model(&filtered_device, 80), PortState::Filtered);
         assert_eq!(probe_tcp_wire(&mut network, ring, 80), PortState::Filtered);
-    }
-
-    #[test]
-    fn udp_wire_probe() {
-        let catalog = build_testbed();
-        let wemo = catalog.find("Belkin WeMo Plug").unwrap().clone();
-        let mut network = Network::new(22);
-        network.add_node(Box::new(iotlan_devices::Device::new(wemo.clone())));
-        let target = Endpoint {
-            mac: wemo.mac,
-            ip: wemo.ip,
-        };
-        // Closed UDP port on a responds_udp device → ICMP unreachable.
-        assert!(probe_udp_wire(&mut network, target, 999));
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Self-time profiler: folds a trace into a flamegraph-style call tree.
 //!
-//! The input is the canonical record stream from [`crate::trace`]. Records
-//! are grouped by lane (they arrive lane-contiguous in the canonical
-//! order), each lane's enter/exit pairs are matched with a stack walk, and
-//! every completed span is accumulated into one tree keyed by its
-//! name-path. Worker lanes therefore merge by name under the root — the
-//! tree is a pure function of the trace, so in deterministic view (calls +
+//! The input is the record stream from [`crate::trace`], in record order.
+//! Its enter/exit pairs are matched with a stack walk, and every completed
+//! span is accumulated into one tree keyed by its name-path. The tree is a
+//! pure function of the trace, so in deterministic view (calls +
 //! simulated time) it is byte-identical across thread counts.
 //!
 //! Two renderings:
@@ -50,41 +48,44 @@ impl FlameNode {
     }
 }
 
-/// Walk one lane's records, accumulating completed spans into `root`.
-fn fold_lane(root: &mut FlameNode, records: &[TraceRecord]) {
+/// Aggregate a record stream into a call tree rooted at an unnamed root
+/// node.
+pub fn build(records: &[TraceRecord]) -> FlameNode {
+    let mut root = FlameNode::default();
     // The path of currently-open span names plus each span's entry stamps.
     let mut stack: Vec<(&'static str, Option<u64>, u64)> = Vec::new();
     for record in records {
         match record.kind {
             TraceKind::Enter => {
-                node_at(root, stack.iter().map(|frame| frame.0))
+                node_at(&mut root, stack.iter().map(|frame| frame.0))
                     .child(record.name)
                     .calls += 1;
                 stack.push((record.name, record.sim_micros, record.wall_nanos));
             }
             TraceKind::Exit => {
                 // An exit that does not match the open span means a guard
-                // crossed a lane boundary; drop it rather than corrupt the
-                // tree.
+                // was dropped out of order or its enter was taken by an
+                // earlier collection; drop it rather than corrupt the tree.
                 if stack.last().map(|frame| frame.0) != Some(record.name) {
                     continue;
                 }
                 let (name, enter_sim, enter_wall) = stack.pop().expect("matched above");
-                let node = node_at(root, stack.iter().map(|frame| frame.0)).child(name);
+                let node = node_at(&mut root, stack.iter().map(|frame| frame.0)).child(name);
                 if let (Some(enter), Some(exit)) = (enter_sim, record.sim_micros) {
                     node.sim_micros += exit.saturating_sub(enter);
                 }
                 node.wall_nanos += record.wall_nanos.saturating_sub(enter_wall);
             }
             TraceKind::Event => {
-                let parent = node_at(root, stack.iter().map(|frame| frame.0));
+                let parent = node_at(&mut root, stack.iter().map(|frame| frame.0));
                 let node = parent.child(record.name);
                 node.events += 1;
             }
         }
     }
-    // Spans still open at lane end (guard leaked past the collection
+    // Spans still open at the end (guard leaked past the collection
     // point) already counted their call; they contribute no time.
+    root
 }
 
 fn node_at<'tree>(
@@ -96,23 +97,6 @@ fn node_at<'tree>(
         node = node.child(name);
     }
     node
-}
-
-/// Aggregate a canonical record stream into a call tree rooted at an
-/// unnamed root node.
-pub fn build(records: &[TraceRecord]) -> FlameNode {
-    let mut root = FlameNode::default();
-    let mut start = 0;
-    while start < records.len() {
-        let lane = records[start].lane;
-        let mut end = start;
-        while end < records.len() && records[end].lane == lane {
-            end += 1;
-        }
-        fold_lane(&mut root, &records[start..end]);
-        start = end;
-    }
-    root
 }
 
 /// Render the tree as JSON. `deterministic` omits wall-clock fields.
@@ -187,10 +171,11 @@ mod tests {
     use crate::trace;
     use iotlan_util::pool;
 
-    fn capture_tree() -> FlameNode {
+    /// A phase span around a nested span, an event and a pool region
+    /// whose items open spans, traced at `threads` threads.
+    fn capture_tree(threads: usize) -> FlameNode {
         trace::clear();
-        pool::reset_lane_state();
-        {
+        pool::with_threads(threads, || {
             let _outer = trace::span("phase");
             {
                 let _inner = trace::span("deliver");
@@ -198,9 +183,10 @@ mod tests {
             }
             let _ = pool::par_map_range(20, |i| {
                 let _chunk = trace::span("chunk");
+                trace::event("chunk_frame");
                 i
             });
-        }
+        });
         build(&trace::take_records())
     }
 
@@ -208,23 +194,38 @@ mod tests {
     fn tree_nests_and_counts() {
         let _guard = crate::test_guard();
         crate::set_enabled(true);
-        let tree = capture_tree();
-        let phase = tree.children.get("phase").expect("phase node");
-        assert_eq!(phase.calls, 1);
-        let deliver = phase.children.get("deliver").expect("deliver node");
-        assert_eq!(deliver.calls, 1);
-        assert_eq!(deliver.children.get("frame").expect("event node").events, 1);
-        // Worker-lane spans merge under the root by name, not under the
-        // span that happened to be open on the main thread.
-        let chunk = tree.children.get("chunk").expect("chunk node");
-        assert!(chunk.calls >= 1);
+        for threads in [1, 2, 8] {
+            let tree = capture_tree(threads);
+            // Region spans and events are absent; the phase span around the
+            // region still pairs, so it is the root's only child and holds
+            // only what ran on the caller.
+            assert_eq!(tree.children.keys().copied().collect::<Vec<_>>(), ["phase"]);
+            let phase = &tree.children["phase"];
+            assert_eq!(phase.calls, 1, "threads={threads}");
+            assert!(
+                phase.wall_nanos > 0,
+                "phase never closed at {threads} threads"
+            );
+            assert_eq!(
+                phase.children.keys().copied().collect::<Vec<_>>(),
+                ["deliver"]
+            );
+            let deliver = &phase.children["deliver"];
+            assert_eq!(deliver.calls, 1);
+            assert_eq!(deliver.children.get("frame").expect("event node").events, 1);
+            assert_eq!(
+                flame_json(&tree, true).to_string(),
+                flame_json(&capture_tree(1), true).to_string(),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
     fn collapsed_stacks_are_sorted_paths() {
         let _guard = crate::test_guard();
         crate::set_enabled(true);
-        let tree = capture_tree();
+        let tree = capture_tree(2);
         let lines = collapsed_stacks(&tree, FlameMetric::Calls);
         assert!(lines.contains("phase;deliver;frame 1"));
         let rows: Vec<&str> = lines.lines().collect();
@@ -237,7 +238,7 @@ mod tests {
     fn flame_json_deterministic_view_has_no_wall_fields() {
         let _guard = crate::test_guard();
         crate::set_enabled(true);
-        let tree = capture_tree();
+        let tree = capture_tree(2);
         let full = flame_json(&tree, false).to_string();
         let det = flame_json(&tree, true).to_string();
         assert!(full.contains("wall_nanos"));

@@ -4,9 +4,9 @@
 //!
 //! - [`clock`] — the dual clock: a thread-local simulated stamp scoped to
 //!   the discrete-event loop, plus monotonic wall nanoseconds.
-//! - [`trace`] — span/event tracing into per-thread buffers, merged in
-//!   the pool's deterministic `(region, slot, seq)` lane order so traces
-//!   are byte-identical across `IOTLAN_THREADS`.
+//! - [`trace`] — span/event tracing into the caller's buffer in record
+//!   order; nothing records inside a pool region, so traces are
+//!   byte-identical across `IOTLAN_THREADS`.
 //! - [`metrics`] — a global registry of counters, gauges and log2
 //!   histograms, cheap enough for per-frame hot paths.
 //! - [`flame`] — folds a trace into a flamegraph-style self-time tree;
@@ -57,15 +57,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Reset every piece of global telemetry state: metrics values, trace
-/// buffers, pool accounting, lane numbering and this thread's simulated
+/// Reset every piece of global telemetry state: metrics values, this
+/// thread's trace buffer, pool accounting and this thread's simulated
 /// clock. Call between independent runs whose telemetry must not mix
 /// (the determinism tests do).
 pub fn reset_all() {
     metrics::reset_metrics();
     trace::clear();
     iotlan_util::pool::reset_stats();
-    iotlan_util::pool::reset_lane_state();
     clock::clear_sim();
 }
 

@@ -126,15 +126,6 @@ impl Manifest {
         });
     }
 
-    /// Record an already-measured phase.
-    pub fn push_phase(&mut self, name: &str, sim_micros: Option<u64>, wall_nanos: u64) {
-        self.phases.push(Phase {
-            name: name.to_string(),
-            sim_micros,
-            wall_nanos,
-        });
-    }
-
     pub fn phases(&self) -> &[Phase] {
         &self.phases
     }
@@ -306,7 +297,9 @@ mod tests {
         manifest.set("seed", 7u64);
         manifest.set_host("hostname_ish", "volatile");
         manifest.digest("report", b"payload");
-        manifest.push_phase("warmup", Some(1000), 123_456);
+        let timer = manifest.phase_timer("warmup");
+        let _sim = crate::clock::sim_scope(1000);
+        manifest.finish_phase(timer);
         let full = manifest.to_json().to_string();
         let det = manifest.deterministic_json().to_string();
         assert!(full.contains("volatile"));

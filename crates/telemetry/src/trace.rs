@@ -1,40 +1,29 @@
-//! Span/event tracing with a deterministic merge order.
-//!
-//! ## Recording
+//! Span/event tracing on the caller's thread.
 //!
 //! [`span`] returns a guard that records an `Enter` now and an `Exit` when
 //! dropped; [`event`] records a point event. Records go into a per-thread
-//! buffer (one `Vec` push — no lock on the record path); a thread's buffer
-//! is flushed into the global collector when the thread exits (pool
-//! workers are scoped threads, so their buffers flush at region end) and
-//! when the collecting thread takes a snapshot.
+//! buffer (one `Vec` push, no lock) in record order, and [`take_records`]
+//! takes this thread's buffer.
 //!
 //! ## Determinism
 //!
-//! Every record is tagged with the pool's current **lane**
-//! `(region, slot)` and the lane-local sequence number
-//! ([`iotlan_util::pool::current_lane`]): main-thread code records into
-//! lane `(0, 0)`, and code inside a `par_map` chunk records into the
-//! chunk's own lane. Sorting the merged records by `(lane, seq)` yields
-//! one canonical order that is a pure function of the program — not of
-//! `IOTLAN_THREADS`, and not of which OS thread claimed which chunk. The
-//! [`trace_json`] renderer in deterministic mode emits exactly the sorted
-//! `(lane, seq, kind, name, sim stamp)` tuple stream, so traces are
-//! byte-comparable across thread counts and repeated runs.
+//! Nothing is recorded while a pool region runs on this thread
+//! ([`iotlan_util::pool::in_region`]): a span or event inside a `par_map`
+//! closure would land in whichever worker's buffer ran its chunk, so it is
+//! left out at every thread count alike. Everything else records on the
+//! thread that calls [`take_records`], in program order, so the
+//! [`trace_json`] renderer's deterministic view (`seq`, kind, name and
+//! simulated stamp) is byte-comparable across thread counts and repeated
+//! runs.
 //!
 //! Each record carries both clocks ([`crate::clock`]): the simulated stamp
 //! participates in the deterministic view, the wall stamp only in the
 //! full view.
-//!
-//! Do not hold a [`SpanGuard`] across a lane boundary (i.e. across a
-//! `par_map` chunk edge): enter/exit pairs must land in one lane for the
-//! span tree to reconstruct.
 
 use crate::clock;
 use iotlan_util::json;
 use iotlan_util::pool;
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// What a trace record marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +46,6 @@ impl TraceKind {
 /// One trace record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
-    /// Deterministic lane `(region, slot)` the record was emitted in.
-    pub lane: (u64, u64),
-    /// Lane-local emission order.
-    pub seq: u32,
     pub kind: TraceKind,
     pub name: &'static str,
     /// Simulated stamp, when a simulation was dispatching (deterministic).
@@ -69,70 +54,28 @@ pub struct TraceRecord {
     pub wall_nanos: u64,
 }
 
-/// Sort key for the canonical merge order.
-fn order_key(record: &TraceRecord) -> (u64, u64, u32) {
-    (record.lane.0, record.lane.1, record.seq)
-}
-
-/// Global collector of flushed per-thread buffers.
-static COLLECTED: Mutex<Vec<TraceRecord>> = Mutex::new(Vec::new());
-
-fn collected() -> std::sync::MutexGuard<'static, Vec<TraceRecord>> {
-    match COLLECTED.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Per-thread buffer wrapped in a flush-on-thread-exit guard.
-struct ThreadBuffer {
-    records: RefCell<Vec<TraceRecord>>,
-}
-
-impl Drop for ThreadBuffer {
-    fn drop(&mut self) {
-        let mut records = self.records.borrow_mut();
-        if !records.is_empty() {
-            collected().append(&mut records);
-        }
-    }
-}
-
 thread_local! {
-    static BUFFER: ThreadBuffer = ThreadBuffer {
-        records: RefCell::new(Vec::new()),
-    };
+    static BUFFER: RefCell<Vec<TraceRecord>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Record one trace entry on the current thread.
+/// Record one trace entry on the current thread, unless a pool region is
+/// running on it.
 #[inline]
 pub fn record(kind: TraceKind, name: &'static str) {
     #[cfg(feature = "telemetry")]
-    if crate::enabled() {
+    if crate::enabled() && !pool::in_region() {
         let record = TraceRecord {
-            lane: pool::current_lane(),
-            seq: pool::lane_next_seq(),
             kind,
             name,
             sim_micros: clock::sim_micros(),
             wall_nanos: clock::wall_nanos(),
         };
-        BUFFER.with(|buffer| buffer.records.borrow_mut().push(record));
+        BUFFER.with(|buffer| buffer.borrow_mut().push(record));
     }
     #[cfg(not(feature = "telemetry"))]
     {
         let _ = (kind, name);
     }
-}
-
-/// Flush the current thread's buffer into the global collector.
-pub fn flush_thread() {
-    BUFFER.with(|buffer| {
-        let mut records = buffer.records.borrow_mut();
-        if !records.is_empty() {
-            collected().append(&mut records);
-        }
-    });
 }
 
 /// A span in flight; records `Exit` when dropped.
@@ -177,23 +120,14 @@ macro_rules! event {
     };
 }
 
-/// Flush this thread, drain the collector, and return every record in the
-/// canonical `(lane, seq)` order. Leaves the collector empty.
-///
-/// Records from threads that are still alive and have not flushed are not
-/// seen — collect after parallel regions have joined (pool regions always
-/// have: their workers are scoped).
+/// Take this thread's records, in record order, leaving its buffer empty.
 pub fn take_records() -> Vec<TraceRecord> {
-    flush_thread();
-    let mut records = std::mem::take(&mut *collected());
-    records.sort_by_key(order_key);
-    records
+    BUFFER.with(|buffer| std::mem::take(&mut *buffer.borrow_mut()))
 }
 
-/// Discard all buffered and collected records on this thread and globally.
+/// Discard this thread's records.
 pub fn clear() {
-    BUFFER.with(|buffer| buffer.records.borrow_mut().clear());
-    collected().clear();
+    BUFFER.with(|buffer| buffer.borrow_mut().clear());
 }
 
 /// Render records as a JSON array. `deterministic` omits the wall stamps
@@ -202,11 +136,10 @@ pub fn clear() {
 pub fn trace_json(records: &[TraceRecord], deterministic: bool) -> json::Value {
     let rows = records
         .iter()
-        .map(|record| {
+        .zip(0u64..)
+        .map(|(record, seq)| {
             let mut row = json::Map::new();
-            row.insert("region".into(), json::Value::from(record.lane.0));
-            row.insert("slot".into(), json::Value::from(record.lane.1));
-            row.insert("seq".into(), json::Value::from(u64::from(record.seq)));
+            row.insert("seq".into(), json::Value::from(seq));
             row.insert("kind".into(), json::Value::from(record.kind.as_str()));
             row.insert("name".into(), json::Value::from(record.name));
             if let Some(sim) = record.sim_micros {
@@ -226,29 +159,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_nest_and_merge_deterministically() {
+    fn region_records_are_skipped_at_every_thread_count() {
         let _guard = crate::test_guard();
         crate::set_enabled(true);
-        clear();
-        let run = || {
+        for threads in [1, 2, 8] {
             clear();
-            iotlan_util::pool::reset_lane_state();
-            {
+            pool::with_threads(threads, || {
                 let _outer = span("outer");
                 event("point");
                 let results = pool::par_map_range(40, |i| {
                     let _inner = span("chunk_work");
+                    event("chunk_point");
                     i * 2
                 });
                 assert_eq!(results.len(), 40);
-            }
-            trace_json(&take_records(), true).to_string()
-        };
-        let serial = pool::with_threads(1, run);
-        let parallel = pool::with_threads(4, run);
-        assert_eq!(serial, parallel, "trace must not depend on thread count");
-        assert!(serial.contains("\"name\":\"outer\""));
-        assert!(serial.contains("\"name\":\"chunk_work\""));
+            });
+            let shape: Vec<(TraceKind, &str)> = take_records()
+                .iter()
+                .map(|record| (record.kind, record.name))
+                .collect();
+            assert_eq!(
+                shape,
+                [
+                    (TraceKind::Enter, "outer"),
+                    (TraceKind::Event, "point"),
+                    (TraceKind::Exit, "outer"),
+                ],
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

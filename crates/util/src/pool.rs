@@ -24,20 +24,16 @@
 //! runs everything inline on the calling thread — the serial reference the
 //! equivalence suite compares against.
 //!
-//! Two observability primitives ride on the same structure (DESIGN.md §9):
-//!
-//! * **Lanes** — every chunk executes inside a deterministic
-//!   `(region, slot)` lane ([`current_lane`]/[`lane_next_seq`]); telemetry
-//!   records tagged with `(lane, seq)` sort into one canonical order that
-//!   is independent of the thread count.
-//! * **Worker accounting** — per-slot chunk/task/steal/busy totals
-//!   ([`stats`]), merged once per worker per region, for run manifests.
-//!   Task counts are conserved (sum over workers == items mapped) at any
-//!   thread count; the per-slot *split* is scheduling-dependent and
-//!   reported as host-volatile data only.
+//! The pool also keeps per-slot chunk/task/steal/busy totals ([`stats`]),
+//! merged once per worker per region, for run manifests. Task counts are
+//! conserved (sum over workers == items mapped) at any thread count; the
+//! per-slot *split* is scheduling-dependent and reported as host-volatile
+//! data only. [`in_region`] tells telemetry that a region is running on
+//! this thread, so the trace can skip records whose thread would depend on
+//! the thread count (DESIGN.md §9).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -93,71 +89,31 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-// ---------------------------------------------------------------------------
-// Lane context: the deterministic coordinate system for telemetry.
-//
-// A *lane* is `(region, slot)`: `region` is a serial id handed out per
-// `par_map_range` call (in program order, so it is thread-count invariant),
-// and `slot` is the chunk index within that region (a pure function of the
-// input length). The calling thread outside any region sits on lane
-// `(0, 0)`. Code that records ordered artifacts from inside pool workers
-// (the telemetry trace buffers) tags each record with
-// `(current_lane(), lane_next_seq())`; sorting by that key reconstructs one
-// canonical order that cannot depend on which OS thread ran which chunk.
-
 thread_local! {
-    /// `((region, slot), next_seq)` for the current thread.
-    static LANE: Cell<((u64, u64), u32)> = const { Cell::new(((0, 0), 0)) };
+    /// Whether this thread is running a region's closure: set on every
+    /// worker, and on the caller while it runs a region inline.
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Serial region-id source. Region 0 is the implicit "outside any region"
-/// lane of the calling thread; real regions start at 1.
-static REGION_COUNTER: AtomicU64 = AtomicU64::new(1);
-
-/// The lane the current thread is recording into.
-pub fn current_lane() -> (u64, u64) {
-    LANE.with(|lane| lane.get().0)
+/// Whether the current thread is inside a `par_map*` region. Telemetry
+/// records nothing there: which thread runs a chunk, and so which buffer
+/// would hold the record, depends on the thread count.
+pub fn in_region() -> bool {
+    IN_REGION.with(Cell::get)
 }
 
-/// Claim the next per-lane sequence number on this thread. Each lane is
-/// executed by exactly one thread, so the per-thread counter *is* the
-/// lane's emission order.
-pub fn lane_next_seq() -> u32 {
-    LANE.with(|lane| {
-        let (coords, seq) = lane.get();
-        lane.set((coords, seq + 1));
-        seq
-    })
-}
-
-/// RAII guard restoring the previous lane (and its sequence counter).
-pub struct LaneGuard {
-    previous: ((u64, u64), u32),
-}
-
-impl Drop for LaneGuard {
-    fn drop(&mut self) {
-        LANE.with(|lane| lane.set(self.previous));
+/// Run `f` with [`in_region`] set, restoring the previous value after it,
+/// even when `f` panics, so that a nested region leaves an outer one
+/// marked.
+fn run_in_region<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_REGION.with(|flag| flag.set(self.0));
+        }
     }
-}
-
-/// Enter lane `(region, slot)` with a fresh sequence counter; the previous
-/// lane resumes (sequence intact) when the guard drops.
-pub fn enter_lane(region: u64, slot: u64) -> LaneGuard {
-    LANE.with(|lane| {
-        let previous = lane.get();
-        lane.set(((region, slot), 0));
-        LaneGuard { previous }
-    })
-}
-
-/// Reset the region counter and this thread's lane to the process-start
-/// state. Deterministic-telemetry tests call this (via
-/// `iotlan_telemetry::reset_all`) between repeated runs so region ids
-/// replay identically.
-pub fn reset_lane_state() {
-    REGION_COUNTER.store(1, Ordering::SeqCst);
-    LANE.with(|lane| lane.set(((0, 0), 0)));
+    let _restore = Restore(IN_REGION.with(|flag| flag.replace(true)));
+    f()
 }
 
 // ---------------------------------------------------------------------------
@@ -293,28 +249,18 @@ where
 {
     let threads = thread_count();
     let chunk = chunk_size(n);
-    // The region id is claimed serially on the caller, before any worker
-    // runs: region numbering is program order, never scheduling order.
-    let region = REGION_COUNTER.fetch_add(1, Ordering::Relaxed);
     note_region();
     if threads <= 1 || n <= chunk {
-        // Inline path: same chunk walk as the threaded path (identical
-        // lanes, so telemetry recorded here merges byte-identically), all
-        // chunks executed by worker slot 0.
-        let mut results = Vec::with_capacity(n);
-        let mut worker = WorkerStats::default();
+        // Inline path: every item in order on the caller, all chunks
+        // credited to worker slot 0.
         let started = Instant::now();
-        for chunk_index in 0..n.div_ceil(chunk) {
-            let _lane = enter_lane(region, chunk_index as u64);
-            let base = chunk_index * chunk;
-            let end = (base + chunk).min(n);
-            for index in base..end {
-                results.push(f(index));
-            }
-            worker.chunks += 1;
-            worker.tasks += (end - base) as u64;
-        }
-        worker.busy_nanos = started.elapsed().as_nanos() as u64;
+        let results = run_in_region(|| (0..n).map(&f).collect());
+        let worker = WorkerStats {
+            chunks: chunk_count(n) as u64,
+            tasks: n as u64,
+            steals: 0,
+            busy_nanos: started.elapsed().as_nanos() as u64,
+        };
         merge_worker_stats(0, &worker);
         return results;
     }
@@ -334,30 +280,31 @@ where
                 let next = &next;
                 let f = &f;
                 scope.spawn(move || {
-                    let mut worker = WorkerStats::default();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(index) else { break };
-                        let mut guard = match slot.lock() {
-                            Ok(guard) => guard,
-                            // A sibling worker panicked while holding nothing of
-                            // ours; poisoning is irrelevant to the slice.
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                        let started = Instant::now();
-                        let _lane = enter_lane(region, index as u64);
-                        let base = index * chunk;
-                        for (offset, out) in guard.iter_mut().enumerate() {
-                            *out = Some(f(base + offset));
+                    run_in_region(|| {
+                        let mut worker = WorkerStats::default();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(slot) = slots.get(index) else { break };
+                            let mut guard = match slot.lock() {
+                                Ok(guard) => guard,
+                                // A sibling worker panicked while holding nothing of
+                                // ours; poisoning is irrelevant to the slice.
+                                Err(poisoned) => poisoned.into_inner(),
+                            };
+                            let started = Instant::now();
+                            let base = index * chunk;
+                            for (offset, out) in guard.iter_mut().enumerate() {
+                                *out = Some(f(base + offset));
+                            }
+                            worker.chunks += 1;
+                            worker.tasks += guard.len() as u64;
+                            if index % workers != worker_slot {
+                                worker.steals += 1;
+                            }
+                            worker.busy_nanos += started.elapsed().as_nanos() as u64;
                         }
-                        worker.chunks += 1;
-                        worker.tasks += guard.len() as u64;
-                        if index % workers != worker_slot {
-                            worker.steals += 1;
-                        }
-                        worker.busy_nanos += started.elapsed().as_nanos() as u64;
-                    }
-                    merge_worker_stats(worker_slot, &worker);
+                        merge_worker_stats(worker_slot, &worker);
+                    })
                 });
             }
         });
@@ -495,36 +442,30 @@ mod tests {
     }
 
     #[test]
-    fn lanes_merge_identically_across_thread_counts() {
-        // Records tagged (lane, seq) and sorted must be byte-identical for
-        // any worker count — the contract the telemetry tracer builds on.
-        let run = |threads: usize| {
+    fn in_region_marks_region_code_and_is_restored_on_exit() {
+        for threads in [1, 2, 8] {
             with_threads(threads, || {
-                let records = Mutex::new(Vec::new());
-                let _ = par_map_range(700, |i| {
-                    let lane = current_lane();
-                    let seq = lane_next_seq();
-                    records.lock().unwrap().push((lane, seq, i));
-                });
-                let mut records = records.into_inner().unwrap();
-                records.sort();
-                records
-            })
-        };
-        let sorted_one = run(1);
-        // Relabel regions: each run claims fresh region ids, so compare
-        // shapes with the region offset removed.
-        let normalize = |records: &[((u64, u64), u32, usize)]| {
-            let base = records.first().map(|((r, _), _, _)| *r).unwrap_or(0);
-            records
-                .iter()
-                .map(|((r, s), q, i)| ((r - base, *s), *q, *i))
-                .collect::<Vec<_>>()
-        };
-        let base = normalize(&sorted_one);
-        for threads in [2, 8] {
-            assert_eq!(normalize(&run(threads)), base, "threads={threads}");
+                assert!(!in_region(), "threads={threads}");
+                // Outer regions of 64 and 2 items run on the caller at one
+                // thread and on workers otherwise; inner regions of 1 item
+                // run inline and of 4 items on workers (above one thread).
+                for (outer, inner) in [(64, 1), (2, 4)] {
+                    let marks = par_map_range(outer, |_| {
+                        let inside = par_map_range(inner, |_| in_region());
+                        (inside, in_region())
+                    });
+                    for (inside, after) in marks {
+                        assert!(inside.into_iter().all(|mark| mark), "threads={threads}");
+                        assert!(after, "a nested region unmarked its outer one");
+                    }
+                    assert!(!in_region(), "threads={threads}");
+                }
+            });
         }
+        let _ = std::panic::catch_unwind(|| {
+            with_threads(1, || par_map_range(3, |_| -> usize { panic!("inline") }))
+        });
+        assert!(!in_region(), "a panicking inline region stays marked");
     }
 
     #[test]
@@ -544,20 +485,6 @@ mod tests {
                 assert!(stats.workers.len() <= threads.max(1));
             });
         }
-    }
-
-    #[test]
-    fn lane_guard_restores_outer_lane_and_seq() {
-        LANE.with(|lane| lane.set(((0, 0), 0)));
-        let outer_seq = lane_next_seq();
-        {
-            let _guard = enter_lane(42, 7);
-            assert_eq!(current_lane(), (42, 7));
-            assert_eq!(lane_next_seq(), 0, "fresh lane starts at seq 0");
-            assert_eq!(lane_next_seq(), 1);
-        }
-        assert_eq!(current_lane(), (0, 0));
-        assert_eq!(lane_next_seq(), outer_seq + 1, "outer seq resumes");
     }
 
     #[test]

@@ -182,12 +182,6 @@ impl PcapStreamReader {
         self.buffer.len() - self.consumed
     }
 
-    /// Absolute stream offset of the next byte to be parsed — where the
-    /// in-progress header or record begins.
-    pub fn stream_offset(&self) -> u64 {
-        self.absolute
-    }
-
     fn pending(&self) -> &[u8] {
         &self.buffer[self.consumed..]
     }
@@ -561,7 +555,6 @@ mod tests {
         assert_eq!(error.kind, Error::Truncated);
         assert_eq!(error.offset, record2_start);
         assert!(error.context.contains("mid-record"), "{}", error.context);
-        assert_eq!(reader.stream_offset(), record2_start);
     }
 
     #[test]

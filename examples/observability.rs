@@ -69,10 +69,10 @@ fn main() {
         format!("{}\n", telemetry::flame_json(&flame, true).pretty()),
     )
     .expect("write flamegraph");
-    // Calls, not sim time: most spans bracket whole pool tasks or lab
-    // phases, which run outside the simulated clock (it is only published
-    // inside the event loop), so call counts are the metric every frame
-    // actually carries.
+    // Calls, not sim time: the spans bracket lab phases, the stream pass's
+    // finish and the scan campaign, which run outside the simulated clock
+    // (it is only published inside the event loop), so call counts are the
+    // metric every frame actually carries.
     fs::write(
         out_dir.join("flame.collapsed"),
         telemetry::collapsed_stacks(&flame, FlameMetric::Calls),

@@ -49,6 +49,8 @@
 #     perf_stream) must report "correct":true on its last line — every
 #     artifact digest matches ttpbench/ledger.txt and the streaming report
 #     matches the batch analyses
+# 12. line count: scripts/loc.sh prints the net non-test Rust lines per
+#     crate and in total (a report, not a gate)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -224,5 +226,8 @@ for workload in fast perf_stream; do
         exit 1
     fi
 done
+
+echo "==> net non-test Rust lines (report only)"
+./scripts/loc.sh
 
 echo "verify: OK"
