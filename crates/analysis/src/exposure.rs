@@ -3,7 +3,6 @@
 //! captured payloads (not configuration) for each exposure type.
 
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_inspector::ident;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -92,10 +91,9 @@ const TABLE1_PROTOCOLS: &[&str] = &["ARP", "DHCP", "mDNS", "SSDP", "TuyaLP", "TP
 
 /// Scan a flow table's payload samples and build the matrix.
 pub fn exposure_matrix(table: &FlowTable) -> ExposureMatrix {
-    let rules = paper_rules();
     let mut matrix = ExposureMatrix::default();
-    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
-        let protocol = classify_with_truth(flow, truth, &rules);
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
+        let protocol = labels.paper;
         if !TABLE1_PROTOCOLS.contains(&protocol) {
             continue;
         }

@@ -3,7 +3,6 @@
 //! render them like the paper's appendix.
 
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_truth, paper_rules};
 
 /// One rendered example.
 #[derive(Debug, Clone)]
@@ -14,11 +13,10 @@ pub struct PayloadExample {
 
 /// Extract up to one example per Table 5 protocol from a flow table.
 pub fn payload_examples(table: &FlowTable) -> Vec<PayloadExample> {
-    let rules = paper_rules();
     let wanted = ["SSDP", "mDNS", "NETBIOS", "TPLINK_SHP", "TuyaLP"];
     let mut out: Vec<PayloadExample> = Vec::new();
-    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
-        let protocol = classify_with_truth(flow, truth, &rules);
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
+        let protocol = labels.paper;
         let protocol = if protocol == "NETBIOS" {
             "NETBIOS"
         } else {

@@ -14,7 +14,6 @@
 //! FFT.
 
 use iotlan_classify::flow::{Flow, FlowTable};
-use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_classify::Label;
 use iotlan_util::pool;
 use iotlan_wire::ethernet::EthernetAddress;
@@ -401,13 +400,12 @@ pub fn analyze_periodicity(table: &FlowTable) -> PeriodicityReport {
 /// The detectors' input: each (source, destination, protocol) group's
 /// packet times in seconds, sorted.
 pub fn group_events(table: &FlowTable) -> BTreeMap<GroupKey, Vec<f64>> {
-    let rules = paper_rules();
     let mut groups: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
-    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
         let key = GroupKey {
             src_mac: flow.key.src_mac,
             destination: destination_bucket(flow),
-            protocol: classify_with_truth(flow, truth, &rules).to_string(),
+            protocol: labels.paper.to_string(),
         };
         let entry = groups.entry(key).or_default();
         entry.extend(flow.timestamps.iter().map(|t| t.as_secs_f64()));

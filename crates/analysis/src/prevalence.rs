@@ -3,7 +3,6 @@
 //! active scans, and the percentage of apps using it.
 
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_devices::Catalog;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,15 +54,14 @@ impl Prevalence {
 /// *observed* emitting each protocol. (Distinct from the configured support
 /// set: §4.2 notes passive capture misses protocols that need a peer.)
 pub fn passive_prevalence(table: &FlowTable, catalog: &Catalog) -> Prevalence {
-    let rules = paper_rules();
     let device_macs: BTreeSet<_> = catalog.devices.iter().map(|d| d.mac).collect();
     let mut per_device: BTreeMap<iotlan_wire::ethernet::EthernetAddress, BTreeSet<String>> =
         BTreeMap::new();
-    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
         if !device_macs.contains(&flow.key.src_mac) {
             continue; // phones/scanners/router are not devices for Fig. 2
         }
-        let label = classify_with_truth(flow, truth, &rules);
+        let label = labels.paper;
         per_device
             .entry(flow.key.src_mac)
             .or_default()

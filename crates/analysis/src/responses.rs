@@ -28,7 +28,6 @@
 //! [`ResponseMatcher::records`] once each flow's evidence is complete.
 
 use iotlan_classify::flow::{Flow, FlowTable, Transport};
-use iotlan_classify::rules::{classify_with_truth, paper_rules};
 use iotlan_devices::{Catalog, Category};
 use iotlan_netsim::SimTime;
 use iotlan_wire::ethernet::EthernetAddress;
@@ -340,18 +339,17 @@ impl ResponseMatcher {
     }
 
     /// Per-device records: each discovery flow of `table` (the table the
-    /// observed flow indices refer to) is labelled with the paper's rules,
-    /// excluded protocols are dropped, and the matches are attributed to
+    /// observed flow indices refer to) takes its paper-pipeline label from
+    /// the table, excluded protocols are dropped, and the matches are attributed to
     /// the labels that remain.
     pub fn records(&self, table: &FlowTable) -> BTreeMap<EthernetAddress, DeviceRecord> {
-        let rules = paper_rules();
-        let truth = table.truth_labels();
+        let labels = table.labels();
         let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
         for (index, flow) in table.flows.iter().enumerate() {
             if !matches!(self.role(flow), Some(Role::Discovery)) {
                 continue;
             }
-            let label = classify_with_truth(flow, truth[index], &rules);
+            let label = labels[index].paper;
             if EXCLUDED_PROTOCOLS.contains(&label) {
                 continue;
             }
@@ -765,15 +763,14 @@ mod oracle {
         }
 
         pub fn records(&self, table: &FlowTable) -> BTreeMap<EthernetAddress, DeviceRecord> {
-            let rules = paper_rules();
-            let truth = table.truth_labels();
+            let flow_labels = table.labels();
             let mut labels: HashMap<usize, &'static str> = HashMap::new();
             let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
             for (index, flow) in table.flows.iter().enumerate() {
                 if !matches!(self.role(flow), Some(Role::Discovery)) {
                     continue;
                 }
-                let label = classify_with_truth(flow, truth[index], &rules);
+                let label = flow_labels[index].paper;
                 if EXCLUDED_PROTOCOLS.contains(&label) {
                     continue;
                 }

@@ -4,17 +4,16 @@
 
 use iotlan_bench::bench_lab;
 use iotlan_core::classify::flow::Transport;
-use iotlan_core::classify::rules::{classify_with_rules, paper_rules};
-use iotlan_core::classify::{ndpi, truth, tshark};
+use iotlan_core::classify::{Flow, FlowLabels};
 use iotlan_util::bench::Criterion;
 
 fn bench(c: &mut Criterion) {
     let lab = bench_lab();
     let table = lab.flow_table();
-    let rules = paper_rules();
+    let labels = table.labels();
 
     // Ports-only strawman: the label is whatever the well-known port says.
-    let ports_only = |flow: &iotlan_core::classify::Flow| -> &'static str {
+    let ports_only = |flow: &Flow| -> &'static str {
         match flow.key.transport {
             Transport::Udp | Transport::UdpV6 => match (flow.key.src_port, flow.key.dst_port) {
                 (_, 5353) | (5353, _) => "mDNS",
@@ -38,39 +37,31 @@ fn bench(c: &mut Criterion) {
         }
     };
 
-    let score = |classifier: &dyn Fn(&iotlan_core::classify::Flow) -> &'static str| -> f64 {
-        let mut correct = 0usize;
-        for flow in &table.flows {
-            if classifier(flow) == truth::label_flow(flow) {
-                correct += 1;
-            }
-        }
+    // The share of flows whose label from `classifier` is the truth.
+    let score = |classifier: &dyn Fn(&Flow, &FlowLabels) -> &'static str| -> f64 {
+        let correct = table
+            .flows
+            .iter()
+            .zip(labels)
+            .filter(|(flow, labels)| classifier(flow, labels) == labels.truth)
+            .count();
         correct as f64 / table.flows.len().max(1) as f64
     };
 
     println!("== Ablation: classifier layering (accuracy vs ground truth) ==");
-    println!("ports-only       {:.1}%", 100.0 * score(&ports_only));
     println!(
-        "tshark model     {:.1}%",
-        100.0 * score(&|f| tshark::classify(f))
+        "ports-only       {:.1}%",
+        100.0 * score(&|f, _| ports_only(f))
     );
-    println!(
-        "nDPI model       {:.1}%",
-        100.0 * score(&|f| ndpi::classify(f))
-    );
+    println!("tshark model     {:.1}%", 100.0 * score(&|_, l| l.tshark));
+    println!("nDPI model       {:.1}%", 100.0 * score(&|_, l| l.ndpi));
     println!(
         "nDPI + manual    {:.1}%   <- the paper's pipeline",
-        100.0 * score(&|f| classify_with_rules(f, &rules))
+        100.0 * score(&|_, l| l.paper)
     );
 
     c.bench_function("ablation/ndpi_plus_rules", |b| {
-        b.iter(|| {
-            table
-                .flows
-                .iter()
-                .filter(|f| classify_with_rules(f, &rules) == truth::label_flow(f))
-                .count()
-        })
+        b.iter(|| score(&|_, l| l.paper))
     });
 }
 

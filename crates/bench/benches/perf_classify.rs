@@ -5,12 +5,13 @@
 //! timed `reps` times over the `fast` idle capture, with the median rate
 //! and `min`/`max` bounding it:
 //! * `flow_assembly`: one `FlowTable::from_capture`, in `frames_per_sec`;
-//! * `flow_labels`: one cold `FlowTable::truth_labels` pass over a freshly
-//!   assembled table (so no rep reads the memo), in `flows_per_sec`.
+//! * `flow_labels`: one cold `FlowTable::labels` pass over a freshly
+//!   assembled table (so no rep reads the memo), in `flows_per_sec`. The
+//!   pass computes all four labels of each flow: the ground truth, nDPI's,
+//!   tshark's and the paper pipeline's.
 
 use iotlan_bench::{emit_line, per_sec};
-use iotlan_core::classify::rules::{classify_with_rules, paper_rules};
-use iotlan_core::classify::{truth, FlowTable};
+use iotlan_core::classify::FlowTable;
 use iotlan_core::{Lab, LabConfig};
 use iotlan_util::bench::{Criterion, Throughput};
 use iotlan_util::json;
@@ -26,22 +27,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("flow_assembly", |b| {
         b.iter(|| FlowTable::from_capture(capture))
     });
-    let table = FlowTable::from_capture(capture);
-    let rules = paper_rules();
-    group.throughput(Throughput::Elements(table.len() as u64));
-    group.bench_function("ndpi_with_rules", |b| {
-        b.iter(|| {
-            table
-                .flows
-                .iter()
-                .map(|f| classify_with_rules(f, &rules))
-                .count()
-        })
-    });
-    group.bench_function("ground_truth", |b| {
-        b.iter(|| table.flows.iter().map(truth::label_flow).count())
-    });
     group.finish();
+    let flows = FlowTable::from_capture(capture).len();
 
     // Machine-readable throughput lines, one sample per rep: capture
     // frames assembled into flows per wall second, then flows labelled per
@@ -60,11 +47,11 @@ fn bench(c: &mut Criterion) {
         .map(|_| {
             let fresh = FlowTable::from_capture(capture);
             let start = Instant::now();
-            std::hint::black_box(fresh.truth_labels());
+            std::hint::black_box(fresh.labels());
             start.elapsed().as_nanos() as f64
         })
         .collect();
-    emit_rate("flow_labels", "flows", table.len(), labelling);
+    emit_rate("flow_labels", "flows", flows, labelling);
 }
 
 /// Emit a `throughput` line for `count` items (`"<unit>"`) handled once in

@@ -4,9 +4,8 @@
 //! of flows, nDPI ~74%, the tools disagreed on ~16%, neither labelled
 //! ~7.5%) and the full confusion matrix rendered as a text heatmap.
 
-use crate::flow::{Flow, FlowTable};
+use crate::flow::FlowTable;
 use crate::{labels, ndpi, tshark, Label};
-use iotlan_util::pool;
 use std::collections::BTreeMap;
 
 /// The confusion matrix: (nDPI label, tshark label) → flow count.
@@ -20,14 +19,6 @@ impl Matrix {
     pub fn add(&mut self, ndpi_label: Label, tshark_label: Label) {
         *self.cells.entry((ndpi_label, tshark_label)).or_insert(0) += 1;
         self.total += 1;
-    }
-
-    /// Fold another matrix into this one (cell-wise sum).
-    pub fn merge(&mut self, other: Matrix) {
-        for (key, count) in other.cells {
-            *self.cells.entry(key).or_insert(0) += count;
-        }
-        self.total += other.total;
     }
 
     /// Row labels (nDPI), sorted.
@@ -96,7 +87,7 @@ pub struct CrossValidation {
     pub ssdp_share: f64,
 }
 
-/// Running tallies for one slice of flows; merged in input order.
+/// Running tallies over a table's flows.
 #[derive(Default)]
 struct Tallies {
     matrix: Matrix,
@@ -111,9 +102,7 @@ struct Tallies {
 }
 
 impl Tallies {
-    fn add(&mut self, flow: &Flow, truth: Label) {
-        let n = ndpi::classify_with_truth(flow, truth);
-        let t = tshark::classify_with_truth(flow, truth);
+    fn add(&mut self, n: Label, t: Label) {
         self.matrix.add(n, t);
         let n_ok = ndpi::is_labeled(n);
         let t_ok = tshark::is_labeled(t);
@@ -135,16 +124,6 @@ impl Tallies {
                 self.ndpi_only_ssdp += 1;
             }
         }
-    }
-
-    fn merge(&mut self, other: Tallies) {
-        self.matrix.merge(other.matrix);
-        self.tshark_labeled += other.tshark_labeled;
-        self.ndpi_labeled += other.ndpi_labeled;
-        self.disagree += other.disagree;
-        self.neither += other.neither;
-        self.ndpi_only += other.ndpi_only;
-        self.ndpi_only_ssdp += other.ndpi_only_ssdp;
     }
 
     fn into_crossval(self, flow_count: usize) -> CrossValidation {
@@ -169,26 +148,14 @@ impl Tallies {
     }
 }
 
-/// Run both classifiers over every flow, from the table's ground-truth
-/// labels. Classification is per-flow pure, so the table fans out across
-/// the pool; tallies merge in flow order.
+/// Tally both tools' labels of every flow, read from the table's labels:
+/// one lookup per flow, so the fold runs serially.
 pub fn cross_validate(table: &FlowTable) -> CrossValidation {
-    let truth = table.truth_labels();
-    let tallies = pool::par_map_reduce(
-        &table.flows,
-        Tallies::default,
-        |acc, index, flow| acc.add(flow, truth[index]),
-        Tallies::merge,
-    );
-    tallies.into_crossval(table.flows.len())
-}
-
-/// A convenience check used by tests and benches: does a flow make both
-/// tools agree on the truth?
-pub fn tools_agree_correctly(flow: &Flow) -> bool {
-    let truth = crate::truth::label_flow(flow);
-    ndpi::classify_with_truth(flow, truth) == truth
-        && tshark::classify_with_truth(flow, truth) == truth
+    let mut tallies = Tallies::default();
+    for labels in table.labels() {
+        tallies.add(labels.ndpi, labels.tshark);
+    }
+    tallies.into_crossval(table.len())
 }
 
 #[cfg(test)]
@@ -309,6 +276,7 @@ mod tests {
                 &query.to_bytes(),
             ),
         );
-        assert!(tools_agree_correctly(&table.flows[0]));
+        let labels = table.labels()[0];
+        assert_eq!((labels.ndpi, labels.tshark), (labels.truth, labels.truth));
     }
 }

@@ -6,7 +6,7 @@
 //! (ICMP, IGMP) become pseudo-flows so the classifier comparison covers
 //! every captured frame, as the paper's 366K-packet corpus did.
 
-use crate::{truth, Label};
+use crate::{ndpi, rules, truth, tshark, Label};
 use iotlan_netsim::stack::{self, Content};
 use iotlan_netsim::{Capture, SimTime};
 use iotlan_util::pool;
@@ -254,22 +254,51 @@ pub fn dissect_frame(data: &[u8]) -> Option<FrameEvidence<'_>> {
     })
 }
 
+/// Every label an artifact reads for one flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowLabels {
+    /// The strict-parse ground truth (`truth::label_flow`).
+    pub truth: Label,
+    /// The nDPI model's label: Fig. 3's rows.
+    pub ndpi: Label,
+    /// The tshark model's label: Fig. 3's columns.
+    pub tshark: Label,
+    /// nDPI's label after the paper's corrections (§3.5): what Fig. 2,
+    /// Tables 1/4/5, §5.1 and App. D.1 read.
+    pub paper: Label,
+}
+
+impl FlowLabels {
+    /// Label one flow: parse its payload once for the truth, derive both
+    /// tools' labels from it, then correct nDPI's.
+    fn of(flow: &Flow) -> FlowLabels {
+        let truth = truth::label_flow(flow);
+        let ndpi = ndpi::classify_with_truth(flow, truth);
+        FlowLabels {
+            truth,
+            ndpi,
+            tshark: tshark::classify_with_truth(flow, truth),
+            paper: rules::correct(flow, ndpi),
+        }
+    }
+}
+
 /// The assembled flow table for one capture.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     /// The flows in first-seen order. Read it freely, but mutate it only
     /// through [`FlowTable::add_evidence`] (or the `add_frame` and
     /// `from_capture` built on it): that is what clears the label memo, so
-    /// any other writer would leave [`FlowTable::truth_labels`] stale.
+    /// any other writer would leave [`FlowTable::labels`] stale.
     pub flows: Vec<Flow>,
     index: HashMap<FlowKey, usize>,
     /// Arrival times kept per flow; later packets are still counted.
     timestamp_cap: usize,
     /// Bytes of the arrival times and payload samples the flows keep.
     evidence_bytes: usize,
-    /// `truth::label_flow` of each flow, in `flows` order, filled on the
-    /// first [`FlowTable::truth_labels`] call.
-    truth: OnceLock<Vec<Label>>,
+    /// The labels of each flow, in `flows` order, filled on the first
+    /// [`FlowTable::labels`] call.
+    labels: OnceLock<Vec<FlowLabels>>,
 }
 
 impl Default for FlowTable {
@@ -288,13 +317,14 @@ impl FlowTable {
             index: HashMap::new(),
             timestamp_cap: cap,
             evidence_bytes: 0,
-            truth: OnceLock::new(),
+            labels: OnceLock::new(),
         }
     }
 
-    /// Assemble flows from a capture, respecting the paper's local-traffic
-    /// filter (Appendix C.1): keep local↔local IP traffic, all Ethernet
-    /// multicast/broadcast, and non-IP unicast.
+    /// Assemble flows from every frame of a capture. No filter is applied:
+    /// the lab captures only local traffic, and
+    /// `tests/wire_interop.rs::local_filter_covers_capture` shows that the
+    /// Appendix C.1 filter keeps every frame.
     pub fn from_capture(capture: &Capture) -> FlowTable {
         let mut table = FlowTable::default();
         for frame in capture.frames() {
@@ -324,7 +354,7 @@ impl FlowTable {
             payload,
         } = evidence;
         let payload = payload.filter(|p| !p.is_empty());
-        self.truth.take();
+        self.labels.take();
         let index = *self.index.entry(key).or_insert_with(|| {
             self.flows.push(Flow {
                 key,
@@ -362,15 +392,15 @@ impl FlowTable {
         self.evidence_bytes
     }
 
-    /// The ground-truth label of every flow, in `flows` order: each flow's
-    /// `truth::label_flow`, computed once across the pool and kept until
-    /// the next frame is added. A label is a pure function of the flow's
-    /// key and first payload, so the vector is the same at any thread
-    /// count. Call it before entering a pool region, never inside one.
-    pub fn truth_labels(&self) -> &[Label] {
-        self.truth.get_or_init(|| {
+    /// The labels of every flow, in `flows` order, computed once across
+    /// the pool and kept until the next frame is added. Labels are a pure
+    /// function of the flow's key and first payload, so the vector is the
+    /// same at any thread count. Call it before entering a pool region,
+    /// never inside one.
+    pub fn labels(&self) -> &[FlowLabels] {
+        self.labels.get_or_init(|| {
             iotlan_telemetry::counter!("classify.flows_labelled").add(self.flows.len() as u64);
-            pool::par_map(&self.flows, |_, flow| truth::label_flow(flow))
+            pool::par_map(&self.flows, |_, flow| FlowLabels::of(flow))
         })
     }
 
@@ -398,7 +428,6 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ndpi, rules, tshark};
     use iotlan_netsim::stack::Endpoint;
     use iotlan_util::check::Gen;
     use iotlan_wire::{dhcpv4, dns, http, rtp, ssdp, stun, tls, tplink, tuya};
@@ -612,32 +641,30 @@ mod tests {
         }
     }
 
-    /// Every memo entry against a fresh per-flow labelling, and each
-    /// classifier fed from the memo against its per-flow wrapper.
-    fn assert_memo_matches_per_flow(table: &FlowTable) {
-        let rules = rules::paper_rules();
-        let memo = table.truth_labels();
+    /// Every memo entry against its classifier core applied to a fresh
+    /// ground-truth labelling of its flow.
+    fn assert_labels_are_their_classifier_cores(table: &FlowTable) {
+        let memo = table.labels();
         assert_eq!(memo.len(), table.len());
-        for (flow, &label) in table.flows.iter().zip(memo) {
-            assert_eq!(label, truth::label_flow(flow), "{:?}", flow.key);
-            assert_eq!(ndpi::classify_with_truth(flow, label), ndpi::classify(flow));
-            assert_eq!(
-                tshark::classify_with_truth(flow, label),
-                tshark::classify(flow)
-            );
-            assert_eq!(
-                rules::classify_with_truth(flow, label, &rules),
-                rules::classify_with_rules(flow, &rules)
-            );
+        for (flow, labels) in table.flows.iter().zip(memo) {
+            let truth = truth::label_flow(flow);
+            let ndpi = ndpi::classify_with_truth(flow, truth);
+            let expected = FlowLabels {
+                truth,
+                ndpi,
+                tshark: tshark::classify_with_truth(flow, truth),
+                paper: rules::correct(flow, ndpi),
+            };
+            assert_eq!(*labels, expected, "{:?}", flow.key);
         }
     }
 
     iotlan_util::props! {
-        /// The label memo equals `truth::label_flow` of every flow, the
-        /// classifiers read from it equal their per-flow wrappers, and
-        /// frames added after labelling (a first payload for a flow that
-        /// had none, a new flow) leave it equal to a fresh table's.
-        fn truth_labels_match_per_flow_labelling(g) {
+        /// Each field of the label memo equals its classifier core applied
+        /// to `truth::label_flow` of its flow, and frames added after
+        /// labelling (a first payload for a flow that had none, a new flow)
+        /// leave the memo equal to a fresh table's.
+        fn flow_labels_are_their_classifier_cores(g) {
             // An SSDP flow whose first frame is empty: UNKNOWN until its
             // M-SEARCH arrives.
             let silent = |payload: &[u8]| {
@@ -649,8 +676,8 @@ mod tests {
             for (i, frame) in frames.iter().enumerate() {
                 table.add_frame(SimTime::from_secs(i as u64), frame);
             }
-            assert_memo_matches_per_flow(&table);
-            assert_eq!(table.truth_labels()[0], crate::labels::UNKNOWN);
+            assert_labels_are_their_classifier_cores(&table);
+            assert_eq!(table.labels()[0].truth, crate::labels::UNKNOWN);
 
             let query = dns::Message::mdns_query(&[("_ipp._tcp.local", dns::RecordType::Ptr)]);
             frames.push(silent(&ssdp::Message::msearch("ssdp:all", 3).to_bytes()));
@@ -670,9 +697,9 @@ mod tests {
             for (i, frame) in frames.iter().enumerate() {
                 fresh.add_frame(SimTime::from_secs(i as u64), frame);
             }
-            assert_eq!(table.truth_labels(), fresh.truth_labels());
-            assert_eq!(table.truth_labels()[0], crate::labels::SSDP);
-            assert_memo_matches_per_flow(&table);
+            assert_eq!(table.labels(), fresh.labels());
+            assert_eq!(table.labels()[0].truth, crate::labels::SSDP);
+            assert_labels_are_their_classifier_cores(&table);
         }
     }
 

@@ -6,7 +6,8 @@
 //! * [`localfilter`] implements the Appendix C.1 local-traffic filter
 //!   (local↔local IP unicast + all multicast/broadcast + non-IP unicast);
 //! * [`flow`] assembles RFC 6146 flows (5-tuple TCP/UDP, plus L2 pseudo-
-//!   flows for ARP/EAPOL/other non-IP traffic) from a capture;
+//!   flows for ARP/EAPOL/other non-IP traffic) from a capture, and labels
+//!   each flow once with all four labels below (`FlowTable::labels`);
 //! * [`truth`] labels flows with ground truth by strictly parsing payloads
 //!   with the `iotlan-wire` parsers — the oracle the paper lacked;
 //! * [`ndpi`] models nDPI v4.7.0: signature/behaviour detection *including
@@ -14,8 +15,8 @@
 //!   RTP→STUN on Google's 10000–10010, RTP missed on random ports);
 //! * [`tshark`] models tshark v3.6.2: port/spec dissection including its
 //!   error modes (SSDP mislabelled as generic transport or TPLINK-SHP);
-//! * [`rules`] is the paper's manual-rule augmentation layer on top of
-//!   nDPI;
+//! * [`rules`] applies the paper's four manual corrections to nDPI's
+//!   label;
 //! * [`crossval`] computes the tool-agreement matrix of Figure 3.
 
 pub mod crossval;
@@ -27,7 +28,7 @@ pub mod truth;
 pub mod tshark;
 
 pub use crossval::{CrossValidation, Matrix};
-pub use flow::{Flow, FlowKey, FlowTable, Transport};
+pub use flow::{Flow, FlowKey, FlowLabels, FlowTable, Transport};
 
 /// A protocol label, as produced by a classifier. `&'static str` constants
 /// below define the shared vocabulary; tools may also emit their own

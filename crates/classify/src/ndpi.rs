@@ -15,19 +15,13 @@
 //!   detected; LIFX is not in its dictionary.
 
 use crate::flow::{Flow, Transport};
-use crate::{labels, truth, Label};
-use iotlan_wire::ethernet::EthernetAddress;
+use crate::{labels, Label};
 
 /// The Nintendo OUI whose EAPOL frames nDPI calls AmazonAWS.
 const NINTENDO_OUI: [u8; 3] = [0x98, 0xb6, 0xe9];
 
-/// Classify a flow the way nDPI would.
-pub fn classify(flow: &Flow) -> Label {
-    classify_with_truth(flow, truth::label_flow(flow))
-}
-
-/// [`classify`] for a flow whose ground-truth label is already known
-/// (`FlowTable::truth_labels`), so its payload is not parsed again.
+/// Classify a flow the way nDPI would, from its ground-truth label
+/// (`FlowTable::labels` runs this once per flow).
 pub fn classify_with_truth(flow: &Flow, true_label: Label) -> Label {
     match flow.key.transport {
         Transport::L2(0x888e) => {
@@ -78,17 +72,13 @@ pub fn is_labeled(label: Label) -> bool {
     label != labels::UNKNOWN && label != labels::UNKNOWN_L3
 }
 
-/// Convenience: MAC address of a flow's source as used by the error models.
-pub fn source_mac(flow: &Flow) -> EthernetAddress {
-    flow.key.src_mac
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::{FlowKey, FlowTable};
     use iotlan_netsim::stack::{self, Endpoint};
     use iotlan_netsim::SimTime;
+    use iotlan_wire::ethernet::EthernetAddress;
     use std::net::Ipv4Addr;
 
     fn ep(last: u8) -> Endpoint {
@@ -98,10 +88,11 @@ mod tests {
         }
     }
 
-    fn one_flow(frame: Vec<u8>) -> Flow {
+    /// nDPI's label of the one flow `frame` makes.
+    fn classify(frame: Vec<u8>) -> Label {
         let mut table = FlowTable::default();
         table.add_frame(SimTime::ZERO, &frame);
-        table.flows.into_iter().next().unwrap()
+        table.labels()[0].ndpi
     }
 
     #[test]
@@ -123,11 +114,11 @@ mod tests {
             payload_samples: vec![],
             timestamps: vec![SimTime::ZERO],
         };
-        assert_eq!(classify(&flow), labels::AMAZONAWS);
+        assert_eq!(classify_with_truth(&flow, labels::EAPOL), labels::AMAZONAWS);
         // Non-Nintendo EAPOL stays EAPOL.
         let mut other = flow.clone();
         other.key.src_mac = EthernetAddress([2, 0, 0, 0, 0, 1]);
-        assert_eq!(classify(&other), labels::EAPOL);
+        assert_eq!(classify_with_truth(&other, labels::EAPOL), labels::EAPOL);
     }
 
     #[test]
@@ -142,38 +133,38 @@ mod tests {
         }
         .to_bytes();
         payload.extend_from_slice(&[0xAD; 64]);
-        let flow = one_flow(stack::udp_unicast(ep(1), ep(2), 40000, 10005, &payload));
-        assert_eq!(classify(&flow), labels::STUN);
+        let frame = stack::udp_unicast(ep(1), ep(2), 40000, 10005, &payload);
+        assert_eq!(classify(frame), labels::STUN);
     }
 
     #[test]
     fn ssdp_ciscovpn_slice() {
         let msearch = iotlan_wire::ssdp::Message::msearch("ssdp:all", 3).to_bytes();
         // src port ≡ 3 (mod 16) triggers the false positive.
-        let bad = one_flow(stack::udp_multicast(
+        let bad = classify(stack::udp_multicast(
             ep(1),
             Ipv4Addr::new(239, 255, 255, 250),
             50003,
             1900,
             &msearch,
         ));
-        assert_eq!(classify(&bad), labels::CISCOVPN);
-        let good = one_flow(stack::udp_multicast(
+        assert_eq!(bad, labels::CISCOVPN);
+        let good = classify(stack::udp_multicast(
             ep(1),
             Ipv4Addr::new(239, 255, 255, 250),
             50004,
             1900,
             &msearch,
         ));
-        assert_eq!(classify(&good), labels::SSDP);
+        assert_eq!(good, labels::SSDP);
     }
 
     #[test]
     fn lifx_unknown() {
         let lifx = iotlan_wire::lifx::Header::get_service(1, 1);
-        let flow = one_flow(stack::udp_broadcast(ep(1), 41002, 56700, &lifx.to_bytes()));
-        assert_eq!(classify(&flow), labels::UNKNOWN);
-        assert!(!is_labeled(classify(&flow)));
+        let label = classify(stack::udp_broadcast(ep(1), 41002, 56700, &lifx.to_bytes()));
+        assert_eq!(label, labels::UNKNOWN);
+        assert!(!is_labeled(label));
     }
 
     #[test]
@@ -182,13 +173,13 @@ mod tests {
             "_hue._tcp.local",
             iotlan_wire::dns::RecordType::Ptr,
         )]);
-        let flow = one_flow(stack::udp_multicast(
+        let label = classify(stack::udp_multicast(
             ep(1),
             Ipv4Addr::new(224, 0, 0, 251),
             5353,
             5353,
             &query.to_bytes(),
         ));
-        assert_eq!(classify(&flow), labels::MDNS);
+        assert_eq!(label, labels::MDNS);
     }
 }

@@ -11,15 +11,10 @@
 //!   services on non-standard ports are `TCP`/`UDP` generic.
 
 use crate::flow::{Flow, Transport};
-use crate::{labels, truth, Label};
+use crate::{labels, Label};
 
-/// Classify a flow the way tshark would.
-pub fn classify(flow: &Flow) -> Label {
-    classify_with_truth(flow, truth::label_flow(flow))
-}
-
-/// [`classify`] for a flow whose ground-truth label is already known
-/// (`FlowTable::truth_labels`), so its payload is not parsed again.
+/// Classify a flow the way tshark would, from its ground-truth label
+/// (`FlowTable::labels` runs this once per flow).
 pub fn classify_with_truth(flow: &Flow, true_label: Label) -> Label {
     match flow.key.transport {
         Transport::L2(0x0806) => labels::ARP,
@@ -107,30 +102,30 @@ mod tests {
         }
     }
 
-    fn one_flow(frame: Vec<u8>) -> Flow {
+    /// tshark's label of the one flow `frame` makes.
+    fn classify(frame: Vec<u8>) -> Label {
         let mut table = FlowTable::default();
         table.add_frame(SimTime::ZERO, &frame);
-        table.flows.into_iter().next().unwrap()
+        table.labels()[0].tshark
     }
 
     #[test]
     fn msearch_correct_but_response_mislabelled() {
         let msearch = iotlan_wire::ssdp::Message::msearch("ssdp:all", 3).to_bytes();
-        let flow = one_flow(stack::udp_multicast(
+        let label = classify(stack::udp_multicast(
             ep(1),
             Ipv4Addr::new(239, 255, 255, 250),
             50000,
             1900,
             &msearch,
         ));
-        assert_eq!(classify(&flow), labels::SSDP);
+        assert_eq!(label, labels::SSDP);
 
         // A unicast 200 OK from port 1900 back to a high port: the
         // Appendix C.2 failure (generic transport or TPLINK).
         let response =
             iotlan_wire::ssdp::Message::response("upnp:rootdevice", "u", None, None).to_bytes();
-        let flow = one_flow(stack::udp_unicast(ep(2), ep(1), 1900, 50004, &response));
-        let label = classify(&flow);
+        let label = classify(stack::udp_unicast(ep(2), ep(1), 1900, 50004, &response));
         assert!(
             label == labels::DATA_UDP || label == labels::TPLINK_SHP,
             "got {label}"
@@ -150,17 +145,17 @@ mod tests {
         }
         .to_bytes();
         payload.extend_from_slice(&[0xAD; 16]);
-        let flow = one_flow(stack::udp_unicast(ep(1), ep(2), 40000, 10005, &payload));
-        assert_eq!(classify(&flow), labels::STUN);
-        let flow = one_flow(stack::udp_unicast(ep(1), ep(2), 40000, 55444, &payload));
-        assert_eq!(classify(&flow), labels::DATA_UDP);
+        let label = classify(stack::udp_unicast(ep(1), ep(2), 40000, 10005, &payload));
+        assert_eq!(label, labels::STUN);
+        let label = classify(stack::udp_unicast(ep(1), ep(2), 40000, 55444, &payload));
+        assert_eq!(label, labels::DATA_UDP);
     }
 
     #[test]
     fn tuya_is_generic_udp() {
         let frame = iotlan_wire::tuya::Frame::discovery("gw", "pk", "192.168.10.5", "3.3");
-        let flow = one_flow(stack::udp_broadcast(ep(1), 41001, 6666, &frame.to_bytes()));
-        assert_eq!(classify(&flow), labels::DATA_UDP);
+        let label = classify(stack::udp_broadcast(ep(1), 41001, 6666, &frame.to_bytes()));
+        assert_eq!(label, labels::DATA_UDP);
     }
 
     #[test]
@@ -173,12 +168,12 @@ mod tests {
         }
         .into_record(iotlan_wire::tls::Version::Tls12)
         .to_bytes();
-        let flow = one_flow(stack::tcp_segment(
+        let label = classify(stack::tcp_segment(
             ep(1),
             ep(2),
             &iotlan_wire::tcp::Repr::data(40001, 8009, 1, 1, hello.len()),
             &hello,
         ));
-        assert_eq!(classify(&flow), labels::TLS);
+        assert_eq!(label, labels::TLS);
     }
 }

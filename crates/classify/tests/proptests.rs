@@ -3,9 +3,8 @@
 //! protocols, and flow assembly is insensitive to frame order for
 //! order-free aggregates.
 
+use iotlan_classify::crossval;
 use iotlan_classify::flow::FlowTable;
-use iotlan_classify::rules::{classify_with_rules, paper_rules};
-use iotlan_classify::{crossval, ndpi, truth, tshark};
 use iotlan_netsim::stack::{self, Endpoint};
 use iotlan_netsim::SimTime;
 use iotlan_util::props;
@@ -33,13 +32,10 @@ props! {
             SimTime::ZERO,
             &stack::udp_unicast(ep(src), ep(dst), sport, dport, &payload),
         );
-        let rules = paper_rules();
-        for flow in &table.flows {
-            let t = truth::label_flow(flow);
-            let n = ndpi::classify(flow);
-            let s = tshark::classify(flow);
-            let r = classify_with_rules(flow, &rules);
-            assert!(!t.is_empty() && !n.is_empty() && !s.is_empty() && !r.is_empty());
+        for labels in table.labels() {
+            for label in [labels.truth, labels.ndpi, labels.tshark, labels.paper] {
+                assert!(!label.is_empty());
+            }
         }
     }
 
@@ -58,12 +54,10 @@ props! {
                 &payload,
             ),
         );
-        let rules = paper_rules();
-        for flow in &table.flows {
-            let _ = truth::label_flow(flow);
-            let _ = ndpi::classify(flow);
-            let _ = tshark::classify(flow);
-            let _ = classify_with_rules(flow, &rules);
+        for labels in table.labels() {
+            for label in [labels.truth, labels.ndpi, labels.tshark, labels.paper] {
+                assert!(!label.is_empty());
+            }
         }
     }
 
@@ -87,10 +81,9 @@ props! {
                 &query.to_bytes(),
             ),
         );
-        let rules = paper_rules();
-        let flow = &table.flows[0];
-        assert_eq!(ndpi::classify(flow), "mDNS");
-        assert_eq!(classify_with_rules(flow, &rules), "mDNS");
+        let labels = table.labels()[0];
+        assert_eq!(labels.ndpi, "mDNS");
+        assert_eq!(labels.paper, "mDNS");
     }
 
     /// Flow aggregates (count, total packets) are invariant under frame

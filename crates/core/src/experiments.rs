@@ -383,16 +383,15 @@ pub struct Sec51 {
 
 pub fn sec51_discovery_stats(lab: &Lab) -> Sec51 {
     let table = lab.flow_table();
-    let rules = iotlan_classify::rules::paper_rules();
     let mut mdns = std::collections::BTreeSet::new();
     let mut ssdp = std::collections::BTreeSet::new();
     let device_macs: std::collections::BTreeSet<_> =
         lab.catalog.devices.iter().map(|d| d.mac).collect();
-    for (flow, &truth) in table.flows.iter().zip(table.truth_labels()) {
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
         if !device_macs.contains(&flow.key.src_mac) {
             continue;
         }
-        match iotlan_classify::rules::classify_with_truth(flow, truth, &rules) {
+        match labels.paper {
             "mDNS" => {
                 mdns.insert(flow.key.src_mac);
             }

@@ -464,10 +464,8 @@ mod tests {
     /// Whether the capture contains a TCP flow classified as `label`.
     fn saw_tcp_class(lab: &Lab, label: &str) -> bool {
         let table = lab.flow_table();
-        let rules = iotlan_classify::rules::paper_rules();
-        table.flows.iter().any(|f| {
-            f.key.transport == iotlan_classify::flow::Transport::Tcp
-                && iotlan_classify::rules::classify_with_rules(f, &rules) == label
+        table.flows.iter().zip(table.labels()).any(|(f, labels)| {
+            f.key.transport == iotlan_classify::flow::Transport::Tcp && labels.paper == label
         })
     }
 

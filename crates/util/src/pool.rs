@@ -1,5 +1,5 @@
 //! A std-only scoped thread pool with a *deterministic* data-parallel
-//! surface: [`par_map`], [`par_map_range`] and [`par_map_reduce`].
+//! surface: [`par_map`] and [`par_map_range`].
 //!
 //! The whole workspace promises that every artifact is a pure function of
 //! the seed (`tests/determinism.rs`), so parallelism must never leak
@@ -10,10 +10,10 @@
 //!    whose boundaries depend only on the input length (never on
 //!    `IOTLAN_THREADS` or core count). Threads *claim* chunks dynamically,
 //!    but a chunk's contents and identity are scheduling-independent.
-//! 2. **Ordered reduction** — mapped results land in pre-assigned slots
-//!    and are reduced strictly in input order, so even non-commutative
-//!    reductions (string concatenation, confusion-matrix tallies) are
-//!    stable.
+//! 2. **Ordered results** — mapped results land in pre-assigned slots
+//!    and come back in input order, so a caller that folds them (even
+//!    non-commutatively, as string concatenation does) gets the same
+//!    result at any thread count.
 //!
 //! A closure that needs randomness seeds a generator from its item's
 //! index (`Rng::stream(seed, index)`), never from one shared across items.
@@ -326,41 +326,6 @@ where
     par_map_range(items.len(), |index| f(index, &items[index]))
 }
 
-/// Map-reduce with ordered reduction: each chunk folds its mapped items
-/// into a fresh accumulator from `init`, then the per-chunk accumulators
-/// merge strictly in chunk (== input) order. Safe for non-commutative
-/// merges.
-pub fn par_map_reduce<T, A, FMap, FMerge>(
-    items: &[T],
-    init: impl Fn() -> A + Sync,
-    map: FMap,
-    merge: FMerge,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    FMap: Fn(&mut A, usize, &T) + Sync,
-    FMerge: Fn(&mut A, A),
-{
-    let n = items.len();
-    let chunk = chunk_size(n);
-    let chunk_count = n.div_ceil(chunk);
-    let mut partials = par_map_range(chunk_count, |chunk_index| {
-        let start = chunk_index * chunk;
-        let end = (start + chunk).min(n);
-        let mut acc = init();
-        for index in start..end {
-            map(&mut acc, index, &items[index]);
-        }
-        acc
-    });
-    let mut total = init();
-    for partial in partials.drain(..) {
-        merge(&mut total, partial);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,25 +356,6 @@ mod tests {
         assert_eq!(par_map_range(1, |i| i + 7), vec![7]);
         let none: Vec<u8> = Vec::new();
         assert!(par_map(&none, |_, v: &u8| *v).is_empty());
-    }
-
-    #[test]
-    fn par_map_reduce_ordered_merge() {
-        // String concatenation is non-commutative: any out-of-order merge
-        // would scramble it.
-        let items: Vec<usize> = (0..300).collect();
-        let serial: String = items.iter().map(|i| format!("[{i}]")).collect();
-        for threads in [1, 2, 8] {
-            let joined = with_threads(threads, || {
-                par_map_reduce(
-                    &items,
-                    String::new,
-                    |acc, _, item| acc.push_str(&format!("[{item}]")),
-                    |acc, part| acc.push_str(&part),
-                )
-            });
-            assert_eq!(joined, serial, "threads={threads}");
-        }
     }
 
     #[test]

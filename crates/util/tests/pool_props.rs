@@ -38,24 +38,6 @@ iotlan_util::props! {
         assert_eq!(run(1), run(threads));
     }
 
-    /// Ordered reduction: concatenation (non-commutative) matches the
-    /// serial fold for any thread count.
-    fn par_map_reduce_matches_serial_fold(g) {
-        let n = g.len(300);
-        let threads = g.int_in(1..=8usize);
-        let items: Vec<u32> = (0..n as u32).collect();
-        let serial: Vec<u32> = items.iter().map(|v| v ^ 0xa5).collect();
-        let parallel = pool::with_threads(threads, || {
-            pool::par_map_reduce(
-                &items,
-                Vec::new,
-                |acc: &mut Vec<u32>, _, item| acc.push(item ^ 0xa5),
-                |acc, part| acc.extend(part),
-            )
-        });
-        assert_eq!(parallel, serial);
-    }
-
     /// A panic in any worker propagates to the caller, at any position and
     /// thread count.
     fn worker_panic_propagates(g) {
@@ -83,10 +65,6 @@ iotlan_util::props! {
             assert!(pool::par_map(&empty, |_, v| *v).is_empty());
             assert!(pool::par_map_range(0, |i| i).is_empty());
             assert_eq!(pool::par_map(&[41u8], |i, v| *v as usize + i), vec![41]);
-            assert_eq!(
-                pool::par_map_reduce(&empty, || 0u64, |acc, _, v| *acc += u64::from(*v), |a, b| *a += b),
-                0
-            );
         });
     }
 }

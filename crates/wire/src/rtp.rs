@@ -58,12 +58,6 @@ impl Header {
         out[8..12].copy_from_slice(&self.ssrc.to_be_bytes());
         out
     }
-
-    /// Heuristic: does this buffer plausibly start an RTP packet? Used by
-    /// the ground-truth labeler; intentionally loose, like real tools.
-    pub fn looks_like_rtp(data: &[u8]) -> bool {
-        data.len() >= HEADER_LEN && data[0] >> 6 == 2
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +76,6 @@ mod tests {
         };
         let bytes = header.to_bytes();
         assert_eq!(Header::parse(&bytes).unwrap(), header);
-        assert!(Header::looks_like_rtp(&bytes));
     }
 
     #[test]
@@ -113,6 +106,5 @@ mod tests {
         .to_bytes();
         bytes[0] = 0x40;
         assert_eq!(Header::parse(&bytes).unwrap_err(), Error::Malformed);
-        assert!(!Header::looks_like_rtp(&bytes));
     }
 }

@@ -15,7 +15,6 @@
 //! cargo run --release --example paper_scale -- --quick
 //! ```
 
-use iotlan::classify::rules::{classify_with_rules, paper_rules};
 use iotlan::netsim::stack::{self, Content};
 use iotlan::netsim::{FrameSink, SimDuration, SimTime};
 use iotlan::stream::StreamEngine;
@@ -156,13 +155,13 @@ fn main() {
 
     // TP-Link control interactions, counted exactly from the report's flow
     // table.
-    let rules = paper_rules();
-    let tplink_packets: u64 = report
-        .table
+    let table = &report.table;
+    let tplink_packets: u64 = table
         .flows
         .iter()
-        .filter(|flow| classify_with_rules(flow, &rules) == "TPLINK_SHP")
-        .map(|flow| flow.packets)
+        .zip(table.labels())
+        .filter(|(_, labels)| labels.paper == "TPLINK_SHP")
+        .map(|(flow, _)| flow.packets)
         .sum();
     println!("TPLINK-SHP packets: {tplink_packets}");
 }

@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use iotlan::classify::rules::{classify_with_rules, paper_rules};
 use iotlan::netsim::SimDuration;
 use iotlan::{Lab, LabConfig};
 use std::collections::BTreeMap;
@@ -36,10 +35,9 @@ fn main() {
     // 3. Assemble flows and classify with the paper's pipeline
     //    (nDPI model + manual rules).
     let table = lab.flow_table();
-    let rules = paper_rules();
     let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
-    for flow in &table.flows {
-        *counts.entry(classify_with_rules(flow, &rules)).or_insert(0) += flow.packets;
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
+        *counts.entry(labels.paper).or_insert(0) += flow.packets;
     }
     println!("\ntop protocols by packets:");
     let mut rows: Vec<_> = counts.into_iter().collect();

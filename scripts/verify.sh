@@ -23,12 +23,15 @@
 #    machine-readable {"type":"bench",...} JSON lines via the in-tree
 #    harness, and its mdns_parse and tplink_decrypt_parse throughput
 #    lines, each with its reps and min/max spread
-# 6. sweep smoke: perf_sweep in --quick mode must emit one
+# 6. ablation drift: every percentage ablation_classifier prints in
+#    --quick mode must appear in EXPERIMENTS.md's ablation_classifier
+#    bullet
+# 7. sweep smoke: perf_sweep in --quick mode must emit one
 #    {"type":"speedup",...} serial-vs-parallel comparison line for each of
 #    Table 2's stages, dataset_generate and entropy_analyze, and for the
 #    one-pass table2_entropy that the paper runs, each with its reps and
 #    min/max spread
-# 7. stream smoke: perf_stream in --quick mode must emit its
+# 8. stream smoke: perf_stream in --quick mode must emit its
 #    {"type":"throughput",...} packet-rate / peak-state lines, its
 #    appd1_periodicity line with its reps and min/max spread, and its
 #    stream_vs_assembly line with its two ratios, its reps and the min/max
@@ -38,18 +41,18 @@
 #    count; perf_classify
 #    in --quick mode must emit its flow_assembly and flow_labels throughput
 #    lines, each with its reps and min/max spread
-# 8. telemetry smoke: perf_telemetry in --quick mode must emit its
+# 9. telemetry smoke: perf_telemetry in --quick mode must emit its
 #    {"type":"overhead",...} enabled-vs-disabled comparison lines
-# 9. observability: the observability example must write run manifests
-#    under target/manifests/, and scripts/trace_report.sh must render the
-#    per-phase timing summary from them
-# 10. mojibake guard: no U+FFFD replacement characters anywhere in the
+# 10. observability: the observability example must write run manifests
+#     under target/manifests/, and scripts/trace_report.sh must render the
+#     per-phase timing summary from them
+# 11. mojibake guard: no U+FFFD replacement characters anywhere in the
 #     tracked tree (a mangled-encoding canary)
-# 11. golden artifacts: one ttpbench regeneration per workload (fast,
+# 12. golden artifacts: one ttpbench regeneration per workload (fast,
 #     perf_stream) must report "correct":true on its last line — every
 #     artifact digest matches ttpbench/ledger.txt and the streaming report
 #     matches the batch analyses
-# 12. line count: scripts/loc.sh prints the net non-test Rust lines per
+# 13. line count: scripts/loc.sh prints the net non-test Rust lines per
 #     crate and in total (a report, not a gate)
 set -eu
 
@@ -122,6 +125,24 @@ for id in mdns_parse tplink_decrypt_parse; do
             exit 1
         fi
     done
+done
+
+echo "==> ablation drift: ablation_classifier --quick against EXPERIMENTS.md"
+ablation_out=$(cargo bench -p iotlan-bench --bench ablation_classifier --offline -- --quick)
+printf '%s\n' "$ablation_out"
+ablation_doc=$(awk '/^\* \*\*`ablation_classifier`\*\*/ { on = 1; print; next }
+    on && !/^  / { exit }
+    on { print }' EXPERIMENTS.md)
+ablation_pcts=$(printf '%s\n' "$ablation_out" | grep -v '^{' | grep -oE '[0-9]+\.[0-9]+%' || true)
+if [ -z "$ablation_pcts" ]; then
+    echo "verify: FAIL — ablation_classifier printed no percentages" >&2
+    exit 1
+fi
+for pct in $ablation_pcts; do
+    if ! printf '%s\n' "$ablation_doc" | grep -qF "$pct"; then
+        echo "verify: FAIL — ablation_classifier prints $pct; EXPERIMENTS.md's ablation_classifier bullet does not" >&2
+        exit 1
+    fi
 done
 
 echo "==> sweep smoke: perf_sweep --quick"

@@ -76,7 +76,7 @@ fn crossval_is_thread_count_invariant() {
 }
 
 #[test]
-fn truth_labels_are_thread_count_invariant() {
+fn flow_labels_are_thread_count_invariant() {
     let mut lab = Lab::new(LabConfig {
         seed: 77,
         idle_duration: SimDuration::from_mins(3),
@@ -88,7 +88,7 @@ fn truth_labels_are_thread_count_invariant() {
     let labels_at = |threads: usize| {
         pool::with_threads(threads, || {
             FlowTable::from_capture(&lab.network.capture)
-                .truth_labels()
+                .labels()
                 .to_vec()
         })
     };
@@ -96,7 +96,7 @@ fn truth_labels_are_thread_count_invariant() {
     assert_eq!(serial.len(), lab.flow_table().len());
     assert!(
         labels_at(4) == serial,
-        "FlowTable::truth_labels: IOTLAN_THREADS=4 diverged from the serial reference"
+        "FlowTable::labels: IOTLAN_THREADS=4 diverged from the serial reference"
     );
 }
 

@@ -9,7 +9,6 @@ use iotlan::analysis::responses::{
     discovery_responses, rows_from_records, DeviceRecord, EXCLUDED_PROTOCOLS, HORIZON_SECS,
     RESPONSE_WINDOW_SECS,
 };
-use iotlan::classify::rules::{classify_with_rules, paper_rules};
 use iotlan::classify::{Flow, FlowTable, Transport};
 use iotlan::devices::Catalog;
 use iotlan::netsim::stack::{self, Endpoint};
@@ -68,17 +67,17 @@ fn cross_join_records(
     table: &FlowTable,
     catalog: &Catalog,
 ) -> BTreeMap<EthernetAddress, DeviceRecord> {
-    let rules = paper_rules();
     let udp = |flow: &Flow| matches!(flow.key.transport, Transport::Udp | Transport::UdpV6);
     let discoveries: Vec<(&Flow, &str)> = table
         .flows
         .iter()
-        .filter(|flow| {
+        .zip(table.labels())
+        .filter(|(flow, _)| {
             udp(flow)
                 && flow.is_multicast_or_broadcast()
                 && catalog.devices.iter().any(|d| d.mac == flow.key.src_mac)
         })
-        .map(|flow| (flow, classify_with_rules(flow, &rules)))
+        .map(|(flow, labels)| (flow, labels.paper))
         .filter(|(_, protocol)| !EXCLUDED_PROTOCOLS.contains(protocol))
         .collect();
 
@@ -233,6 +232,7 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
     // Direct frame-fed path first.
     let report = stream_capture(&capture, &catalog);
     assert_eq!(report.packets, capture.len() as u64);
+    assert_eq!(report.table.labels(), batch_table.labels());
     assert_eq!(report_renders(&report, &catalog), batch);
     assert!(
         report.periodicity_exact,
@@ -263,6 +263,11 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
         }
         let report = engine.finish().unwrap();
         assert_eq!(report.packets, capture.len() as u64, "chunk {chunk_size}");
+        assert_eq!(
+            report.table.labels(),
+            batch_table.labels(),
+            "chunk {chunk_size}"
+        );
         assert_eq!(
             report_renders(&report, &catalog),
             batch,

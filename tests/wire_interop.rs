@@ -2,8 +2,7 @@
 //! parseable by every consumer (classifier, honeypot, phone, analysis) and
 //! survive the pcap round trip — the "would Wireshark agree?" suite.
 
-use iotlan::classify::truth;
-use iotlan::classify::FlowTable;
+use iotlan::classify::{ndpi, rules, truth, tshark, FlowLabels, FlowTable};
 use iotlan::netsim::SimDuration;
 use iotlan::wire::{dns, pcap, ssdp};
 use iotlan::{Lab, LabConfig};
@@ -72,7 +71,7 @@ fn discovery_payloads_strictly_valid() {
 fn protocol_diversity() {
     let lab = lab_capture();
     let table = FlowTable::from_capture(&lab.network.capture);
-    let labels: BTreeSet<&str> = table.flows.iter().map(truth::label_flow).collect();
+    let labels: BTreeSet<&str> = table.labels().iter().map(|l| l.truth).collect();
     assert!(
         labels.len() >= 15,
         "only {} labels: {labels:?}",
@@ -95,6 +94,28 @@ fn protocol_diversity() {
         "UNKNOWN-L3",
     ] {
         assert!(labels.contains(expected), "missing {expected}: {labels:?}");
+    }
+}
+
+/// Each label of the `fast` idle capture's flows is its classifier core
+/// applied to a fresh ground-truth parse of the flow: the table's one label
+/// pass feeds every consumer what the classifiers would say.
+#[test]
+fn fast_idle_labels_are_their_classifier_cores() {
+    let mut lab = Lab::new(LabConfig::fast());
+    lab.run_idle();
+    let table = FlowTable::from_capture(&lab.network.capture);
+    assert_eq!(table.labels().len(), table.len());
+    for (flow, labels) in table.flows.iter().zip(table.labels()) {
+        let truth = truth::label_flow(flow);
+        let ndpi = ndpi::classify_with_truth(flow, truth);
+        let expected = FlowLabels {
+            truth,
+            ndpi,
+            tshark: tshark::classify_with_truth(flow, truth),
+            paper: rules::correct(flow, ndpi),
+        };
+        assert_eq!(*labels, expected, "{:?}", flow.key);
     }
 }
 
