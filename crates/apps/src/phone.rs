@@ -14,7 +14,7 @@ use crate::android::{evaluate_access, AndroidApi};
 use crate::app::{AppBehavior, AppConfig};
 use crate::appcensus::{DataType, Direction, ExfilRecord, Harvested, TestRun};
 use crate::sdk::{innosdk_generate_probe, SdkKind};
-use iotlan_inspector::ident;
+use iotlan_inspector::ident::{self, Id};
 use iotlan_netsim::stack::{self, Content, Dissected, Endpoint};
 use iotlan_netsim::{Context, Node, SimDuration};
 use iotlan_wire::ethernet::EthernetAddress;
@@ -475,18 +475,20 @@ fn ssdp_items(frame: &Dissected<'_>) -> Option<Vec<Harvested>> {
 }
 
 /// The colon-separated MACs, UUIDs and possessive display names in a
-/// response's text, in that order, as `inspector::ident` (§6.3) finds them.
+/// response's text, in that order, as one `inspector::ident` (§6.3) pass
+/// finds them.
 fn text_items(source_protocol: &'static str, text: &str) -> Vec<Harvested> {
-    let macs = ident::extract_macs_separated_by(text, b':')
-        .into_iter()
-        .map(|v| (DataType::DeviceMac, v));
-    let uuids = ident::extract_uuids(text)
-        .into_iter()
-        .map(|v| (DataType::DeviceUuid, v));
-    let names = ident::extract_names(text)
-        .into_iter()
-        .map(|v| (DataType::DisplayName, v));
-    macs.chain(uuids)
+    let (mut macs, mut uuids, mut names) = (Vec::new(), Vec::new(), Vec::new());
+    ident::for_each_id(text, |id| match id {
+        Id::Mac(key, sep @ Some(b':')) => {
+            macs.push((DataType::DeviceMac, ident::mac_text(key, sep)))
+        }
+        Id::Uuid(key) => uuids.push((DataType::DeviceUuid, ident::uuid_text(key))),
+        Id::Name(name) => names.push((DataType::DisplayName, name.to_string())),
+        Id::Mac(..) => {}
+    });
+    macs.into_iter()
+        .chain(uuids)
         .chain(names)
         .map(|(data, value)| Harvested {
             data,

@@ -14,9 +14,14 @@
 //! serial/parallel pairs: `serial_ns` and `parallel_ns` are the medians of
 //! each side, `speedup` is the median of the per-pair ratios, and
 //! `min`/`max` bound those ratios.
+//!
+//! One `{"type":"throughput","id":"ident_scan",…}` line times the keyed
+//! identifier pass (`inspector::ident::for_each_id`) that Table 2 runs,
+//! over the generated crowd's mDNS/SSDP response texts: `mb_per_sec` is
+//! the median of `reps` passes over all of them, and `min`/`max` bound it.
 
-use iotlan_bench::emit_line;
-use iotlan_core::inspector::{dataset, entropy};
+use iotlan_bench::{emit_line, per_sec};
+use iotlan_core::inspector::{dataset, entropy, ident};
 use iotlan_util::bench::Criterion;
 use iotlan_util::{json, pool};
 use std::hint::black_box;
@@ -96,6 +101,42 @@ fn bench(criterion: &mut Criterion) {
     speedup_line("table2_entropy", reps, || {
         entropy::analyze_generated(&generator)
     });
+    ident_scan_line(&data, reps);
+}
+
+/// Emit the `ident_scan` line: `reps` keyed passes over every response
+/// text in `data`.
+fn ident_scan_line(data: &dataset::Dataset, reps: usize) {
+    let devices = data.households.iter().flat_map(|h| &h.devices);
+    let texts: Vec<&String> = devices
+        .flat_map(|d| d.mdns_responses.iter().chain(&d.ssdp_responses))
+        .collect();
+    let bytes: usize = texts.iter().map(|text| text.len()).sum();
+    let mut elapsed: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let mut found = 0usize;
+            for text in &texts {
+                ident::for_each_id(black_box(text), |_| found += 1);
+            }
+            black_box(found);
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    elapsed.sort_by(f64::total_cmp);
+    let rate = |elapsed: f64| per_sec(bytes as f64, elapsed) / 1e6;
+    emit_line(
+        "throughput",
+        "ident_scan",
+        [
+            ("texts", json::Value::from(texts.len())),
+            ("bytes", json::Value::from(bytes)),
+            ("mb_per_sec", json::Value::from(rate(elapsed[reps / 2]))),
+            ("reps", json::Value::from(reps)),
+            ("min", json::Value::from(rate(elapsed[reps - 1]))),
+            ("max", json::Value::from(rate(elapsed[0]))),
+        ],
+    );
 }
 
 iotlan_util::bench_main!(bench);

@@ -113,20 +113,19 @@ impl Dataset {
                     }
                 }
                 if macs {
-                    // The extractor normalizes to bare lowercase hex.
-                    for mac in ident::extract_mac_candidates(response) {
-                        let colon: String = mac
-                            .as_bytes()
-                            .chunks(2)
-                            .map(|c| std::str::from_utf8(c).expect("MAC candidates are ASCII hex"))
-                            .collect::<Vec<_>>()
-                            .join(":");
-                        let dash = colon.replace(':', "-");
+                    let mut keys = Vec::new();
+                    ident::for_each_id(response, |id| {
+                        if let ident::Id::Mac(key, _) = id {
+                            keys.push(key);
+                        }
+                    });
+                    for key in keys {
+                        let colon = ident::mac_text(key, Some(b':'));
                         *response = response
-                            .replace(&mac, "000000000000")
+                            .replace(&ident::mac_text(key, None), "000000000000")
                             .replace(&colon, "00:00:00:00:00:00")
                             .replace(&colon.to_uppercase(), "00:00:00:00:00:00")
-                            .replace(&dash, "00-00-00-00-00-00");
+                            .replace(&ident::mac_text(key, Some(b'-')), "00-00-00-00-00-00");
                     }
                 }
             }
@@ -432,7 +431,9 @@ fn make_payloads(rng: &mut Rng, product: &Product, mac: &str, bare_mac: &str) ->
 /// [`iotlan_util::pool`] with bit-identical output at any thread count.
 pub fn generate(config: &GeneratorConfig) -> Dataset {
     let products = product_universe();
-    let households = fold_households(config, &products, push_device);
+    let households = fold_households(config, &products, |household, product, payloads| {
+        push_device(household, &products[product], payloads)
+    });
     Dataset { households }
 }
 
@@ -455,21 +456,16 @@ pub type Payloads = (Vec<String>, Vec<String>);
 /// Generate the households of `config` across the pool and reduce each one
 /// where it is generated, without building the dataset. Household `i`'s
 /// accumulator starts as `A::default()`, and `visit` folds in each of its
-/// devices, as the product it was drawn from and its payloads, in draw
-/// order; a visitor that needs no owned [`Device`] copies no product
-/// string. Only the accumulators are kept, in household order, so the
-/// result is the same at any thread count.
+/// devices, as the index in `products` of the product it was drawn from
+/// and its payloads, in draw order; a visitor that needs no owned
+/// [`Device`] copies no product string. Only the accumulators are kept, in
+/// household order, so the result is the same at any thread count.
 ///
-/// `products` must be [`product_universe`]'s list; an accumulator may keep
-/// references into it.
-pub fn fold_households<'p, A, V>(
-    config: &GeneratorConfig,
-    products: &'p [Product],
-    visit: V,
-) -> Vec<A>
+/// `products` must be [`product_universe`]'s list.
+pub fn fold_households<A, V>(config: &GeneratorConfig, products: &[Product], visit: V) -> Vec<A>
 where
     A: Default + Send,
-    V: Fn(&mut A, &'p Product, Payloads) + Sync,
+    V: Fn(&mut A, usize, Payloads) + Sync,
 {
     let total_weight: u32 = products.iter().map(|p| p.weight).sum();
     pool::par_map_range(config.households, |house_index| {
@@ -479,21 +475,21 @@ where
 }
 
 /// Build one household from its private generator: each device's product
-/// and payloads are handed to `visit` as they are drawn.
-fn generate_household<'p, A: Default>(
+/// index and payloads are handed to `visit` as they are drawn.
+fn generate_household<A: Default>(
     rng: &mut Rng,
     house_index: usize,
-    products: &'p [Product],
+    products: &[Product],
     total_weight: u32,
-    visit: impl Fn(&mut A, &'p Product, Payloads),
+    visit: impl Fn(&mut A, usize, Payloads),
 ) -> A {
     // IoT Inspector's per-user salt for its device IDs: drawn, not kept.
     let _salt: [u8; 16] = rng.gen_array();
     let mut household = A::default();
     // Reused by every device's MAC.
     let (mut mac, mut bare_mac) = (String::with_capacity(17), String::with_capacity(12));
-    let mut add = |product: &'p Product, rng: &mut Rng| {
-        let payloads = draw_device(rng, product, &mut mac, &mut bare_mac);
+    let mut add = |product: usize, rng: &mut Rng| {
+        let payloads = draw_device(rng, &products[product], &mut mac, &mut bare_mac);
         visit(&mut household, product, payloads);
     };
     // Household size: median 3 (1..=9, weighted toward small).
@@ -505,7 +501,7 @@ fn generate_household<'p, A: Default>(
         let mut pick = rng.gen_range(0..total_weight);
         let product = products
             .iter()
-            .find(|p| {
+            .position(|p| {
                 if pick < p.weight {
                     true
                 } else {
@@ -519,12 +515,12 @@ fn generate_household<'p, A: Default>(
     // Deterministic rare-class injection: the 2 name-only households
     // and the 2 all-three (Roku) households of Table 2.
     if house_index == 100 || house_index == 2100 {
-        add(products.last().unwrap(), rng);
+        add(products.len() - 1, rng);
     }
     if house_index == 700 || house_index == 2900 {
         let name_only = products
             .iter()
-            .find(|p| p.exposure == ExposureClass::NameOnly)
+            .position(|p| p.exposure == ExposureClass::NameOnly)
             .unwrap();
         add(name_only, rng);
     }
@@ -707,7 +703,9 @@ mod tests {
                     house_index,
                     &products,
                     total_weight,
-                    push_device,
+                    |household, product, payloads| {
+                        push_device(household, &products[product], payloads)
+                    },
                 );
                 let oracle = oracle::household(&mut expected, house_index, &products);
                 assert_eq!(household, oracle, "{config:?} household {house_index}");

@@ -9,9 +9,9 @@
 //! rows: 12.3 ≈ 3.4 + 8.9, 16.7 ≈ 8.9 + 7.8, 20.1 ≈ all three).
 
 use crate::dataset::{self, Dataset, GeneratorConfig};
-use crate::ident::{Exposed, Mac, Uuid};
+use crate::ident::{self, Id};
 use iotlan_util::pool;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Which identifier types a device exposed (Table 2's "#" classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,6 +27,11 @@ impl IdentifierClass {
         uuid: false,
         mac: false,
     };
+
+    /// The class's place in class order, 0..8.
+    fn index(self) -> usize {
+        usize::from(self.name) << 2 | usize::from(self.uuid) << 1 | usize::from(self.mac)
+    }
 
     /// Number of identifier types exposed (the "#" column).
     pub fn count(self) -> usize {
@@ -107,57 +112,85 @@ impl EntropyTable {
     }
 }
 
-/// One device's share of the analysis: what it is and the identifiers its
-/// discovery responses expose. It owns its identifiers, so it outlives the
-/// device it was taken from.
-struct DeviceExtraction<'a> {
-    /// (vendor, category)
-    product: (&'a str, &'a str),
-    class: IdentifierClass,
-    exposed: Exposed,
+/// Dense ids for the (vendor, category) pairs that Table 2 counts as
+/// products: two products may share one.
+#[derive(Default)]
+struct Pairs<'a> {
+    ids: HashMap<(&'a str, &'a str), u32>,
+    /// Each id's pair.
+    pairs: Vec<(&'a str, &'a str)>,
 }
 
-/// Identifier types, so that equal text under two types stays two values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Kind {
-    Name,
-    Uuid,
-    Mac,
-}
-
-impl<'a> DeviceExtraction<'a> {
-    /// Extract the identifiers a device of `product` whose MAC starts with
-    /// `oui` exposes in its (mDNS, SSDP) payloads. `None` when it carries
-    /// no discovery payloads (such devices were never collected and are
-    /// excluded from every Table 2 aggregate).
-    fn new(
-        product: (&'a str, &'a str),
-        oui: &str,
-        (mdns, ssdp): (&[String], &[String]),
-    ) -> Option<DeviceExtraction<'a>> {
-        if mdns.is_empty() && ssdp.is_empty() {
-            return None;
-        }
-        let responses = mdns.iter().chain(ssdp);
-        let exposed = Exposed::scan(responses.map(String::as_str), oui);
-        Some(DeviceExtraction {
-            product,
-            class: IdentifierClass {
-                name: !exposed.names.is_empty(),
-                uuid: !exposed.uuids.is_empty(),
-                mac: !exposed.macs.is_empty(),
-            },
-            exposed,
+impl<'a> Pairs<'a> {
+    /// The id of (`vendor`, `category`), assigned on first sight.
+    fn id(&mut self, vendor: &'a str, category: &'a str) -> u32 {
+        let next = self.pairs.len() as u32;
+        *self.ids.entry((vendor, category)).or_insert_with(|| {
+            self.pairs.push((vendor, category));
+            next
         })
     }
+}
 
-    /// Every identifier value, tagged with its type.
-    fn values(&self) -> impl Iterator<Item = (Kind, &[u8])> {
-        let exposed = &self.exposed;
-        let names = exposed.names.iter().map(|v| (Kind::Name, v.as_bytes()));
-        let uuids = exposed.uuids.iter().map(|v| (Kind::Uuid, &v[..]));
-        let macs = exposed.macs.iter().map(|v| (Kind::Mac, &v[..]));
-        names.chain(uuids).chain(macs)
+/// One entry of a household's share of the analysis.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Entry {
+    /// A device with discovery payloads: its product pair id, and the
+    /// household's entry count before it, so that no two devices are one
+    /// entry.
+    Device(u32, usize),
+    /// An identifier value, by type. Names are copied out of the
+    /// responses; they are rare.
+    Name(String),
+    Uuid(u128),
+    Mac(u64),
+}
+
+/// One household's share of the analysis, taken from its devices as they
+/// are drawn or read: an entry per device and per identifier value it
+/// exposes, each tagged with the device's class, sorted and deduplicated.
+/// So the run of one class holds its devices, then the household's
+/// signature in that class's row. It owns its identifiers, so it outlives
+/// the devices.
+#[derive(Default)]
+struct HouseholdIds {
+    entries: Vec<(IdentifierClass, Entry)>,
+}
+
+impl HouseholdIds {
+    /// Add a device of product pair `pair`, whose MAC starts with `oui`,
+    /// with its (mDNS, SSDP) payloads. A device with none was never
+    /// collected and is left out of every Table 2 aggregate.
+    fn add(&mut self, pair: u32, oui: impl Fn(u64) -> bool, (mdns, ssdp): (&[String], &[String])) {
+        if mdns.is_empty() && ssdp.is_empty() {
+            return;
+        }
+        let start = self.entries.len();
+        let mut class = IdentifierClass::NONE;
+        let responses = mdns.iter().chain(ssdp).map(String::as_str);
+        ident::for_each_exposed(responses, oui, |id| {
+            let value = match id {
+                Id::Name(name) => {
+                    class.name = true;
+                    Entry::Name(name.to_string())
+                }
+                Id::Uuid(key) => {
+                    class.uuid = true;
+                    Entry::Uuid(key)
+                }
+                Id::Mac(key, _) => {
+                    class.mac = true;
+                    Entry::Mac(key)
+                }
+            };
+            self.entries.push((class, value));
+        });
+        self.entries.push((class, Entry::Device(pair, start)));
+        for (tag, _) in &mut self.entries[start..] {
+            *tag = class;
+        }
+        self.entries.sort_unstable();
+        self.entries.dedup();
     }
 }
 
@@ -170,37 +203,11 @@ fn bits(n: usize) -> f64 {
     }
 }
 
-/// The value of a run of lowercase hex digits.
-fn hex_value<'a>(digits: impl IntoIterator<Item = &'a u8>) -> u128 {
-    digits.into_iter().fold(0, |value, &digit| {
-        // '0'..='9' → 0..=9, 'a'..='f' → 10..=15.
-        value << 4 | u128::from((digit & 0xf) + 9 * (digit >> 6))
-    })
-}
-
-/// A UUID match as its 32 digits' value: matches are lowercase with their
-/// dashes at fixed places, so distinct matches have distinct keys.
-fn uuid_key(uuid: &Uuid) -> u128 {
-    let groups = [
-        &uuid[..8],
-        &uuid[9..13],
-        &uuid[14..18],
-        &uuid[19..23],
-        &uuid[24..],
-    ];
-    hex_value(groups.into_iter().flatten())
-}
-
-/// A MAC match (12 lowercase digits) as its value.
-fn mac_key(mac: &Mac) -> u64 {
-    hex_value(mac) as u64
-}
-
-/// Sort and deduplicate `values`, leaving the distinct ones.
-fn distinct<T: Ord>(mut values: Vec<T>) -> Vec<T> {
+/// The number of distinct `values`.
+fn distinct<T: Ord>(mut values: Vec<T>) -> usize {
     values.sort_unstable();
     values.dedup();
-    values
+    values.len()
 }
 
 /// Run the §6.3 analysis over a built dataset.
@@ -209,19 +216,20 @@ fn distinct<T: Ord>(mut values: Vec<T>) -> Vec<T> {
 /// the pool per household, and [`merge`] reduces the extractions in
 /// household order, so every aggregate is thread-count invariant.
 pub fn analyze(dataset: &Dataset) -> EntropyTable {
-    merge(pool::par_map(&dataset.households, |_, household| {
-        household
-            .devices
-            .iter()
-            .filter_map(|device| {
-                DeviceExtraction::new(
-                    (&device.truth_vendor, &device.truth_category),
-                    &device.oui,
-                    (&device.mdns_responses, &device.ssdp_responses),
-                )
-            })
-            .collect()
-    }))
+    let mut pairs = Pairs::default();
+    for device in dataset.households.iter().flat_map(|h| &h.devices) {
+        pairs.id(&device.truth_vendor, &device.truth_category);
+    }
+    let households = pool::par_map(&dataset.households, |_, household| {
+        let mut ids = HouseholdIds::default();
+        for device in &household.devices {
+            let pair = pairs.ids[&(&*device.truth_vendor, &*device.truth_category)];
+            let payloads = (&device.mdns_responses[..], &device.ssdp_responses[..]);
+            ids.add(pair, ident::oui_filter(&device.oui), payloads);
+        }
+        ids
+    });
+    merge(&households, &pairs)
 }
 
 /// [`analyze_generated`]'s result: the table and the size of the crowd it
@@ -241,70 +249,103 @@ pub struct CrowdTable {
 /// them there. The table equals `analyze(&generate(config))`.
 pub fn analyze_generated(config: &GeneratorConfig) -> CrowdTable {
     let products = dataset::product_universe();
+    let mut pairs = Pairs::default();
+    let per_product: Vec<_> = products
+        .iter()
+        .map(|p| (pairs.id(&p.vendor, &p.category), ident::oui_filter(&p.oui)))
+        .collect();
     let per_household = dataset::fold_households(
         config,
         &products,
-        |(devices, extractions): &mut (usize, Vec<DeviceExtraction>), product, (mdns, ssdp)| {
+        |(devices, ids): &mut (usize, HouseholdIds), product, (mdns, ssdp)| {
             *devices += 1;
-            extractions.extend(DeviceExtraction::new(
-                (&product.vendor, &product.category),
-                &product.oui,
-                (&mdns, &ssdp),
-            ));
+            let (pair, oui) = per_product[product];
+            ids.add(pair, oui, (&mdns, &ssdp));
         },
     );
-    let households = per_household.len();
-    let devices = per_household.iter().map(|(devices, _)| devices).sum();
-    let table = merge(per_household.into_iter().map(|(_, e)| e).collect());
     CrowdTable {
-        table,
-        households,
-        devices,
+        table: merge(per_household.iter().map(|(_, ids)| ids), &pairs),
+        households: per_household.len(),
+        devices: per_household.iter().map(|(devices, _)| devices).sum(),
     }
 }
 
-/// Reduce every household's extractions, in household order, to the table.
-fn merge(per_household: Vec<Vec<DeviceExtraction>>) -> EntropyTable {
-    let analyzed_households = per_household.iter().filter(|e| !e.is_empty()).count();
-    let extractions = || per_household.iter().flatten();
+/// One row in the making: its devices, which product pairs they are, and
+/// each of its households' signatures, in household order.
+#[derive(Default)]
+struct Row<'h> {
+    devices: usize,
+    products: Vec<bool>,
+    signatures: Vec<&'h [(IdentifierClass, Entry)]>,
+}
 
-    // Group by class; each group stays in household order.
-    let mut by_class: BTreeMap<IdentifierClass, Vec<(usize, &DeviceExtraction)>> = BTreeMap::new();
-    for (household, extractions) in per_household.iter().enumerate() {
-        for extraction in extractions {
-            by_class
-                .entry(extraction.class)
-                .or_default()
-                .push((household, extraction));
+/// Reduce every household's identifiers, in household order, to the table.
+fn merge<'h>(
+    households: impl IntoIterator<Item = &'h HouseholdIds>,
+    pairs: &Pairs,
+) -> EntropyTable {
+    let mut rows: [Row; 8] = std::array::from_fn(|_| Row {
+        products: vec![false; pairs.pairs.len()],
+        ..Row::default()
+    });
+    let (mut names, mut uuids, mut macs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut analyzed_households = 0;
+    for household in households {
+        analyzed_households += usize::from(!household.entries.is_empty());
+        let mut rest = &household.entries[..];
+        while let Some(&(class, _)) = rest.first() {
+            let (run, tail) = rest.split_at(rest.iter().take_while(|(c, _)| *c == class).count());
+            rest = tail;
+            let row = &mut rows[class.index()];
+            for (_, entry) in run {
+                match entry {
+                    Entry::Device(pair, _) => {
+                        row.devices += 1;
+                        row.products[*pair as usize] = true;
+                    }
+                    Entry::Name(name) => names.push(name.as_str()),
+                    Entry::Uuid(key) => uuids.push(*key),
+                    Entry::Mac(key) => macs.push(*key),
+                }
+            }
+            let devices = run
+                .iter()
+                .take_while(|(_, e)| matches!(e, Entry::Device(..)));
+            row.signatures.push(&run[devices.count()..]);
         }
     }
 
     // Global per-type value spaces: the paper's entropy is per identifier
     // *type* (name 3.4, UUID 8.9, MAC 7.8 bits) and combination rows add
     // them (12.3 ≈ 3.4+8.9; 16.7 ≈ 8.9+7.8; 20.1 ≈ all three).
-    let names = extractions().flat_map(|e| &e.exposed.names);
-    let uuids = extractions().flat_map(|e| &e.exposed.uuids);
-    let macs = extractions().flat_map(|e| &e.exposed.macs);
-    let name_bits = bits(distinct(names.map(String::as_str).collect()).len());
-    let uuid_bits = bits(distinct(uuids.map(uuid_key).collect()).len());
-    let mac_bits = bits(distinct(macs.map(mac_key).collect()).len());
+    let name_bits = bits(distinct(names));
+    let uuid_bits = bits(distinct(uuids));
+    let mac_bits = bits(distinct(macs));
 
-    let mut rows = Vec::new();
-    for (class, devices) in &by_class {
-        let products = distinct(devices.iter().map(|(_, d)| d.product).collect());
-        let vendors = distinct(products.iter().map(|(vendor, _)| *vendor).collect());
-
-        // Per-household identifier value sets (for uniqueness), each
-        // sorted: a household's devices are one run of `devices`.
-        let mut signatures: Vec<Vec<(Kind, &[u8])>> = devices
-            .chunk_by(|(a, _), (b, _)| a == b)
-            .map(|run| distinct(run.iter().flat_map(|(_, d)| d.values()).collect()))
+    let mut table_rows = Vec::new();
+    for (index, row) in rows.iter_mut().enumerate() {
+        if row.devices == 0 {
+            continue;
+        }
+        let class = IdentifierClass {
+            name: index & 4 != 0,
+            uuid: index & 2 != 0,
+            mac: index & 1 != 0,
+        };
+        let products: Vec<_> = pairs
+            .pairs
+            .iter()
+            .zip(&row.products)
+            .filter(|(_, &seen)| seen)
             .collect();
-        let households = signatures.len();
+        let vendors = distinct(products.iter().map(|((vendor, _), _)| vendor).collect());
+
         // Uniqueness: households whose value-set is unique among this row's
         // households.
-        signatures.sort_unstable();
-        let unique_households = signatures
+        let households = row.signatures.len();
+        row.signatures.sort_unstable();
+        let unique_households = row
+            .signatures
             .chunk_by(|a, b| a == b)
             .filter(|same| same.len() == 1 && !same[0].is_empty())
             .count();
@@ -325,11 +366,11 @@ fn merge(per_household: Vec<Vec<DeviceExtraction>>) -> EntropyTable {
             entropy_bits += mac_bits;
         }
 
-        rows.push(EntropyRow {
-            class: *class,
+        table_rows.push(EntropyRow {
+            class,
             products: products.len(),
-            vendors: vendors.len(),
-            devices: devices.len(),
+            vendors,
+            devices: row.devices,
             households,
             unique_fraction,
             entropy_bits,
@@ -337,9 +378,9 @@ fn merge(per_household: Vec<Vec<DeviceExtraction>>) -> EntropyTable {
     }
 
     EntropyTable {
-        rows,
+        rows: table_rows,
         analyzed_households,
-        analyzed_devices: extractions().count(),
+        analyzed_devices: rows.iter().map(|row| row.devices).sum(),
     }
 }
 
@@ -454,25 +495,6 @@ mod tests {
     }
 
     iotlan_util::props! {
-        /// A UUID's or a MAC's key is the number its lowercase text spells,
-        /// so distinct matches keep distinct keys.
-        fn identifier_keys_are_the_values_the_text_spells(g) {
-            let value = u128::from_be_bytes(g.array());
-            let hex = format!("{value:032x}");
-            let text = format!(
-                "{}-{}-{}-{}-{}",
-                &hex[..8],
-                &hex[8..12],
-                &hex[12..16],
-                &hex[16..20],
-                &hex[20..]
-            );
-            assert_eq!(uuid_key(text.as_bytes().try_into().unwrap()), value, "{text}");
-            let value = value as u64 & 0xffff_ffff_ffff;
-            let text = format!("{value:012x}");
-            assert_eq!(mac_key(text.as_bytes().try_into().unwrap()), value, "{text}");
-        }
-
         /// The one-pass analysis of a generated crowd equals the batch
         /// analysis of the built dataset at 1 and 4 pool threads, over
         /// crowds that reach household 100's Roku.

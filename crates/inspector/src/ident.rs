@@ -8,24 +8,162 @@
 //!    positives".
 //!
 //! Hand-rolled matchers (no regex dependency), case-insensitive where the
-//! wire formats are. The scanners hand each match to a callback without
-//! allocating: names borrowed from the text, UUIDs and MACs (found in one
-//! pass over the runs of hex digits) as fixed-size lowercase arrays. The `extract_*` functions collect
-//! the matches as `String`s; `Exposed::scan` gathers one device's matches
-//! from its responses for the Table 2 analysis.
+//! wire formats are. [`for_each_id`] is the one scan: a single pass over
+//! the bytes, driven by a 256-entry class table, that keys each UUID as a
+//! `u128` and each MAC as a `u64` while it reads their digits, and borrows
+//! each possessive name from a text it saw an apostrophe in. Everything
+//! else uses it: [`kinds`] reports which identifier types a text holds
+//! without allocating (Table 1), `for_each_exposed` gathers one device's
+//! keys for Table 2, and the `extract_*` functions render the matches as
+//! lowercase `String`s ([`uuid_text`], [`mac_text`]).
 
-/// A UUID match: 8-4-4-4-12 hex digits with dashes, lowercased.
-pub(crate) type Uuid = [u8; 36];
+use crate::entropy::IdentifierClass;
 
-/// A MAC match: 12 hex digits without separators, lowercased.
-pub(crate) type Mac = [u8; 12];
+/// [`CLASS`] flags; a hex digit's value is the entry's low nibble.
+const HEX: u8 = 0x10;
+const APOSTROPHE: u8 = 0x20;
+
+/// Each byte's class: `HEX` plus the digit's value for a hex digit,
+/// `APOSTROPHE` for `'`, 0 for anything else.
+const CLASS: [u8; 256] = {
+    let mut class = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        class[byte] = match byte as u8 {
+            digit @ b'0'..=b'9' => HEX | (digit - b'0'),
+            letter @ b'a'..=b'f' => HEX | (letter - b'a' + 10),
+            letter @ b'A'..=b'F' => HEX | (letter - b'A' + 10),
+            b'\'' => APOSTROPHE,
+            _ => 0,
+        };
+        byte += 1;
+    }
+    class
+};
+
+/// One identifier match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Id<'a> {
+    /// A possessive name, borrowed from the text.
+    Name(&'a str),
+    /// A UUID as the value of its 32 hex digits.
+    Uuid(u128),
+    /// A MAC candidate as the value of its 12 hex digits, with the
+    /// separator between its pairs (`None` for the bare form).
+    Mac(u64, Option<u8>),
+}
+
+/// Call `each` with every identifier in `text`: its UUIDs and MAC
+/// candidates in text order, then its possessive names in text order. MAC
+/// candidates come in three syntaxes: `aa:bb:cc:dd:ee:ff`,
+/// `aa-bb-cc-dd-ee-ff`, and the bare 12-hex-digit form.
+///
+/// Matches start only where a run of hex digits ends. A UUID starts a run
+/// of exactly eight digits, never one inside a longer run. A bare MAC is a
+/// whole run of exactly 12 digits, one of them decimal (pure-letter runs
+/// such as "thermostatic" are words). Otherwise a separated MAC may start
+/// two digits before the `:` or `-` that ends the run; it consumes its 17
+/// bytes, so no MAC starts inside it. Every name holds an apostrophe, so
+/// names are sought only in a text with one.
+///
+/// The pass reads 16 bytes at a time through the class table and finds in
+/// them the ends of runs of two or more digits; only there does it look
+/// further, keying each match as it reads its digits.
+pub fn for_each_id<'a>(text: &'a str, mut each: impl FnMut(Id<'a>)) {
+    let bytes = text.as_bytes();
+    // `run`: the length of the run of digits that ends before byte `i`.
+    // `next_mac`: where the next MAC may start. `seen`: every class read.
+    let (mut i, mut run, mut next_mac, mut seen) = (0, 0, 0, 0);
+    'words: while i <= bytes.len() {
+        let word: [u8; 16] = match bytes.get(i..i + 16) {
+            Some(word) => word.try_into().expect("sixteen bytes"),
+            // Spaces past the end: the end of the text ends a run as any
+            // byte but a digit does.
+            None => {
+                let mut word = [b' '; 16];
+                word[..bytes.len() - i].copy_from_slice(&bytes[i..]);
+                word
+            }
+        };
+        // Bit k: byte i + k is a digit.
+        let mut digits = 0u32;
+        for (k, &byte) in word.iter().enumerate() {
+            let class = CLASS[usize::from(byte)];
+            seen |= class;
+            digits |= u32::from(class & HEX) >> 4 << k;
+        }
+        // Bit k: byte i + k ends a run of two or more digits.
+        let after_one = digits << 1 | u32::from(run >= 1);
+        let after_two = digits << 2 | u32::from(run >= 1) << 1 | u32::from(run >= 2);
+        let mut ends = !digits & after_one & after_two & 0xffff;
+        while ends != 0 {
+            let k = ends.trailing_zeros() as usize;
+            ends &= ends - 1;
+            // The run's length: back to the last byte before it in this
+            // word that is no digit, or on into the run carried in.
+            let before = !digits & ((1 << k) - 1);
+            let len = if before == 0 {
+                run + k
+            } else {
+                k - 1 - (31 - before.leading_zeros() as usize)
+            };
+            let (start, end) = (i + k - len, i + k);
+            let uuid = bytes.get(start..start + 36).filter(|_| len == 8);
+            if let Some(uuid) = uuid.and_then(|w| key(w, b'-', |j| matches!(j, 8 | 13 | 18 | 23))) {
+                each(Id::Uuid(uuid));
+                // The next three groups hold no match; the last one may be
+                // a bare MAC or start a separated one.
+                (i, run) = (start + 24, 0);
+                continue 'words;
+            }
+            let run_bytes = &bytes[start..end];
+            if len == 12 && start >= next_mac && run_bytes.iter().any(u8::is_ascii_digit) {
+                each(Id::Mac(
+                    key(run_bytes, 0, |_| false).expect("a run of digits") as u64,
+                    None,
+                ));
+            } else if let Some(&sep @ (b':' | b'-')) =
+                bytes.get(end).filter(|_| end - 2 >= next_mac)
+            {
+                let window = bytes.get(end - 2..end + 15);
+                if let Some(mac) = window.and_then(|w| key(w, sep, |j| j % 3 == 2)) {
+                    each(Id::Mac(mac as u64, Some(sep)));
+                    // Resume at the last pair, which may start a run.
+                    next_mac = end + 15;
+                    (i, run) = (end + 13, 0);
+                    continue 'words;
+                }
+            }
+        }
+        // The run carried into the next word: the digits this one ends in.
+        run = match digits {
+            0xffff => run + 16,
+            _ => (digits as u16).leading_ones() as usize,
+        };
+        i += 16;
+    }
+    if seen & APOSTROPHE != 0 {
+        for_each_name(text, |name| each(Id::Name(name)));
+    }
+}
+
+/// The value of the hex digits of `window`, whose bytes at the offsets
+/// `is_separator` picks must be `sep`; `None` if a byte is out of place.
+/// `#[inline]`: the scan is generic, so it is built in its callers' crates,
+/// where calls into this one slowed it by a tenth.
+#[inline]
+fn key(window: &[u8], sep: u8, is_separator: impl Fn(usize) -> bool) -> Option<u128> {
+    window.iter().enumerate().try_fold(0, |key, (j, &byte)| {
+        let class = CLASS[usize::from(byte)];
+        match is_separator(j) {
+            true => (byte == sep).then_some(key),
+            false => (class & HEX != 0).then(|| key << 4 | u128::from(class & 0xf)),
+        }
+    })
+}
 
 /// Call `each` with every possessive name in `text`, in order.
 fn for_each_name<'a>(text: &'a str, mut each: impl FnMut(&'a str)) {
-    // Every name has an apostrophe; most payloads have none.
-    if !text.contains('\'') {
-        return;
-    }
     let mut i = 0;
     while let Some(c) = text[i..].chars().next() {
         if !c.is_alphabetic() {
@@ -53,224 +191,113 @@ fn skip_while(text: &str, from: usize, keep: impl Fn(char) -> bool) -> usize {
         .map_or(text.len(), |(len, _)| from + len)
 }
 
-/// Possessive-name matches.
-pub fn extract_names(text: &str) -> Vec<String> {
+/// Which identifier types `text` holds; `mac` counts every MAC candidate,
+/// with no OUI filter.
+pub fn kinds(text: &str) -> IdentifierClass {
+    let mut kinds = IdentifierClass::NONE;
+    for_each_id(text, |id| match id {
+        Id::Name(_) => kinds.name = true,
+        Id::Uuid(_) => kinds.uuid = true,
+        Id::Mac(..) => kinds.mac = true,
+    });
+    kinds
+}
+
+/// A UUID key as its 8-4-4-4-12 lowercase text.
+pub fn uuid_text(key: u128) -> String {
+    let hex = format!("{key:032x}");
+    format!(
+        "{}-{}-{}-{}-{}",
+        &hex[..8],
+        &hex[8..12],
+        &hex[12..16],
+        &hex[16..20],
+        &hex[20..]
+    )
+}
+
+/// A MAC key as lowercase text: 12 bare digits for `None`, else six pairs
+/// joined by the separator.
+pub fn mac_text(key: u64, sep: Option<u8>) -> String {
+    let hex = format!("{key:012x}");
+    let Some(sep) = sep else { return hex };
+    let pairs: Vec<&str> = (0..12).step_by(2).map(|at| &hex[at..at + 2]).collect();
+    pairs.join(char::from(sep).encode_utf8(&mut [0; 4]))
+}
+
+/// The matches `render` maps to a `String`, in [`for_each_id`]'s order.
+fn collect(text: &str, mut render: impl FnMut(Id) -> Option<String>) -> Vec<String> {
     let mut out = Vec::new();
-    for_each_name(text, |name| out.push(name.to_string()));
+    for_each_id(text, |id| out.extend(render(id)));
     out
 }
 
-/// The end of the run of hex digits starting at `i`.
-fn hex_run_end(bytes: &[u8], i: usize) -> usize {
-    bytes[i..]
-        .iter()
-        .position(|b| !b.is_ascii_hexdigit())
-        .map_or(bytes.len(), |len| i + len)
-}
-
-/// Call `uuid` with every UUID (8-4-4-4-12 hex with dashes) and `mac` with
-/// every MAC-address candidate in `text`, each in order, in one pass over
-/// its runs of hex digits. MAC candidates come in three syntaxes:
-/// `aa:bb:cc:dd:ee:ff`, `aa-bb-cc-dd-ee-ff`, and the bare 12-hex-digit form;
-/// `mac` gets the separator, `None` for the bare form.
-///
-/// The result equals two separate scans, one per type: a separated MAC
-/// consumes its 17 bytes for MACs only (a bare one is its whole run), and
-/// inside a UUID match no other run of exactly eight digits starts.
-fn for_each_uuid_and_mac(
-    text: &str,
-    mut uuid: impl FnMut(Uuid),
-    mut mac: impl FnMut(Mac, Option<u8>),
-) {
-    let bytes = text.as_bytes();
-    let mut next_mac = 0;
-    let mut start = 0;
-    while start < bytes.len() {
-        if !bytes[start].is_ascii_hexdigit() {
-            start += 1;
-            continue;
-        }
-        // Within a whole run of hex digits, a UUID can only start the run
-        // (it is not matched inside a longer run) and only if the run is
-        // its first eight digits; a bare MAC is the whole run; and a
-        // separated MAC starts two digits before the separator that ends
-        // the run.
-        let end = hex_run_end(bytes, start);
-        if end - start == 8 {
-            if let Some(found) = match_uuid(bytes, start) {
-                uuid(found);
-            }
-        }
-        let bare = (end - start == 12 && start >= next_mac)
-            .then(|| match_bare(bytes, start))
-            .flatten();
-        let separated = || match bytes.get(end) {
-            Some(&sep @ (b':' | b'-')) if end - start >= 2 && end - 2 >= next_mac => {
-                Some((match_separated(bytes, end - 2, sep)?, sep))
-            }
-            _ => None,
-        };
-        if let Some(found) = bare {
-            mac(found, None);
-        } else if let Some((found, sep)) = separated() {
-            mac(found, Some(sep));
-            next_mac = end - 2 + 17;
-        }
-        start = end;
-    }
-}
-
-/// The 8-4-4-4-12 pattern at `i`.
-fn match_uuid(bytes: &[u8], i: usize) -> Option<Uuid> {
-    let window = bytes.get(i..i + 36)?;
-    let valid = window.iter().enumerate().all(|(j, &b)| match j {
-        8 | 13 | 18 | 23 => b == b'-',
-        _ => b.is_ascii_hexdigit(),
-    });
-    if !valid {
-        return None;
-    }
-    let mut uuid: Uuid = window.try_into().expect("36-byte window");
-    uuid.make_ascii_lowercase();
-    Some(uuid)
+/// Possessive-name matches.
+pub fn extract_names(text: &str) -> Vec<String> {
+    collect(text, |id| match id {
+        Id::Name(name) => Some(name.to_string()),
+        _ => None,
+    })
 }
 
 /// UUID matches (8-4-4-4-12 hex with dashes), lowercased.
 pub fn extract_uuids(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_uuid_and_mac(text, |uuid| out.push(ascii(&uuid)), |_, _| {});
-    out
+    collect(text, |id| match id {
+        Id::Uuid(key) => Some(uuid_text(key)),
+        _ => None,
+    })
 }
 
-/// MAC-address candidates in three syntaxes: `aa:bb:cc:dd:ee:ff`,
-/// `aa-bb-cc-dd-ee-ff`, and the bare 12-hex-digit form. The bare form is
-/// noisy, so [`extract_macs_with_oui`] filters by the known OUI.
+/// MAC-address candidates in all three syntaxes, as 12 lowercase digits.
+/// The bare form is noisy, so [`extract_macs_with_oui`] filters by the
+/// known OUI.
 pub fn extract_mac_candidates(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_uuid_and_mac(text, |_| {}, |mac, _| out.push(ascii(&mac)));
-    out
-}
-
-/// The MAC candidates written with `sep` between their hex pairs, rendered
-/// that way (`aa:bb:cc:dd:ee:ff` for `b':'`) and lowercased. A candidate of
-/// this syntax that starts inside an earlier candidate of another syntax
-/// is not matched: the scan's candidates never overlap.
-pub fn extract_macs_separated_by(text: &str, sep: u8) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_uuid_and_mac(
-        text,
-        |_| {},
-        |mac, found| {
-            if found == Some(sep) {
-                let pairs: Vec<String> = mac.chunks(2).map(ascii).collect();
-                out.push(pairs.join(&char::from(sep).to_string()));
-            }
-        },
-    );
-    out
-}
-
-/// The separated form at `i`: six hex pairs joined by `sep`.
-fn match_separated(bytes: &[u8], i: usize, sep: u8) -> Option<Mac> {
-    let window = bytes.get(i..i + 17)?;
-    let mut mac = [0u8; 12];
-    for (j, &b) in window.iter().enumerate() {
-        if j % 3 == 2 {
-            if b != sep {
-                return None;
-            }
-        } else if b.is_ascii_hexdigit() {
-            mac[j - j / 3] = b.to_ascii_lowercase();
-        } else {
-            return None;
-        }
-    }
-    Some(mac)
-}
-
-/// The bare form at `i`: exactly 12 hex digits with non-hex (or the
-/// boundary) on each side.
-fn match_bare(bytes: &[u8], i: usize) -> Option<Mac> {
-    let window = bytes.get(i..i + 12)?;
-    let hex_at = |j: usize| bytes.get(j).is_some_and(u8::is_ascii_hexdigit);
-    if (i > 0 && hex_at(i - 1)) || hex_at(i + 12) || !window.iter().all(u8::is_ascii_hexdigit) {
-        return None;
-    }
-    // Require at least one decimal digit: pure alphabetic 12-char strings
-    // ("thermostatic") are words, not MACs.
-    if !window.iter().any(u8::is_ascii_digit) {
-        return None;
-    }
-    let mut mac: Mac = window.try_into().expect("12-byte window");
-    mac.make_ascii_lowercase();
-    Some(mac)
-}
-
-/// Whether `mac` starts with `device_oui` lowercased and without its
-/// separators. Lowercasing char by char differs from `str::to_lowercase`
-/// only on a word-final 'Σ', which matches no hex digit either way.
-fn has_oui(mac: &Mac, device_oui: &str) -> bool {
-    let mut digits = mac.iter().map(|&digit| char::from(digit));
-    device_oui
-        .chars()
-        .flat_map(char::to_lowercase)
-        .filter(|&c| c != ':' && c != '-')
-        .all(|c| digits.next() == Some(c))
+    collect(text, |id| match id {
+        Id::Mac(key, _) => Some(mac_text(key, None)),
+        _ => None,
+    })
 }
 
 /// The paper's false-positive filter: keep candidates whose first six hex
 /// digits match the OUI that IoT Inspector recorded for the device.
 pub fn extract_macs_with_oui(text: &str, device_oui: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_uuid_and_mac(
-        text,
-        |_| {},
-        |mac, _| {
-            if has_oui(&mac, device_oui) {
-                out.push(ascii(&mac));
-            }
-        },
-    );
-    out
+    let admits = oui_filter(device_oui);
+    collect(text, |id| match id {
+        Id::Mac(key, _) if admits(key) => Some(mac_text(key, None)),
+        _ => None,
+    })
 }
 
-fn ascii(bytes: &[u8]) -> String {
-    bytes.iter().copied().map(char::from).collect()
+/// The filter of the MAC keys that start with `device_oui`, lowercased
+/// and without its `:`/`-` separators; none do if it holds another char
+/// that is no hex digit.
+pub(crate) fn oui_filter(device_oui: &str) -> impl Fn(u64) -> bool + Copy {
+    let (mut prefix, mut digits) = (Some(0u64), 0);
+    for c in device_oui.chars().filter(|&c| c != ':' && c != '-') {
+        prefix = prefix
+            .zip(c.to_digit(16))
+            .map(|(p, d)| p << 4 | u64::from(d));
+        digits += 1;
+    }
+    move |mac| digits <= 12 && prefix == Some(mac >> (4 * (12 - digits)))
 }
 
-/// The identifiers one device exposes in its discovery responses, each
-/// type in scan order, MACs already filtered by the device's OUI. Names are
-/// copied out of the responses (they are rare), so the result outlives them.
-#[derive(Debug, Default)]
-pub(crate) struct Exposed {
-    pub names: Vec<String>,
-    pub uuids: Vec<Uuid>,
-    pub macs: Vec<Mac>,
-}
-
-impl Exposed {
-    /// Scan each response in place, in order. This equals scanning the
-    /// responses joined with `'\n'`: no match can span a newline, which is
-    /// not hex, `-`, `:`, a space or alphanumeric, and a newline bounds a
-    /// bare MAC or a UUID just as the start of a response does.
-    pub(crate) fn scan<'a>(
-        responses: impl IntoIterator<Item = &'a str>,
-        device_oui: &str,
-    ) -> Exposed {
-        let mut exposed = Exposed::default();
-        for response in responses {
-            for_each_name(response, |name| exposed.names.push(name.to_string()));
-            for_each_uuid_and_mac(
-                response,
-                |uuid| exposed.uuids.push(uuid),
-                |mac, _| {
-                    if has_oui(&mac, device_oui) {
-                        exposed.macs.push(mac);
-                    }
-                },
-            );
-        }
-        exposed
+/// Call `each` with the identifiers one device exposes in its discovery
+/// `responses`, of its MACs only those `admits` (its [`oui_filter`]). Each
+/// response is scanned in place, in order; per type, this equals scanning
+/// the responses joined with `'\n'`: no match can span a newline, which is
+/// not hex, `-`, `:`, a space or alphanumeric, and a newline bounds a bare
+/// MAC or a UUID just as the start of a response does.
+pub(crate) fn for_each_exposed<'a>(
+    responses: impl IntoIterator<Item = &'a str>,
+    admits: impl Fn(u64) -> bool,
+    mut each: impl FnMut(Id<'a>),
+) {
+    for response in responses {
+        for_each_id(response, |id| match id {
+            Id::Mac(key, _) if !admits(key) => {}
+            id => each(id),
+        });
     }
 }
 
@@ -316,12 +343,29 @@ mod tests {
         assert_eq!(bare, vec!["001788685f61"]);
         let mixed = "mac=00:17:88:68:5F:61; serial 9C-8E-CD-0A-33-1B id=001788685f61";
         assert_eq!(
-            extract_macs_separated_by(mixed, b':'),
-            vec!["00:17:88:68:5f:61"]
+            macs_as_written(mixed),
+            vec!["00:17:88:68:5f:61", "9c-8e-cd-0a-33-1b", "001788685f61"]
         );
+    }
+
+    /// Every MAC candidate in `text`, rendered in its own syntax.
+    fn macs_as_written(text: &str) -> Vec<String> {
+        collect(text, |id| match id {
+            Id::Mac(key, sep) => Some(mac_text(key, sep)),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn letter_run_starts_a_separated_mac() {
+        // A 12-digit run of letters is no bare MAC, yet its last pair
+        // starts a separated one.
+        let text = "abcdefabcdef:12:34:56:78:9a";
+        assert_eq!(extract_mac_candidates(text), vec!["ef123456789a"]);
+        assert_eq!(macs_as_written(text), vec!["ef:12:34:56:78:9a"]);
         assert_eq!(
-            extract_macs_separated_by(mixed, b'-'),
-            vec!["9c-8e-cd-0a-33-1b"]
+            extract_mac_candidates(text),
+            oracle::extract_mac_candidates(text)
         );
     }
 
@@ -380,7 +424,7 @@ mod tests {
         const ALPHABET: &str = "0123456789abcdefABCDEF:-'sS\n xRé中";
         let mut out = String::new();
         for _ in 0..g.len(12) {
-            match g.int_in(0..6u8) {
+            match g.int_in(0..7u8) {
                 0 => {
                     let mut bytes: [u8; 6] = g.array();
                     let ouis = [[0x00, 0x17, 0x88], [0xb0, 0xa7, 0x37], [0x9c, 0x8e, 0xcd]];
@@ -416,14 +460,22 @@ mod tests {
                     out.push_str(&pairs.join(sep));
                     out.push_str(&g.string_of("0123456789abcdef", 0, 12));
                 }
+                4 => {
+                    // A run of 11 to 13 digits, often letters only, ending
+                    // in separated pairs: a separated MAC may start inside
+                    // a run that is no bare MAC.
+                    let digits = ["abcdefABCDEF", "0123456789abcdef"][g.int_in(0..2usize)];
+                    out.push_str(&g.string_of(digits, 11, 13));
+                    let sep = [":", "-"][g.int_in(0..2usize)];
+                    for _ in 0..g.int_in(4..7usize) {
+                        out.push_str(sep);
+                        out.push_str(&format!("{:02x}", g.u8()));
+                    }
+                }
                 _ => out.push_str(&g.string_of(ALPHABET, 0, 16)),
             }
         }
         out
-    }
-
-    fn strings<const N: usize>(values: &[[u8; N]]) -> Vec<String> {
-        values.iter().map(|v| ascii(v)).collect()
     }
 
     iotlan_util::props! {
@@ -451,24 +503,121 @@ mod tests {
         fn per_response_scan_matches_joined_text(g) {
             let responses = g.vec_of(0, 6, text);
             let oui = OUIS[g.int_in(0..OUIS.len())];
-            let exposed = Exposed::scan(responses.iter().map(String::as_str), oui);
+            let (mut names, mut uuids, mut macs) = (Vec::new(), Vec::new(), Vec::new());
+            let scanned = responses.iter().map(String::as_str);
+            for_each_exposed(scanned, super::oui_filter(oui), |id| match id {
+                Id::Name(name) => names.push(name.to_string()),
+                Id::Uuid(key) => uuids.push(uuid_text(key)),
+                Id::Mac(key, _) => macs.push(mac_text(key, None)),
+            });
             let joined = responses.join("\n");
-            assert_eq!(exposed.names, extract_names(&joined), "{responses:?}");
-            assert_eq!(strings(&exposed.uuids), extract_uuids(&joined), "{responses:?}");
+            assert_eq!(names, extract_names(&joined), "{responses:?}");
+            assert_eq!(uuids, extract_uuids(&joined), "{responses:?}");
             assert_eq!(
-                strings(&exposed.macs),
+                macs,
                 extract_macs_with_oui(&joined, oui),
                 "{responses:?} oui {oui:?}"
             );
+        }
+
+        /// The keyed pass finds what the original extractors find: each
+        /// UUID and MAC key is the value of the oracle's match, each MAC's
+        /// separator is how the text writes it, the `extract_*` functions
+        /// render its matches, and the kinds pass reports which of the
+        /// three lists are non-empty.
+        fn keyed_pass_matches_the_oracles(g) {
+            let text = text(g);
+            let oui = OUIS[g.int_in(0..OUIS.len())];
+            let (mut names, mut uuids, mut macs) = (Vec::new(), Vec::new(), Vec::new());
+            for_each_id(&text, |id| match id {
+                Id::Name(name) => names.push(name.to_string()),
+                Id::Uuid(key) => uuids.push(key),
+                Id::Mac(key, sep) => macs.push((key, sep)),
+            });
+            let oracle_uuids: Vec<u128> =
+                oracle::extract_uuids(&text).iter().map(|uuid| oracle::uuid_key(uuid)).collect();
+            let oracle_macs: Vec<u64> = oracle::extract_mac_candidates(&text)
+                .iter()
+                .map(|mac| oracle::mac_key(mac))
+                .collect();
+            assert_eq!(names, oracle::extract_names(&text), "{text:?}");
+            assert_eq!(uuids, oracle_uuids, "{text:?}");
+            let keys: Vec<u64> = macs.iter().map(|&(key, _)| key).collect();
+            assert_eq!(keys, oracle_macs, "{text:?}");
+            let uuid_texts: Vec<String> = uuids.iter().map(|&key| uuid_text(key)).collect();
+            assert_eq!(uuid_texts, extract_uuids(&text), "{text:?}");
+            let mac_texts = keys.iter().map(|&key| mac_text(key, None));
+            assert_eq!(mac_texts.collect::<Vec<_>>(), extract_mac_candidates(&text), "{text:?}");
+            let admits = super::oui_filter(oui);
+            let kept = keys.iter().filter(|&&key| admits(key)).map(|&key| mac_text(key, None));
+            assert_eq!(kept.collect::<Vec<_>>(), extract_macs_with_oui(&text, oui), "{text:?}");
+            assert_eq!(names, extract_names(&text), "{text:?}");
+            // Each MAC as its syntax writes it, in order: the separator
+            // is the one the text puts between its pairs.
+            let lower = text.to_ascii_lowercase();
+            let mut from = 0;
+            for &(key, sep) in &macs {
+                let written = mac_text(key, sep);
+                let at = lower[from..].find(&written);
+                assert!(at.is_some(), "{written} not in {text:?} after {from}");
+                from += at.unwrap_or_default() + written.len();
+            }
+            let expected = IdentifierClass {
+                name: !names.is_empty(),
+                uuid: !uuids.is_empty(),
+                mac: !macs.is_empty(),
+            };
+            assert_eq!(kinds(&text), expected, "{text:?}");
+        }
+
+        /// A UUID's or a MAC's oracle key is the number its lowercase text
+        /// spells, and the renderers write that text back.
+        fn identifier_keys_are_the_values_the_text_spells(g) {
+            let value = u128::from_be_bytes(g.array());
+            let hex = format!("{value:032x}");
+            let text = format!(
+                "{}-{}-{}-{}-{}",
+                &hex[..8],
+                &hex[8..12],
+                &hex[12..16],
+                &hex[16..20],
+                &hex[20..]
+            );
+            assert_eq!(oracle::uuid_key(&text), value, "{text}");
+            assert_eq!(uuid_text(value), text);
+            let value = value as u64 & 0xffff_ffff_ffff;
+            let text = format!("{value:012x}");
+            assert_eq!(oracle::mac_key(&text), value, "{text}");
+            assert_eq!(mac_text(value, None), text);
+            let pairs: Vec<&str> = (0..6).map(|i| &text[2 * i..2 * i + 2]).collect();
+            assert_eq!(mac_text(value, Some(b'-')), pairs.join("-"));
         }
     }
 }
 
 /// The original extractors, kept as test oracles for the scanners above:
 /// names over a `Vec<char>`, and a `String` per MAC candidate before the
-/// OUI check.
+/// OUI check; and the keys of their matches, computed from the text.
 #[cfg(test)]
 mod oracle {
+    /// The value of a run of lowercase hex digits.
+    fn hex_value<'a>(digits: impl IntoIterator<Item = &'a u8>) -> u128 {
+        digits.into_iter().fold(0, |value, &digit| {
+            // '0'..='9' → 0..=9, 'a'..='f' → 10..=15.
+            value << 4 | u128::from((digit & 0xf) + 9 * (digit >> 6))
+        })
+    }
+
+    /// A lowercase UUID match as its 32 digits' value.
+    pub fn uuid_key(uuid: &str) -> u128 {
+        hex_value(uuid.as_bytes().iter().filter(|&&byte| byte != b'-'))
+    }
+
+    /// A MAC match (12 lowercase digits) as its value.
+    pub fn mac_key(mac: &str) -> u64 {
+        hex_value(mac.as_bytes()) as u64
+    }
+
     pub fn extract_names(text: &str) -> Vec<String> {
         let chars: Vec<char> = text.chars().collect();
         let mut out = Vec::new();

@@ -30,7 +30,8 @@
 #    {"type":"speedup",...} serial-vs-parallel comparison line for each of
 #    Table 2's stages, dataset_generate and entropy_analyze, and for the
 #    one-pass table2_entropy that the paper runs, each with its reps and
-#    min/max spread
+#    min/max spread, and its {"type":"throughput",...} ident_scan line
+#    (the keyed identifier pass in MB/s) with its reps and min/max spread
 # 8. stream smoke: perf_stream in --quick mode must emit its
 #    {"type":"throughput",...} packet-rate / peak-state lines, its
 #    appd1_periodicity line with its reps and min/max spread, and its
@@ -161,6 +162,14 @@ for id in dataset_generate entropy_analyze table2_entropy; do
             exit 1
         fi
     done
+done
+scan_line=$(printf '%s\n' "$sweep_out" |
+    grep -F '{"type":"throughput","id":"ident_scan"' || true)
+for key in mb_per_sec reps min max; do
+    if ! printf '%s\n' "$scan_line" | grep -qF "\"$key\":"; then
+        echo "verify: FAIL — perf_sweep emitted no ident_scan line with \"$key\"" >&2
+        exit 1
+    fi
 done
 
 echo "==> stream smoke: perf_stream --quick"
