@@ -90,12 +90,6 @@ impl Phone {
         self.window = window;
     }
 
-    /// Distinct (protocol, payload) pairs in the harvest memo: every mDNS
-    /// and SSDP payload the phone has examined, responses or not.
-    pub fn memoized_responses(&self) -> usize {
-        self.mdns_memo.len() + self.ssdp_memo.len()
-    }
-
     /// Total sim time needed to exercise `n` apps.
     pub fn schedule_length(n: usize) -> SimDuration {
         SimDuration(APP_WINDOW.0 * (n as u64 + 2))
@@ -938,6 +932,13 @@ mod tests {
         network.node(id).as_any().downcast_ref::<Phone>().unwrap()
     }
 
+    /// Distinct (protocol, payload) pairs in the phone's two harvest memos:
+    /// every mDNS and SSDP payload it has examined, responses or not.
+    fn memoized(network: &Network, id: NodeId) -> usize {
+        let phone = phone_of(network, id);
+        phone.mdns_memo.len() + phone.ssdp_memo.len()
+    }
+
     /// Deliver `frame` and return what the phone harvested from it.
     fn deliver(network: &mut Network, id: NodeId, frame: &[u8]) -> Vec<Harvested> {
         let before = phone_of(network, id).current_harvest.len();
@@ -1025,7 +1026,7 @@ mod tests {
             distinct.len() < real_responses().len(),
             "devices repeat responses"
         );
-        assert_eq!(phone_of(&network, id).memoized_responses(), distinct.len());
+        assert_eq!(memoized(&network, id), distinct.len());
     }
 
     #[test]
@@ -1046,7 +1047,7 @@ mod tests {
             id,
             &response_frame(true, other, &response.payload),
         );
-        assert_eq!(phone_of(&network, id).memoized_responses(), 1);
+        assert_eq!(memoized(&network, id), 1);
         let (last, items) = first.split_last().unwrap();
         assert_eq!(last.value, response.src.mac.to_string());
         assert_eq!(
@@ -1072,7 +1073,7 @@ mod tests {
             deliver(&mut network, id, &as_mdns),
             unmemoized_harvest(&as_mdns)
         );
-        assert_eq!(phone_of(&network, id).memoized_responses(), 2);
+        assert_eq!(memoized(&network, id), 2);
     }
 
     #[test]
@@ -1100,7 +1101,7 @@ mod tests {
         for frame in &frames {
             assert_eq!(deliver(&mut network, id, frame), Vec::new());
         }
-        assert_eq!(phone_of(&network, id).memoized_responses(), 2);
+        assert_eq!(memoized(&network, id), 2);
     }
 
     /// The distinct text of every mDNS and SSDP response the whole testbed
@@ -1308,7 +1309,7 @@ mod tests {
                 }
                 distinct.insert((mdns, payload));
             }
-            assert_eq!(phone_of(&network, id).memoized_responses(), distinct.len());
+            assert_eq!(memoized(&network, id), distinct.len());
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The observability layer's overhead.
 //!
 //! Runs the same fully-instrumented workload — a `Lab::fast()` idle
-//! capture, whose inner loop crosses the netsim counters, capture gauges,
-//! device counters and lab spans on every frame — with telemetry enabled
+//! capture, whose inner loop crosses the netsim counters, capture gauges
+//! and device counters on every frame, and whose lab records its `build`
+//! and `idle` manifest phases — with telemetry enabled
 //! (the default) and runtime-disabled via `telemetry::set_enabled(false)`,
 //! which leaves only the per-call-site `enabled()` load in place. The
 //! emitted `{"type":"overhead",…}` line prices instrumentation against
@@ -30,8 +31,8 @@ use iotlan_util::json;
 use std::time::Instant;
 
 fn lab_idle_run() {
-    // reset_all keeps the trace buffer bounded across reps (and costs the
-    // same on both sides of the comparison).
+    // reset_all zeroes the metrics and pool accounting between reps (and
+    // costs the same on both sides of the comparison).
     telemetry::reset_all();
     let mut lab = Lab::new(LabConfig::fast());
     lab.run_idle();

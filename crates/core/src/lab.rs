@@ -100,9 +100,11 @@ enum Action {
 }
 
 impl Lab {
-    /// Build the full testbed.
+    /// Build the full testbed, recorded as the manifest's `build` phase
+    /// at simulated time zero.
     pub fn new(config: LabConfig) -> Lab {
-        let _span = iotlan_telemetry::span!("lab.build");
+        let mut manifest = Manifest::new("lab");
+        let timer = manifest.phase_timer("build");
         let catalog = build_testbed();
         let mut network = Network::new(config.seed);
         network.add_node(Box::new(Router::new()));
@@ -114,7 +116,7 @@ impl Lab {
         } else {
             None
         };
-        let mut manifest = Manifest::new("lab");
+        manifest.finish_phase(timer, 0);
         manifest.set("seed", config.seed);
         manifest.set("idle_micros", config.idle_duration.as_micros());
         manifest.set("interactions", u64::from(config.interactions));
@@ -132,17 +134,14 @@ impl Lab {
         }
     }
 
-    /// Close a manifest phase stamped with the network's simulated clock
-    /// (the event loop retracts the thread-local clock on return, so the
-    /// stamp must be re-published for the duration of the bookkeeping).
+    /// Close a manifest phase stamped with the network's simulated clock.
     fn finish_sim_phase(&mut self, timer: iotlan_telemetry::manifest::PhaseTimer) {
-        let _scope = iotlan_telemetry::clock::sim_scope(self.network.now().as_micros());
-        self.manifest.finish_phase(timer);
+        self.manifest
+            .finish_phase(timer, self.network.now().as_micros());
     }
 
     /// Run the idle capture (§3.1's five-day no-interaction collection).
     pub fn run_idle(&mut self) {
-        let _span = iotlan_telemetry::span!("lab.idle");
         let timer = self.manifest.phase_timer("idle");
         let duration = self.config.idle_duration;
         self.network.run_for(duration);
@@ -231,7 +230,6 @@ impl Lab {
     /// Inject scripted interactions: companion-style control commands to
     /// random controllable devices, spaced through `span`.
     pub fn run_interactions(&mut self, span: SimDuration) {
-        let _span = iotlan_telemetry::span!("lab.interactions");
         let timer = self.manifest.phase_timer("interactions");
         self.interaction_script(span, |lab, step| lab.network.run_for(step));
         self.finish_sim_phase(timer);
@@ -296,7 +294,6 @@ impl Lab {
         window: SimDuration,
         sink: &mut impl FrameSink,
     ) {
-        let _span = iotlan_telemetry::span!("lab.streaming");
         let idle = self.config.idle_duration;
         let timer = self.manifest.phase_timer("streaming.idle");
         self.run_windowed(idle, window, sink);
@@ -347,7 +344,6 @@ impl Lab {
     /// runs completed since the previous call. The runs move out of the
     /// phone, so a second call returns only runs completed after the first.
     pub fn run_app_tests(&mut self, app_count: usize) -> Vec<iotlan_apps::TestRun> {
-        let _span = iotlan_telemetry::span!("lab.app_tests");
         let timer = self.manifest.phase_timer("app_tests");
         let span = Phone::schedule_length(app_count) + SimDuration::from_secs(5);
         self.network.run_for(span);
@@ -504,6 +500,29 @@ mod tests {
             "no TPLINK_SHP flow after bounded interaction rounds"
         );
         assert!(lab.network.capture.len() > before + 20);
+    }
+
+    /// Each phase carries the network's simulated clock at its end:
+    /// building at zero, then the idle and interaction spans in turn.
+    #[test]
+    fn phases_carry_the_simulated_end() {
+        let mut lab = Lab::new(LabConfig::fast());
+        lab.run_idle();
+        lab.run_interactions(SimDuration::from_mins(1));
+        let phases: Vec<(&str, u64)> = lab
+            .manifest
+            .phases()
+            .iter()
+            .map(|phase| (phase.name.as_str(), phase.sim_micros))
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                ("build", 0),
+                ("idle", 360_000_000),
+                ("interactions", 420_000_000)
+            ]
+        );
     }
 
     /// The runs move out of the phone: a second call returns only runs

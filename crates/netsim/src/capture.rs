@@ -244,15 +244,6 @@ impl Capture {
         }
     }
 
-    /// The `index`-th recorded frame.
-    pub fn frame(&self, index: usize) -> FrameRef<'_> {
-        let meta = self.metas[index];
-        FrameRef {
-            time: meta.time,
-            data: &self.arena[meta.offset as usize..(meta.offset + meta.len) as usize],
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.metas.len()
     }
@@ -361,7 +352,7 @@ mod tests {
         assert_eq!(packets.len(), 2);
         assert_eq!(packets[0].ts_sec, 1);
         assert_eq!(packets[1].ts_usec, 500_000);
-        assert_eq!(packets[0].data, capture.frame(0).data());
+        assert_eq!(packets[0].data, capture.frames().next().unwrap().data());
     }
 
     #[test]
@@ -387,7 +378,7 @@ mod tests {
         let bytes_capacity = capture.arena.capacity();
         capture.record(SimTime::from_secs(3), &frame(1, 2));
         assert_eq!(capture.arena.capacity(), bytes_capacity);
-        assert_eq!(capture.frame(0).time, SimTime::from_secs(3));
+        assert_eq!(capture.frames().next().unwrap().time, SimTime::from_secs(3));
     }
 
     #[test]
@@ -452,8 +443,8 @@ mod tests {
         assert_eq!(capture.arena.capacity(), arena_capacity);
         assert_eq!(capture.metas.capacity(), metas_capacity);
         assert_eq!(capture.len(), 8);
-        for (i, data) in frames.iter().enumerate() {
-            assert_eq!(capture.frame(i).data(), &data[..]);
+        for (recorded, data) in capture.frames().zip(&frames) {
+            assert_eq!(recorded.data(), &data[..]);
         }
     }
 }

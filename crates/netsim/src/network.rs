@@ -555,12 +555,6 @@ impl Network {
 
     /// Run the simulation until `deadline` (inclusive). Events scheduled
     /// beyond the deadline stay queued for a later `run_until`.
-    ///
-    /// While the loop dispatches, the simulated clock is published to
-    /// telemetry on this thread (`iotlan_telemetry::clock`) so spans and
-    /// events recorded from node callbacks carry the simulated stamp; the
-    /// clock is retracted before returning, so a pool worker that ran one
-    /// lab cannot leak a stale stamp into unrelated work.
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(event) = self.queue.peek() {
             if event.time > deadline {
@@ -568,7 +562,6 @@ impl Network {
             }
             let event = self.queue.pop().unwrap();
             self.now = event.time;
-            iotlan_telemetry::clock::set_sim_micros(self.now.as_micros());
             match event.kind {
                 EventKind::Start(id) => self.dispatch(id, |node, ctx| node.on_start(ctx)),
                 EventKind::Timer { node, token } => {
@@ -578,7 +571,6 @@ impl Network {
             }
         }
         self.now = deadline;
-        iotlan_telemetry::clock::clear_sim();
     }
 
     /// Run for `span` beyond the current time.

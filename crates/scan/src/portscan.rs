@@ -157,7 +157,6 @@ pub fn probe_tcp_model(device: &DeviceConfig, port: u16) -> PortState {
 /// ports plus one closed probe per device to decide responder status, so
 /// the full range is cheap.
 pub fn scan_catalog(catalog: &Catalog) -> CatalogScan {
-    let _span = iotlan_telemetry::span!("scan.catalog");
     iotlan_telemetry::counter!("scan.devices_scanned").add(catalog.devices.len() as u64);
     let devices = catalog
         .devices

@@ -1,4 +1,4 @@
-//! The Nessus-style vulnerability scanner: a plugin engine over the
+//! The Nessus-style vulnerability scanner: a table of plugin checks over the
 //! observable service surface (banners, certificates, service software,
 //! served paths), with a CVE knowledge base covering every §5.2 finding:
 //!
@@ -36,28 +36,44 @@ pub struct Finding {
     pub description: String,
 }
 
-/// A scanner plugin.
-pub trait Plugin {
-    fn name(&self) -> &'static str;
-    fn check(&self, device: &DeviceConfig) -> Vec<Finding>;
+/// Collects one plugin's findings under its name.
+struct Report<'a> {
+    plugin: &'static str,
+    findings: &'a mut Vec<Finding>,
 }
 
-macro_rules! plugin {
-    ($struct_name:ident, $name:expr, |$device:ident| $body:block) => {
-        pub struct $struct_name;
-        impl Plugin for $struct_name {
-            fn name(&self) -> &'static str {
-                $name
-            }
-            fn check(&self, $device: &DeviceConfig) -> Vec<Finding> {
-                $body
-            }
-        }
-    };
+impl Report<'_> {
+    fn add(
+        &mut self,
+        severity: Severity,
+        cve: Option<&'static str>,
+        port: u16,
+        description: impl Into<String>,
+    ) {
+        self.findings.push(Finding {
+            plugin: self.plugin,
+            severity,
+            cve,
+            port: Some(port),
+            description: description.into(),
+        });
+    }
 }
 
-plugin!(Sweet32SmallKey, "ssl-weak-key", |device| {
-    let mut findings = Vec::new();
+/// The plugin set in report order: each plugin's name and its check.
+const PLUGINS: [(&str, fn(&DeviceConfig, &mut Report)); 9] = [
+    ("ssl-weak-key", sweet32_small_key),
+    ("ssl-self-signed-long", long_lived_self_signed),
+    ("jquery-1.2-xss", jquery_xss),
+    ("web-exposed-files", exposed_files),
+    ("dns-server-issues", dns_issues),
+    ("upnp-legacy", legacy_upnp),
+    ("unauthenticated-control", unauthenticated_control),
+    ("geolocation-exposure", geolocation_exposure),
+    ("telnet-open", open_telnet),
+];
+
+fn sweet32_small_key(device: &DeviceConfig, report: &mut Report) {
     for service in &device.open_tcp {
         if let ServiceKind::Tls {
             certificate,
@@ -70,36 +86,32 @@ plugin!(Sweet32SmallKey, "ssl-weak-key", |device| {
                 continue; // TLS 1.3 hides the certificate from the scanner
             }
             if certificate.key_bits < 128 {
-                findings.push(Finding {
-                    plugin: "ssl-weak-key",
-                    severity: Severity::High,
-                    cve: Some("CVE-2016-2183"),
-                    port: Some(service.port),
-                    description: format!(
+                report.add(
+                    Severity::High,
+                    Some("CVE-2016-2183"),
+                    service.port,
+                    format!(
                         "TLS service on port {} presents a {}-bit key; \
                          long sessions are subject to birthday attacks (SWEET32)",
                         service.port, certificate.key_bits
                     ),
-                });
+                );
             } else if *cipher_suite == iotlan_wire::tls::TLS_RSA_WITH_3DES_EDE_CBC_SHA {
-                findings.push(Finding {
-                    plugin: "ssl-weak-key",
-                    severity: Severity::High,
-                    cve: Some("CVE-2016-2183"),
-                    port: Some(service.port),
-                    description: format!(
+                report.add(
+                    Severity::High,
+                    Some("CVE-2016-2183"),
+                    service.port,
+                    format!(
                         "TLS service on port {} negotiates 3DES (SWEET32)",
                         service.port
                     ),
-                });
+                );
             }
         }
     }
-    findings
-});
+}
 
-plugin!(LongLivedSelfSigned, "ssl-self-signed-long", |device| {
-    let mut findings = Vec::new();
+fn long_lived_self_signed(device: &DeviceConfig, report: &mut Report) {
     for service in &device.open_tcp {
         if let ServiceKind::Tls {
             certificate,
@@ -111,87 +123,72 @@ plugin!(LongLivedSelfSigned, "ssl-self-signed-long", |device| {
                 continue;
             }
             if certificate.self_signed && certificate.validity_days > 3650 {
-                findings.push(Finding {
-                    plugin: "ssl-self-signed-long",
-                    severity: Severity::Medium,
-                    cve: None,
-                    port: Some(service.port),
-                    description: format!(
+                report.add(
+                    Severity::Medium,
+                    None,
+                    service.port,
+                    format!(
                         "self-signed certificate valid for {} years on port {}",
                         certificate.validity_days / 365,
                         service.port
                     ),
-                });
+                );
             }
         }
     }
-    findings
-});
+}
 
-plugin!(JQueryXss, "jquery-1.2-xss", |device| {
-    let mut findings = Vec::new();
+fn jquery_xss(device: &DeviceConfig, report: &mut Report) {
     for service in &device.open_tcp {
         if let ServiceKind::Http { index_body, .. } = &service.service {
             if index_body.contains("jquery-1.2") {
                 for cve in ["CVE-2020-11022", "CVE-2020-11023"] {
-                    findings.push(Finding {
-                        plugin: "jquery-1.2-xss",
-                        severity: Severity::Medium,
-                        cve: Some(cve),
-                        port: Some(service.port),
-                        description:
-                            "HTTP server ships jQuery 1.2, which has multiple XSS vulnerabilities"
-                                .into(),
-                    });
+                    report.add(
+                        Severity::Medium,
+                        Some(cve),
+                        service.port,
+                        "HTTP server ships jQuery 1.2, which has multiple XSS vulnerabilities",
+                    );
                 }
             }
         }
     }
-    findings
-});
+}
 
-plugin!(ExposedFiles, "web-exposed-files", |device| {
-    let mut findings = Vec::new();
+fn exposed_files(device: &DeviceConfig, report: &mut Report) {
     for service in &device.open_tcp {
         if let ServiceKind::Http { extra_paths, .. } = &service.service {
             for (path, _) in extra_paths {
                 if path.contains("backup") || path.contains(".conf") {
-                    findings.push(Finding {
-                        plugin: "web-exposed-files",
-                        severity: Severity::High,
-                        cve: None,
-                        port: Some(service.port),
-                        description: format!("backup/configuration file accessible at {path}"),
-                    });
+                    report.add(
+                        Severity::High,
+                        None,
+                        service.port,
+                        format!("backup/configuration file accessible at {path}"),
+                    );
                 }
                 if path.contains("onvif") {
-                    findings.push(Finding {
-                        plugin: "web-exposed-files",
-                        severity: Severity::High,
-                        cve: None,
-                        port: Some(service.port),
-                        description: format!(
-                            "unauthenticated camera snapshot available at {path} (ONVIF)"
-                        ),
-                    });
+                    report.add(
+                        Severity::High,
+                        None,
+                        service.port,
+                        format!("unauthenticated camera snapshot available at {path} (ONVIF)"),
+                    );
                 }
                 if path.contains("users") {
-                    findings.push(Finding {
-                        plugin: "web-exposed-files",
-                        severity: Severity::Medium,
-                        cve: None,
-                        port: Some(service.port),
-                        description: format!("user-account listing at {path}"),
-                    });
+                    report.add(
+                        Severity::Medium,
+                        None,
+                        service.port,
+                        format!("user-account listing at {path}"),
+                    );
                 }
             }
         }
     }
-    findings
-});
+}
 
-plugin!(DnsIssues, "dns-server-issues", |device| {
-    let mut findings = Vec::new();
+fn dns_issues(device: &DeviceConfig, report: &mut Report) {
     for service in device.open_udp.iter().chain(&device.open_tcp) {
         if let ServiceKind::Dns {
             software,
@@ -200,150 +197,115 @@ plugin!(DnsIssues, "dns-server-issues", |device| {
         } = &service.service
         {
             if software.contains("SheerDNS 1.0") {
-                findings.push(Finding {
-                    plugin: "dns-server-issues",
-                    severity: Severity::High,
-                    cve: None,
-                    port: Some(service.port),
-                    description: "SheerDNS < 1.0.1 has multiple known vulnerabilities".into(),
-                });
+                report.add(
+                    Severity::High,
+                    None,
+                    service.port,
+                    "SheerDNS < 1.0.1 has multiple known vulnerabilities",
+                );
             }
             if !cached_names.is_empty() {
-                findings.push(Finding {
-                    plugin: "dns-server-issues",
-                    severity: Severity::Medium,
-                    cve: None,
-                    port: Some(service.port),
-                    description: "DNS server allows cache snooping (remote information disclosure)"
-                        .into(),
-                });
+                report.add(
+                    Severity::Medium,
+                    None,
+                    service.port,
+                    "DNS server allows cache snooping (remote information disclosure)",
+                );
             }
             if *reveals_hostname {
-                findings.push(Finding {
-                    plugin: "dns-server-issues",
-                    severity: Severity::Low,
-                    cve: None,
-                    port: Some(service.port),
-                    description: "DNS service reveals internal host name and resolver IP".into(),
-                });
+                report.add(
+                    Severity::Low,
+                    None,
+                    service.port,
+                    "DNS service reveals internal host name and resolver IP",
+                );
             }
         }
     }
-    findings
-});
+}
 
-plugin!(LegacyUpnp, "upnp-legacy", |device| {
-    let mut findings = Vec::new();
-    if let Some(ssdp) = &device.ssdp {
-        if ssdp.upnp_version_10 {
-            findings.push(Finding {
-                plugin: "upnp-legacy",
-                severity: Severity::Medium,
-                cve: None,
-                port: Some(1900),
-                description: format!(
-                    "UPnP 1.0 stack ({}), fifteen years past UPnP 1.1, known exploitable",
-                    ssdp.server_banner
-                ),
-            });
-        }
-        if ssdp
-            .search_targets
-            .iter()
-            .any(|t| t.contains("InternetGatewayDevice"))
-        {
-            findings.push(Finding {
-                plugin: "upnp-legacy",
-                severity: Severity::Medium,
-                cve: None,
-                port: Some(1900),
-                description:
-                    "device issues IGD SSDP searches; IGD is abused by malware for port mapping"
-                        .into(),
-            });
-        }
+fn legacy_upnp(device: &DeviceConfig, report: &mut Report) {
+    let Some(ssdp) = &device.ssdp else { return };
+    if ssdp.upnp_version_10 {
+        report.add(
+            Severity::Medium,
+            None,
+            1900,
+            format!(
+                "UPnP 1.0 stack ({}), fifteen years past UPnP 1.1, known exploitable",
+                ssdp.server_banner
+            ),
+        );
     }
-    findings
-});
-
-plugin!(
-    UnauthenticatedControl,
-    "unauthenticated-control",
-    |device| {
-        let mut findings = Vec::new();
-        if matches!(device.tplink, Some(TplinkRole::Server { .. })) {
-            findings.push(Finding {
-                plugin: "unauthenticated-control",
-                severity: Severity::High,
-                cve: None,
-                port: Some(9999),
-                description:
-                    "TPLINK-SHP accepts unauthenticated control commands from any LAN host".into(),
-            });
-        }
-        findings
+    if ssdp
+        .search_targets
+        .iter()
+        .any(|t| t.contains("InternetGatewayDevice"))
+    {
+        report.add(
+            Severity::Medium,
+            None,
+            1900,
+            "device issues IGD SSDP searches; IGD is abused by malware for port mapping",
+        );
     }
-);
+}
 
-plugin!(GeolocationExposure, "geolocation-exposure", |device| {
-    let mut findings = Vec::new();
+fn unauthenticated_control(device: &DeviceConfig, report: &mut Report) {
+    if matches!(device.tplink, Some(TplinkRole::Server { .. })) {
+        report.add(
+            Severity::High,
+            None,
+            9999,
+            "TPLINK-SHP accepts unauthenticated control commands from any LAN host",
+        );
+    }
+}
+
+fn geolocation_exposure(device: &DeviceConfig, report: &mut Report) {
     if let Some(TplinkRole::Server {
         latitude,
         longitude,
         ..
     }) = &device.tplink
     {
-        findings.push(Finding {
-            plugin: "geolocation-exposure",
-            severity: Severity::High,
-            cve: None,
-            port: Some(9999),
-            description: format!(
+        report.add(
+            Severity::High,
+            None,
+            9999,
+            format!(
                 "discovery responses disclose plaintext geolocation ({latitude:.6}, {longitude:.6})"
             ),
-        });
+        );
     }
-    findings
-});
+}
 
-plugin!(OpenTelnet, "telnet-open", |device| {
-    device
-        .open_tcp
-        .iter()
-        .filter_map(|service| match &service.service {
-            ServiceKind::Telnet { banner } => Some(Finding {
-                plugin: "telnet-open",
-                severity: Severity::High,
-                cve: None,
-                port: Some(service.port),
-                description: format!("open Telnet service ({banner})"),
-            }),
-            _ => None,
-        })
-        .collect()
-});
-
-/// The full plugin set.
-pub fn all_plugins() -> Vec<Box<dyn Plugin>> {
-    vec![
-        Box::new(Sweet32SmallKey),
-        Box::new(LongLivedSelfSigned),
-        Box::new(JQueryXss),
-        Box::new(ExposedFiles),
-        Box::new(DnsIssues),
-        Box::new(LegacyUpnp),
-        Box::new(UnauthenticatedControl),
-        Box::new(GeolocationExposure),
-        Box::new(OpenTelnet),
-    ]
+fn open_telnet(device: &DeviceConfig, report: &mut Report) {
+    for service in &device.open_tcp {
+        if let ServiceKind::Telnet { banner } = &service.service {
+            report.add(
+                Severity::High,
+                None,
+                service.port,
+                format!("open Telnet service ({banner})"),
+            );
+        }
+    }
 }
 
 /// Scan one device with every plugin.
 pub fn scan_device(device: &DeviceConfig) -> Vec<Finding> {
-    all_plugins()
-        .iter()
-        .flat_map(|plugin| plugin.check(device))
-        .collect()
+    let mut findings = Vec::new();
+    for (plugin, check) in PLUGINS {
+        check(
+            device,
+            &mut Report {
+                plugin,
+                findings: &mut findings,
+            },
+        );
+    }
+    findings
 }
 
 /// Scan the whole catalog; returns (device name, findings) pairs for

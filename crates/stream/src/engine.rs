@@ -164,7 +164,6 @@ impl StreamEngine {
     /// The table labels its flows once here, for `group_events` and
     /// `records`; the report's table keeps the labels for Fig. 2.
     pub fn finish(mut self) -> Result<StreamReport, iotlan_wire::Error> {
-        let _span = iotlan_telemetry::span!("stream.finish");
         iotlan_telemetry::counter!("stream.packets").add(self.packets);
         iotlan_telemetry::counter!("stream.flow_keys_created").add(self.table.len() as u64);
         if self.pcap_bytes_pushed > 0 {

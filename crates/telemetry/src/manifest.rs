@@ -19,15 +19,19 @@
 //!   allocation counts). These appear only in the full [`Manifest::to_json`]
 //!   view, under `"host"`.
 //!
+//! Phases are the library's one timing record: each carries the simulated
+//! clock at its end, passed in by the caller that owns the simulation
+//! (deterministic), and its wall duration (full view only).
+//!
 //! Output digests use FNV-1a/64 ([`fnv1a64`]) — not cryptographic, just a
 //! cheap stable fingerprint so two runs can be compared by their
 //! manifests alone.
 
-use crate::clock;
 use iotlan_util::json;
 use iotlan_util::pool;
 use std::io;
 use std::path::Path;
+use std::time::Instant;
 
 /// FNV-1a 64-bit content hash: stable, dependency-free fingerprint.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -48,9 +52,8 @@ pub fn digest_hex(bytes: &[u8]) -> String {
 #[derive(Debug, Clone)]
 pub struct Phase {
     pub name: String,
-    /// Simulated clock at phase end, when the phase ran under a
-    /// simulation (deterministic).
-    pub sim_micros: Option<u64>,
+    /// Simulated clock at phase end (deterministic).
+    pub sim_micros: u64,
     /// Wall-clock duration of the phase in nanoseconds (host-volatile).
     pub wall_nanos: u64,
 }
@@ -70,7 +73,7 @@ pub struct Manifest {
 #[derive(Debug)]
 pub struct PhaseTimer {
     name: String,
-    start_wall: u64,
+    started: Instant,
 }
 
 impl Manifest {
@@ -112,17 +115,17 @@ impl Manifest {
     pub fn phase_timer(&self, name: &str) -> PhaseTimer {
         PhaseTimer {
             name: name.to_string(),
-            start_wall: clock::wall_nanos(),
+            started: Instant::now(),
         }
     }
 
-    /// Close a phase, stamping the simulated clock (if one is running)
-    /// and the elapsed wall time.
-    pub fn finish_phase(&mut self, timer: PhaseTimer) {
+    /// Close a phase that ended at simulated time `sim_micros`, stamping
+    /// the elapsed wall time.
+    pub fn finish_phase(&mut self, timer: PhaseTimer, sim_micros: u64) {
         self.phases.push(Phase {
             name: timer.name,
-            sim_micros: clock::sim_micros(),
-            wall_nanos: clock::wall_nanos().saturating_sub(timer.start_wall),
+            sim_micros,
+            wall_nanos: timer.started.elapsed().as_nanos() as u64,
         });
     }
 
@@ -139,13 +142,17 @@ impl Manifest {
     }
 
     /// Attach host facts: effective thread count, process allocation
-    /// count, the process's minor page faults so far (when
-    /// `/proc/self/stat` can be read), and the pool's per-worker
+    /// count (when the binary installs `util::alloc::CountingAllocator`,
+    /// so the count is not zero), the process's minor page faults so far
+    /// (when `/proc/self/stat` can be read), and the pool's per-worker
     /// accounting. Minor faults tell a run whose allocator regrew a
     /// trimmed heap from one that reused it.
     pub fn attach_host_info(&mut self) {
         self.set_host("threads", pool::thread_count() as u64);
-        self.set_host("allocations", iotlan_util::alloc::allocation_count());
+        let allocations = iotlan_util::alloc::allocation_count();
+        if allocations > 0 {
+            self.set_host("allocations", allocations);
+        }
         if let Some(faults) = std::fs::read_to_string("/proc/self/stat")
             .ok()
             .and_then(|stat| minor_faults(&stat))
@@ -181,9 +188,10 @@ impl Manifest {
             .map(|phase| {
                 let mut row = json::Map::new();
                 row.insert("name".to_string(), json::Value::from(&phase.name));
-                if let Some(sim) = phase.sim_micros {
-                    row.insert("sim_micros".to_string(), json::Value::from(sim));
-                }
+                row.insert(
+                    "sim_micros".to_string(),
+                    json::Value::from(phase.sim_micros),
+                );
                 if !deterministic {
                     row.insert(
                         "wall_nanos".to_string(),
@@ -284,6 +292,17 @@ mod tests {
     }
 
     #[test]
+    fn unmeasured_allocation_count_is_left_out() {
+        // The unit-test binary installs no counting allocator.
+        assert_eq!(iotlan_util::alloc::allocation_count(), 0);
+        let mut manifest = Manifest::new("t");
+        manifest.attach_host_info();
+        let full = manifest.to_json().to_string();
+        assert!(!full.contains("allocations"), "{full}");
+        assert!(full.contains("\"threads\":"), "{full}");
+    }
+
+    #[test]
     fn fnv_matches_reference_vectors() {
         // Published FNV-1a/64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
@@ -298,8 +317,7 @@ mod tests {
         manifest.set_host("hostname_ish", "volatile");
         manifest.digest("report", b"payload");
         let timer = manifest.phase_timer("warmup");
-        let _sim = crate::clock::sim_scope(1000);
-        manifest.finish_phase(timer);
+        manifest.finish_phase(timer, 1000);
         let full = manifest.to_json().to_string();
         let det = manifest.deterministic_json().to_string();
         assert!(full.contains("volatile"));

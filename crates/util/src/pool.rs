@@ -28,11 +28,8 @@
 //! merged once per worker per region, for run manifests. Task counts are
 //! conserved (sum over workers == items mapped) at any thread count; the
 //! per-slot *split* is scheduling-dependent and reported as host-volatile
-//! data only. [`in_region`] tells telemetry that a region is running on
-//! this thread, so the trace can skip records whose thread would depend on
-//! the thread count (DESIGN.md §9).
+//! data only.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -86,33 +83,6 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     }
     let previous = THREAD_OVERRIDE.swap(threads, Ordering::AcqRel);
     let _restore = Restore(previous);
-    f()
-}
-
-thread_local! {
-    /// Whether this thread is running a region's closure: set on every
-    /// worker, and on the caller while it runs a region inline.
-    static IN_REGION: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the current thread is inside a `par_map*` region. Telemetry
-/// records nothing there: which thread runs a chunk, and so which buffer
-/// would hold the record, depends on the thread count.
-pub fn in_region() -> bool {
-    IN_REGION.with(Cell::get)
-}
-
-/// Run `f` with [`in_region`] set, restoring the previous value after it,
-/// even when `f` panics, so that a nested region leaves an outer one
-/// marked.
-fn run_in_region<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_REGION.with(|flag| flag.set(self.0));
-        }
-    }
-    let _restore = Restore(IN_REGION.with(|flag| flag.replace(true)));
     f()
 }
 
@@ -254,7 +224,7 @@ where
         // Inline path: every item in order on the caller, all chunks
         // credited to worker slot 0.
         let started = Instant::now();
-        let results = run_in_region(|| (0..n).map(&f).collect());
+        let results = (0..n).map(&f).collect();
         let worker = WorkerStats {
             chunks: chunk_count(n) as u64,
             tasks: n as u64,
@@ -280,31 +250,29 @@ where
                 let next = &next;
                 let f = &f;
                 scope.spawn(move || {
-                    run_in_region(|| {
-                        let mut worker = WorkerStats::default();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = slots.get(index) else { break };
-                            let mut guard = match slot.lock() {
-                                Ok(guard) => guard,
-                                // A sibling worker panicked while holding nothing of
-                                // ours; poisoning is irrelevant to the slice.
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            let started = Instant::now();
-                            let base = index * chunk;
-                            for (offset, out) in guard.iter_mut().enumerate() {
-                                *out = Some(f(base + offset));
-                            }
-                            worker.chunks += 1;
-                            worker.tasks += guard.len() as u64;
-                            if index % workers != worker_slot {
-                                worker.steals += 1;
-                            }
-                            worker.busy_nanos += started.elapsed().as_nanos() as u64;
+                    let mut worker = WorkerStats::default();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(index) else { break };
+                        let mut guard = match slot.lock() {
+                            Ok(guard) => guard,
+                            // A sibling worker panicked while holding nothing of
+                            // ours; poisoning is irrelevant to the slice.
+                            Err(poisoned) => poisoned.into_inner(),
+                        };
+                        let started = Instant::now();
+                        let base = index * chunk;
+                        for (offset, out) in guard.iter_mut().enumerate() {
+                            *out = Some(f(base + offset));
                         }
-                        merge_worker_stats(worker_slot, &worker);
-                    })
+                        worker.chunks += 1;
+                        worker.tasks += guard.len() as u64;
+                        if index % workers != worker_slot {
+                            worker.steals += 1;
+                        }
+                        worker.busy_nanos += started.elapsed().as_nanos() as u64;
+                    }
+                    merge_worker_stats(worker_slot, &worker);
                 });
             }
         });
@@ -385,33 +353,6 @@ mod tests {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         assert_eq!(THREAD_OVERRIDE.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn in_region_marks_region_code_and_is_restored_on_exit() {
-        for threads in [1, 2, 8] {
-            with_threads(threads, || {
-                assert!(!in_region(), "threads={threads}");
-                // Outer regions of 64 and 2 items run on the caller at one
-                // thread and on workers otherwise; inner regions of 1 item
-                // run inline and of 4 items on workers (above one thread).
-                for (outer, inner) in [(64, 1), (2, 4)] {
-                    let marks = par_map_range(outer, |_| {
-                        let inside = par_map_range(inner, |_| in_region());
-                        (inside, in_region())
-                    });
-                    for (inside, after) in marks {
-                        assert!(inside.into_iter().all(|mark| mark), "threads={threads}");
-                        assert!(after, "a nested region unmarked its outer one");
-                    }
-                    assert!(!in_region(), "threads={threads}");
-                }
-            });
-        }
-        let _ = std::panic::catch_unwind(|| {
-            with_threads(1, || par_map_range(3, |_| -> usize { panic!("inline") }))
-        });
-        assert!(!in_region(), "a panicking inline region stays marked");
     }
 
     #[test]

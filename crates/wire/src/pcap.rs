@@ -85,24 +85,13 @@ fn append_record(out: &mut Vec<u8>, ts_sec: u32, ts_usec: u32, data: &[u8]) {
     out.extend_from_slice(data);
 }
 
-/// Serialize packets into a pcap file image.
-pub fn write_pcap(packets: &[PcapPacket]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + packets.iter().map(|p| 16 + p.data.len()).sum::<usize>());
-    append_global_header(&mut out);
-    for packet in packets {
-        append_record(&mut out, packet.ts_sec, packet.ts_usec, &packet.data);
-    }
-    out
-}
-
 /// Serialize `(ts_sec, ts_usec, frame)` records into a pcap file image
 /// without taking ownership of any frame bytes.
 ///
-/// The borrowing twin of [`write_pcap`]: the output buffer is sized up
-/// front and each frame is copied exactly once — a capture holding its
-/// frames in an arena (or any caller with frames in place) exports without
-/// first cloning every frame into a [`PcapPacket`]. The two writers share
-/// the header/record appenders, so their byte output cannot diverge.
+/// The output buffer is sized up front and each frame is copied exactly
+/// once — a capture holding its frames in an arena (or any caller with
+/// frames in place) exports without first cloning every frame into a
+/// [`PcapPacket`].
 pub fn write_pcap_refs(packets: &[(u32, u32, &[u8])]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         24 + packets
@@ -154,7 +143,6 @@ pub struct PcapStreamReader {
     big_endian: Option<bool>,
     /// A sticky header error: once raised, every later call re-raises it.
     error: Option<StreamError>,
-    packets_parsed: u64,
 }
 
 /// Compact the internal buffer once this many consumed bytes accumulate.
@@ -169,11 +157,6 @@ impl PcapStreamReader {
     /// records anywhere, down to one byte at a time.
     pub fn push(&mut self, chunk: &[u8]) {
         self.buffer.extend_from_slice(chunk);
-    }
-
-    /// Number of packets parsed so far.
-    pub fn packets_parsed(&self) -> u64 {
-        self.packets_parsed
     }
 
     /// Bytes currently buffered awaiting a complete header/record — the
@@ -286,7 +269,6 @@ impl PcapStreamReader {
         data.clear();
         data.extend_from_slice(&pending[16..16 + incl_len]);
         self.consume(16 + incl_len);
-        self.packets_parsed += 1;
         Ok(Some(stamp))
     }
 
@@ -350,22 +332,20 @@ mod tests {
         ]
     }
 
+    /// The pcap image of owned packets, through [`write_pcap_refs`].
+    fn write_pcap(packets: &[PcapPacket]) -> Vec<u8> {
+        let refs: Vec<(u32, u32, &[u8])> = packets
+            .iter()
+            .map(|p| (p.ts_sec, p.ts_usec, p.data.as_slice()))
+            .collect();
+        write_pcap_refs(&refs)
+    }
+
     #[test]
     fn roundtrip() {
         let packets = sample_packets();
         let image = write_pcap(&packets);
         assert_eq!(read_pcap(&image).unwrap(), packets);
-    }
-
-    #[test]
-    fn write_pcap_refs_matches_owned_writer() {
-        let packets = sample_packets();
-        let refs: Vec<(u32, u32, &[u8])> = packets
-            .iter()
-            .map(|p| (p.ts_sec, p.ts_usec, p.data.as_slice()))
-            .collect();
-        assert_eq!(write_pcap_refs(&refs), write_pcap(&packets));
-        assert_eq!(write_pcap_refs(&[]), write_pcap(&[]));
     }
 
     #[test]
@@ -490,7 +470,6 @@ mod tests {
         assert!(reader.next_packet().unwrap().is_some());
         assert_eq!(reader.next_packet().unwrap(), None);
         reader.finish().unwrap();
-        assert_eq!(reader.packets_parsed(), 2);
     }
 
     #[test]
@@ -616,9 +595,12 @@ mod tests {
         let record = &write_pcap(&[packet])[24..];
         let mut reader = PcapStreamReader::new();
         reader.push(&write_pcap(&[])); // global header only
+        let mut parsed = 0;
         for _ in 0..256 {
             reader.push(record);
-            while let Some(_packet) = reader.next_packet().unwrap() {}
+            while let Some(_packet) = reader.next_packet().unwrap() {
+                parsed += 1;
+            }
             assert_eq!(reader.buffered_bytes(), 0);
             assert!(
                 reader.buffer.len() <= 2 * COMPACT_THRESHOLD,
@@ -626,7 +608,7 @@ mod tests {
                 reader.buffer.len()
             );
         }
-        assert_eq!(reader.packets_parsed(), 256);
+        assert_eq!(parsed, 256);
         reader.finish().unwrap();
     }
 }

@@ -306,7 +306,11 @@ props! {
             ts_usec: g.u32(),
             data: g.bytes(63),
         });
-        let image = pcap::write_pcap(&packets);
+        let refs: Vec<(u32, u32, &[u8])> = packets
+            .iter()
+            .map(|p| (p.ts_sec, p.ts_usec, p.data.as_slice()))
+            .collect();
+        let image = pcap::write_pcap_refs(&refs);
         assert_eq!(pcap::read_pcap(&image).unwrap(), packets);
     }
 

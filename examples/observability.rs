@@ -1,20 +1,21 @@
 //! Observability end-to-end: run every instrumented pipeline stage once
-//! and write its run manifest — plus the merged trace, the flamegraph and
-//! the collapsed stacks — under `target/manifests/`.
+//! and write its run manifest under `target/manifests/`.
 //!
 //! ```sh
 //! cargo run --release --example observability
 //! ```
 //!
-//! Everything written here is deterministic (the manifests' host sections
-//! and wall-clock stamps are confined to the non-deterministic views), so
-//! two runs at any `IOTLAN_THREADS` produce byte-identical files — the
-//! contract `tests/telemetry_determinism.rs` pins.
+//! Each file is a manifest's full view: the deterministic facts plus the
+//! `"host"` section and each phase's `wall_nanos`, which vary from run to
+//! run. Only the manifests' deterministic views
+//! (`Manifest::deterministic_json`) are byte-identical across runs and
+//! `IOTLAN_THREADS` settings — the contract
+//! `tests/telemetry_determinism.rs` pins.
 
 use iotlan::netsim::SimDuration;
 use iotlan::scan::scan_catalog;
 use iotlan::stream::engine::stream_capture;
-use iotlan::telemetry::{self, FlameMetric};
+use iotlan::telemetry;
 use iotlan::{Lab, LabConfig};
 use std::fs;
 use std::path::Path;
@@ -56,39 +57,12 @@ fn main() {
         .write_to(out_dir.join("lab.json"))
         .expect("write lab manifest");
 
-    // 6. Trace, flamegraph, collapsed stacks — all from the same records.
-    let records = telemetry::take_records();
-    let flame = telemetry::build_flame(&records);
-    fs::write(
-        out_dir.join("trace.json"),
-        format!("{}\n", telemetry::trace_json(&records, true).pretty()),
-    )
-    .expect("write trace");
-    fs::write(
-        out_dir.join("flame.json"),
-        format!("{}\n", telemetry::flame_json(&flame, true).pretty()),
-    )
-    .expect("write flamegraph");
-    // Calls, not sim time: the spans bracket lab phases, the stream pass's
-    // finish and the scan campaign, which run outside the simulated clock
-    // (it is only published inside the event loop), so call counts are the
-    // metric every frame actually carries.
-    fs::write(
-        out_dir.join("flame.collapsed"),
-        telemetry::collapsed_stacks(&flame, FlameMetric::Calls),
-    )
-    .expect("write collapsed stacks");
-
     println!(
-        "observability: {} trace records, {} phases in lab manifest, wrote {}",
-        records.len(),
+        "observability: {} phases in lab manifest, wrote {}",
         lab_manifest.phases().len(),
         out_dir.display()
     );
     for phase in lab_manifest.phases() {
-        match phase.sim_micros {
-            Some(sim) => println!("  phase {:<24} sim {:>12} us", phase.name, sim),
-            None => println!("  phase {:<24} sim            -", phase.name),
-        }
+        println!("  phase {:<24} sim {:>12} us", phase.name, phase.sim_micros);
     }
 }

@@ -1,7 +1,7 @@
 //! Trace report: read the run manifests written by the `observability`
 //! example (or any `Manifest::write_to` caller) back from
-//! `target/manifests/` and print a per-phase timing summary plus the
-//! hottest frames of the collapsed flamegraph.
+//! `target/manifests/` and print each one's headline counters, content
+//! digests and per-phase timing summary.
 //!
 //! ```sh
 //! cargo run --release --example observability   # produce the manifests
@@ -15,7 +15,7 @@ use iotlan::util::json;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-fn phase_table(name: &str, value: &json::Value) {
+fn phase_table(value: &json::Value) {
     let Some(phases) = value.get("phases").and_then(|p| p.as_array()) else {
         return;
     };
@@ -23,39 +23,37 @@ fn phase_table(name: &str, value: &json::Value) {
         return;
     }
     println!("  phases:");
-    let mut previous: Option<u64> = None;
+    let mut previous = 0;
     for phase in phases {
         let phase_name = phase
             .get("name")
             .and_then(|n| n.as_str())
             .unwrap_or("<unnamed>");
-        match phase.get("sim_micros").and_then(|v| v.as_u64()) {
-            Some(sim) => {
-                // Phases stamp the simulated clock at their *end*; the
-                // delta against the previous phase is the phase's own
-                // simulated duration.
-                let delta = sim.saturating_sub(previous.unwrap_or(0));
-                previous = Some(sim);
-                println!("    {phase_name:<26} sim_end {sim:>14} us   +{delta:>12} us");
-            }
-            None => println!("    {phase_name:<26} (no simulated clock)"),
-        }
+        let sim = phase
+            .get("sim_micros")
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0);
+        // Phases stamp the simulated clock at their *end*; the delta
+        // against the previous phase is the phase's own simulated duration.
+        let delta = sim.saturating_sub(previous);
+        previous = sim;
+        println!("    {phase_name:<26} sim_end {sim:>14} us   +{delta:>12} us");
     }
-    let _ = name;
 }
 
-fn summarize_manifest(path: &Path) {
+/// Print one manifest's summary; `false` when `path` holds no manifest (a
+/// JSON document without a `"kind"`).
+fn summarize_manifest(path: &Path) -> bool {
     let Ok(bytes) = fs::read(path) else {
-        return;
+        return false;
     };
     let Ok(value) = json::from_slice(&bytes) else {
         println!("{}: unparseable JSON", path.display());
-        return;
+        return false;
     };
-    let kind = value
-        .get("kind")
-        .and_then(|k| k.as_str())
-        .unwrap_or("<unknown>");
+    let Some(kind) = value.get("kind").and_then(|k| k.as_str()) else {
+        return false;
+    };
     println!("{} [{kind}]", path.display());
     // Headline counters, if present: every manifest kind carries a few.
     for key in [
@@ -80,7 +78,8 @@ fn summarize_manifest(path: &Path) {
             }
         }
     }
-    phase_table(kind, &value);
+    phase_table(&value);
+    true
 }
 
 fn main() {
@@ -105,34 +104,10 @@ fn main() {
     manifest_paths.sort();
     let mut summarized = 0;
     for path in &manifest_paths {
-        // trace.json/flame.json are record streams, not manifests; the
-        // kind probe below just prints them as <unknown> — skip instead.
-        if path
-            .file_name()
-            .is_some_and(|n| n == "trace.json" || n == "flame.json")
-        {
-            continue;
-        }
-        summarize_manifest(path);
-        summarized += 1;
-    }
-
-    // The hottest self-time frames, from the collapsed stacks.
-    if let Ok(collapsed) = fs::read_to_string(dir.join("flame.collapsed")) {
-        let mut frames: Vec<(&str, u64)> = collapsed
-            .lines()
-            .filter_map(|line| {
-                let (stack, value) = line.rsplit_once(' ')?;
-                Some((stack, value.parse().ok()?))
-            })
-            .collect();
-        frames.sort_by(|a, b| b.1.cmp(&a.1));
-        println!("hottest stacks (calls):");
-        for (stack, calls) in frames.iter().take(5) {
-            println!("  {calls:>12} calls  {stack}");
+        if summarize_manifest(path) {
+            summarized += 1;
         }
     }
-
     if summarized == 0 {
         eprintln!(
             "trace_report: no manifests in {}; run the observability example first",

@@ -5,9 +5,8 @@
 #
 # Summarizes every run manifest under target/manifests/ (or the given
 # directory): kind, headline counters, content digests, and the per-phase
-# simulated-clock table — plus the hottest frames of the collapsed
-# flamegraph. If the directory does not exist yet, the observability
-# example is run first to produce it.
+# simulated-clock table. If the directory does not exist yet, the
+# observability example is run first to produce it.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -46,7 +46,9 @@
 #    {"type":"overhead",...} enabled-vs-disabled comparison lines
 # 10. observability: the observability example must write run manifests
 #     under target/manifests/, and scripts/trace_report.sh must render the
-#     per-phase timing summary from them
+#     per-phase timing summary from them, with the lab manifest's idle and
+#     interactions rows at their simulated ends (LabConfig::fast()'s 6 min
+#     idle, then 1 min of interactions)
 # 11. mojibake guard: no U+FFFD replacement characters anywhere in the
 #     tracked tree (a mangled-encoding canary)
 # 12. golden artifacts: one ttpbench regeneration per workload (fast,
@@ -238,7 +240,14 @@ if [ ! -f target/manifests/lab.json ]; then
     echo "verify: FAIL — observability example wrote no lab manifest" >&2
     exit 1
 fi
-./scripts/trace_report.sh
+report_out=$(./scripts/trace_report.sh)
+printf '%s\n' "$report_out"
+for row in 'idle +sim_end +360000000 us' 'interactions +sim_end +420000000 us'; do
+    if ! printf '%s\n' "$report_out" | grep -qE "^ +$row"; then
+        echo "verify: FAIL — trace_report printed no lab phase row matching '$row'" >&2
+        exit 1
+    fi
+done
 
 echo "==> mojibake guard (U+FFFD)"
 if grep -rIl "$(printf '\357\277\275')" --exclude-dir=target --exclude-dir=.git . ; then
